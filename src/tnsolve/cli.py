@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,35 +45,14 @@ METHODS = ("exact", "mps-als", "parafac-als", "mixed-als", "peps-contract",
 
 CSV_HEADER = "method,stage,sweep,site,energy,abs_error,elapsed_s,flops"
 
+# os.umask can only be read by setting it; do that once, before any thread
+# writes, so result files keep the permissions a plain open() would give
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    """One emitted CSV row; energies must be finite, errors nonnegative."""
-
-    method: str
-    stage: int
-    sweep: int
-    site: int
-    energy: float
-    abs_error: float | None
-    elapsed_s: float
-    flops: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.energy):
-            raise ValueError("record energies must be finite")
-        if self.abs_error is not None and self.abs_error < 0:
-            raise ValueError("record errors must be nonnegative")
-
-    def as_csv_row(self) -> str:
-        err = "" if self.abs_error is None else _fmt(self.abs_error)
-        return ",".join([self.method, str(self.stage), str(self.sweep),
-                         str(self.site), _fmt(self.energy), err,
-                         _fmt(self.elapsed_s), str(self.flops)])
 
 
 @dataclass
@@ -276,10 +256,19 @@ def cached_oracle_energy(h: SpinHamiltonian, out_dir: str,
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace `path` by a file holding `text`.  Each call writes its own
+    temporary file in the target directory, so concurrent writers never
+    share one and readers see either the old or a complete new file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        os.fchmod(fd, 0o666 & ~_UMASK)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +281,17 @@ def _fmt(value) -> str:
 
 
 def _csv_rows(method: str, trace, e0: float | None, elapsed: float | None):
-    # restart markers carry no energy and stay in the library trace only
-    records = [
-        ConvergenceRecord(method, t.stage, t.sweep, t.mode, float(t.energy),
-                          None if e0 is None else abs(t.energy - e0),
-                          elapsed if elapsed is not None else 0.0, t.flops)
-        for t in trace if np.isfinite(t.energy)
-    ]
-    return "\n".join([CSV_HEADER] + [r.as_csv_row() for r in records]) + "\n"
+    """One CSV row per trace entry: finite energies only, since restart
+    markers carry no energy and stay in the library trace."""
+    rows = [CSV_HEADER]
+    for t in trace:
+        if not np.isfinite(t.energy):
+            continue
+        err = None if e0 is None else abs(t.energy - e0)
+        rows.append(",".join([method, str(t.stage), str(t.sweep), str(t.mode),
+                              _fmt(t.energy), _fmt(err), _fmt(elapsed or 0.0),
+                              str(t.flops)]))
+    return "\n".join(rows) + "\n"
 
 
 def _densify(method: str, state):
@@ -378,14 +370,15 @@ def run(cfg: ExperimentConfig) -> int:
                     final_energy = trace[-1].energy
                 elif method == "parafac-als":
                     blocking = _parse_blocking(cfg.method.blocking)
+                    init, init_seed = _parse_init(cfg)
                     if cfg.method.mode == "greedy":
                         trace, state = parafac.greedy_als(
                             h, blocking, cfg.method.rank, cfg.method.sweeps,
-                            _init_seed(cfg), tols, init=_init_kind(cfg))
+                            init_seed, tols, init=init)
                     elif cfg.method.mode == "simultaneous":
                         trace, state = parafac.simultaneous_als(
                             h, blocking, cfg.method.rank, cfg.method.sweeps,
-                            _init_seed(cfg), _init_kind(cfg), tols)
+                            init_seed, init, tols)
                     else:
                         raise ConfigError(
                             f"method.mode must be greedy|simultaneous,"
@@ -455,15 +448,19 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _init_seed(cfg: ExperimentConfig) -> int:
+def _parse_init(cfg: ExperimentConfig) -> tuple:
+    """(kind, seed) from method.init: 'random', 'spectral' or 'random:<int>'
+    (a random start with its own seed)."""
     init = cfg.method.init
+    if init in ("random", "spectral"):
+        return init, cfg.seed
     if init.startswith("random:"):
-        return int(init.split(":", 1)[1])
-    return cfg.seed
-
-
-def _init_kind(cfg: ExperimentConfig) -> str:
-    return "spectral" if cfg.method.init == "spectral" else "random"
+        try:
+            return "random", int(init[len("random:"):])
+        except ValueError:
+            pass
+    raise ConfigError(
+        f"method.init must be random|spectral|random:<int>, got {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +639,13 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "reproduce":
-            ranks = [int(tok) for tok in ns.ranks.split(",")] if ns.ranks else None
+            try:
+                ranks = ([int(tok) for tok in ns.ranks.split(",")]
+                         if ns.ranks else None)
+            except ValueError:
+                raise ConfigError(
+                    f"--ranks must be comma-separated integers, got {ns.ranks!r}"
+                ) from None
             reproduce_figure(ns.figure, ns.mode, ns.out, ns.sweeps, ranks,
                              seed=ns.seed, workers=ns.workers)
             return 0

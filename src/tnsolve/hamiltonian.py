@@ -157,10 +157,12 @@ class SpinHamiltonian:
         return len(self.terms)
 
     def model_key(self) -> str:
-        """Deterministic description used for oracle caching."""
+        """Deterministic description used for oracle caching.  Named
+        operators appear by their letter, custom ones by their matrix bytes."""
         parts = [f"p={self.p}"]
         for t in self.terms:
-            ops = "".join(f.kind if f.kind != "custom" else "C" for f in t.factors)
+            ops = "".join(f.kind if f.kind != "custom"
+                          else f"C[{f.matrix.tobytes().hex()}]" for f in t.factors)
             parts.append(f"{t.coefficient!r}:{ops}")
         return ";".join(parts)
 

@@ -16,9 +16,9 @@ import numpy as np
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import Blocking, SpinHamiltonian
-from .mps import MpsState
-from .parafac import _aligned_cross_factory, _greedy_core
-from .tensor import DenseState, ravel
+from .mps import MpsState, _zipper_init
+from .parafac import _AlignedCrossTerms, _greedy_core
+from .tensor import DenseState, _contract_labelled, ravel
 
 
 @dataclass
@@ -168,15 +168,20 @@ def _term_pieces(term) -> list:
     return pieces
 
 
-def term_to_dense(term) -> DenseState:
-    p = term.p
-    pieces = _term_pieces(term)
-    order = [s for sites, _ in pieces for s in sites]
+def _outer_labelled(pieces, order) -> np.ndarray:
+    """Outer product of (labels, tensor) pieces with its axes in label
+    order `order`."""
     tens = None
-    for _, t in pieces:
+    labels = ()
+    for l, t in pieces:
         tens = t if tens is None else np.multiply.outer(tens, t)
-    perm = [order.index(s) for s in range(p)]
-    return DenseState(p, term.weight * ravel(np.transpose(tens, perm)))
+        labels = labels + tuple(l)
+    return np.transpose(tens, [labels.index(s) for s in order])
+
+
+def term_to_dense(term) -> DenseState:
+    tens = _outer_labelled(_term_pieces(term), range(term.p))
+    return DenseState(term.p, term.weight * ravel(tens))
 
 
 def sum_to_dense(x: MixedTermSum) -> DenseState:
@@ -199,7 +204,7 @@ def _pair_score(la, sa, lb, sb_, open_labels):
         for lab, size in zip(labels, shapes):
             if lab not in shared:
                 left_bits += int(np.log2(size))
-    return shared_bits - left_bits, shared
+    return shared_bits - left_bits
 
 
 def _contract_network(pieces, open_labels=frozenset()):
@@ -232,23 +237,18 @@ def _contract_network(pieces, open_labels=frozenset()):
             for ib in range(ia + 1, len(work)):
                 la, ta = work[ia]
                 lb, tb = work[ib]
-                scored = _pair_score(la, ta.shape, lb, tb.shape, open_labels)
-                if scored is None:
+                gain = _pair_score(la, ta.shape, lb, tb.shape, open_labels)
+                if gain is None:
                     continue
-                gain, shared = scored
                 tie = min(min(la), min(lb))
-                if best is None or (-gain, tie, ia, ib) < best[0]:
-                    best = ((-gain, tie, ia, ib), shared)
+                if best is None or (-gain, tie, ia, ib) < best:
+                    best = (-gain, tie, ia, ib)
         if best is None:
             break
-        (_, _, ia, ib), shared = best
+        _, _, ia, ib = best
         la, ta = work[ia]
         lb, tb = work[ib]
-        ax_a = tuple(la.index(s) for s in sorted(shared))
-        ax_b = tuple(lb.index(s) for s in sorted(shared))
-        tc = flops.tdot(ta, tb, axes=(ax_a, ax_b))
-        lc = tuple(l for l in la if l not in shared) + \
-            tuple(l for l in lb if l not in shared)
+        tc, lc = _contract_labelled(ta, la, tb, lb)
         work = [w for i, w in enumerate(work) if i not in (ia, ib)]
         work.append((lc, tc))
         work = sweep_scalars()
@@ -257,15 +257,9 @@ def _contract_network(pieces, open_labels=frozenset()):
         if work:
             raise ValueError("network left unconnected non-scalar pieces")
         return scalar, None
-    tens = None
-    labels = ()
-    for l, t in work:
-        tens = t if tens is None else np.multiply.outer(tens, t)
-        labels = labels + l
-    if set(labels) != set(open_labels):
+    if {l for labels, _ in work for l in labels} != set(open_labels):
         raise ValueError("open legs do not match the requested labels")
-    perm = [labels.index(s) for s in sorted(open_labels)]
-    return scalar, np.transpose(tens, perm)
+    return scalar, _outer_labelled(work, sorted(open_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +372,8 @@ def _apply_term_ops(h: SpinHamiltonian, k: int, term):
     """New term with the k-th Hamiltonian term's site operators absorbed into
     the block vectors (coefficient excluded)."""
     hterm = h.terms[k]
-    if isinstance(term, PatternedTerm2D):
-        sites_list = term.block_sites_list()
-    else:
-        sites_list = [term.block_sites(j) for j in range(term.blocking.q)]
     new_factors = []
-    for sites, f in zip(sites_list, term.factors):
-        t = f.reshape((2,) * len(sites), order="F")
+    for sites, t in _term_pieces(term):
         for r, s in enumerate(sites):
             op = hterm.factors[s]
             if op.is_identity:
@@ -434,14 +423,11 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
     current leading blocks with the ancilla legs appended to the open ones."""
     if x.p != y.p or x.boundary != y.boundary:
         raise ValueError("chains must share length and boundary")
-    p = x.p
     # wrap legs keep the same sweep valid for both boundaries
-    dy0, dx0 = y.sites[0].shape[0], x.sites[0].shape[0]
-    env = np.einsum("ac,bd->abcd", np.eye(dy0), np.eye(dx0)).astype(complex)
-    env_labels = [("wy",), ("wx",), ("by", 0), ("bx", 0)]
+    env = _zipper_init(y.sites[0].shape[0], x.sites[0].shape[0])
+    env_labels = (("wy",), ("wx",), ("by", 0), ("bx", 0))
     cuts_x, cuts_y = x.blocking.cuts, y.blocking.cuts
     jx = jy = 0
-    done_x = done_y = 0
     while jx < x.q or jy < y.q:
         take_y = jy < y.q and (jx >= x.q or cuts_y[jy + 1] <= cuts_x[jx + 1])
         if take_y:
@@ -456,12 +442,7 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
                 x.sites[jx], tuple(("s", s) for s in sites),
                 ("bx", jx), ("bx", jx + 1))
             jx += 1
-        shared = [l for l in labels if l in env_labels]
-        ax_e = tuple(env_labels.index(l) for l in shared)
-        ax_a = tuple(labels.index(l) for l in shared)
-        env = flops.tdot(env, arr, axes=(ax_e, ax_a))
-        env_labels = [l for l in env_labels if l not in shared] + \
-            [l for l in labels if l not in shared]
+        env, env_labels = _contract_labelled(env, env_labels, arr, labels)
     # close: trace the wrap legs against the final bonds
     iy = env_labels.index(("wy",))
     ix = env_labels.index(("wx",))
@@ -552,7 +533,7 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
 
     def factory(blocked, frozen_terms):
         if all(b == blocked.blocking for b, _, _ in frozen_terms):
-            return _aligned_cross_factory(blocked, frozen_terms)
+            return _AlignedCrossTerms(blocked, frozen_terms)
         return _MixedCrossTerms(h, blocked, frozen_terms)
 
     trace, frozen_terms = _greedy_core(h, addend_blockings, sweeps, seed,
@@ -560,14 +541,3 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     terms = [MixedTerm(b, cols, w) for b, cols, w in frozen_terms]
     return trace, MixedTermSum(h.p, terms, "1d-open")
 
-
-def fit_pattern_coefficients(target: DenseState, terms: list) -> np.ndarray:
-    """Least-squares weights c minimizing || sum_t c_t * term_t - target ||
-    for a fixed set of patterned factors.  A full alternating optimization
-    over the four-pattern sum is intentionally not provided; only the
-    contraction kernels and this linear fit are."""
-    if not terms:
-        raise ValueError("need at least one term")
-    basis = np.stack([term_to_dense(t).vector for t in terms], axis=1)
-    coeffs, *_ = np.linalg.lstsq(basis, target.vector, rcond=None)
-    return coeffs

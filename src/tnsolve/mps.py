@@ -219,6 +219,24 @@ def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
     return u[:, :rank], s[:rank], v[:rank, :]
 
 
+def _shift_center_right(state: MpsState, c: int, tols: Tolerances) -> None:
+    """Left-gauge site c by SVD and push the remaining factor into c + 1."""
+    dl, d, _ = state.sites[c].shape
+    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 0), tols=tols)
+    state.sites[c] = _split_rows(u, dl, d)
+    carry = s[:, None] * v
+    state.sites[c + 1] = np.tensordot(carry, state.sites[c + 1], axes=(1, 0))
+
+
+def _shift_center_left(state: MpsState, c: int, tols: Tolerances) -> None:
+    """Right-gauge site c by SVD and push the remaining factor into c - 1."""
+    _, d, dr = state.sites[c].shape
+    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 1), tols=tols)
+    state.sites[c] = _split_cols(v, d, dr)
+    carry = u * s[None, :]
+    state.sites[c - 1] = np.tensordot(state.sites[c - 1], carry, axes=(2, 0))
+
+
 def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     """Left-gauge sites 1..q-1 by successive SVDs, pushing the remaining
     factor to the right.  The represented vector is unchanged; for open
@@ -226,11 +244,7 @@ def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     out = x.copy()
     q = out.q
     for j in range(q - 1):
-        dl, d, dr = out.sites[j].shape
-        u, s, v = _trimmed_svd(_merge_ff(out.sites[j], 0), tols=tols)
-        out.sites[j] = _split_rows(u, dl, d)
-        carry = s[:, None] * v
-        out.sites[j + 1] = np.tensordot(carry, out.sites[j + 1], axes=(1, 0))
+        _shift_center_right(out, j, tols)
     flags = tuple(["left"] * (q - 1) + [None])
     gamma = None
     if out.boundary == "open":
@@ -243,11 +257,7 @@ def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     out = x.copy()
     q = out.q
     for j in range(q - 1, 0, -1):
-        dl, d, dr = out.sites[j].shape
-        u, s, v = _trimmed_svd(_merge_ff(out.sites[j], 1), tols=tols)
-        out.sites[j] = _split_cols(v, d, dr)
-        carry = u * s[None, :]
-        out.sites[j - 1] = np.tensordot(out.sites[j - 1], carry, axes=(2, 0))
+        _shift_center_left(out, j, tols)
     flags = tuple([None] + ["right"] * (q - 1))
     gamma = None
     if out.boundary == "open":
@@ -298,16 +308,21 @@ def two_site_shift(x: MpsState, j: int, direction: str,
 # ---------------------------------------------------------------------------
 # contractions
 
-def _zipper_init(x: MpsState, y: MpsState) -> np.ndarray:
-    """Start tensor over (wrap_y, wrap_x, cur_y, cur_x).  Open chains have
-    size-1 wrap legs, so the same sweep covers both boundaries."""
-    dy = y.sites[0].shape[0]
-    dx = x.sites[0].shape[0]
+def _zipper_init(dy: int, dx: int) -> np.ndarray:
+    """Start tensor over (wrap_y, wrap_x, cur_y, cur_x) for chains whose
+    first bonds have sizes dy and dx.  Open chains have size-1 wrap legs, so
+    the same sweep covers both boundaries."""
     e = np.einsum("ac,bd->abcd", np.eye(dy), np.eye(dx))
     return e.astype(complex)
 
 
-def _zipper_close(e: np.ndarray) -> complex:
+def _zipper(bras: list, kets: list) -> complex:
+    """sum_i conj(bra_i) ket_i over two site lists, contracted site by site
+    and closed by tracing the wrap legs against the last bonds."""
+    e = _zipper_init(bras[0].shape[0], kets[0].shape[0])
+    for bra, ket in zip(bras, kets):
+        f = flops.tdot(e, bra.conj(), axes=(2, 0))   # (wy, wx, cx, i, cy')
+        e = flops.tdot(f, ket, axes=((2, 3), (0, 1)))  # (wy, wx, cy', cx')
     flops.add(e.shape[0] * e.shape[1])
     return complex(np.einsum("abab->", e))
 
@@ -318,16 +333,15 @@ def inner(x: MpsState, y: MpsState) -> complex:
     for open chains and 4 D^5 p + D^2 for periodic ones."""
     if x.p != y.p or x.blocking != y.blocking or x.boundary != y.boundary:
         raise ValueError("inner product requires matching chains")
-    e = _zipper_init(x, y)
-    for xs, ys in zip(x.sites, y.sites):
-        f = flops.tdot(e, ys.conj(), axes=(2, 0))   # (wy, wx, cx, i, cy')
-        e = flops.tdot(f, xs, axes=((2, 3), (0, 1)))  # (wy, wx, cy', cx')
-    return _zipper_close(e)
+    return _zipper(y.sites, x.sites)
 
 
-def _apply_block_site(blocked: BlockedHamiltonian, k: int, i: int,
-                      site: np.ndarray) -> np.ndarray:
-    """Block operator of term k acting on the physical index of a site."""
+def _op_site(blocked: BlockedHamiltonian, k: int, i: int,
+             site: np.ndarray) -> np.ndarray:
+    """Block operator of term k acting on the physical index of a site
+    (the site itself where that block is the identity)."""
+    if blocked.is_identity_block(k, i):
+        return site
     dl, d, dr = site.shape
     stack = site.transpose(1, 0, 2).reshape(d, dl * dr)
     out = blocked.apply_block(k, i, stack)
@@ -340,13 +354,8 @@ def expectation(h: SpinHamiltonian, x: MpsState) -> float:
     blocked = regroup(h, x.blocking)
     total = 0.0 + 0.0j
     for k in range(blocked.num_terms):
-        e = _zipper_init(x, x)
-        for j, site in enumerate(x.sites):
-            ket = site if blocked.is_identity_block(k, j) \
-                else _apply_block_site(blocked, k, j, site)
-            f = flops.tdot(e, site.conj(), axes=(2, 0))
-            e = flops.tdot(f, ket, axes=((2, 3), (0, 1)))
-        total += blocked.coefficient(k) * _zipper_close(e)
+        kets = [_op_site(blocked, k, j, site) for j, site in enumerate(x.sites)]
+        total += blocked.coefficient(k) * _zipper(x.sites, kets)
     if abs(total.imag) > DEFAULT_TOLS.rayleigh_imag * max(1.0, abs(total.real)):
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -360,9 +369,7 @@ def apply_hamiltonian(h: SpinHamiltonian, x: MpsState) -> MpsState:
     for k in range(blocked.num_terms):
         sites = []
         for j, site in enumerate(x.sites):
-            new = site if blocked.is_identity_block(k, j) \
-                else _apply_block_site(blocked, k, j, site)
-            sites.append(new.copy())
+            sites.append(_op_site(blocked, k, j, site).copy())
         sites[0] = sites[0] * blocked.coefficient(k)
         term_state = MpsState(x.boundary, x.blocking, sites)
         result = term_state if result is None else add(result, term_state)
@@ -389,37 +396,20 @@ def _env_step_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndar
     return np.tensordot(f, ket, axes=((1, 2), (1, 2)))  # (ky, kx)
 
 
-def _canonicalize_open(x: MpsState, tols: Tolerances) -> MpsState:
-    out, _ = normalize_right_sweep(x, tols)
-    return out
+def _open_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
+    """Local problem of an open chain kept in mixed-canonical gauge.
 
-
-def _shift_center_right(state: MpsState, c: int, tols: Tolerances) -> None:
-    dl, d, _ = state.sites[c].shape
-    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 0), tols=tols)
-    state.sites[c] = _split_rows(u, dl, d)
-    carry = s[:, None] * v
-    state.sites[c + 1] = np.tensordot(carry, state.sites[c + 1], axes=(1, 0))
-
-
-def _shift_center_left(state: MpsState, c: int, tols: Tolerances) -> None:
-    dl, d, dr = state.sites[c].shape
-    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 1), tols=tols)
-    state.sites[c] = _split_cols(v, d, dr)
-    carry = u * s[None, :]
-    state.sites[c - 1] = np.tensordot(state.sites[c - 1], carry, axes=(2, 0))
-
-
-def _als_open(h: SpinHamiltonian, state: MpsState, sweeps: int,
-              tols: Tolerances) -> tuple:
-    blocked = regroup(h, state.blocking)
+    One (left, right) environment pair per Hamiltonian term makes every
+    update a standard Hermitian eigenproblem.  Returns (solve, moved):
+    solve(c) gives the lowest (energy, site vector) at center c; moved(c,
+    step) grows the environments over site c once the center has moved on
+    to c + step.
+    """
     q = state.q
     m_terms = blocked.num_terms
-    state = _canonicalize_open(state, tols)
 
     def op_site(k, j):
-        return (state.sites[j] if blocked.is_identity_block(k, j)
-                else _apply_block_site(blocked, k, j, state.sites[j]))
+        return _op_site(blocked, k, j, state.sites[j])
 
     # right environments for center 0
     renv = [[None] * q for _ in range(m_terms)]
@@ -433,45 +423,27 @@ def _als_open(h: SpinHamiltonian, state: MpsState, sweeps: int,
     for k in range(m_terms):
         lenv[k][0] = np.ones((1, 1), dtype=complex)
 
-    trace = []
-    last_sweep_e = None
-    still = 0
-    for sweep in range(sweeps):
-        going_right = sweep % 2 == 0
-        order = range(q) if going_right else range(q - 1, -1, -1)
-        energy = None
-        for c in order:
-            dl, d, dr = state.sites[c].shape
-            heff = np.zeros((dl * d * dr,) * 2, dtype=complex)
-            for k in range(m_terms):
-                op = blocked.block_matrix(k, c)
-                heff += blocked.coefficient(k) * np.kron(
-                    lenv[k][c], np.kron(op, renv[k][c])
-                )
-            w, v = hermitian_eig(heff, tols)
-            energy = float(w[0])
-            state.sites[c] = v[:, 0].reshape(dl, d, dr)
-            trace.append(TraceEntry(0, sweep, c, energy, flops.current_total()))
-            if going_right and c < q - 1:
-                _shift_center_right(state, c, tols)
-                for k in range(m_terms):
-                    lenv[k][c + 1] = _env_step_right(
-                        lenv[k][c], state.sites[c], op_site(k, c)
-                    )
-            elif not going_right and c > 0:
-                _shift_center_left(state, c, tols)
-                for k in range(m_terms):
-                    renv[k][c - 1] = _env_step_left(
-                        renv[k][c], state.sites[c], op_site(k, c)
-                    )
-        if last_sweep_e is not None and abs(energy - last_sweep_e) < tols.convergence:
-            still += 1
-            if still >= 2:
-                break
-        else:
-            still = 0
-        last_sweep_e = energy
-    return trace, state
+    def solve(c):
+        dl, d, dr = state.sites[c].shape
+        heff = np.zeros((dl * d * dr,) * 2, dtype=complex)
+        for k in range(m_terms):
+            op = blocked.block_matrix(k, c)
+            heff += blocked.coefficient(k) * np.kron(
+                lenv[k][c], np.kron(op, renv[k][c])
+            )
+        w, v = hermitian_eig(heff, tols)
+        return float(w[0]), v[:, 0]
+
+    def moved(c, step):
+        for k in range(m_terms):
+            if step > 0:
+                lenv[k][c + 1] = _env_step_right(lenv[k][c], state.sites[c],
+                                                 op_site(k, c))
+            else:
+                renv[k][c - 1] = _env_step_left(renv[k][c], state.sites[c],
+                                                op_site(k, c))
+
+    return solve, moved
 
 
 def _transfer(site: np.ndarray, op_site: np.ndarray) -> np.ndarray:
@@ -483,59 +455,68 @@ def _transfer(site: np.ndarray, op_site: np.ndarray) -> np.ndarray:
     return t.reshape(dl, dr)
 
 
-def _als_periodic(h: SpinHamiltonian, state: MpsState, sweeps: int,
-                  tols: Tolerances) -> tuple:
-    blocked = regroup(h, state.blocking)
+def _periodic_solve(blocked: BlockedHamiltonian, state: MpsState,
+                    tols: Tolerances):
+    """Local problem of a periodic chain: solve(c) closes the ring of
+    transfer matrices around site c into the numerator and denominator of
+    the generalized pencil, and falls back to the projected solve when the
+    denominator is singular.  No environment outlives an update."""
     q = state.q
     m_terms = blocked.num_terms
-    state, _ = normalize_left_sweep(state, tols)
 
+    def pencil(w_env, op, dl, d, dr):
+        w4 = w_env.reshape(dr, dr, dl, dl)  # (my', mx', my, mx)
+        mat = np.einsum("ij,abcd->ciadjb", op, w4)
+        return mat.reshape(dl * d * dr, dl * d * dr)
+
+    def solve(c):
+        dl, d, dr = state.sites[c].shape
+        ring = [(c + off) % q for off in range(1, q)]
+        r_mat = np.zeros((dl * d * dr,) * 2, dtype=complex)
+        for k in range(m_terms):
+            w = np.eye(dr * dr, dtype=complex)
+            for j in ring:
+                ket = _op_site(blocked, k, j, state.sites[j])
+                w = w @ _transfer(state.sites[j], ket)
+            r_mat += blocked.coefficient(k) * pencil(
+                w, blocked.block_matrix(k, c), dl, d, dr
+            )
+        wid = np.eye(dr * dr, dtype=complex)
+        for j in ring:
+            wid = wid @ _transfer(state.sites[j], state.sites[j])
+        n_mat = pencil(wid, np.eye(d, dtype=complex), dl, d, dr)
+        try:
+            return generalized_eig_min(r_mat, n_mat, tols)
+        except SingularDenominatorError:
+            return generalized_eig_min_projected(r_mat, n_mat, tols)
+
+    return solve
+
+
+def _als_sweeps(state: MpsState, sweeps: int, tols: Tolerances,
+                solve, moved) -> tuple:
+    """Single-site sweeps shared by both boundaries: update the center with
+    solve(c), re-gauge it by SVD, call moved(c, step) if the boundary keeps
+    environments, and go on; the direction alternates per sweep, and two
+    consecutive sweeps that change the energy by less than tols.convergence
+    stop the search."""
+    q = state.q
     trace = []
     last_sweep_e = None
     still = 0
     for sweep in range(sweeps):
         going_right = sweep % 2 == 0
+        step = 1 if going_right else -1
         order = range(q) if going_right else range(q - 1, -1, -1)
-        energy = None
         for c in order:
-            dl, d, dr = state.sites[c].shape
-            ring = [(c + off) % q for off in range(1, q)]
-            w_terms = []
-            for k in range(m_terms):
-                w = np.eye(dr * dr, dtype=complex)
-                for j in ring:
-                    ket = (state.sites[j] if blocked.is_identity_block(k, j)
-                           else _apply_block_site(blocked, k, j, state.sites[j]))
-                    w = w @ _transfer(state.sites[j], ket)
-                w_terms.append(w)
-            wid = np.eye(dr * dr, dtype=complex)
-            for j in ring:
-                wid = wid @ _transfer(state.sites[j], state.sites[j])
-
-            def pencil(w_env, op):
-                w4 = w_env.reshape(dr, dr, dl, dl)  # (my', mx', my, mx)
-                mat = np.einsum("ij,abcd->ciadjb", op, w4)
-                return mat.reshape(dl * d * dr, dl * d * dr)
-
-            eye_d = np.eye(d, dtype=complex)
-            r_mat = np.zeros((dl * d * dr,) * 2, dtype=complex)
-            for k in range(m_terms):
-                r_mat += blocked.coefficient(k) * pencil(
-                    w_terms[k], blocked.block_matrix(k, c)
-                )
-            n_mat = pencil(wid, eye_d)
-            try:
-                lam, vec = generalized_eig_min(r_mat, n_mat, tols)
-            except SingularDenominatorError:
-                lam, vec = generalized_eig_min_projected(r_mat, n_mat, tols)
-            energy = lam
-            state.sites[c] = vec.reshape(dl, d, dr)
+            energy, vec = solve(c)
+            state.sites[c] = vec.reshape(state.sites[c].shape)
             trace.append(TraceEntry(0, sweep, c, energy, flops.current_total()))
-            # keep the chain partially normalized: re-gauge the updated site
-            if going_right and c < q - 1:
-                _shift_center_right(state, c, tols)
-            elif not going_right and c > 0:
-                _shift_center_left(state, c, tols)
+            if 0 <= c + step < q:
+                shift = _shift_center_right if going_right else _shift_center_left
+                shift(state, c, tols)
+                if moved is not None:
+                    moved(c, step)
         if last_sweep_e is not None and abs(energy - last_sweep_e) < tols.convergence:
             still += 1
             if still >= 2:
@@ -563,6 +544,11 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     state = random_mps(p, d_bond, boundary, blocking, seed)
+    blocked = regroup(h, state.blocking)
     if boundary == "open":
-        return _als_open(h, state, sweeps, tols)
-    return _als_periodic(h, state, sweeps, tols)
+        state, _ = normalize_right_sweep(state, tols)
+        solve, moved = _open_local(blocked, state, tols)
+    else:
+        state, _ = normalize_left_sweep(state, tols)
+        solve, moved = _periodic_solve(blocked, state, tols), None
+    return _als_sweeps(state, sweeps, tols, solve, moved)

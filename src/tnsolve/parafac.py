@@ -142,36 +142,27 @@ def to_dense(x: BlockedCp) -> DenseState:
 # ---------------------------------------------------------------------------
 # contractions
 
-def _mode_grams(y: BlockedCp, x: BlockedCp) -> list:
-    grams = []
-    for fy, fx in zip(y.factors, x.factors):
-        flops.add(fy.shape[0] * fy.shape[1] * fx.shape[1])
-        grams.append(fy.conj().T @ fx)
-    return grams
-
-
-def _hadamard_skip(grams: list, skip: int | None = None) -> np.ndarray:
+def _gram_form(y: BlockedCp, factors: list, weights: np.ndarray) -> complex:
+    """y^H z for the addends z_m = weights_m * (factors_1[:, m] (x) ...): the
+    Hadamard product of the per-mode Gram matrices, weighted on both sides."""
     prod = None
-    for i, g in enumerate(grams):
-        if i == skip:
-            continue
+    for fy, fz in zip(y.factors, factors):
+        flops.add(fy.shape[0] * fy.shape[1] * fz.shape[1])
+        gram = fy.conj().T @ fz
         if prod is None:
-            prod = g.copy()
+            prod = gram
         else:
-            flops.add(g.size)
-            prod = prod * g
-    if prod is None:  # q == 1 and that mode skipped
-        prod = np.ones((grams[0].shape), dtype=complex)
-    return prod
+            flops.add(gram.size)
+            prod = prod * gram
+    flops.add(prod.size + prod.shape[0])
+    return y.weights.conj() @ prod @ weights
 
 
 def inner(y: BlockedCp, x: BlockedCp) -> complex:
     """<y, x>: per addend pair a product of q block dots."""
     if y.blocking != x.blocking:
         raise ValueError("inner product requires identical blockings")
-    prod = _hadamard_skip(_mode_grams(y, x))
-    flops.add(prod.size + prod.shape[0])
-    return complex(y.weights.conj() @ prod @ x.weights)
+    return complex(_gram_form(y, x.factors, x.weights))
 
 
 def _op_factors(blocked: BlockedHamiltonian, k: int, x: BlockedCp) -> list:
@@ -189,14 +180,8 @@ def expectation_form(blocked: BlockedHamiltonian, y: BlockedCp,
         raise ValueError("expectation requires one common blocking")
     total = 0.0 + 0.0j
     for k in range(blocked.num_terms):
-        opf = _op_factors(blocked, k, x)
-        grams = []
-        for fy, fz in zip(y.factors, opf):
-            flops.add(fy.shape[0] * fy.shape[1] * fz.shape[1])
-            grams.append(fy.conj().T @ fz)
-        prod = _hadamard_skip(grams)
-        flops.add(prod.size + prod.shape[0])
-        total += blocked.coefficient(k) * (y.weights.conj() @ prod @ x.weights)
+        total += blocked.coefficient(k) * _gram_form(
+            y, _op_factors(blocked, k, x), x.weights)
     return complex(total)
 
 
@@ -282,26 +267,39 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
 # ---------------------------------------------------------------------------
 # greedy one-addend-at-a-time ALS
 
-def _rank_one_matrix(blocked, x_cols, i):
-    """Effective matrix sum_k alpha_k (beta_k / gamma) H_i^(k) for the pure
-    rank-one stage."""
+def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i, rank_one: bool):
+    """Self block of the working addend at mode i: gamma = prod_{j != i}
+    x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k).
+    Returns (h_i, gamma); for the pure rank-one stage h_i comes divided by
+    gamma, term by term, so its lowest eigenpair is the update."""
     q = blocked.q
     gamma = 1.0
     for j in range(q):
         if j != i:
             gamma *= float(np.real(np.vdot(x_cols[j], x_cols[j])))
+    scale = gamma if rank_one else 1.0
     dim = x_cols[i].shape[0]
-    mat = np.zeros((dim, dim), dtype=complex)
+    h_i = np.zeros((dim, dim), dtype=complex)
     for k in range(blocked.num_terms):
-        beta = 1.0
+        bk = 1.0
         for j in range(q):
             if j == i:
                 continue
             hx = (x_cols[j] if blocked.is_identity_block(k, j)
                   else blocked.apply_block(k, j, x_cols[j]))
-            beta *= float(np.real(np.vdot(x_cols[j], hx)))
-        mat += (blocked.coefficient(k) * beta / gamma) * blocked.block_matrix(k, i)
-    return mat
+            bk *= float(np.real(np.vdot(x_cols[j], hx)))
+        h_i += (blocked.coefficient(k) * bk / scale) * blocked.block_matrix(k, i)
+    return h_i, gamma
+
+
+def _stack_addends(blocking: Blocking, frozen_terms) -> BlockedCp:
+    """BlockedCp holding the frozen (blocking, cols, weight) addends."""
+    return BlockedCp(
+        blocking,
+        [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
+         for i in range(blocking.q)],
+        np.array([w for _, _, w in frozen_terms]),
+    )
 
 
 class _AlignedCrossTerms:
@@ -314,9 +312,9 @@ class _AlignedCrossTerms:
         v_i = sum_l w_l (prod_{j != i} x_j^H y_j^(l)) * y_i^(l).
     """
 
-    def __init__(self, blocked: BlockedHamiltonian, frozen: BlockedCp):
+    def __init__(self, blocked: BlockedHamiltonian, frozen_terms):
         self.blocked = blocked
-        self.frozen = frozen
+        self.frozen = _stack_addends(blocked.blocking, frozen_terms)
 
     def frozen_energy_numerator(self) -> float:
         return float(expectation_form(self.blocked, self.frozen, self.frozen).real)
@@ -324,28 +322,24 @@ class _AlignedCrossTerms:
     def frozen_norm_sq(self) -> float:
         return float(inner(self.frozen, self.frozen).real)
 
+    def _weighted_sum(self, x_cols, factors, i):
+        """sum_l w_l (prod_{j != i} x_j^H factors_j[:, l]) factors_i[:, l]."""
+        coeffs = self.frozen.weights
+        for j, f in enumerate(factors):
+            if j != i:
+                coeffs = coeffs * (x_cols[j].conj() @ f)
+        return factors[i] @ coeffs
+
     def numerator_vector(self, x_cols, i):
-        blocked, frozen = self.blocked, self.frozen
-        dim = x_cols[i].shape[0]
-        u = np.zeros(dim, dtype=complex)
+        blocked = self.blocked
+        u = np.zeros(x_cols[i].shape[0], dtype=complex)
         for k in range(blocked.num_terms):
-            opf = _op_factors(blocked, k, frozen)
-            coeffs = frozen.weights.copy()
-            for j in range(blocked.q):
-                if j == i:
-                    continue
-                coeffs = coeffs * (x_cols[j].conj() @ opf[j])
-            u += blocked.coefficient(k) * (opf[i] @ coeffs)
+            opf = _op_factors(blocked, k, self.frozen)
+            u += blocked.coefficient(k) * self._weighted_sum(x_cols, opf, i)
         return u
 
     def denominator_vector(self, x_cols, i):
-        frozen = self.frozen
-        coeffs = frozen.weights.copy()
-        for j in range(frozen.blocking.q):
-            if j == i:
-                continue
-            coeffs = coeffs * (x_cols[j].conj() @ frozen.factors[j])
-        return frozen.factors[i] @ coeffs
+        return self._weighted_sum(x_cols, self.frozen.factors, i)
 
 
 def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
@@ -385,27 +379,13 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
             energy = None
             restarted = False
             for i in range(q):
+                h_i, gamma = _stage_matrix(blocked, x_cols, i, cross is None)
                 if cross is None:
-                    mat = _rank_one_matrix(blocked, x_cols, i)
-                    w, v = hermitian_eig(mat, tols)
+                    w, v = hermitian_eig(h_i, tols)
                     energy = float(w[0])
                     x_cols[i] = v[:, 0]
                 else:
-                    gamma = 1.0
-                    for j in range(q):
-                        if j != i:
-                            gamma *= float(np.real(np.vdot(x_cols[j], x_cols[j])))
                     dim = x_cols[i].shape[0]
-                    h_i = np.zeros((dim, dim), dtype=complex)
-                    for k in range(blocked.num_terms):
-                        bk = 1.0
-                        for j in range(q):
-                            if j == i:
-                                continue
-                            hx = (x_cols[j] if blocked.is_identity_block(k, j)
-                                  else blocked.apply_block(k, j, x_cols[j]))
-                            bk *= float(np.real(np.vdot(x_cols[j], hx)))
-                        h_i += blocked.coefficient(k) * bk * blocked.block_matrix(k, i)
                     u_i = cross.numerator_vector(x_cols, i)
                     v_i = cross.denominator_vector(x_cols, i)
                     problem = bordered_problem(h_i, u_i, beta, gamma, v_i, rho)
@@ -450,16 +430,6 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
     return trace, frozen_terms
 
 
-def _aligned_cross_factory(blocked: BlockedHamiltonian, frozen_terms):
-    frozen = BlockedCp(
-        blocked.blocking,
-        [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
-         for i in range(blocked.q)],
-        np.array([w for _, _, w in frozen_terms]),
-    )
-    return _AlignedCrossTerms(blocked, frozen)
-
-
 def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
                inner_iters: int = 30, seed: int = 0,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
@@ -478,15 +448,9 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
         raise ValueError(f"unknown init {init!r}")
     trace, frozen_terms = _greedy_core(
         h, [blocking] * d_final, inner_iters, seed, tols,
-        _aligned_cross_factory, first_stage_cols=first
+        _AlignedCrossTerms, first_stage_cols=first
     )
-    state = BlockedCp(
-        blocking,
-        [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
-         for i in range(blocking.q)],
-        np.array([w for _, _, w in frozen_terms]),
-    )
-    return trace, state
+    return trace, _stack_addends(blocking, frozen_terms)
 
 
 # ---------------------------------------------------------------------------

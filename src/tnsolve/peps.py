@@ -23,7 +23,7 @@ import numpy as np
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .mps import MpsState, _trimmed_svd
-from .tensor import DenseState, DimensionCapError
+from .tensor import DenseState, DimensionCapError, _contract_labelled
 
 PEPS_DENSE_CAP = 12
 
@@ -119,16 +119,11 @@ def to_dense(x: PepsState, cap: int = PEPS_DENSE_CAP) -> DenseState:
     if x.p > cap:
         raise DimensionCapError(f"{x.rows}x{x.cols} lattice exceeds dense cap {cap}")
     acc = np.ones((), dtype=complex)
-    acc_legs: list = []
+    acc_legs = ()
     for r in range(x.rows):
         for c in range(x.cols):
             legs, t = _site_piece(x, r, c)
-            shared = [l for l in legs if l in acc_legs]
-            ax_acc = tuple(acc_legs.index(l) for l in shared)
-            ax_t = tuple(legs.index(l) for l in shared)
-            acc = np.tensordot(acc, t, axes=(ax_acc, ax_t))
-            acc_legs = [l for l in acc_legs if l not in shared] + \
-                [l for l in legs if l not in shared]
+            acc, acc_legs = _contract_labelled(acc, acc_legs, t, legs)
     phys_order = [("p", r, c) for r in range(x.rows) for c in range(x.cols)]
     perm = [acc_legs.index(l) for l in phys_order]
     tens = np.transpose(acc, perm)

@@ -1,11 +1,17 @@
-"""Dense multi-index arrays and the small linear-algebra kernel.
+"""Dense state vectors, layout helpers, labelled contraction and the small
+linear-algebra kernel.
 
 Layout doctrine (used by every module in this package): a tensor with shape
 ``(n_1, ..., n_p)`` is linearized with the *first index fastest*, i.e.
 ``lin(i_1, ..., i_p) = i_1 + n_1*i_2 + n_1*n_2*i_3 + ...``.  For a state of
 ``p`` binary sites this means site 1 is the least significant bit of the
-vector index.  Kronecker products of per-site matrices therefore list the
-*last* site first when built with ``np.kron`` (see :func:`kron_first_fastest`).
+vector index; :func:`ravel` and :func:`unravel` convert between the two
+views.  Kronecker products of per-site matrices therefore list the *last*
+site first when built with ``np.kron`` (see :func:`kron_first_fastest`).
+
+Networks of tensors whose legs carry labels (grid sites, chain bits, bonds)
+are contracted pairwise by ``_contract_labelled``, which sums over every
+label the two tensors share and charges the step to the operation counter.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 
 
@@ -28,28 +35,7 @@ class DimensionCapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# multi-index plumbing
-
-def lin_index(shape: Sequence[int], midx: Sequence[int]) -> int:
-    """Linear position of multi-index `midx`, first index fastest."""
-    pos = 0
-    stride = 1
-    for n, i in zip(shape, midx):
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for mode of size {n}")
-        pos += stride * i
-        stride *= n
-    return pos
-
-
-def multi_index(shape: Sequence[int], pos: int) -> tuple:
-    """Inverse of :func:`lin_index`."""
-    out = []
-    for n in shape:
-        out.append(pos % n)
-        pos //= n
-    return tuple(out)
-
+# layout
 
 def ravel(t: np.ndarray) -> np.ndarray:
     """Vector view of a tensor in the package linearization order."""
@@ -120,49 +106,17 @@ def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def mode_n_unfold(t: np.ndarray, n: int) -> np.ndarray:
-    """Matrix with rows indexed by mode n and columns by the remaining modes
-    (in original order, first remaining mode fastest)."""
-    if not 0 <= n < t.ndim:
-        raise ValueError(f"mode {n} out of range for order-{t.ndim} tensor")
-    moved = np.moveaxis(t, n, 0)
-    return moved.reshape(t.shape[n], -1, order="F")
-
-
-def mode_n_fold(m: np.ndarray, n: int, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`mode_n_unfold` for a tensor of the given shape."""
-    shape = tuple(shape)
-    rest = shape[:n] + shape[n + 1 :]
-    moved = np.asarray(m).reshape((shape[n],) + rest, order="F")
-    return np.moveaxis(moved, 0, n)
-
-
-def mode_n_product(t: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
-    """Contract mode n of `t` with the columns of matrix `u`."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[1] != t.shape[n]:
-        raise ValueError(
-            f"matrix with {u.shape} columns cannot contract mode of size {t.shape[n]}"
-        )
-    return np.moveaxis(np.tensordot(u, t, axes=(1, n)), 0, n)
-
-
-def tucker_dense(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Definitional expansion of a core tensor with per-mode factor matrices,
-
-        t[i_1, ..., i_p] = sum_m core[m_1, ..., m_p] * prod_j factors[j][i_j, m_j],
-
-    i.e. the core multiplied by every factor along its mode.  Kept as a
-    definition only: for binary modes the multilinear ranks are already 2,
-    so no decomposition algorithm is provided on top of it.
-    """
-    core = np.asarray(core)
-    if len(factors) != core.ndim:
-        raise ValueError("one factor matrix per core mode required")
-    out = core
-    for n, u in enumerate(factors):
-        out = mode_n_product(out, n, np.asarray(u))
-    return out
+def _contract_labelled(a: np.ndarray, labels_a, b: np.ndarray, labels_b):
+    """Contract `a` and `b` over every label they share (in sorted label
+    order), counting the step.  Returns the result and its labels: the
+    leftover legs of `a`, then those of `b`."""
+    shared = sorted(set(labels_a) & set(labels_b))
+    ax_a = tuple(labels_a.index(l) for l in shared)
+    ax_b = tuple(labels_b.index(l) for l in shared)
+    out = flops.tdot(a, b, axes=(ax_a, ax_b))
+    labels = tuple(l for l in labels_a if l not in shared) + \
+        tuple(l for l in labels_b if l not in shared)
+    return out, labels
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +126,18 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
     """Rotate each column of `u` so its first nonzero entry is real positive.
 
     If `v` is given its rows absorb the conjugate phase, keeping u @ v fixed.
+    Columns without an entry above 1e-300 are left untouched.
     """
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-300)
-        if nz.size == 0:
-            continue
-        z = col[nz[0]]
-        phase = z / abs(z)
-        u[:, k] = col * np.conj(phase)
-        if v is not None:
-            v[k, :] = v[k, :] * phase
+    nonzero = np.abs(u) > 1e-300
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    z = u[nonzero.argmax(axis=0)[cols], cols]
+    # Rounding matches a per-column loop: hypot is what abs() of a complex
+    # scalar computes (np.abs of an array rounds differently), and each
+    # column is scaled as one array by one broadcast factor.
+    phase = z / np.hypot(z.real, z.imag)
+    u[:, cols] = (u[:, cols].T * np.conj(phase)[:, None]).T
+    if v is not None:
+        v[cols, :] *= phase[:, None]
     return u, v
 
 

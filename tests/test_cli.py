@@ -2,20 +2,33 @@
 
 import json
 import os
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from tnsolve.cli import (
+    CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    _atomic_write,
+    _csv_rows,
     build_model,
     cached_oracle_energy,
     config_from_file,
     main,
     reproduce_figure,
 )
-from tnsolve.hamiltonian import build_ising
+from tnsolve.hamiltonian import (
+    KroneckerTerm,
+    PAULI_Z,
+    SiteOperator,
+    SpinHamiltonian,
+    build_ising,
+)
 from tnsolve.oracle import ground_state_dense
+from tnsolve.records import TraceEntry
 
 
 def read(path):
@@ -211,13 +224,75 @@ def test_reproduce_rejects_bad_figure(tmp_path):
 
 
 def test_convergence_record_invariants():
-    from tnsolve.cli import ConvergenceRecord
+    trace = [TraceEntry(0, 1, 2, -3.5, 17),
+             TraceEntry(1, 0, 0, float("nan"), 20, "restart")]
+    rows = _csv_rows("mps-als", trace, -3.75, None).splitlines()
+    # the energy-less restart marker is not a row
+    assert rows == [CSV_HEADER, "mps-als,0,1,2,-3.5,0.25,0.0,17"]
+    rows = _csv_rows("exact", [TraceEntry(0, 0, 0, -1.0, 0)], None, None)
+    assert rows.splitlines()[1].split(",")[5] == ""
 
-    rec = ConvergenceRecord("mps-als", 0, 1, 2, -3.5, 0.25, 0.0, 17)
-    assert rec.as_csv_row() == "mps-als,0,1,2,-3.5,0.25,0.0,17"
-    rec = ConvergenceRecord("exact", 0, 0, 0, -1.0, None, 0.0, 0)
-    assert rec.as_csv_row().split(",")[5] == ""
-    with pytest.raises(ValueError):
-        ConvergenceRecord("x", 0, 0, 0, float("nan"), None, 0.0, 0)
-    with pytest.raises(ValueError):
-        ConvergenceRecord("x", 0, 0, 0, 1.0, -0.5, 0.0, 0)
+
+def _parafac_args(tmp_path, *extra):
+    return ["parafac-als", "--model", "ising", "-p", "6", "--blocking", "3,3",
+            "--rank", "1", "--sweeps", "3", "--out", str(tmp_path / "x"), *extra]
+
+
+def test_init_misspelled_exit_code(tmp_path):
+    assert main(_parafac_args(tmp_path, "--init", "spectrl")) == 2
+    assert not os.path.exists(tmp_path / "x" / "summary.json")
+
+
+def test_init_bad_seed_exit_code(tmp_path):
+    assert main(_parafac_args(tmp_path, "--init", "random:x")) == 2
+    # a well-formed seeded start runs like --seed
+    assert main(_parafac_args(tmp_path, "--init", "random:5")) == 0
+    seeded = json.loads(read(tmp_path / "x" / "summary.json"))["final_energy"]
+    assert main(_parafac_args(tmp_path, "--seed", "5")) == 0
+    plain = json.loads(read(tmp_path / "x" / "summary.json"))["final_energy"]
+    assert seeded == plain
+
+
+def test_reproduce_bad_ranks_exit_code(tmp_path):
+    rc = main(["reproduce", "--figure", "p10", "--ranks", "1,x",
+               "--out", str(tmp_path / "rep")])
+    assert rc == 2
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    path = str(tmp_path / "shared.json")
+    texts = [f"writer {w}\n" * 50 for w in range(4)]
+    errors = []
+
+    def write_many(text):
+        try:
+            for _ in range(100):
+                _atomic_write(path, text)
+        except Exception as err:
+            errors.append(err)
+
+    threads = [threading.Thread(target=write_many, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert read(path).decode() in texts
+    assert os.listdir(tmp_path) == ["shared.json"]
+
+
+def test_oracle_cache_keys_custom_operators(tmp_path):
+    # same coefficients and operator pattern, different custom matrices
+    z = SiteOperator.custom(PAULI_Z)
+    one = SiteOperator.custom(np.eye(2))
+    h_low = SpinHamiltonian(2, [KroneckerTerm(1.0, (z, one))])
+    h_high = SpinHamiltonian(2, [KroneckerTerm(1.0, (one, one))])
+    assert h_low.model_key() != h_high.model_key()
+    assert cached_oracle_energy(h_low, str(tmp_path)) == pytest.approx(-1.0)
+    assert cached_oracle_energy(h_high, str(tmp_path)) == pytest.approx(1.0)

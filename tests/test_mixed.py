@@ -10,7 +10,6 @@ from tnsolve.mixed import (
     MixedTermSum,
     PatternedTerm2D,
     expectation_mixed,
-    fit_pattern_coefficients,
     ground_state_mixed_greedy,
     inner_block_mps_mixed,
     inner_mixed_obc,
@@ -382,19 +381,6 @@ def test_pattern_expectation_2d_hamiltonian():
     )
 
 
-def test_fit_pattern_coefficients_recovers_weights():
-    rng = np.random.default_rng(31)
-    terms = [random_pattern_term(rng, 2, 2, 2, p) for p in (1, 2, 3, 4)]
-    for t in terms:
-        t.weight = 1.0
-    target_w = np.array([0.5, -1.25, 0.75j, 2.0])
-    target = np.zeros(256, dtype=complex)
-    for w, t in zip(target_w, terms):
-        target += w * term_to_dense(t).vector
-    got = fit_pattern_coefficients(DenseState(8, target), terms)
-    assert np.allclose(got, target_w, atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # greedy solver over blocking schedules
 
@@ -431,3 +417,12 @@ def test_mixed_greedy_trace_nonincreasing():
     # of a fresh random addend may sit above the previous optimum only
     # before its first solve, which the solver never reports
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
+
+
+def test_mixed_greedy_trace_pinned():
+    # default sweeps and seed; entries, markers and final energy are pinned
+    h = build_ising(8, 1.0, "open")
+    trace, _ = ground_state_mixed_greedy(h, [(4, 4), (2, 2, 4)], 1)
+    assert len(trace) == 50
+    assert sum(1 for t in trace if t.note) == 0
+    assert trace[-1].energy == pytest.approx(-9.800326119841115, abs=1e-12)

@@ -410,6 +410,18 @@ def test_als_periodic_converges():
     assert trace[-1].energy == pytest.approx(rayleigh(h, to_dense(state)), abs=1e-9)
 
 
+@pytest.mark.parametrize("boundary,p,d_bond,entries,energy", [
+    ("open", 8, 4, 40, -9.837949818606878),
+    ("periodic", 6, 2, 60, -7.726522065342363),
+], ids=["open", "periodic"])
+def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
+    # default sweeps and seed; entries, markers and final energy are pinned
+    trace, _ = als_ground_state(build_ising(p, 1.0, boundary), p, d_bond, boundary)
+    assert len(trace) == entries
+    assert sum(1 for t in trace if t.note) == 0
+    assert trace[-1].energy == pytest.approx(energy, abs=1e-12)
+
+
 def test_als_rejects_bad_parameters():
     h = build_ising(4, 0.0)
     with pytest.raises(ValueError):

@@ -329,6 +329,19 @@ def test_simultaneous_not_worse_than_greedy_small():
     assert s_trace[-1].energy <= g_trace[-1].energy + 1e-12
 
 
+@pytest.mark.parametrize("mode,rank,entries,energy", [
+    ("simultaneous", 2, 10, -9.83623444731134),
+    ("greedy", 3, 54, -9.835372623723513),
+], ids=["simultaneous", "greedy"])
+def test_cp_trace_pinned(mode, rank, entries, energy):
+    # default sweeps, seed and start; entries, markers and final energy are pinned
+    solver = simultaneous_als if mode == "simultaneous" else greedy_als
+    trace, _ = solver(build_ising(8, 1.0, "open"), Blocking((4, 4)), rank)
+    assert len(trace) == entries
+    assert sum(1 for t in trace if t.note) == 0
+    assert trace[-1].energy == pytest.approx(energy, abs=1e-12)
+
+
 def test_effective_problem_hermitian_and_psd():
     from tnsolve.parafac import EffectiveCpProblem, bordered_problem
 

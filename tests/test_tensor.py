@@ -5,16 +5,12 @@ import pytest
 
 from tnsolve.tensor import (
     DenseState,
+    _phase_normalize_columns,
     SingularDenominatorError,
     generalized_eig_min,
     generalized_eig_min_projected,
     hermitian_eig,
     kron_first_fastest,
-    lin_index,
-    mode_n_fold,
-    mode_n_product,
-    mode_n_unfold,
-    multi_index,
     outer_product,
     ravel,
     svd,
@@ -29,23 +25,12 @@ def crandn(rng, *shape):
 # ---------------------------------------------------------------------------
 # layout
 
-def test_linearization_bijective():
-    shape = (2, 3, 4)
-    seen = set()
-    for pos in range(24):
-        midx = multi_index(shape, pos)
-        assert lin_index(shape, midx) == pos
-        seen.add(midx)
-    assert len(seen) == 24
-
-
 def test_first_index_fastest():
     t = np.arange(8).reshape(2, 2, 2, order="F")
     v = ravel(t)
-    # stride of the first index is 1
-    assert v[lin_index((2, 2, 2), (1, 0, 0))] == t[1, 0, 0]
-    assert lin_index((2, 2, 2), (1, 0, 0)) == 1
-    assert lin_index((2, 2, 2), (0, 0, 1)) == 4
+    # stride of the first index is 1, of the last 4
+    assert v[1] == t[1, 0, 0]
+    assert v[4] == t[0, 0, 1]
     assert np.array_equal(unravel(v, (2, 2, 2)), t)
 
 
@@ -100,84 +85,6 @@ def test_outer_product_empty_rejected():
 
 
 # ---------------------------------------------------------------------------
-# unfold / fold / mode product
-
-def test_unfold_identity_mode0():
-    eye = np.eye(2)
-    assert np.array_equal(mode_n_unfold(eye, 0), eye)
-
-
-def test_unfold_refold_roundtrip():
-    rng = np.random.default_rng(5)
-    t = crandn(rng, 2, 3, 4)
-    for n in range(3):
-        m = mode_n_unfold(t, n)
-        assert m.shape == (t.shape[n], t.size // t.shape[n])
-        assert np.array_equal(mode_n_fold(m, n, t.shape), t)
-    assert mode_n_unfold(t, 1).shape == (3, 8)
-
-
-def test_unfold_rank_one():
-    rng = np.random.default_rng(6)
-    t = outer_product([crandn(rng, 2), crandn(rng, 3), crandn(rng, 4)])
-    for n in range(3):
-        assert np.linalg.matrix_rank(mode_n_unfold(t, n)) == 1
-
-
-def test_unfold_mode_out_of_range():
-    with pytest.raises(ValueError):
-        mode_n_unfold(np.zeros((2, 2)), 2)
-
-
-def test_mode_product_identity():
-    rng = np.random.default_rng(8)
-    t = crandn(rng, 2, 3, 2)
-    for n, size in enumerate(t.shape):
-        assert np.allclose(mode_n_product(t, n, np.eye(size)), t)
-
-
-def test_mode_product_permutation():
-    t = np.arange(4.0).reshape(2, 2)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(mode_n_product(t, 0, swap), t[::-1, :])
-
-
-def test_mode_product_via_unfold_oracle():
-    rng = np.random.default_rng(9)
-    t = crandn(rng, 2, 2, 2)
-    u = crandn(rng, 3, 2)
-    got = mode_n_product(t, 1, u)
-    expect = mode_n_fold(u @ mode_n_unfold(t, 1), 1, (2, 3, 2))
-    assert np.allclose(got, expect, atol=1e-13)
-
-
-def test_mode_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mode_n_product(np.zeros((2, 2)), 0, np.zeros((2, 3)))
-
-
-def test_tucker_dense_matches_loop_oracle():
-    from tnsolve.tensor import tucker_dense
-
-    rng = np.random.default_rng(21)
-    core = crandn(rng, 2, 3, 2)
-    factors = [crandn(rng, 4, 2), crandn(rng, 2, 3), crandn(rng, 3, 2)]
-    got = tucker_dense(core, factors)
-    assert got.shape == (4, 2, 3)
-    for i in range(4):
-        for j in range(2):
-            for k in range(3):
-                expect = sum(
-                    core[a, b, c] * factors[0][i, a] * factors[1][j, b]
-                    * factors[2][k, c]
-                    for a in range(2) for b in range(3) for c in range(2)
-                )
-                assert got[i, j, k] == pytest.approx(expect, abs=1e-12)
-    with pytest.raises(ValueError):
-        tucker_dense(core, factors[:2])
-
-
-# ---------------------------------------------------------------------------
 # SVD
 
 def test_svd_identity():
@@ -212,6 +119,31 @@ def test_svd_phase_deterministic():
         first = u1[np.flatnonzero(np.abs(u1[:, k]) > 1e-300)[0], k]
         assert first.imag == pytest.approx(0.0, abs=1e-15)
         assert first.real > 0
+
+
+def test_phase_normalize_matches_column_loop():
+    def column_loop(u, v):
+        for k in range(u.shape[1]):
+            col = u[:, k]
+            nz = np.flatnonzero(np.abs(col) > 1e-300)
+            if nz.size == 0:
+                continue
+            z = col[nz[0]]
+            phase = z / abs(z)
+            u[:, k] = col * np.conj(phase)
+            v[k, :] = v[k, :] * phase
+        return u, v
+
+    rng = np.random.default_rng(17)
+    for rows, cols in [(1, 1), (1, 3), (6, 4), (40, 40)]:
+        u = crandn(rng, rows, cols)
+        u[: rows // 2, 0] = 0.0   # first nonzero entry further down
+        u[:, -1] = 0.0            # an all-zero column stays as it is
+        v = crandn(rng, cols, 3)
+        expect_u, expect_v = column_loop(u.copy(), v.copy())
+        got_u, got_v = _phase_normalize_columns(u.copy(), v.copy())
+        assert got_u.tobytes() == expect_u.tobytes()
+        assert got_v.tobytes() == expect_v.tobytes()
 
 
 def test_svd_nonfinite_rejected():
