@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -232,26 +233,33 @@ def _model_hash(h: SpinHamiltonian) -> str:
     return hashlib.sha256(h.model_key().encode()).hexdigest()
 
 
+def _read_cache(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
 def cached_oracle_energy(h: SpinHamiltonian, out_dir: str,
                          tols: Tolerances = DEFAULT_TOLS) -> float | None:
     """Ground-state energy from the dense oracle, memoized on disk keyed by
-    the model hash.  Returns None above the dense cap."""
+    the model hash.  Returns None above the dense cap.  Hits read without
+    locking; a miss merges its entry into the file under an exclusive lock
+    on a sidecar file, so concurrent writers keep each other's entries."""
     if h.p > tols.dense_site_cap:
         return None
     path = os.path.join(out_dir, "oracle_cache.json")
     key = _model_hash(h)
-    cache = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                cache = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            cache = {}
+    cache = _read_cache(path)
     if key in cache:
         return float(cache[key])
     e0, _ = ground_state_dense(h, tols)
-    cache[key] = e0
-    _atomic_write(path, json.dumps(cache, sort_keys=True, indent=1))
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        cache = _read_cache(path)
+        cache[key] = e0
+        _atomic_write(path, json.dumps(cache, sort_keys=True, indent=1))
     return e0
 
 

@@ -74,3 +74,11 @@ def tdot(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
     out_size = (a.size // contracted) * (b.size // contracted)
     add(out_size * contracted)
     return np.tensordot(a, b, axes=(tuple(ax_a), tuple(ax_b)))
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul (batched over leading axes) that charges output_size *
+    contracted_size operations."""
+    out = np.matmul(a, b)
+    add(out.size * a.shape[-1])
+    return out

@@ -387,9 +387,11 @@ def _apply_term_ops(h: SpinHamiltonian, k: int, term):
     return MixedTerm(term.blocking, new_factors, term.weight, term.offset)
 
 
-def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum) -> float:
+def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
+                      tols: Tolerances = DEFAULT_TOLS) -> float:
     """<x, H x>: each Hamiltonian term is absorbed site-locally into the ket
-    side (regrouped per that addend's blocking), then summed pairwise."""
+    side (regrouped per that addend's blocking), then summed pairwise.
+    Refuses an imaginary residue above tols.rayleigh_imag (relative)."""
     if h.p != x.p:
         raise ValueError("Hamiltonian and state sizes differ")
     kernel = _pair_kernel(x.geometry)
@@ -399,7 +401,7 @@ def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum) -> float:
             applied = _apply_term_ops(h, k, ket)
             for bra in x.terms:
                 total += hterm.coefficient * kernel(applied, bra)
-    if abs(total.imag) > DEFAULT_TOLS.rayleigh_imag * max(1.0, abs(total.real)):
+    if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
 
@@ -463,8 +465,10 @@ class _MixedCrossTerms:
     arbitrary (possibly different) open-boundary blockings, via labelled
     piece networks with the working block's sites left open."""
 
-    def __init__(self, h: SpinHamiltonian, blocked, frozen_terms):
+    def __init__(self, h: SpinHamiltonian, blocked, frozen_terms,
+                 tols: Tolerances):
         self.h = h
+        self.tols = tols
         self.blocked = blocked
         self.blocking = blocked.blocking
         self.frozen = [
@@ -476,7 +480,7 @@ class _MixedCrossTerms:
         return MixedTermSum(self.h.p, self.frozen, "1d-open")
 
     def frozen_energy_numerator(self) -> float:
-        return expectation_mixed(self.h, self._as_sum())
+        return expectation_mixed(self.h, self._as_sum(), self.tols)
 
     def frozen_norm_sq(self) -> float:
         return float(inner_sum(self._as_sum(), self._as_sum()).real)
@@ -534,7 +538,7 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     def factory(blocked, frozen_terms):
         if all(b == blocked.blocking for b, _, _ in frozen_terms):
             return _AlignedCrossTerms(blocked, frozen_terms)
-        return _MixedCrossTerms(h, blocked, frozen_terms)
+        return _MixedCrossTerms(h, blocked, frozen_terms, tols)
 
     trace, frozen_terms = _greedy_core(h, addend_blockings, sweeps, seed,
                                        tols, factory)

@@ -175,6 +175,63 @@ def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return w, v
 
 
+def _padded(a: np.ndarray, shape) -> np.ndarray:
+    """Copy of `a` in the leading corner of a zero array of `shape`."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(0, s) for s in a.shape)] = a
+    return out
+
+
+def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """Lowest eigenpair of a Hermitian operator given only as `matvec`.
+
+    Rayleigh-Ritz on a Krylov space that starts at `v0` and is fully
+    reorthogonalized (two Gram-Schmidt passes per new vector); the projected
+    matrix goes through :func:`hermitian_eig`, so an operator that is not
+    Hermitian is refused.  Each step extends the space by the Ritz residual
+    and stops once ||A x - theta x|| <= tols.convergence * max(1, |theta|),
+    or when the space is invariant or spans the whole vector space.  Since
+    `v0` lies in the space, theta never exceeds its Rayleigh quotient.
+    Returns (theta, x) with x of unit norm and the usual phase convention.
+    """
+    u = np.asarray(v0, dtype=complex).reshape(-1)
+    n = u.size
+    nrm = np.linalg.norm(u)
+    if not nrm > 0.0:
+        raise ValueError("krylov_min needs a nonzero start vector")
+    u = u / nrm
+    # basis vectors and their images by column, and the projected matrix,
+    # in buffers that double when full
+    vs = ws = np.zeros((n, 0), dtype=complex)
+    t = np.zeros((0, 0), dtype=complex)
+    k = 0
+    while True:
+        if k == vs.shape[1]:
+            cap = min(n, max(8, 2 * k))
+            vs, ws, t = _padded(vs, (n, cap)), _padded(ws, (n, cap)), \
+                _padded(t, (cap, cap))
+        vs[:, k] = u
+        ws[:, k] = np.asarray(matvec(u), dtype=complex).reshape(-1)
+        k += 1
+        t[:k, k - 1] = vs[:, :k].conj().T @ ws[:, k - 1]
+        t[k - 1, :k] = u.conj() @ ws[:, :k]
+        w, y = hermitian_eig(t[:k, :k], tols)
+        theta, y0 = float(w[0]), y[:, 0]
+        x = vs[:, :k] @ y0
+        r = ws[:, :k] @ y0 - theta * x
+        scale = tols.convergence * max(1.0, abs(theta))
+        if np.linalg.norm(r) <= scale or k == n:
+            break
+        for _ in range(2):
+            r = r - vs[:, :k] @ (vs[:, :k].conj().T @ r)
+        beta = np.linalg.norm(r)
+        if beta <= scale:
+            break
+        u = r / beta
+    x, _ = _phase_normalize_columns((x / np.linalg.norm(x)).reshape(-1, 1))
+    return theta, x[:, 0]
+
+
 def pd_floor(b: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Positive-definiteness floor for a denominator matrix."""
     b = np.asarray(b)

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from tnsolve import cli
 from tnsolve.cli import (
     CSV_HEADER,
     ConfigError,
@@ -296,3 +297,40 @@ def test_oracle_cache_keys_custom_operators(tmp_path):
     assert h_low.model_key() != h_high.model_key()
     assert cached_oracle_energy(h_low, str(tmp_path)) == pytest.approx(-1.0)
     assert cached_oracle_energy(h_high, str(tmp_path)) == pytest.approx(1.0)
+
+
+def test_oracle_cache_concurrent_misses_keep_every_entry(tmp_path, monkeypatch):
+    # every thread misses the cache before any of them stores its energy
+    models = [build_ising(6, lam, "open") for lam in (0.5, 1.0, 1.5, 2.0)]
+    together = threading.Barrier(len(models), timeout=60)
+    solve = cli.ground_state_dense
+
+    def solve_together(h, tols):
+        together.wait()
+        return solve(h, tols)
+
+    monkeypatch.setattr(cli, "ground_state_dense", solve_together)
+    energies, errors = {}, []
+
+    def lookup(h):
+        try:
+            energies[h.model_key()] = cached_oracle_energy(h, str(tmp_path))
+        except Exception as err:
+            errors.append(err)
+
+    threads = [threading.Thread(target=lookup, args=(h,)) for h in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    cache = json.loads(read(tmp_path / "oracle_cache.json"))
+    assert len(cache) == len(models)
+    for h in models:
+        assert cache[cli._model_hash(h)] == energies[h.model_key()]

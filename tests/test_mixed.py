@@ -227,6 +227,25 @@ def test_expectation_matches_dense():
     )
 
 
+def test_expectation_honours_caller_tolerances():
+    from tnsolve.config import Tolerances
+    from tnsolve.hamiltonian import KroneckerTerm, OP_I, SiteOperator, SpinHamiltonian
+
+    rng = np.random.default_rng(14)
+    raising = SiteOperator.custom(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    h = SpinHamiltonian(6, [KroneckerTerm(1.0, (OP_I, raising) + (OP_I,) * 4)])
+    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))],
+                     "1d-open")
+    dense = sum_to_dense(x).vector
+    numerator = np.vdot(dense, materialize_dense(h) @ dense)
+    assert abs(numerator.imag) > 1e-3
+    with pytest.raises(ValueError):
+        expectation_mixed(h, x)
+    loose = Tolerances(rayleigh_imag=1e3)
+    assert expectation_mixed(h, x, loose) == pytest.approx(
+        numerator.real, abs=1e-10 * max(1.0, abs(numerator.real)))
+
+
 def test_expectation_periodic_geometry():
     rng = np.random.default_rng(14)
     h = build_ising(6, 0.7, "periodic")

@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops
+from tnsolve import flops, mps, tensor
+from tnsolve.config import Tolerances
 from tnsolve.hamiltonian import (
     Blocking,
     KroneckerTerm,
     OP_I,
+    SiteOperator,
     SpinHamiltonian,
     build_ising,
     materialize_dense,
 )
 from tnsolve.mps import (
     MpsState,
+    _env_step_left,
+    _env_step_right,
+    _heff_apply,
     add,
     als_ground_state,
     apply_hamiltonian,
@@ -31,6 +36,10 @@ from tnsolve.mps import (
     two_site_shift,
 )
 from tnsolve.oracle import ground_state_dense, rayleigh
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def bits_of(index, p):
@@ -343,6 +352,23 @@ def test_energy_matches_rayleigh():
     )
 
 
+def test_expectation_honours_caller_tolerances():
+    raising = SiteOperator.custom(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    h = SpinHamiltonian(4, [KroneckerTerm(1.0, (raising, OP_I, OP_I, OP_I))])
+    x = random_mps(4, 2, "open", seed=31)
+    dense = to_dense(x).vector
+    numerator = np.vdot(dense, materialize_dense(h) @ dense)
+    assert abs(numerator.imag) > 1e-3
+    with pytest.raises(ValueError):
+        expectation(h, x)
+    with pytest.raises(ValueError):
+        mps_energy(h, x)
+    loose = Tolerances(rayleigh_imag=1e3)
+    assert expectation(h, x, loose) == pytest.approx(numerator.real, abs=1e-10)
+    assert mps_energy(h, x, loose) == pytest.approx(
+        numerator.real / np.vdot(dense, dense).real, abs=1e-10)
+
+
 def test_expectation_cost_bound():
     p, d_bond = 6, 4
     h = build_ising(p, 1.0, "periodic")
@@ -420,6 +446,60 @@ def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
     assert len(trace) == entries
     assert sum(1 for t in trace if t.note) == 0
     assert trace[-1].energy == pytest.approx(energy, abs=1e-12)
+
+
+def test_env_steps_charge_their_contractions():
+    m, dl, d, dr = 3, 4, 2, 5
+    rng = np.random.default_rng(40)
+    bra, kets = crandn(rng, dl, d, dr), crandn(rng, m, dl, d, dr)
+    left, right = crandn(rng, m, dl, dl), crandn(rng, m, dr, dr)
+    # one contraction of the environment with the bra, one with the kets
+    expected = m * dl * d * dr * (dl + dr)
+    with flops.tally() as fc:
+        grown = _env_step_right(left, bra, kets)
+    assert fc.total == expected
+    assert np.allclose(grown, np.einsum("kab,aic,kbid->kcd", left, bra.conj(), kets))
+    with flops.tally() as fc:
+        grown = _env_step_left(right, bra, kets)
+    assert fc.total == expected
+    assert np.allclose(grown, np.einsum("kcd,aic,kbid->kab", right, bra.conj(), kets))
+
+
+def test_heff_apply_matches_kron_assembly():
+    m, dl, d, dr = 3, 3, 4, 2
+    rng = np.random.default_rng(41)
+    lenv, ops, renv = crandn(rng, m, dl, dl), crandn(rng, m, d, d), crandn(rng, m, dr, dr)
+    x = crandn(rng, dl, d, dr)
+    heff = sum(np.kron(lenv[k], np.kron(ops[k], renv[k])) for k in range(m))
+    got = _heff_apply(lenv, ops, renv, x)
+    assert got.shape == x.shape
+    assert np.allclose(got.reshape(-1), heff @ x.reshape(-1))
+
+
+def test_open_als_local_solves_stay_small(monkeypatch):
+    # p = 10 at D = 16 has local problems of dimension 16 * 2 * 16 = 512;
+    # no matrix handed to an eigensolver may come near that size
+    local_dims, eig_dims = [], []
+
+    def spy(fn, record, size):
+        def wrapped(*args, **kwargs):
+            record.append(size(args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mps, "krylov_min", spy(mps.krylov_min, local_dims,
+                                               lambda a: np.size(a[1])))
+    monkeypatch.setattr(tensor, "hermitian_eig", spy(tensor.hermitian_eig, eig_dims,
+                                                     lambda a: np.shape(a[0])[0]))
+    for name in ("generalized_eig_min", "generalized_eig_min_projected"):
+        monkeypatch.setattr(mps, name, spy(getattr(mps, name), eig_dims,
+                                           lambda a: np.shape(a[0])[0]))
+    h = build_ising(10, 1.0, "open")
+    trace, _ = als_ground_state(h, 10, 16, "open", sweeps=4, seed=0)
+    assert max(local_dims) == 512
+    assert eig_dims and max(eig_dims) < 128
+    e0, _ = ground_state_dense(h)
+    assert abs(trace[-1].energy - e0) <= 1e-8
 
 
 def test_als_rejects_bad_parameters():

@@ -11,6 +11,7 @@ from tnsolve.tensor import (
     generalized_eig_min_projected,
     hermitian_eig,
     kron_first_fastest,
+    krylov_min,
     outer_product,
     ravel,
     svd,
@@ -241,3 +242,60 @@ def test_gen_eig_singular_denominator_signals():
     lam, v = generalized_eig_min_projected(a, b)
     assert lam == pytest.approx(1.0)
     assert abs(v[1]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Krylov eigensolver
+
+def random_hermitian(rng, n):
+    a = crandn(rng, n, n)
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_krylov_min_matches_hermitian_eig(n):
+    rng = np.random.default_rng(30 + n)
+    a = random_hermitian(rng, n)
+    theta, x = krylov_min(lambda v: a @ v, crandn(rng, n))
+    w, _ = hermitian_eig(a)
+    assert theta == pytest.approx(w[0], abs=1e-10)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(a @ x - theta * x) <= 1e-9 * max(1.0, abs(theta))
+    lead = x[np.flatnonzero(np.abs(x) > 1e-300)[0]]
+    assert abs(lead.imag) <= 1e-15 * abs(lead) and lead.real > 0.0
+
+
+def test_krylov_min_not_above_start_quotient():
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 40):
+        a = random_hermitian(rng, n)
+        v0 = crandn(rng, n)
+        theta, _ = krylov_min(lambda v: a @ v, v0)
+        assert theta <= (np.vdot(v0, a @ v0) / np.vdot(v0, v0)).real
+
+
+def test_krylov_min_stops_on_invariant_start():
+    # an eigenvector spans an invariant space: its eigenvalue comes back
+    # even though a lower one exists
+    rng = np.random.default_rng(32)
+    a = random_hermitian(rng, 9)
+    w, vecs = hermitian_eig(a)
+    calls = []
+
+    def matvec(v):
+        calls.append(v)
+        return a @ v
+
+    theta, x = krylov_min(matvec, vecs[:, 3])
+    assert len(calls) == 1
+    assert theta == pytest.approx(w[3], abs=1e-10)
+    assert abs(abs(np.vdot(vecs[:, 3], x)) - 1.0) < 1e-12
+
+
+def test_krylov_min_refuses_non_hermitian():
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((7, 7))
+    with pytest.raises(ValueError):
+        krylov_min(lambda v: a @ v, crandn(rng, 7))
+    with pytest.raises(ValueError):
+        krylov_min(lambda v: v, np.zeros(3))
