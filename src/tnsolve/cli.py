@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,7 +97,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "runs/out"
     validate: bool = False
-    workers: int = 1
     timing: bool = False
     tolerances: dict = field(default_factory=dict)
 
@@ -118,7 +118,6 @@ class ExperimentConfig:
                 "seed": self.seed,
                 "out": self.out,
                 "validate": self.validate,
-                "workers": self.workers,
                 "timing": self.timing,
             },
             "tolerances": dict(self.tolerances),
@@ -141,6 +140,8 @@ class ExperimentConfig:
 
 def _coerce(section: str, key: str, raw: str, target_type):
     try:
+        if target_type is str:
+            return raw.strip()
         if target_type is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -153,6 +154,26 @@ def _coerce(section: str, key: str, raw: str, target_type):
         raise ConfigError(f"[{section}] {key}: {err}") from None
 
 
+def _field_types(cls) -> dict:
+    """Field name -> type of a dataclass, reading `X | None` as X."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        types[name] = args[0] if args else hint
+    return types
+
+
+#: The type each config-file key is coerced to, by section; [run] holds the
+#: scalar fields of ExperimentConfig.
+_SECTION_TYPES = {
+    "model": _field_types(ModelSpec),
+    "method": _field_types(MethodSpec),
+    "run": {name: t for name, t in _field_types(ExperimentConfig).items()
+            if t in (bool, int, float, str)},
+    "tolerances": _field_types(Tolerances),
+}
+
+
 def config_from_file(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
@@ -162,48 +183,20 @@ def config_from_file(path: str) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = ExperimentConfig()
-    fields_model = {f.name: f for f in dataclasses.fields(ModelSpec)}
-    fields_method = {f.name: f for f in dataclasses.fields(MethodSpec)}
+    targets = {"model": cfg.model, "method": cfg.method, "run": cfg}
     for section in cp.sections():
-        if section == "model":
-            for key, raw in cp["model"].items():
-                key = key.replace("-", "_")
-                if key not in fields_model:
-                    raise ConfigError(f"[model] unknown key {key!r}")
-                if key in ("p", "rows", "cols"):
-                    setattr(cfg.model, key, _coerce("model", key, raw, int))
-                elif key in ("lam", "jx", "jy"):
-                    setattr(cfg.model, key, _coerce("model", key, raw, float))
-                else:
-                    setattr(cfg.model, key, raw.strip())
-        elif section == "method":
-            for key, raw in cp["method"].items():
-                key = key.replace("-", "_")
-                if key not in fields_method:
-                    raise ConfigError(f"[method] unknown key {key!r}")
-                if key in ("rank", "sweeps", "d_cut"):
-                    setattr(cfg.method, key, _coerce("method", key, raw, int))
-                else:
-                    setattr(cfg.method, key, raw.strip())
-        elif section == "run":
-            for key, raw in cp["run"].items():
-                if key == "seed":
-                    cfg.seed = _coerce("run", key, raw, int)
-                elif key == "out":
-                    cfg.out = raw.strip()
-                elif key == "validate":
-                    cfg.validate = _coerce("run", key, raw, bool)
-                elif key == "workers":
-                    cfg.workers = _coerce("run", key, raw, int)
-                elif key == "timing":
-                    cfg.timing = _coerce("run", key, raw, bool)
-                else:
-                    raise ConfigError(f"[run] unknown key {key!r}")
-        elif section == "tolerances":
-            for key, raw in cp["tolerances"].items():
-                cfg.tolerances[key] = _coerce("tolerances", key, raw, float)
-        else:
+        types = _SECTION_TYPES.get(section)
+        if types is None:
             raise ConfigError(f"unknown section [{section}]")
+        for key, raw in cp[section].items():
+            key = key.replace("-", "_")
+            if key not in types:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            value = _coerce(section, key, raw, types[key])
+            if section == "tolerances":
+                cfg.tolerances[key] = value
+            else:
+                setattr(targets[section], key, value)
     return cfg
 
 
@@ -585,7 +578,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out")
     sub.add_argument("--validate", action="store_true", default=None)
-    sub.add_argument("--workers", type=int)
     sub.add_argument("--timing", action="store_true", default=None)
 
 
@@ -599,8 +591,7 @@ def _apply_overrides(cfg: ExperimentConfig, ns: argparse.Namespace) -> None:
              ("init", ("method", "init")), ("d_cut", ("method", "d_cut")),
              ("mode", ("method", "mode")),
              ("seed", ("", "seed")), ("out", ("", "out")),
-             ("validate", ("", "validate")), ("workers", ("", "workers")),
-             ("timing", ("", "timing"))]
+             ("validate", ("", "validate")), ("timing", ("", "timing"))]
     for attr, (section, key) in pairs:
         if not hasattr(ns, attr):
             continue

@@ -319,15 +319,41 @@ def _zipper_init(dy: int, dx: int) -> np.ndarray:
     return e.astype(complex)
 
 
+def _env_step_right(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Grow M stacked (bra, ket) environments (M, ..., Dl, Dl) by one site
+    from the left; kets (M, Dl, d, Dr) holds the site with each term's block
+    operator applied.  Axes between the first and the last two are batch
+    axes: the chain environments carry the wrap legs there as (M, W, Dl, Dl)."""
+    m_terms, dl, d, dr = kets.shape
+    batch = (1,) * (env.ndim - 3)
+    f = flops.tdot(env, bra.conj(), axes=(env.ndim - 2, 0))   # (M, ..., kx, i, ky')
+    f = np.swapaxes(f.reshape(f.shape[:-3] + (dl * d, -1)), -1, -2)
+    return flops.matmul(f, kets.reshape((m_terms,) + batch + (dl * d, dr)))
+
+
+def _env_step_left(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Mirror image of :func:`_env_step_right`: (M, ..., Dr, Dr) ->
+    (M, ..., Dl, Dl)."""
+    m_terms, dl, d, dr = kets.shape
+    batch = (1,) * (env.ndim - 3)
+    f = flops.tdot(env, bra.conj(), axes=(env.ndim - 2, 2))   # (M, ..., kx', ky, i)
+    f = np.moveaxis(f, -3, -1)
+    f = f.reshape(f.shape[:-3] + (-1, d * dr))
+    kets = np.swapaxes(kets.reshape((m_terms,) + batch + (dl, d * dr)), -1, -2)
+    return flops.matmul(f, kets)
+
+
 def _zipper(bras: list, kets: list) -> complex:
-    """sum_i conj(bra_i) ket_i over two site lists, contracted site by site
-    and closed by tracing the wrap legs against the last bonds."""
-    e = _zipper_init(bras[0].shape[0], kets[0].shape[0])
+    """sum_i conj(bra_i) ket_i over two site lists: one environment, with the
+    wrap legs as its batch axis, grows site by site by
+    :func:`_env_step_right` and is closed by tracing the wrap legs against
+    the last bonds."""
+    dy, dx = bras[0].shape[0], kets[0].shape[0]
+    e = _zipper_init(dy, dx).reshape(1, dy * dx, dy, dx)
     for bra, ket in zip(bras, kets):
-        f = flops.tdot(e, bra.conj(), axes=(2, 0))   # (wy, wx, cx, i, cy')
-        e = flops.tdot(f, ket, axes=((2, 3), (0, 1)))  # (wy, wx, cy', cx')
-    flops.add(e.shape[0] * e.shape[1])
-    return complex(np.einsum("abab->", e))
+        e = _env_step_right(e, bra, ket[None])
+    flops.add(dy * dx)
+    return complex(np.einsum("abab->", e.reshape(dy, dx, dy, dx)))
 
 
 def inner(x: MpsState, y: MpsState) -> complex:
@@ -391,24 +417,6 @@ def mps_energy(h: SpinHamiltonian, x: MpsState,
 # ---------------------------------------------------------------------------
 # ALS ground-state search
 
-def _env_step_right(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Grow M stacked (bra, ket) environments (M, Dl, Dl) by one site from
-    the left; kets (M, Dl, d, Dr) holds the site with each term's block
-    operator applied."""
-    m_terms, dl, d, dr = kets.shape
-    f = flops.tdot(env, bra.conj(), axes=(1, 0))   # (M, kx, i, ky')
-    f = f.reshape(m_terms, dl * d, -1).transpose(0, 2, 1)
-    return flops.matmul(f, kets.reshape(m_terms, dl * d, dr))  # (M, ky', kx')
-
-
-def _env_step_left(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Mirror image of :func:`_env_step_right`: (M, Dr, Dr) -> (M, Dl, Dl)."""
-    m_terms, dl, d, dr = kets.shape
-    f = flops.tdot(env, bra.conj(), axes=(1, 2))   # (M, kx', ky, i)
-    f = f.transpose(0, 2, 3, 1).reshape(m_terms, -1, d * dr)
-    return flops.matmul(f, kets.reshape(m_terms, dl, d * dr).transpose(0, 2, 1))
-
-
 def _heff_apply(lenv: np.ndarray, weighted_ops: np.ndarray, renv: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
     """sum_k c_k (L_k x O_k x R_k) acting on a site tensor x of shape
@@ -426,42 +434,79 @@ def _heff_apply(lenv: np.ndarray, weighted_ops: np.ndarray, renv: np.ndarray,
     return y.transpose(1, 0, 2)
 
 
-def _open_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
-    """Local problem of an open chain kept in mixed-canonical gauge.
+def _pencil(lenv: np.ndarray, ops: np.ndarray, renv: np.ndarray) -> np.ndarray:
+    """Dense matrix of sum_k L_k x O_k x R_k on site tensors (Dl, d, Dr),
+    from (M, W, Dl, Dl) left and (M, W, Dr, Dr) right environments closed
+    over their wrap legs W, and (M, d, d) block operators."""
+    m_terms, w, dl, _ = lenv.shape
+    dr, d = renv.shape[-1], ops.shape[-1]
+    lr = flops.matmul(lenv.reshape(m_terms, w, dl * dl).transpose(0, 2, 1),
+                      renv.reshape(m_terms, w, dr * dr))
+    mat = flops.tdot(ops, lr.reshape(m_terms, dl, dl, dr, dr), axes=(0, 0))
+    return mat.transpose(2, 0, 4, 3, 1, 5).reshape(dl * d * dr, dl * d * dr)
+
+
+def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
+    """Local problem of a chain of either boundary.
 
     One (left, right) environment pair per Hamiltonian term, stacked over
-    the terms as (M, D, D) arrays, gives the effective operator of the center
-    site as sum_k c_k L_k x O_k x R_k.  It is applied matrix-free by
-    :func:`_heff_apply` and never formed; :func:`krylov_min` finds its lowest
-    eigenpair from a Krylov space started at the current center tensor, so no
-    update raises the energy.  Returns (solve, moved): solve(c) gives the
-    lowest (energy, site vector) at center c; moved(c, step) grows the
-    environments over site c once the center has moved on to c + step.
+    the terms as (M, W, D, D) arrays whose axis W carries the wrap legs
+    (W = 1 for open chains), gives the effective operator of the center site
+    as sum_k c_k L_k x O_k x R_k, with L_k R_k closed over W.  Both chain
+    ends start from the :func:`_zipper_init` identity.
+
+    An open chain is kept in mixed-canonical gauge, so the update is a
+    Hermitian eigenproblem: :func:`_heff_apply` applies the operator
+    matrix-free and :func:`krylov_min` finds its lowest eigenpair from a
+    Krylov space started at the current center tensor, so no update raises
+    the energy.  A periodic gauge is not orthonormal: one more stacked entry
+    with the identity operator is the norm environment, and the numerator
+    and denominator pencils go to :func:`generalized_eig_min`, falling back
+    to the projected solve when the denominator is singular.
+
+    Returns (solve, moved): solve(c) gives the lowest (energy, site vector)
+    at center c; moved(c, step) grows the environments over site c once the
+    center has moved on to c + step.
     """
     q = state.q
     m_terms = blocked.num_terms
+    periodic = state.boundary == "periodic"
+    dw = state.sites[0].shape[0]
 
     def grown(env, c, step):
         site = state.sites[c]
         step_fn = _env_step_right if step > 0 else _env_step_left
-        kets = np.stack([_op_site(blocked, k, c, site) for k in range(m_terms)])
-        return step_fn(env, site, kets)
+        kets = [_op_site(blocked, k, c, site) for k in range(m_terms)]
+        if periodic:
+            kets.append(site)
+        return step_fn(env, site, np.stack(kets))
 
-    edge = np.ones((m_terms, 1, 1), dtype=complex)
+    edge = _zipper_init(dw, dw).reshape(1, dw * dw, dw, dw)
+    n_env = m_terms + 1 if periodic else m_terms
+    edge = np.broadcast_to(edge, (n_env,) + edge.shape[1:])
     lenv = [edge] + [None] * (q - 1)
     renv = [None] * (q - 1) + [edge]
     for j in range(q - 1, 0, -1):  # right environments for center 0
         renv[j - 1] = grown(renv[j], j, -1)
 
     def solve(c):
-        shape = state.sites[c].shape
+        site = state.sites[c]
         ops = np.stack([blocked.coefficient(k) * blocked.block_matrix(k, c)
                         for k in range(m_terms)])
+        if periodic:
+            num = _pencil(lenv[c][:m_terms], ops, renv[c][:m_terms])
+            eye = np.eye(site.shape[1], dtype=complex)[None]
+            den = _pencil(lenv[c][m_terms:], eye, renv[c][m_terms:])
+            try:
+                return generalized_eig_min(num, den, tols)
+            except SingularDenominatorError:
+                return generalized_eig_min_projected(num, den, tols)
 
         def matvec(v):
-            return _heff_apply(lenv[c], ops, renv[c], v.reshape(shape))
+            return _heff_apply(lenv[c][:, 0], ops, renv[c][:, 0],
+                               v.reshape(site.shape))
 
-        return krylov_min(matvec, state.sites[c], tols)
+        return krylov_min(matvec, site, tols)
 
     def moved(c, step):
         if step > 0:
@@ -472,58 +517,11 @@ def _open_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
     return solve, moved
 
 
-def _transfer(site: np.ndarray, op_site: np.ndarray) -> np.ndarray:
-    """Transfer matrix over (bra, ket) bond pairs for one site."""
-    t = np.tensordot(site.conj(), op_site, axes=(1, 1))  # (ky, ky', kx, kx')
-    t = t.transpose(0, 2, 1, 3)
-    dl = t.shape[0] * t.shape[1]
-    dr = t.shape[2] * t.shape[3]
-    return t.reshape(dl, dr)
-
-
-def _periodic_solve(blocked: BlockedHamiltonian, state: MpsState,
-                    tols: Tolerances):
-    """Local problem of a periodic chain: solve(c) closes the ring of
-    transfer matrices around site c into the numerator and denominator of
-    the generalized pencil, and falls back to the projected solve when the
-    denominator is singular.  No environment outlives an update."""
-    q = state.q
-    m_terms = blocked.num_terms
-
-    def pencil(w_env, op, dl, d, dr):
-        w4 = w_env.reshape(dr, dr, dl, dl)  # (my', mx', my, mx)
-        mat = np.einsum("ij,abcd->ciadjb", op, w4)
-        return mat.reshape(dl * d * dr, dl * d * dr)
-
-    def solve(c):
-        dl, d, dr = state.sites[c].shape
-        ring = [(c + off) % q for off in range(1, q)]
-        r_mat = np.zeros((dl * d * dr,) * 2, dtype=complex)
-        for k in range(m_terms):
-            w = np.eye(dr * dr, dtype=complex)
-            for j in ring:
-                ket = _op_site(blocked, k, j, state.sites[j])
-                w = w @ _transfer(state.sites[j], ket)
-            r_mat += blocked.coefficient(k) * pencil(
-                w, blocked.block_matrix(k, c), dl, d, dr
-            )
-        wid = np.eye(dr * dr, dtype=complex)
-        for j in ring:
-            wid = wid @ _transfer(state.sites[j], state.sites[j])
-        n_mat = pencil(wid, np.eye(d, dtype=complex), dl, d, dr)
-        try:
-            return generalized_eig_min(r_mat, n_mat, tols)
-        except SingularDenominatorError:
-            return generalized_eig_min_projected(r_mat, n_mat, tols)
-
-    return solve
-
-
 def _als_sweeps(state: MpsState, sweeps: int, tols: Tolerances,
                 solve, moved) -> tuple:
     """Single-site sweeps shared by both boundaries: update the center with
-    solve(c), re-gauge it by SVD, call moved(c, step) if the boundary keeps
-    environments, and go on; the direction alternates per sweep, and two
+    solve(c), re-gauge it by SVD, grow the environments over it with
+    moved(c, step), and go on; the direction alternates per sweep, and two
     consecutive sweeps that change the energy by less than tols.convergence
     stop the search."""
     q = state.q
@@ -541,8 +539,7 @@ def _als_sweeps(state: MpsState, sweeps: int, tols: Tolerances,
             if 0 <= c + step < q:
                 shift = _shift_center_right if going_right else _shift_center_left
                 shift(state, c, tols)
-                if moved is not None:
-                    moved(c, step)
+                moved(c, step)
         if last_sweep_e is not None and abs(energy - last_sweep_e) < tols.convergence:
             still += 1
             if still >= 2:
@@ -559,13 +556,16 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Alternating single-site minimization of the Rayleigh quotient.
 
-    Open chains stay in mixed-canonical gauge, so every update is a standard
-    Hermitian eigenproblem, solved matrix-free by a Krylov method started at
-    the current site tensor (the effective matrix is never formed); periodic
-    chains form the denominator explicitly and fall back to a projected
-    solve when it is singular.  One sweep is one directional pass; direction
-    alternates, re-gauging by SVD after every update.  Returns (trace,
-    state) with a nonincreasing energy trace.
+    Both boundaries keep one cached environment pair per Hamiltonian term,
+    carrying the wrap legs of a periodic chain, and grow it by one site after
+    every update.  Open chains stay in mixed-canonical gauge, so every update
+    is a standard Hermitian eigenproblem, solved matrix-free by a Krylov
+    method started at the current site tensor (the effective matrix is never
+    formed); periodic chains close the environments into the numerator and
+    denominator of a generalized pencil and fall back to a projected solve
+    when the denominator is singular.  One sweep is one directional pass;
+    direction alternates, re-gauging by SVD after every update.  Returns
+    (trace, state) with a nonincreasing energy trace.
     """
     if d_bond < 1 or sweeps < 1:
         raise ValueError("need d_bond >= 1 and sweeps >= 1")
@@ -575,8 +575,7 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     blocked = regroup(h, state.blocking)
     if boundary == "open":
         state, _ = normalize_right_sweep(state, tols)
-        solve, moved = _open_local(blocked, state, tols)
     else:
         state, _ = normalize_left_sweep(state, tols)
-        solve, moved = _periodic_solve(blocked, state, tols), None
+    solve, moved = _chain_local(blocked, state, tols)
     return _als_sweeps(state, sweeps, tols, solve, moved)

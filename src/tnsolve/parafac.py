@@ -230,15 +230,10 @@ def as_diagonal_mps(x: BlockedCp) -> MpsState:
 # spectral initialization
 
 def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
-                  weighted: bool = True, drop_straddling: bool = True,
                   seed: int = 0) -> BlockedCp:
     """Mode-i factors from the lowest eigenvectors of the block-local part of
-    the Hamiltonian.
-
-    By default a term contributes to a block only if its whole support lies
-    inside that block, and it enters with its coefficient.  weighted=False /
-    drop_straddling=False select the raw variant that sums the plain block
-    restrictions of every term.
+    the Hamiltonian: a term contributes to a block only if its whole support
+    lies inside that block, and it enters with its coefficient.
     """
     blocked = regroup(h, blocking)
     cuts = blocking.cuts
@@ -251,9 +246,9 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
         for k, term in enumerate(h.terms):
             # a term is block-local when every non-identity factor lies inside;
             # skipping fully-elsewhere terms drops only an identity shift
-            if drop_straddling and not all(lo <= s < hi for s in term.support()):
+            if not all(lo <= s < hi for s in term.support()):
                 continue
-            local += (term.coefficient if weighted else 1.0) * blocked.block_matrix(k, i)
+            local += term.coefficient * blocked.block_matrix(k, i)
         _, vecs = hermitian_eig(local)
         take = min(rank, dim)
         cols = [vecs[:, j] for j in range(take)]

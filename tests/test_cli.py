@@ -70,6 +70,37 @@ def test_config_bad_value_diagnostic(tmp_path):
         config_from_file(str(path))
 
 
+def test_config_rejects_workers_key(tmp_path):
+    # method runs are single-process; only `reproduce --workers` fans out
+    path = tmp_path / "bad.ini"
+    path.write_text("[run]\nworkers = 2\n")
+    with pytest.raises(ConfigError, match=r"\[run\].*workers"):
+        config_from_file(str(path))
+
+
+def test_config_coerces_by_field_type(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[model]\np = 6\nlam = 0.5\n[run]\nvalidate = yes\n"
+                    "[tolerances]\nconvergence = 1e-6\ndense_site_cap = 12\n")
+    cfg = config_from_file(str(path))
+    assert (cfg.model.p, cfg.model.lam, cfg.validate) == (6, 0.5, True)
+    assert cfg.tols().convergence == 1e-6
+    assert cfg.tols().dense_site_cap == 12
+    assert type(cfg.tolerances["dense_site_cap"]) is int
+
+
+def test_config_fractional_int_tolerance_exit_code(tmp_path, capsys):
+    # an integer tolerance given as 12.5 is refused, not truncated to 12
+    path = tmp_path / "cfg.ini"
+    path.write_text("[tolerances]\ndense_site_cap = 12.5\n")
+    with pytest.raises(ConfigError, match=r"\[tolerances\] dense_site_cap"):
+        config_from_file(str(path))
+    rc = main(["exact", "--config", str(path), "--model", "ising", "-p", "4",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "dense_site_cap" in capsys.readouterr().err
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         config_from_file("/nonexistent/cfg.ini")

@@ -13,9 +13,12 @@ from tnsolve.hamiltonian import (
     SpinHamiltonian,
     build_ising,
     materialize_dense,
+    regroup,
 )
 from tnsolve.mps import (
     MpsState,
+    _als_sweeps,
+    _chain_local,
     _env_step_left,
     _env_step_right,
     _heff_apply,
@@ -463,6 +466,76 @@ def test_env_steps_charge_their_contractions():
         grown = _env_step_left(right, bra, kets)
     assert fc.total == expected
     assert np.allclose(grown, np.einsum("kcd,aic,kbid->kab", right, bra.conj(), kets))
+
+
+def test_env_steps_carry_wrap_legs_as_batch():
+    m, w, dl, d, dr = 3, 4, 2, 2, 3
+    rng = np.random.default_rng(42)
+    bra, kets = crandn(rng, dl, d, dr), crandn(rng, m, dl, d, dr)
+    left, right = crandn(rng, m, w, dl, dl), crandn(rng, m, w, dr, dr)
+    expected = m * w * dl * d * dr * (dl + dr)
+    with flops.tally() as fc:
+        grown = _env_step_right(left, bra, kets)
+    assert fc.total == expected
+    assert np.allclose(grown, np.einsum("kwab,aic,kbid->kwcd", left, bra.conj(), kets))
+    with flops.tally() as fc:
+        grown = _env_step_left(right, bra, kets)
+    assert fc.total == expected
+    assert np.allclose(grown, np.einsum("kwcd,aic,kbid->kwab", right, bra.conj(), kets))
+
+
+def _ring_pencil(sites, ops, c):
+    """sum over terms of the center-c pencil, from transfer products around
+    the ring; ops[t][j] is the (d, d) operator of term t at site j."""
+    q = len(sites)
+    dl, d, dr = sites[c].shape
+    total = 0.0
+    for term in ops:
+        # w[ry, rx, y, x]: right bond of c to the current bond, bra then ket
+        w = np.einsum("ac,bd->abcd", np.eye(dr), np.eye(dr))
+        for off in range(1, q):
+            j = (c + off) % q
+            w = np.einsum("abyx,yiz,ij,xjv->abzv", w, sites[j].conj(), term[j], sites[j])
+        total = total + np.einsum("ij,rsyx->yirxjs", term[c], w)
+    return total.reshape(dl * d * dr, dl * d * dr)
+
+
+def test_periodic_pencil_from_cached_environments(monkeypatch):
+    p, d_bond = 5, 3
+    h = build_ising(p, 1.0, "periodic")
+    state, _ = normalize_left_sweep(random_mps(p, d_bond, "periodic", seed=43))
+    blocked = regroup(h, state.blocking)
+    tols = Tolerances()
+    solve, moved = _chain_local(blocked, state, tols)
+    pencils, snapshots = [], []
+
+    def spy(fn):
+        def wrapped(a, b, tols):
+            pencils.append((a, b))
+            return fn(a, b, tols)
+        return wrapped
+
+    for name in ("generalized_eig_min", "generalized_eig_min_projected"):
+        monkeypatch.setattr(mps, name, spy(getattr(mps, name)))
+
+    def recorded(c):
+        snapshots.append((c, [s.copy() for s in state.sites]))
+        n = len(pencils)
+        out = solve(c)
+        del pencils[n + 1:]  # the projected fallback sees the same pencil
+        return out
+
+    _als_sweeps(state, 1, tols, recorded, moved)
+    assert [c for c, _ in snapshots] == list(range(p))
+    eye = np.eye(2)
+    for (c, sites), (num, den) in zip(snapshots, pencils):
+        terms = [[blocked.coefficient(k) * blocked.block_matrix(k, j) if j == c
+                  else blocked.block_matrix(k, j) for j in range(p)]
+                 for k in range(blocked.num_terms)]
+        want_num = _ring_pencil(sites, terms, c)
+        want_den = _ring_pencil(sites, [[eye] * p], c)
+        assert np.linalg.norm(num - want_num) <= 1e-12 * np.linalg.norm(want_num)
+        assert np.linalg.norm(den - want_den) <= 1e-12 * np.linalg.norm(want_den)
 
 
 def test_heff_apply_matches_kron_assembly():
