@@ -1,6 +1,6 @@
 """Ground states of spin-chain and lattice Hamiltonians by alternating
 minimization of the Rayleigh quotient over structured tensor formats, with a
-dense exact-diagonalization oracle and instrumented contraction schemes."""
+matrix-free exact-diagonalization oracle and instrumented contraction schemes."""
 
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import (

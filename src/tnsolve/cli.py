@@ -103,11 +103,13 @@ class ExperimentConfig:
     def tols(self) -> Tolerances:
         if not self.tolerances:
             return DEFAULT_TOLS
+        types = _SECTION_TYPES["tolerances"]
         base = dataclasses.asdict(DEFAULT_TOLS)
         for key, value in self.tolerances.items():
-            if key not in base:
+            if key not in types:
                 raise ConfigError(f"unknown tolerance field {key!r}")
-            base[key] = type(base[key])(value)
+            # through the text, as from a file, so 12.5 is refused for an int
+            base[key] = _coerce("tolerances", key, str(value), types[key])
         return Tolerances(**base)
 
     def to_dict(self) -> dict:
@@ -359,9 +361,8 @@ def run(cfg: ExperimentConfig) -> int:
                     if e0 is None:
                         raise DimensionCapError(
                             f"p={h.p} exceeds the dense oracle cap")
-                    final_energy, _ = ground_state_dense(h, tols)
+                    final_energy = e0
                     trace = [TraceEntry(0, 0, 0, final_energy, 0)]
-                    state = None
                 elif method == "mps-als":
                     blocking = (_parse_blocking(cfg.method.blocking)
                                 if cfg.method.blocking else None)

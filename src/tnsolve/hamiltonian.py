@@ -7,12 +7,14 @@ row-major: site (r, c) of a rows x cols lattice is chain position r*cols + c.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .tensor import DenseState, DimensionCapError, kron_first_fastest, ravel
+from .tensor import DenseState, DimensionCapError, kron_first_fastest
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -122,7 +124,7 @@ class Blocking:
     def q(self) -> int:
         return len(self.widths)
 
-    @property
+    @functools.cached_property
     def cuts(self) -> tuple:
         """Cut points s_0 = 0 < s_1 < ... < s_q = p."""
         out = [0]
@@ -257,21 +259,81 @@ def materialize_dense(h: SpinHamiltonian, cap: int = DEFAULT_TOLS.dense_site_cap
     return out
 
 
-def apply(h: SpinHamiltonian, x: DenseState) -> DenseState:
-    """Matrix-free H @ x: applies each term site by site on the state tensor.
+def _pauli_components(op: SiteOperator) -> tuple:
+    """(letter, c_P) pairs with op = sum_P c_P P over P in {I, X, Y, Z};
+    c_P = tr(P M)/2.  A named factor is its own single component."""
+    if op.kind != "custom":
+        return ((op.kind, 1.0),)
+    comps = ((k, np.trace(_NAMED[k] @ op.matrix) / 2) for k in "IXYZ")
+    return tuple((k, complex(c)) for k, c in comps if c != 0)
 
-    Identity factors are skipped, so the work is O(sum_k |support_k| * 2^p).
+
+@dataclass(frozen=True, eq=False)
+class PauliForm:
+    """H as a sum over flip sets F of flip_F(w_F * x) on the state tensor.
+
+    Every Kronecker term is expanded into Pauli strings; a string with X/Y
+    sites F, Z/Y sites S and coefficient c adds c * i^{#Y} * (-1)^{sum_S b_s}
+    to the weight w_F (Y = i X Z: the sign is read before the flip).  `groups`
+    holds (flip axes, w_F) per flip set; w_F is a scalar when no string of
+    the group has a sign site, and real whenever it is real.  Axes index the
+    C-order view ``vector.reshape((2,) * p)``, whose axis a is site p - 1 - a.
     """
+
+    p: int
+    groups: tuple
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """H @ vec for a length-2^p vector: one product and one flip per group."""
+        t = np.asarray(vec).reshape((2,) * self.p)
+        out = np.zeros(t.shape, np.result_type(t, *(w for _, w in self.groups)))
+        for axes, weight in self.groups:
+            out += np.flip(weight * t, axes)
+        return out.reshape(-1)
+
+
+def pauli_form(h: SpinHamiltonian) -> PauliForm:
+    """The Pauli-string form of `h`, strings grouped by flip set."""
+    p = h.p
+    by_flips: dict = {}  # flip sites -> {sign sites: summed coefficient}
+    for t in h.terms:
+        for combo in itertools.product(*map(_pauli_components, t.factors)):
+            letters = "".join(k for k, _ in combo)
+            coeff = t.coefficient * 1j ** letters.count("Y") \
+                * np.prod([c for _, c in combo])
+            flips = tuple(j for j, k in enumerate(letters) if k in "XY")
+            signs = tuple(j for j, k in enumerate(letters) if k in "ZY")
+            parts = by_flips.setdefault(flips, {})
+            parts[signs] = parts.get(signs, 0) + coeff
+    groups = []
+    for flips, parts in by_flips.items():
+        terms = [c * _sign_pattern(p, signs) for signs, c in parts.items() if c != 0]
+        if not terms:
+            continue
+        weight = np.asarray(sum(terms))
+        if not weight.imag.any():
+            weight = weight.real.copy()
+        groups.append((tuple(p - 1 - j for j in flips), weight))
+    return PauliForm(p, tuple(groups))
+
+
+def _sign_pattern(p: int, sites: tuple):
+    """(-1)^{sum of the bits at `sites`}, broadcastable to the (2,)*p view
+    (the scalar 1 when `sites` is empty)."""
+    out = 1.0
+    for j in sites:
+        shape = [1] * p
+        shape[p - 1 - j] = 2
+        out = out * np.array([1.0, -1.0]).reshape(shape)
+    return out
+
+
+def apply(h: SpinHamiltonian, x: DenseState) -> DenseState:
+    """Matrix-free H @ x through the Pauli-string form: one elementwise
+    product and one flip per flip set, so the work is O(#groups * 2^p)."""
     if x.p != h.p:
         raise ValueError(f"state has {x.p} sites, Hamiltonian has {h.p}")
-    tens = x.tensor()
-    acc = np.zeros_like(tens)
-    for t in h.terms:
-        cur = tens
-        for j in t.support():
-            cur = np.moveaxis(np.tensordot(t.factors[j].matrix, cur, axes=(1, j)), 0, j)
-        acc = acc + t.coefficient * cur
-    return DenseState(h.p, ravel(acc))
+    return DenseState(h.p, pauli_form(h).matvec(x.vector))
 
 
 # ---------------------------------------------------------------------------

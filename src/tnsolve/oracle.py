@@ -1,7 +1,12 @@
-"""Brute-force ground truth: dense ground states and Rayleigh quotients.
+"""Exact ground truth: ground states and Rayleigh quotients of the full
+2^p-dimensional problem.
 
-Everything here materializes the full 2^p problem, so it is capped at
-desk scale (p <= 14) and exists to anchor every structured-format result.
+Both work matrix-free on the Pauli-string form of the Hamiltonian
+(:func:`hamiltonian.pauli_form`); the ground state comes from Krylov
+iteration (:func:`tensor.krylov_min`), so the 2^p x 2^p matrix is never
+formed.  The ground state is still capped at desk scale (p <= 14) and exists
+to anchor every structured-format result; ``materialize_dense`` plus a full
+eigensolve stays as the tests' cross-check at small p.
 """
 
 from __future__ import annotations
@@ -9,17 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import SpinHamiltonian, apply, materialize_dense
-from .tensor import DenseState, hermitian_eig
+from .hamiltonian import SpinHamiltonian, apply, pauli_form
+# not called here; the benchmark's tracer self-test checks that this
+# imported name is rebound
+from .hamiltonian import materialize_dense  # noqa: F401
+from .tensor import DenseState, DimensionCapError, krylov_min
 
 
 def ground_state_dense(h: SpinHamiltonian,
                        tols: Tolerances = DEFAULT_TOLS) -> tuple:
-    """Smallest eigenvalue and unit-norm, phase-normalized eigenvector of the
-    dense materialization."""
-    m = materialize_dense(h, cap=tols.dense_site_cap)
-    w, v = hermitian_eig(m, tols)
-    return float(w[0]), DenseState(h.p, v[:, 0])
+    """Smallest eigenvalue and a unit-norm, phase-normalized eigenvector.
+
+    Krylov iteration on the Pauli-string action from a fixed-seed real
+    Gaussian start vector: a symmetric start (uniform, say) can be
+    orthogonal to the symmetry sector of the ground state.
+    """
+    if h.p > tols.dense_site_cap:
+        raise DimensionCapError(f"p={h.p} exceeds dense cap {tols.dense_site_cap}")
+    start = np.random.default_rng(0).standard_normal(2**h.p)
+    energy, x = krylov_min(pauli_form(h).matvec, start, tols)
+    return energy, DenseState(h.p, x)
 
 
 def rayleigh(h: SpinHamiltonian, x: DenseState,

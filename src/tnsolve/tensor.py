@@ -200,30 +200,32 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     if not nrm > 0.0:
         raise ValueError("krylov_min needs a nonzero start vector")
     u = u / nrm
-    # basis vectors and their images by column, and the projected matrix,
-    # in buffers that double when full
-    vs = ws = np.zeros((n, 0), dtype=complex)
+    # basis vectors and their images by row, and the projected matrix, in
+    # buffers that double when full; rows keep every product a contiguous
+    # matrix-vector product, and vs^H r is formed as conj(vs @ conj(r)) so
+    # the basis is never copied
+    vs = ws = np.zeros((0, n), dtype=complex)
     t = np.zeros((0, 0), dtype=complex)
     k = 0
     while True:
-        if k == vs.shape[1]:
+        if k == vs.shape[0]:
             cap = min(n, max(8, 2 * k))
-            vs, ws, t = _padded(vs, (n, cap)), _padded(ws, (n, cap)), \
+            vs, ws, t = _padded(vs, (cap, n)), _padded(ws, (cap, n)), \
                 _padded(t, (cap, cap))
-        vs[:, k] = u
-        ws[:, k] = np.asarray(matvec(u), dtype=complex).reshape(-1)
+        vs[k] = u
+        ws[k] = np.asarray(matvec(u), dtype=complex).reshape(-1)
         k += 1
-        t[:k, k - 1] = vs[:, :k].conj().T @ ws[:, k - 1]
-        t[k - 1, :k] = u.conj() @ ws[:, :k]
+        t[:k, k - 1] = (vs[:k] @ ws[k - 1].conj()).conj()
+        t[k - 1, :k] = ws[:k] @ u.conj()
         w, y = hermitian_eig(t[:k, :k], tols)
         theta, y0 = float(w[0]), y[:, 0]
-        x = vs[:, :k] @ y0
-        r = ws[:, :k] @ y0 - theta * x
+        x = y0 @ vs[:k]
+        r = y0 @ ws[:k] - theta * x
         scale = tols.convergence * max(1.0, abs(theta))
         if np.linalg.norm(r) <= scale or k == n:
             break
         for _ in range(2):
-            r = r - vs[:, :k] @ (vs[:, :k].conj().T @ r)
+            r = r - (vs[:k] @ r.conj()).conj() @ vs[:k]
         beta = np.linalg.norm(r)
         if beta <= scale:
             break

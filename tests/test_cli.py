@@ -128,6 +128,27 @@ def test_tolerance_overrides():
         cfg.tols()
 
 
+def test_tolerance_set_in_code_fractional_int_exit_code(tmp_path, capsys):
+    # coerced like a config file value: 12.5 is refused, not truncated to 12
+    cfg = ExperimentConfig(out=str(tmp_path))
+    cfg.model.p = 4
+    cfg.tolerances["dense_site_cap"] = 12.5
+    with pytest.raises(ConfigError, match=r"\[tolerances\] dense_site_cap"):
+        cfg.tols()
+    assert cli.run(cfg) == 2
+    assert "dense_site_cap" in capsys.readouterr().err
+
+
+def test_tolerance_set_in_code_non_numeric_exit_code(tmp_path, capsys):
+    cfg = ExperimentConfig(out=str(tmp_path))
+    cfg.model.p = 4
+    cfg.tolerances["convergence"] = "abc"
+    with pytest.raises(ConfigError, match=r"\[tolerances\] convergence"):
+        cfg.tols()
+    assert cli.run(cfg) == 2
+    assert "convergence" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -140,6 +161,35 @@ def test_exact_run_matches_library(tmp_path):
     e0, _ = ground_state_dense(build_ising(4, 1.0, "open"))
     assert summary["final_energy"] == pytest.approx(e0, abs=1e-12)
     assert summary["oracle_energy"] == pytest.approx(e0, abs=1e-12)
+
+
+def test_exact_run_solves_once_and_reruns_identically(tmp_path, monkeypatch):
+    solves = []
+    solve = cli.ground_state_dense
+
+    def counting(h, tols):
+        solves.append(h.p)
+        return solve(h, tols)
+
+    monkeypatch.setattr(cli, "ground_state_dense", counting)
+    args = ["exact", "--model", "heisenberg-xy", "-p", "6", "--jx", "1.0",
+            "--jy", "0.5", "--lam", "0.7"]
+    out = str(tmp_path / "a")
+    assert main(args + ["--out", out]) == 0
+    assert solves == [6]
+    first = [read(os.path.join(out, f)) for f in ("trace.csv", "summary.json")]
+    # the rerun reads the oracle cache and writes the same bytes
+    assert main(args + ["--out", out]) == 0
+    assert solves == [6]
+    assert [read(os.path.join(out, f)) for f in ("trace.csv", "summary.json")] == first
+    # a fresh out dir solves again and still writes the same bytes, apart
+    # from the out path recorded in the config
+    fresh = str(tmp_path / "b")
+    assert main(args + ["--out", fresh]) == 0
+    assert solves == [6, 6]
+    assert read(os.path.join(fresh, "trace.csv")) == first[0]
+    summary = json.loads(read(os.path.join(fresh, "summary.json")))
+    assert summary["final_energy"] == summary["oracle_energy"]
 
 
 def test_run_byte_identical_outputs(tmp_path):

@@ -7,13 +7,17 @@ from tnsolve.hamiltonian import (
     Blocking,
     KroneckerTerm,
     OP_I,
+    OP_X,
+    OP_Y,
     OP_Z,
+    SiteOperator,
     SpinHamiltonian,
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
     apply,
     materialize_dense,
+    pauli_form,
     regroup,
 )
 from tnsolve.tensor import DenseState, DimensionCapError, kron_first_fastest
@@ -167,6 +171,83 @@ def test_apply_matches_dense_random_models(p, boundary):
         assert np.linalg.norm(apply(h, x).vector - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
+PAULI_MODELS = {
+    "ising-open": build_ising(7, 0.7, "open"),
+    "ising-periodic": build_ising(6, 1.3, "periodic"),
+    "xy-open": build_heisenberg_xy(7, 0.8, -0.3, 0.6, "open"),
+    "xy-periodic": build_heisenberg_xy(6, 1.0, 0.5, 0.7, "periodic"),
+    "2d-open": build_ising_2d(2, 4, 0.9, "open"),
+    "2d-periodic": build_ising_2d(3, 3, 0.5, "periodic"),
+}
+
+
+def assert_apply_matches_dense(h, seed):
+    rng = np.random.default_rng(seed)
+    m = materialize_dense(h)
+    for _ in range(3):
+        x = DenseState(h.p, crandn(rng, 2**h.p))
+        ref = m @ x.vector
+        err = np.linalg.norm(apply(h, x).vector - ref)
+        assert err <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+# the open Ising and the XY chains are covered by the tests above
+@pytest.mark.parametrize("name", ["ising-periodic", "2d-open", "2d-periodic"])
+def test_pauli_apply_matches_dense_builders(name):
+    assert_apply_matches_dense(PAULI_MODELS[name], seed=len(name))
+
+
+@pytest.mark.parametrize("name", list(PAULI_MODELS))
+def test_pauli_form_of_builders_is_real(name):
+    # Y (x) Y = -X Z (x) X Z is real, so every builder's weights are real
+    form = pauli_form(PAULI_MODELS[name])
+    assert all(np.isrealobj(w) for _, w in form.groups)
+
+
+def test_pauli_form_groups_by_flip_set():
+    # Ising: one diagonal weight array for every ZZ term, and one scalar
+    # weight per single-site X flip
+    p = 5
+    form = pauli_form(build_ising(p, 0.7, "open"))
+    groups = dict(form.groups)
+    assert len(groups) == p + 1
+    assert np.shape(groups[()]) == (2,) * p
+    for a in range(p):
+        assert np.ndim(groups[(a,)]) == 0 and groups[(a,)] == 0.7
+
+
+CUSTOM_FULL = np.array([[0.3 + 0.1j, 1.2 - 0.4j], [-0.7 + 0.9j, -1.1 + 0.2j]])
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("case", ["full", "sigma-plus", "identity-only", "mixed"])
+def test_pauli_apply_matches_dense_custom(case):
+    p = 4
+    full, splus = SiteOperator.custom(CUSTOM_FULL), SiteOperator.custom(SIGMA_PLUS)
+    terms = {
+        "full": [KroneckerTerm(0.8, (full, OP_I, full, OP_Z))],
+        "sigma-plus": [KroneckerTerm(1.5, (splus, OP_Y, OP_I, splus))],
+        "identity-only": [KroneckerTerm(-2.5, (OP_I,) * p)],
+        "mixed": [KroneckerTerm(0.8, (full, OP_X, OP_I, splus)),
+                  KroneckerTerm(0.4, (OP_Y, OP_Y, OP_I, OP_I)),
+                  KroneckerTerm(-2.5, (OP_I,) * p)],
+    }[case]
+    assert_apply_matches_dense(SpinHamiltonian(p, terms), seed=p)
+
+
+def test_pauli_form_keeps_nonzero_components():
+    # sigma+ = (X + iY)/2 has two components, which share the flip: the
+    # weight (1 - (-1)^b)/2 keeps bit 1 only, and is real
+    splus = SpinHamiltonian(1, [KroneckerTerm(1.0, (SiteOperator.custom(SIGMA_PLUS),))])
+    groups = dict(pauli_form(splus).groups)
+    assert set(groups) == {(0,)} and np.array_equal(groups[(0,)], [0.0, 1.0])
+    # a full matrix has all four
+    full = SpinHamiltonian(1, [KroneckerTerm(1.0, (SiteOperator.custom(CUSTOM_FULL),))])
+    groups = dict(pauli_form(full).groups)
+    assert set(groups) == {(), (0,)}
+    assert all(np.shape(w) == (2,) for w in groups.values())
+
+
 def test_apply_size_mismatch():
     h = build_ising(3, 0.0)
     with pytest.raises(ValueError):
@@ -184,6 +265,13 @@ def test_blocking_validation():
         Blocking((0, 2))
     with pytest.raises(ValueError):
         Blocking.from_string("2,x")
+
+
+def test_blocking_cuts_cached_keeps_equality():
+    a, b = Blocking((3, 1, 2)), Blocking((3, 1, 2))
+    assert a.cuts is a.cuts and a.cuts == (0, 3, 4, 6)
+    assert a == b and hash(a) == hash(b)
+    assert a != Blocking((3, 3)) and len({a, b}) == 1
 
 
 def test_regroup_single_block_is_full_term():

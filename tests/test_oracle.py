@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from tnsolve.hamiltonian import build_ising
+from tnsolve import oracle, tensor
+from tnsolve.config import DEFAULT_TOLS
+from tnsolve.hamiltonian import (
+    build_heisenberg_xy,
+    build_ising,
+    build_ising_2d,
+    materialize_dense,
+)
 from tnsolve.oracle import ground_state_dense, rayleigh
-from tnsolve.tensor import DenseState
+from tnsolve.tensor import DenseState, DimensionCapError
 
 
 def test_two_site_ground_energy():
@@ -55,3 +62,75 @@ def test_rayleigh_zero_vector_rejected():
     h = build_ising(3, 0.0)
     with pytest.raises(ValueError):
         rayleigh(h, DenseState(3, np.zeros(8)))
+
+
+# ---------------------------------------------------------------------------
+# matrix-free ground state against the dense cross-check
+
+ORACLE_MODELS = {
+    "ising-open-10": lambda: build_ising(10, 1.0, "open"),
+    "ising-periodic-10": lambda: build_ising(10, 1.0, "periodic"),
+    "ising-open-7-weak": lambda: build_ising(7, 0.3, "open"),
+    "xy-open-10": lambda: build_heisenberg_xy(10, 1.0, 0.5, 0.7, "open"),
+    "xy-periodic-9": lambda: build_heisenberg_xy(9, 0.8, -0.3, 0.6, "periodic"),
+    "2d-open-2x5": lambda: build_ising_2d(2, 5, 1.0, "open"),
+    "2d-periodic-3x3": lambda: build_ising_2d(3, 3, 0.5, "periodic"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_oracle_matches_dense_eigvalsh(name):
+    h = ORACLE_MODELS[name]()
+    m = materialize_dense(h)
+    want = np.linalg.eigvalsh(m)[0]
+    e0, x0 = ground_state_dense(h)
+    assert abs(e0 - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(np.linalg.norm(x0.vector) - 1.0) <= 1e-12
+    assert np.linalg.norm(m @ x0.vector - e0 * x0.vector) <= 1e-8
+
+
+def test_oracle_vector_phase_normalized():
+    _, x0 = ground_state_dense(build_heisenberg_xy(6, 1.0, 0.5, 0.7, "open"))
+    first = x0.vector[np.flatnonzero(np.abs(x0.vector) > 1e-300)[0]]
+    assert first.imag == 0.0 and first.real > 0.0
+
+
+def test_oracle_never_materializes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle formed the dense matrix")
+
+    monkeypatch.setattr(oracle, "materialize_dense", refuse)
+    e0, _ = ground_state_dense(build_ising(8, 1.0, "periodic"))
+    assert np.isfinite(e0)
+
+
+def test_oracle_eigensolves_stay_small(monkeypatch):
+    # the projected Krylov matrices are all that reach the dense eigensolver
+    sizes = []
+    solve = tensor.hermitian_eig
+
+    def recording(m, tols=DEFAULT_TOLS):
+        sizes.append(np.shape(m)[0])
+        return solve(m, tols)
+
+    monkeypatch.setattr(tensor, "hermitian_eig", recording)
+    for build in (ORACLE_MODELS["ising-open-10"], ORACLE_MODELS["xy-open-10"],
+                  ORACLE_MODELS["2d-open-2x5"]):
+        ground_state_dense(build())
+    assert sizes and max(sizes) < 256
+
+
+def test_oracle_cap_still_refuses():
+    with pytest.raises(DimensionCapError):
+        ground_state_dense(build_ising(DEFAULT_TOLS.dense_site_cap + 1, 1.0))
+
+
+@pytest.mark.parametrize("p", [2, 5, 8, 10])
+def test_oracle_degenerate_ground_space_residual(p):
+    # at zero field the ground space is two-fold degenerate: any vector of it
+    # is an answer, and it must be an eigenvector to the residual bound
+    h = build_ising(p, 0.0, "open")
+    e0, x0 = ground_state_dense(h)
+    assert e0 == pytest.approx(-(p - 1), abs=1e-10)
+    r = materialize_dense(h) @ x0.vector - e0 * x0.vector
+    assert np.linalg.norm(r) <= 1e-8
