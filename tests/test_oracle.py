@@ -6,6 +6,12 @@ import pytest
 from tnsolve import oracle, tensor
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
+    OP_I,
+    OP_X,
+    OP_Z,
+    KroneckerTerm,
+    SiteOperator,
+    SpinHamiltonian,
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
@@ -134,3 +140,11 @@ def test_oracle_degenerate_ground_space_residual(p):
     assert e0 == pytest.approx(-(p - 1), abs=1e-10)
     r = materialize_dense(h) @ x0.vector - e0 * x0.vector
     assert np.linalg.norm(r) <= 1e-8
+
+
+def test_oracle_refuses_non_hermitian():
+    splus = SiteOperator.custom([[0.0, 1.0], [0.0, 0.0]])
+    h = SpinHamiltonian(3, [KroneckerTerm(1.0, (splus, OP_Z, OP_I)),
+                            KroneckerTerm(0.5, (OP_X, OP_X, OP_X))])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ground_state_dense(h)
