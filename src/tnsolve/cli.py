@@ -224,8 +224,11 @@ def build_model(spec: ModelSpec) -> SpinHamiltonian:
 # ---------------------------------------------------------------------------
 # oracle caching
 
-def _model_hash(h: SpinHamiltonian) -> str:
-    return hashlib.sha256(h.model_key().encode()).hexdigest()
+def _model_hash(h: SpinHamiltonian, tols: Tolerances = DEFAULT_TOLS) -> str:
+    """Cache key of an oracle energy: the model, and the convergence
+    tolerance at which the Krylov solve stops."""
+    key = f"{h.model_key()}|convergence={tols.convergence!r}"
+    return hashlib.sha256(key.encode()).hexdigest()
 
 
 def _read_cache(path: str) -> dict:
@@ -239,13 +242,14 @@ def _read_cache(path: str) -> dict:
 def cached_oracle_energy(h: SpinHamiltonian, out_dir: str,
                          tols: Tolerances = DEFAULT_TOLS) -> float | None:
     """Ground-state energy from the dense oracle, memoized on disk keyed by
-    the model hash.  Returns None above the dense cap.  Hits read without
-    locking; a miss merges its entry into the file under an exclusive lock
-    on a sidecar file, so concurrent writers keep each other's entries."""
+    the model and the oracle's stopping tolerance.  Returns None above the
+    dense cap.  Hits read without locking; a miss merges its entry into the
+    file under an exclusive lock on a sidecar file, so concurrent writers
+    keep each other's entries."""
     if h.p > tols.dense_site_cap:
         return None
     path = os.path.join(out_dir, "oracle_cache.json")
-    key = _model_hash(h)
+    key = _model_hash(h, tols)
     cache = _read_cache(path)
     if key in cache:
         return float(cache[key])

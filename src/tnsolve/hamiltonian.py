@@ -3,6 +3,12 @@
 Terms are stored fully expanded to length p (identities explicit), which
 keeps regrouping and blocked contractions uniform.  2D lattices are numbered
 row-major: site (r, c) of a rows x cols lattice is chain position r*cols + c.
+
+A :class:`BlockTable` compiles the terms against any list of site groups
+(the blocks of a :class:`Blocking`, or the factor groups of a mixed term):
+per group a stack of the distinct block operators, identity first, and an
+integer incidence saying which entry each term uses there.  Blocked solvers
+then work on gathers and batched products instead of per-term loops.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import flops
 from .config import DEFAULT_TOLS
 from .tensor import DenseState, DimensionCapError, kron_first_fastest
 
@@ -58,6 +65,14 @@ class SiteOperator:
     @property
     def is_identity(self) -> bool:
         return self.kind == "I"
+
+    @property
+    def key(self) -> str:
+        """The letter of a named operator, a custom one's matrix bytes:
+        equality ignores the custom matrix, keys do not."""
+        if self.kind == "custom":
+            return f"C[{self.matrix.tobytes().hex()}]"
+        return self.kind
 
 
 OP_I = SiteOperator.named("I")
@@ -163,8 +178,7 @@ class SpinHamiltonian:
         operators appear by their letter, custom ones by their matrix bytes."""
         parts = [f"p={self.p}"]
         for t in self.terms:
-            ops = "".join(f.kind if f.kind != "custom"
-                          else f"C[{f.matrix.tobytes().hex()}]" for f in t.factors)
+            ops = "".join(f.key for f in t.factors)
             parts.append(f"{t.coefficient!r}:{ops}")
         return ";".join(parts)
 
@@ -337,69 +351,81 @@ def apply(h: SpinHamiltonian, x: DenseState) -> DenseState:
 
 
 # ---------------------------------------------------------------------------
-# regrouping to a blocking
+# block-operator tables and regrouping to a blocking
 
-class BlockedHamiltonian:
-    """View of a Hamiltonian regrouped to a blocking: per term k and block i
-    exposes H_i^(k), the Kronecker product of the term's factors inside the
-    block, both matrix-free and as an explicit matrix."""
+class BlockTable:
+    """The terms of a Hamiltonian restricted to a list of site groups.
+
+    ``ops[i]`` stacks the distinct restrictions of the terms to group i as
+    (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts to
+    ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
+    first site is its fastest bit (:func:`kron_first_fastest`, ``order="F"``).
+    """
+
+    def __init__(self, h: SpinHamiltonian, groups):
+        groups = [tuple(g) for g in groups]
+        self.idx = np.zeros((h.num_terms, len(groups)), dtype=np.intp)
+        ops = []
+        for i, sites in enumerate(groups):
+            seen = {("I",) * len(sites): 0}
+            distinct = [[OP_I] * len(sites)]
+            for k, term in enumerate(h.terms):
+                factors = [term.factors[s] for s in sites]
+                key = tuple(f.key for f in factors)
+                if key not in seen:
+                    seen[key] = len(distinct)
+                    distinct.append(factors)
+                self.idx[k, i] = seen[key]
+            mats = np.array([[f.matrix for f in fs] for fs in distinct])
+            ops.append(kron_first_fastest(mats.transpose(1, 0, 2, 3)))
+        self.ops = tuple(ops)
+        self.alpha = np.array([t.coefficient for t in h.terms])
+
+    def grams(self, i: int, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        """bra^H O_{i,u} ket for every distinct operator u of group i:
+        (U_i, m, m') from (n_i, m) and (n_i, m') column stacks."""
+        return flops.matmul(bra.conj().T, flops.matmul(self.ops[i], ket))
+
+    def collect(self, i: int, per_term: np.ndarray) -> np.ndarray:
+        """sum_{k : idx[k, i] = u} per_term[k] for every u: (U_i, ...)."""
+        onehot = np.eye(len(self.ops[i]))[self.idx[:, i]]
+        return np.tensordot(onehot, per_term, axes=(0, 0))
+
+
+class BlockedHamiltonian(BlockTable):
+    """The block table of a Hamiltonian over the contiguous blocks of a
+    blocking.  H_i^(k), block i of term k, has three views for per-term
+    callers: whether it is the identity, its matrix, and its action."""
 
     def __init__(self, h: SpinHamiltonian, blocking: Blocking):
         if blocking.p != h.p:
             raise ValueError(
                 f"blocking covers {blocking.p} sites, Hamiltonian has {h.p}"
             )
+        super().__init__(h, map(blocking.block_sites, range(blocking.q)))
         self.hamiltonian = h
         self.blocking = blocking
-        self._matrix_cache: dict = {}
 
     @property
     def num_terms(self) -> int:
         return self.hamiltonian.num_terms
 
-    @property
-    def q(self) -> int:
-        return self.blocking.q
-
     def coefficient(self, k: int) -> float:
         return self.hamiltonian.terms[k].coefficient
 
-    def block_factors(self, k: int, i: int) -> list:
-        sites = self.blocking.block_sites(i)
-        return [self.hamiltonian.terms[k].factors[j] for j in sites]
-
     def is_identity_block(self, k: int, i: int) -> bool:
-        return all(f.is_identity for f in self.block_factors(k, i))
+        return bool(self.idx[k, i] == 0)
 
     def block_matrix(self, k: int, i: int) -> np.ndarray:
         """Explicit 2^{t_i} x 2^{t_i} matrix of block i of term k."""
-        key = (k, i)
-        if key not in self._matrix_cache:
-            self._matrix_cache[key] = kron_first_fastest(
-                [f.matrix for f in self.block_factors(k, i)]
-            )
-        return self._matrix_cache[key]
+        return self.ops[i][self.idx[k, i]]
 
     def apply_block(self, k: int, i: int, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free action of block i of term k on length-2^{t_i} vectors.
-
-        Accepts a vector or a (2^{t_i}, m) stack of columns; identity factors
-        are skipped.  Costs one length-2^{t_i} pass per non-identity site.
-        """
-        from . import flops
-
+        """Block i of term k applied to a length-2^{t_i} vector or to a
+        (2^{t_i}, m) stack of columns, charged as a dense product."""
         vec = np.asarray(vec, dtype=complex)
-        t_i = self.blocking.widths[i]
-        stack = vec.reshape(2**t_i, -1)
-        cols = stack.shape[1]
-        cur = stack.reshape((2,) * t_i + (cols,), order="F")
-        for r, f in enumerate(self.block_factors(k, i)):
-            if f.is_identity:
-                continue
-            cur = np.moveaxis(np.tensordot(f.matrix, cur, axes=(1, r)), 0, r)
-            flops.add(2 * cur.size)
-        out = cur.reshape(2**t_i, cols, order="F")
-        return out.reshape(vec.shape)
+        stack = vec.reshape(2 ** self.blocking.widths[i], -1)
+        return flops.matmul(self.block_matrix(k, i), stack).reshape(vec.shape)
 
 
 def regroup(h: SpinHamiltonian, blocking: Blocking) -> BlockedHamiltonian:

@@ -9,15 +9,21 @@ without materializing 2^p vectors and count their operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, SpinHamiltonian
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian
 from .mps import MpsState, _zipper_init
-from .parafac import _AlignedCrossTerms, _greedy_core
+from .parafac import (
+    BlockedCp,
+    _AlignedCrossTerms,
+    _greedy_core,
+    apply_hamiltonian,
+    as_diagonal_mps,
+)
 from .tensor import DenseState, _contract_labelled, ravel
 
 
@@ -55,6 +61,10 @@ class MixedTerm:
         p = self.p
         start = (self.offset + self.blocking.cuts[j]) % p
         return tuple((start + r) % p for r in range(self.blocking.widths[j]))
+
+    def block_sites_list(self) -> list:
+        """Per factor: the chain positions it covers, in factor bit order."""
+        return [self.block_sites(j) for j in range(self.blocking.q)]
 
     def wraps(self) -> bool:
         return self.offset != 0
@@ -158,14 +168,8 @@ class MixedTermSum:
 
 def _term_pieces(term) -> list:
     """(site labels, bit tensor) pairs for one term, weight excluded."""
-    if isinstance(term, PatternedTerm2D):
-        sites_list = term.block_sites_list()
-    else:
-        sites_list = [term.block_sites(j) for j in range(term.blocking.q)]
-    pieces = []
-    for sites, f in zip(sites_list, term.factors):
-        pieces.append((tuple(sites), f.reshape((2,) * len(sites), order="F")))
-    return pieces
+    return [(tuple(sites), f.reshape((2,) * len(sites), order="F"))
+            for sites, f in zip(term.block_sites_list(), term.factors)]
 
 
 def _outer_labelled(pieces, order) -> np.ndarray:
@@ -320,11 +324,7 @@ def inner_mixed_pbc(x: MixedTerm, y: MixedTerm) -> complex:
     leftover ones, keeping each step below 2^{3r/2} operations."""
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
-    pieces = []
-    for sites, t in _term_pieces(x):
-        pieces.append((sites, t))
-    for sites, t in _term_pieces(y):
-        pieces.append((sites, t.conj()))
+    pieces = _term_pieces(x) + [(sites, t.conj()) for sites, t in _term_pieces(y)]
     scalar, _ = _contract_network(pieces)
     return complex(np.conj(y.weight) * x.weight * scalar)
 
@@ -368,23 +368,15 @@ def inner_sum(x: MixedTermSum, y: MixedTermSum) -> complex:
 # ---------------------------------------------------------------------------
 # Hamiltonian expectation
 
-def _apply_term_ops(h: SpinHamiltonian, k: int, term):
-    """New term with the k-th Hamiltonian term's site operators absorbed into
-    the block vectors (coefficient excluded)."""
-    hterm = h.terms[k]
-    new_factors = []
-    for sites, t in _term_pieces(term):
-        for r, s in enumerate(sites):
-            op = hterm.factors[s]
-            if op.is_identity:
-                continue
-            t = np.moveaxis(np.tensordot(op.matrix, t, axes=(1, r)), 0, r)
-            flops.add(2 * t.size)
-        new_factors.append(t.reshape(-1, order="F"))
-    if isinstance(term, PatternedTerm2D):
-        return PatternedTerm2D(term.sb_rows, term.sb_cols, term.r_sites,
-                               term.pattern, new_factors, term.weight)
-    return MixedTerm(term.blocking, new_factors, term.weight, term.offset)
+def _apply_term_ops(h: SpinHamiltonian, term) -> list:
+    """Per Hamiltonian term k, a copy of `term` with H^(k) absorbed into its
+    factors (coefficient excluded): O_{j,u} f_j for every factor j and
+    distinct block operator u of the term's own :class:`BlockTable`, then
+    gathered at u = idx[k, j]."""
+    table = BlockTable(h, term.block_sites_list())
+    applied = [flops.matmul(ops, f) for ops, f in zip(table.ops, term.factors)]
+    return [replace(term, factors=[a[u] for a, u in zip(applied, row)])
+            for row in table.idx]
 
 
 def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
@@ -395,12 +387,12 @@ def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
     if h.p != x.p:
         raise ValueError("Hamiltonian and state sizes differ")
     kernel = _pair_kernel(x.geometry)
+    applied = [_apply_term_ops(h, ket) for ket in x.terms]
     total = 0.0 + 0.0j
     for k, hterm in enumerate(h.terms):
-        for ket in x.terms:
-            applied = _apply_term_ops(h, k, ket)
+        for kets in applied:
             for bra in x.terms:
-                total += hterm.coefficient * kernel(applied, bra)
+                total += hterm.coefficient * kernel(kets[k], bra)
     if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -460,61 +452,60 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
 # ---------------------------------------------------------------------------
 # greedy ground-state search over a schedule of blockings
 
+def _chain_pieces(x: BlockedCp, tag) -> list:
+    """Labelled pieces of a blocked CP state as its diagonal chain
+    (:func:`as_diagonal_mps`): block j carries its sites and the addend bonds
+    ("b", tag, j) and ("b", tag, j + 1), less the two unit outer bonds."""
+    q = x.blocking.q
+    pieces = []
+    for j, site in enumerate(as_diagonal_mps(x).sites):
+        sites = [("s", s) for s in x.blocking.block_sites(j)]
+        labels = [("b", tag, j)] + sites + [("b", tag, j + 1)]
+        shape = (site.shape[0],) + (2,) * len(sites) + (site.shape[2],)
+        lo, hi = int(j == 0), len(labels) - int(j == q - 1)
+        pieces.append((tuple(labels[lo:hi]),
+                       site.reshape(shape, order="F").reshape(shape[lo:hi])))
+    return pieces
+
+
 class _MixedCrossTerms:
     """Cross contractions of the working addend against frozen addends with
     arbitrary (possibly different) open-boundary blockings, via labelled
-    piece networks with the working block's sites left open."""
+    piece networks with the working block's sites left open.
+
+    Each frozen addend y and its image H y (rank M in y's blocking) are
+    built once per stage as diagonal chains: one network per frozen addend.
+    `beta` and `rho` are the frozen sum's <y, H y> and <y, y>."""
 
     def __init__(self, h: SpinHamiltonian, blocked, frozen_terms,
                  tols: Tolerances):
-        self.h = h
-        self.tols = tols
-        self.blocked = blocked
         self.blocking = blocked.blocking
-        self.frozen = [
-            MixedTerm(b, [c.copy() for c in cols], w)
-            for b, cols, w in frozen_terms
-        ]
+        frozen = MixedTermSum(h.p, [MixedTerm(b, cols, w)
+                                    for b, cols, w in frozen_terms], "1d-open")
+        self.beta = expectation_mixed(h, frozen, tols)
+        self.rho = float(inner_sum(frozen, frozen).real)
+        cps = [BlockedCp(b, [c[:, None] for c in cols], [w])
+               for b, cols, w in frozen_terms]
+        self.kets = [_chain_pieces(y, n) for n, y in enumerate(cps)]
+        self.images = [_chain_pieces(apply_hamiltonian(h, y), n)
+                       for n, y in enumerate(cps)]
 
-    def _as_sum(self):
-        return MixedTermSum(self.h.p, self.frozen, "1d-open")
-
-    def frozen_energy_numerator(self) -> float:
-        return expectation_mixed(self.h, self._as_sum(), self.tols)
-
-    def frozen_norm_sq(self) -> float:
-        return float(inner_sum(self._as_sum(), self._as_sum()).real)
-
-    def _open_contract(self, x_cols, i, apply_k=None):
+    def _open_contract(self, x_cols, i, kets):
         cuts = self.blocking.cuts
         open_sites = tuple(("s", s) for s in range(cuts[i], cuts[i + 1]))
+        bras = [(tuple(("s", s) for s in sites), t.conj()) for j, (sites, t)
+                in enumerate(_term_pieces(MixedTerm(self.blocking, x_cols))) if j != i]
         total = np.zeros(2 ** self.blocking.widths[i], dtype=complex)
-        for term in self.frozen:
-            ket = term if apply_k is None else _apply_term_ops(self.h, apply_k, term)
-            pieces = []
-            for sites, t in _term_pieces(ket):
-                pieces.append((tuple(("s", s) for s in sites), t))
-            for j in range(self.blocking.q):
-                if j == i:
-                    continue
-                sites = tuple(("s", s) for s in
-                              range(cuts[j], cuts[j + 1]))
-                pieces.append(
-                    (sites, x_cols[j].conj().reshape((2,) * len(sites), order="F"))
-                )
-            scalar, tens = _contract_network(pieces, open_labels=open_sites)
-            total += term.weight * scalar * tens.reshape(-1, order="F")
+        for pieces in kets:
+            scalar, tens = _contract_network(pieces + bras, open_labels=open_sites)
+            total += scalar * tens.reshape(-1, order="F")
         return total
 
     def numerator_vector(self, x_cols, i):
-        dim = 2 ** self.blocking.widths[i]
-        u = np.zeros(dim, dtype=complex)
-        for k, hterm in enumerate(self.h.terms):
-            u += hterm.coefficient * self._open_contract(x_cols, i, apply_k=k)
-        return u
+        return self._open_contract(x_cols, i, self.images)
 
     def denominator_vector(self, x_cols, i):
-        return self._open_contract(x_cols, i, apply_k=None)
+        return self._open_contract(x_cols, i, self.kets)
 
 
 def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,

@@ -41,11 +41,6 @@ class EffectiveCpProblem:
     numerator: np.ndarray
     denominator: np.ndarray
 
-    def hermiticity_defect(self) -> float:
-        a, b = self.numerator, self.denominator
-        return max(float(np.linalg.norm(a - a.conj().T)),
-                   float(np.linalg.norm(b - b.conj().T)))
-
     def solve_min(self, tols: Tolerances = DEFAULT_TOLS):
         """Smallest eigenpair, projecting onto the nonsingular subspace of
         the denominator when it is not positive definite."""
@@ -142,63 +137,47 @@ def to_dense(x: BlockedCp) -> DenseState:
 # ---------------------------------------------------------------------------
 # contractions
 
-def _gram_form(y: BlockedCp, factors: list, weights: np.ndarray) -> complex:
-    """y^H z for the addends z_m = weights_m * (factors_1[:, m] (x) ...): the
-    Hadamard product of the per-mode Gram matrices, weighted on both sides."""
-    prod = None
-    for fy, fz in zip(y.factors, factors):
-        flops.add(fy.shape[0] * fy.shape[1] * fz.shape[1])
-        gram = fy.conj().T @ fz
-        if prod is None:
-            prod = gram
-        else:
-            flops.add(gram.size)
-            prod = prod * gram
-    flops.add(prod.size + prod.shape[0])
-    return y.weights.conj() @ prod @ weights
-
-
 def inner(y: BlockedCp, x: BlockedCp) -> complex:
-    """<y, x>: per addend pair a product of q block dots."""
+    """<y, x> = w_y^H (Hadamard product over modes of Y_i^H X_i) w_x: per
+    addend pair a product of q block dots."""
     if y.blocking != x.blocking:
         raise ValueError("inner product requires identical blockings")
-    return complex(_gram_form(y, x.factors, x.weights))
-
-
-def _op_factors(blocked: BlockedHamiltonian, k: int, x: BlockedCp) -> list:
-    out = []
-    for i, f in enumerate(x.factors):
-        out.append(f if blocked.is_identity_block(k, i)
-                   else blocked.apply_block(k, i, f))
-    return out
+    prod = 1.0
+    for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
+        gram = flops.matmul(fy.conj().T, fx)
+        if i:
+            flops.add(gram.size)
+        prod = prod * gram
+    flops.add(prod.size + prod.shape[0])
+    return complex(y.weights.conj() @ prod @ x.weights)
 
 
 def expectation_form(blocked: BlockedHamiltonian, y: BlockedCp,
                      x: BlockedCp) -> complex:
-    """<y, H x> with the small block matrix-vector products done matrix-free."""
+    """<y, H x> = sum_k alpha_k w_y^H (Hadamard product over modes of
+    Y_i^H H_i^(k) X_i) w_x, the per-mode Gram matrices gathered from one
+    batched product over the block's distinct operators."""
     if y.blocking != x.blocking or blocked.blocking != x.blocking:
         raise ValueError("expectation requires one common blocking")
-    total = 0.0 + 0.0j
-    for k in range(blocked.num_terms):
-        total += blocked.coefficient(k) * _gram_form(
-            y, _op_factors(blocked, k, x), x.weights)
-    return complex(total)
+    prod = blocked.alpha[:, None, None]
+    for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
+        prod = prod * blocked.grams(i, fy, fx)[blocked.idx[:, i]]
+        flops.add(prod.size)
+    flops.add(prod.size + prod.shape[1])
+    return complex(y.weights.conj() @ prod.sum(axis=0) @ x.weights)
 
 
 def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
-    """H x as a blocked CP state of rank M * D; coefficients are absorbed
-    into the first mode."""
+    """H x as a blocked CP state of rank M * D, addend k*D + l holding term
+    k applied to addend l; coefficients are absorbed into the first mode."""
     blocked = regroup(h, x.blocking)
-    new_factors = [[] for _ in range(x.blocking.q)]
-    new_weights = []
-    for k in range(blocked.num_terms):
-        opf = _op_factors(blocked, k, x)
-        for i in range(x.blocking.q):
-            scaled = opf[i] * blocked.coefficient(k) if i == 0 else opf[i]
-            new_factors[i].append(scaled)
-        new_weights.append(x.weights)
-    factors = [np.concatenate(cols, axis=1) for cols in new_factors]
-    return BlockedCp(x.blocking, factors, np.concatenate(new_weights))
+    factors = []
+    for i, (ops, f) in enumerate(zip(blocked.ops, x.factors)):
+        applied = flops.matmul(ops, f)[blocked.idx[:, i]]
+        if i == 0:
+            applied = applied * blocked.alpha[:, None, None]
+        factors.append(applied.transpose(1, 0, 2).reshape(f.shape[0], -1))
+    return BlockedCp(x.blocking, factors, np.tile(x.weights, blocked.alpha.size))
 
 
 def cp_energy(h: SpinHamiltonian, x: BlockedCp) -> float:
@@ -211,17 +190,14 @@ def cp_energy(h: SpinHamiltonian, x: BlockedCp) -> float:
 def as_diagonal_mps(x: BlockedCp) -> MpsState:
     """Equivalent open chain with diagonal matrices: addend l occupies the
     l-th diagonal entry of every bond; weights fold into the first site."""
-    q, d_rank = x.blocking.q, x.rank
+    q, eye = x.blocking.q, np.eye(x.rank)
     sites = []
     for i, f in enumerate(x.factors):
-        d = f.shape[0]
-        first, last = i == 0, i == q - 1
-        dl = 1 if first else d_rank
-        dr = 1 if last else d_rank
-        a = np.zeros((dl, d, dr), dtype=complex)
-        for l in range(d_rank):
-            col = f[:, l] * (x.weights[l] if first else 1.0)
-            a[0 if first else l, :, 0 if last else l] += col
+        a = f[None] * eye[:, None]  # a[l, :, m] = delta_lm f[:, m]
+        if i == 0:
+            a = (a * x.weights[:, None, None]).sum(axis=0, keepdims=True)
+        if i == q - 1:
+            a = a.sum(axis=2, keepdims=True)
         sites.append(a)
     return MpsState("open", x.blocking, sites)
 
@@ -236,19 +212,15 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
     lies inside that block, and it enters with its coefficient.
     """
     blocked = regroup(h, blocking)
-    cuts = blocking.cuts
     rng = np.random.default_rng(seed)
     factors = []
     for i, w in enumerate(blocking.widths):
         dim = 2**w
-        local = np.zeros((dim, dim), dtype=complex)
-        lo, hi = cuts[i], cuts[i + 1]
-        for k, term in enumerate(h.terms):
-            # a term is block-local when every non-identity factor lies inside;
-            # skipping fully-elsewhere terms drops only an identity shift
-            if not all(lo <= s < hi for s in term.support()):
-                continue
-            local += term.coefficient * blocked.block_matrix(k, i)
+        # a term is block-local when it is the identity on every other block;
+        # skipping fully-elsewhere terms drops only an identity shift
+        others = np.delete(blocked.idx, i, axis=1)
+        local_alpha = np.where((others == 0).all(axis=1), blocked.alpha, 0.0)
+        local = np.tensordot(blocked.collect(i, local_alpha), blocked.ops[i], axes=1)
         _, vecs = hermitian_eig(local)
         take = min(rank, dim)
         cols = [vecs[:, j] for j in range(take)]
@@ -266,24 +238,19 @@ def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i, rank_one: bool):
     """Self block of the working addend at mode i: gamma = prod_{j != i}
     x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k).
     Returns (h_i, gamma); for the pure rank-one stage h_i comes divided by
-    gamma, term by term, so its lowest eigenpair is the update."""
-    q = blocked.q
+    gamma, so its lowest eigenpair is the update.  The scalars come from
+    s_j[u] = x_j^H O_{j,u} x_j, one batched product per mode (s_j[0] = |x_j|^2).
+    """
     gamma = 1.0
-    for j in range(q):
+    b = blocked.alpha
+    for j, x in enumerate(x_cols):
         if j != i:
-            gamma *= float(np.real(np.vdot(x_cols[j], x_cols[j])))
+            col = x[:, None]
+            s = blocked.grams(j, col, col)[:, 0, 0].real
+            gamma *= float(s[0])
+            b = b * s[blocked.idx[:, j]]
     scale = gamma if rank_one else 1.0
-    dim = x_cols[i].shape[0]
-    h_i = np.zeros((dim, dim), dtype=complex)
-    for k in range(blocked.num_terms):
-        bk = 1.0
-        for j in range(q):
-            if j == i:
-                continue
-            hx = (x_cols[j] if blocked.is_identity_block(k, j)
-                  else blocked.apply_block(k, j, x_cols[j]))
-            bk *= float(np.real(np.vdot(x_cols[j], hx)))
-        h_i += (blocked.coefficient(k) * bk / scale) * blocked.block_matrix(k, i)
+    h_i = flops.tdot(blocked.collect(i, b / scale), blocked.ops[i], axes=1)
     return h_i, gamma
 
 
@@ -300,7 +267,8 @@ def _stack_addends(blocking: Blocking, frozen_terms) -> BlockedCp:
 class _AlignedCrossTerms:
     """Cross contractions of the working addend against frozen addends that
     share its blocking.  The bordered problem adds x_i^H u_i + u_i^H x_i to
-    the numerator and x_i^H v_i + v_i^H x_i to the denominator, so
+    the numerator and x_i^H v_i + v_i^H x_i to the denominator; the frozen
+    sum y fills the corners with `beta` = <y, H y> and `rho` = <y, y>.  Here
 
         u_i = sum_k alpha_k sum_l w_l (prod_{j != i} x_j^H H_j^(k) y_j^(l))
                   * H_i^(k) y_i^(l)
@@ -310,31 +278,28 @@ class _AlignedCrossTerms:
     def __init__(self, blocked: BlockedHamiltonian, frozen_terms):
         self.blocked = blocked
         self.frozen = _stack_addends(blocked.blocking, frozen_terms)
+        # O_{j,u} Y_j for every block and distinct operator; the frozen
+        # addends do not change within a stage
+        self.applied = [flops.matmul(ops, f) for ops, f in
+                        zip(blocked.ops, self.frozen.factors)]
+        self.beta = float(expectation_form(blocked, self.frozen, self.frozen).real)
+        self.rho = float(inner(self.frozen, self.frozen).real)
 
-    def frozen_energy_numerator(self) -> float:
-        return float(expectation_form(self.blocked, self.frozen, self.frozen).real)
-
-    def frozen_norm_sq(self) -> float:
-        return float(inner(self.frozen, self.frozen).real)
-
-    def _weighted_sum(self, x_cols, factors, i):
-        """sum_l w_l (prod_{j != i} x_j^H factors_j[:, l]) factors_i[:, l]."""
-        coeffs = self.frozen.weights
-        for j, f in enumerate(factors):
+    def _cross(self, x_cols, i, alpha, idx):
+        """sum_k alpha_k sum_l w_l (prod_{j != i} x_j^H O_{j,idx[k,j]} y_j^(l))
+        * O_{i,idx[k,i]} y_i^(l)."""
+        coeffs = alpha[:, None] * self.frozen.weights
+        for j, (x, oy) in enumerate(zip(x_cols, self.applied)):
             if j != i:
-                coeffs = coeffs * (x_cols[j].conj() @ f)
-        return factors[i] @ coeffs
+                coeffs = coeffs * flops.matmul(x.conj(), oy)[idx[:, j]]
+        return flops.tdot(self.applied[i][idx[:, i]], coeffs, axes=([0, 2], [0, 1]))
 
     def numerator_vector(self, x_cols, i):
-        blocked = self.blocked
-        u = np.zeros(x_cols[i].shape[0], dtype=complex)
-        for k in range(blocked.num_terms):
-            opf = _op_factors(blocked, k, self.frozen)
-            u += blocked.coefficient(k) * self._weighted_sum(x_cols, opf, i)
-        return u
+        return self._cross(x_cols, i, self.blocked.alpha, self.blocked.idx)
 
     def denominator_vector(self, x_cols, i):
-        return self._weighted_sum(x_cols, self.frozen.factors, i)
+        # one term that is the identity (entry 0) on every block
+        return self._cross(x_cols, i, np.ones(1), np.zeros((1, len(x_cols)), int))
 
 
 def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
@@ -346,9 +311,10 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
     trace = []
     frozen_terms = []  # list of (blocking, cols, weight)
     max_restarts = 10
+    regrouped = {b: regroup(h, b) for b in addend_blockings}
 
     for stage, blocking in enumerate(addend_blockings):
-        blocked = regroup(h, blocking)
+        blocked = regrouped[blocking]
         q = blocking.q
 
         def fresh_cols():
@@ -363,9 +329,6 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
         else:
             x_cols = fresh_cols()
         cross = cross_factory(blocked, frozen_terms) if frozen_terms else None
-        if cross is not None:
-            beta = cross.frozen_energy_numerator()
-            rho = cross.frozen_norm_sq()
         restarts = 0
         degenerate = False
         it = 0
@@ -383,7 +346,8 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
                     dim = x_cols[i].shape[0]
                     u_i = cross.numerator_vector(x_cols, i)
                     v_i = cross.denominator_vector(x_cols, i)
-                    problem = bordered_problem(h_i, u_i, beta, gamma, v_i, rho)
+                    problem = bordered_problem(h_i, u_i, cross.beta, gamma, v_i,
+                                               cross.rho)
                     lam, vec = problem.solve_min(tols)
                     pin = vec[dim]
                     if abs(pin) < 1e-12 * np.linalg.norm(vec):
@@ -451,6 +415,27 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
 # ---------------------------------------------------------------------------
 # simultaneous ALS (all addends of one mode at once)
 
+def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp,
+                  i: int) -> EffectiveCpProblem:
+    """The rank*2^{t_i} pencil of mode i over the stacked addend vectors:
+    a_mat = sum_u kron(C_u, O_{i,u}) with C_u = sum_{k : idx[k, i] = u}
+    alpha_k (ww * prod_{j != i} G_j[idx[k, j]]), b_mat = kron(ww * prod_{j != i}
+    G_j[0], I), where ww = conj(w) w^T and G_j[u] = X_j^H O_{j,u} X_j."""
+    ww = np.outer(x.weights.conj(), x.weights)
+    coeff = blocked.alpha[:, None, None] * ww
+    gram = ww
+    for j, f in enumerate(x.factors):
+        if j != i:
+            g = blocked.grams(j, f, f)
+            coeff = coeff * g[blocked.idx[:, j]]
+            gram = gram * g[0]
+    ops = blocked.ops[i]
+    dim, rank = ops.shape[1], x.rank
+    a_mat = flops.tdot(blocked.collect(i, coeff), ops, axes=(0, 0))
+    a_mat = a_mat.transpose(0, 2, 1, 3).reshape(rank * dim, rank * dim)
+    return EffectiveCpProblem(a_mat, np.kron(gram, np.eye(dim)))
+
+
 def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
                      sweeps: int = 50, seed: int | None = 0,
                      init: str | BlockedCp = "random",
@@ -475,26 +460,9 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     for sweep in range(sweeps):
         energy = None
         for i in range(q):
-            dim = 2 ** blocking.widths[i]
-            ww = np.outer(x.weights.conj(), x.weights)
-            a_mat = np.zeros((rank * dim,) * 2, dtype=complex)
-            for k in range(blocked.num_terms):
-                opf = _op_factors(blocked, k, x)
-                coeff = ww.copy()
-                for j in range(q):
-                    if j == i:
-                        continue
-                    coeff = coeff * (x.factors[j].conj().T @ opf[j])
-                a_mat += blocked.coefficient(k) * np.kron(coeff, blocked.block_matrix(k, i))
-            gram = ww.copy()
-            for j in range(q):
-                if j == i:
-                    continue
-                gram = gram * (x.factors[j].conj().T @ x.factors[j])
-            b_mat = np.kron(gram, np.eye(dim))
-            lam, vec = EffectiveCpProblem(a_mat, b_mat).solve_min(tols)
+            lam, vec = _mode_problem(blocked, x, i).solve_min(tols)
             energy = lam
-            x.factors[i] = vec.reshape(rank, dim).T
+            x.factors[i] = vec.reshape(rank, -1).T
             x.weights = np.ones(rank, dtype=complex)
             trace.append(TraceEntry(0, sweep, i, energy, flops.current_total()))
         x = x.normalize_addends()

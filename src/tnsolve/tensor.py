@@ -49,10 +49,13 @@ def unravel(v: np.ndarray, shape: Sequence[int]) -> np.ndarray:
 
 def kron_first_fastest(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of per-mode matrices acting on first-index-fastest
-    vectors: mode 1 is the least significant index of the result."""
+    vectors: mode 1 is the least significant index of the result.  Stacks of
+    shape (..., a, b) are multiplied stack entry by stack entry."""
     out = np.eye(1)
-    for m in mats:  # np.kron puts the *first* factor most significant
-        out = np.kron(m, out)
+    for m in mats:  # each later mode is more significant, as in np.kron(m, out)
+        out = np.asarray(m)[..., :, None, :, None] * out[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                            out.shape[-2] * out.shape[-1]))
     return out
 
 

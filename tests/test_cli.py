@@ -21,12 +21,14 @@ from tnsolve.cli import (
     main,
     reproduce_figure,
 )
+from tnsolve.config import Tolerances
 from tnsolve.hamiltonian import (
     KroneckerTerm,
     PAULI_Z,
     SiteOperator,
     SpinHamiltonian,
     build_ising,
+    materialize_dense,
 )
 from tnsolve.oracle import ground_state_dense
 from tnsolve.records import TraceEntry
@@ -279,6 +281,20 @@ def test_oracle_cache_reused(tmp_path):
     e2 = cached_oracle_energy(h, out)
     assert e1 == e2
     assert read(cache_path) == stamp
+
+
+def test_oracle_cache_keys_convergence_tolerance(tmp_path):
+    # the Krylov stop follows tols.convergence, so an energy cached by a
+    # loose run must not be served to a default-tolerance lookup
+    out = str(tmp_path)
+    h = build_ising(8, 1.0, "open")
+    exact = np.linalg.eigvalsh(materialize_dense(h))[0]
+    loose = Tolerances(convergence=1e-2)
+    e_loose = cached_oracle_energy(h, out, loose)
+    assert abs(e_loose - exact) > 1e-6
+    assert abs(cached_oracle_energy(h, out) - exact) <= 1e-10
+    assert cached_oracle_energy(h, out, loose) == e_loose
+    assert len(json.loads(read(os.path.join(out, "oracle_cache.json")))) == 2
 
 
 # ---------------------------------------------------------------------------

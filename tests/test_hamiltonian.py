@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tnsolve.hamiltonian import (
+    BlockTable,
     Blocking,
     KroneckerTerm,
     OP_I,
@@ -310,7 +311,7 @@ def test_regroup_partition_invariant_all_blockings():
         total = np.zeros_like(dense)
         for k in range(g.num_terms):
             total += g.coefficient(k) * kron_first_fastest(
-                [g.block_matrix(k, i) for i in range(g.q)]
+                [g.block_matrix(k, i) for i in range(g.blocking.q)]
             )
         assert np.linalg.norm(total - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
 
@@ -333,3 +334,78 @@ def test_apply_block_matches_matrix():
             stack = crandn(rng, 8, 4)
             assert np.allclose(g.apply_block(k, i, stack),
                                g.block_matrix(k, i) @ stack, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# block-operator tables
+
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+SIGMA_MINUS = SIGMA_PLUS.T
+
+
+def hopping_chain(p):
+    """sigma+ sigma- hops in both directions plus a Z field: a custom-operator
+    model whose custom factors compare equal as SiteOperators."""
+    sp, sm = SiteOperator.custom(SIGMA_PLUS), SiteOperator.custom(SIGMA_MINUS)
+    terms = []
+    for a in range(p - 1):
+        for left, right in ((sp, sm), (sm, sp)):
+            factors = [OP_I] * p
+            factors[a], factors[a + 1] = left, right
+            terms.append(KroneckerTerm(0.5, factors))
+    for a in range(p):
+        terms.append(KroneckerTerm(0.3, [OP_Z if j == a else OP_I for j in range(p)]))
+    return SpinHamiltonian(p, terms)
+
+
+TABLE_MODELS = {
+    "ising": lambda: build_ising(10, 0.7, "periodic"),
+    "xy": lambda: build_heisenberg_xy(10, 1.0, 0.5, 0.2, "open"),
+    "ising-2d": lambda: build_ising_2d(2, 5, 0.9, "periodic"),
+    "custom": lambda: hopping_chain(10),
+}
+
+
+def _mixed_term_groups():
+    from tnsolve.mixed import MixedTerm
+
+    b = Blocking((3, 4, 3))
+    term = MixedTerm(b, [np.zeros(2**w) for w in b.widths], offset=8)
+    return [term.block_sites(j) for j in range(b.q)]
+
+
+TABLE_GROUPS = {
+    "5,5": lambda: [Blocking((5, 5)).block_sites(i) for i in range(2)],
+    "2,3,5": lambda: [Blocking((2, 3, 5)).block_sites(i) for i in range(3)],
+    "single-sites": lambda: [(s,) for s in range(10)],
+    "mixed-term": _mixed_term_groups,
+}
+
+
+@pytest.mark.parametrize("groups", TABLE_GROUPS)
+@pytest.mark.parametrize("model", TABLE_MODELS)
+def test_block_table_restricts_every_term(model, groups):
+    h = TABLE_MODELS[model]()
+    sites_list = TABLE_GROUPS[groups]()
+    table = BlockTable(h, sites_list)
+    assert table.idx.shape == (h.num_terms, len(sites_list))
+    assert np.array_equal(table.alpha, [t.coefficient for t in h.terms])
+    for i, sites in enumerate(sites_list):
+        assert np.array_equal(table.ops[i][0], np.eye(2 ** len(sites)))
+        for k, term in enumerate(h.terms):
+            expect = kron_first_fastest([term.factors[s].matrix for s in sites])
+            assert np.array_equal(table.ops[i][table.idx[k, i]], expect), (k, i)
+
+
+def test_block_table_keeps_distinct_custom_operators():
+    sp, sm = SiteOperator.custom(SIGMA_PLUS), SiteOperator.custom(SIGMA_MINUS)
+    assert sp == sm  # SiteOperator equality ignores the matrix
+    h = SpinHamiltonian(2, [KroneckerTerm(1.0, (sp, OP_I)),
+                            KroneckerTerm(1.0, (sm, OP_I)),
+                            KroneckerTerm(2.0, (sp, OP_I))])
+    table = BlockTable(h, [(0,), (1,)])
+    assert list(table.idx[:, 0]) == [1, 2, 1]
+    assert list(table.idx[:, 1]) == [0, 0, 0]
+    assert np.array_equal(table.ops[0][1], SIGMA_PLUS)
+    assert np.array_equal(table.ops[0][2], SIGMA_MINUS)
+    assert table.ops[1].shape == (1, 2, 2)

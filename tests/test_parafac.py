@@ -9,6 +9,7 @@ from tnsolve.hamiltonian import (
     KroneckerTerm,
     OP_I,
     SpinHamiltonian,
+    build_heisenberg_xy,
     build_ising,
     materialize_dense,
     regroup,
@@ -17,6 +18,9 @@ from tnsolve.mps import to_dense as mps_to_dense
 from tnsolve.oracle import ground_state_dense, rayleigh
 from tnsolve.parafac import (
     BlockedCp,
+    _AlignedCrossTerms,
+    _mode_problem,
+    _stage_matrix,
     as_diagonal_mps,
     apply_hamiltonian,
     cp_energy,
@@ -28,6 +32,7 @@ from tnsolve.parafac import (
     spectral_init,
     to_dense,
 )
+from tnsolve.tensor import kron_first_fastest
 
 
 def crandn(rng, *shape):
@@ -329,6 +334,87 @@ def test_simultaneous_not_worse_than_greedy_small():
     assert s_trace[-1].energy <= g_trace[-1].energy + 1e-12
 
 
+# ---------------------------------------------------------------------------
+# local matrices against explicit per-term loops
+
+LOCAL_MODELS = {
+    "ising": lambda: build_ising(10, 0.8, "open"),
+    "xy": lambda: build_heisenberg_xy(10, 1.0, 0.6, 0.3, "open"),
+}
+
+
+def term_blocks(h, blocking):
+    """ops[k][j]: term k restricted to block j, from its factors directly."""
+    return [[kron_first_fastest([t.factors[s].matrix for s in blocking.block_sites(j)])
+             for j in range(blocking.q)] for t in h.terms]
+
+
+def close(got, want):
+    return np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "bordered"])
+@pytest.mark.parametrize("model", LOCAL_MODELS)
+def test_stage_matrix_matches_term_loop(model, rank_one):
+    h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
+    ops = term_blocks(h, b)
+    rng = np.random.default_rng(50)
+    x_cols = [crandn(rng, 2**w) for w in b.widths]
+    for i in range(b.q):
+        h_i, gamma = _stage_matrix(regroup(h, b), x_cols, i, rank_one)
+        others = [j for j in range(b.q) if j != i]
+        gamma_ref = np.prod([np.vdot(x_cols[j], x_cols[j]).real for j in others])
+        ref = sum(t.coefficient * ops[k][i] * np.prod(
+            [np.vdot(x_cols[j], ops[k][j] @ x_cols[j]).real for j in others])
+            for k, t in enumerate(h.terms))
+        if rank_one:
+            ref = ref / gamma_ref
+        assert gamma == pytest.approx(gamma_ref, rel=1e-12)
+        assert close(h_i, ref), (i, np.linalg.norm(h_i - ref))
+
+
+@pytest.mark.parametrize("model", LOCAL_MODELS)
+def test_aligned_numerator_vector_matches_term_loop(model):
+    h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
+    ops = term_blocks(h, b)
+    rng = np.random.default_rng(51)
+    frozen = [(b, [crandn(rng, 2**w) for w in b.widths], complex(crandn(rng, 1)[0]))
+              for _ in range(3)]
+    cross = _AlignedCrossTerms(regroup(h, b), frozen)
+    x_cols = [crandn(rng, 2**w) for w in b.widths]
+    for i in range(b.q):
+        ref = np.zeros(2 ** b.widths[i], dtype=complex)
+        for k, t in enumerate(h.terms):
+            for _, ys, w in frozen:
+                scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ ys[j])
+                                 for j in range(b.q) if j != i])
+                ref += t.coefficient * w * scale * (ops[k][i] @ ys[i])
+        assert close(cross.numerator_vector(x_cols, i), ref), i
+
+
+@pytest.mark.parametrize("model", LOCAL_MODELS)
+def test_mode_problem_matches_term_loop(model):
+    h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
+    ops = term_blocks(h, b)
+    x = random_cp(b, 3, seed=52)
+    x.weights = np.array([0.7 + 0.2j, -1.1, 0.4j])
+    ww = np.outer(x.weights.conj(), x.weights)
+    for i in range(b.q):
+        others = [j for j in range(b.q) if j != i]
+        a_ref = 0
+        for k, t in enumerate(h.terms):
+            coeff = ww.copy()
+            for j in others:
+                coeff = coeff * (x.factors[j].conj().T @ ops[k][j] @ x.factors[j])
+            a_ref = a_ref + t.coefficient * np.kron(coeff, ops[k][i])
+        gram = ww.copy()
+        for j in others:
+            gram = gram * (x.factors[j].conj().T @ x.factors[j])
+        prob = _mode_problem(regroup(h, b), x, i)
+        assert close(prob.numerator, a_ref), i
+        assert close(prob.denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
+
+
 @pytest.mark.parametrize("mode,rank,entries,energy", [
     ("simultaneous", 2, 10, -9.83623444731134),
     ("greedy", 3, 54, -9.835372623723513),
@@ -350,7 +436,8 @@ def test_effective_problem_hermitian_and_psd():
     h_i = h_i + h_i.conj().T
     u_i, v_i = crandn(rng, 8), crandn(rng, 8)
     prob = bordered_problem(h_i, u_i, beta=2.5, gamma=1.5, v_i=0.1 * v_i, rho=3.0)
-    assert prob.hermiticity_defect() <= 1e-12
+    a, b = prob.numerator, prob.denominator
+    assert max(np.linalg.norm(a - a.conj().T), np.linalg.norm(b - b.conj().T)) <= 1e-12
     bw = np.linalg.eigvalsh(prob.denominator)
     assert bw[0] >= -1e-12
     lam, vec = prob.solve_min()
