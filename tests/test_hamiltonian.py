@@ -21,6 +21,7 @@ from tnsolve.hamiltonian import (
     pauli_form,
     regroup,
 )
+from tnsolve.mixed import MixedTerm
 from tnsolve.tensor import DenseState, DimensionCapError, kron_first_fastest
 
 
@@ -367,8 +368,6 @@ TABLE_MODELS = {
 
 
 def _mixed_term_groups():
-    from tnsolve.mixed import MixedTerm
-
     b = Blocking((3, 4, 3))
     term = MixedTerm(b, [np.zeros(2**w) for w in b.widths], offset=8)
     return [term.block_sites(j) for j in range(b.q)]

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from tnsolve import flops
-from tnsolve.hamiltonian import Blocking, build_ising, build_ising_2d, materialize_dense
+from tnsolve.config import DEFAULT_TOLS
+from tnsolve.hamiltonian import (
+    Blocking,
+    build_heisenberg_xy,
+    build_ising,
+    build_ising_2d,
+    materialize_dense,
+    regroup,
+)
 from tnsolve.mixed import (
     MixedTerm,
     MixedTermSum,
     PatternedTerm2D,
+    _MixedCrossTerms,
     expectation_mixed,
     ground_state_mixed_greedy,
     inner_block_mps_mixed,
@@ -402,6 +411,33 @@ def test_pattern_expectation_2d_hamiltonian():
 
 # ---------------------------------------------------------------------------
 # greedy solver over blocking schedules
+
+def test_mixed_cross_vectors_match_dense():
+    # u_i and v_i are <x_{j != i}| H Y> and <x_{j != i}| Y> with the working
+    # block left open; frozen addends on two other blockings, complex XY terms
+    rng = np.random.default_rng(60)
+    h = build_heisenberg_xy(8, 1.0, 0.6, 0.3, "open")
+    frozen = [(t.blocking, t.factors, t.weight)
+              for t in (random_term(rng, (3, 5)), random_term(rng, (2, 2, 4)))]
+    b = Blocking((4, 1, 3))
+    cross = _MixedCrossTerms(h, regroup(h, b), frozen, DEFAULT_TOLS)
+    y = sum(term_to_dense(MixedTerm(*f)).vector for f in frozen)
+    x_cols = [crandn(rng, 2**w) for w in b.widths]
+
+    def open_contract(vec, i):
+        t = vec.reshape((2,) * 8, order="F")
+        for j in reversed(range(b.q)):
+            if j != i:
+                xj = x_cols[j].conj().reshape((2,) * b.widths[j], order="F")
+                t = np.tensordot(t, xj, axes=(list(b.block_sites(j)), list(range(xj.ndim))))
+        return t.reshape(-1, order="F")
+
+    for i in range(b.q):
+        for got, want in ((cross.numerator_vector(x_cols, i),
+                           open_contract(materialize_dense(h) @ y, i)),
+                          (cross.denominator_vector(x_cols, i), open_contract(y, i))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
+
 
 def test_mixed_greedy_identical_schedule_matches_parafac():
     h = build_ising(8, 1.0, "open")
