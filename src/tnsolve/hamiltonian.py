@@ -8,7 +8,9 @@ A :class:`BlockTable` compiles the terms against any list of site groups
 (the blocks of a :class:`Blocking`, or the factor groups of a mixed term):
 per group a stack of the distinct block operators, identity first, and an
 integer incidence saying which entry each term uses there.  Blocked solvers
-then work on gathers and batched products instead of per-term loops.
+then work on gathers and batched products instead of per-term loops, and
+:func:`mpo` compiles a table into the matrix product operator that the chain
+solvers contract.
 """
 
 from __future__ import annotations
@@ -430,3 +432,59 @@ class BlockedHamiltonian(BlockTable):
 
 def regroup(h: SpinHamiltonian, blocking: Blocking) -> BlockedHamiltonian:
     return BlockedHamiltonian(h, blocking)
+
+
+# ---------------------------------------------------------------------------
+# matrix product operators
+
+def mpo(table: BlockTable) -> list:
+    """The Hamiltonian as a matrix product operator over the table's groups:
+    sites W_i of shape (w_i, w_{i+1}, n_i, n_i), H the sum over automaton
+    paths of the Kronecker products of the entries W_i[a_i, a_{i+1}].
+
+    At an interior cut the open-string automaton is in "start" (identity so
+    far, index 0), in the channel of a term whose support straddles the
+    cut, or in "done" (identity from here on, the last index), so w_i = 2 +
+    (straddling terms); the outer cuts hold only "start" and only "done".
+    A term enters its channel with its coefficient at its first group and
+    leaves at its last; a term inside one group, or with empty support
+    (taken as inside the first), is a start -> done entry.
+    """
+    support = table.idx != 0
+    q = support.shape[1]
+    first = np.argmax(support, axis=1)
+    last = np.where(support.any(axis=1),
+                    q - 1 - np.argmax(support[:, ::-1], axis=1), 0)
+    cuts = np.arange(q + 1)
+    straddle = (first[:, None] < cuts) & (cuts <= last[:, None])
+    chan = np.cumsum(straddle, axis=0)  # channel index of each straddling term
+    width = 2 + straddle.sum(axis=0)
+    width[0] = width[q] = 1
+    sites = []
+    for i, ops in enumerate(table.ops):
+        w = np.zeros((width[i], width[i + 1]) + ops.shape[1:], dtype=complex)
+        if i < q - 1:
+            w[0, 0] = ops[0]
+        if i > 0:
+            w[-1, -1] = ops[0]
+        block = ops[table.idx[:, i]]
+        local = (first == i) & (last == i)
+        w[0, -1] = np.tensordot(table.alpha[local], block[local], axes=1)
+        enter = (first == i) & (last > i)
+        w[0, chan[enter, i + 1]] = table.alpha[enter, None, None] * block[enter]
+        through = (first < i) & (last > i)
+        w[chan[through, i], chan[through, i + 1]] = block[through]
+        leave = (first < i) & (last == i)
+        w[chan[leave, i], -1] = block[leave]
+        sites.append(w)
+    return sites
+
+
+def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{a, j} W[a, b, i, j] t[a, j, ...] for an MPO site W of shape
+    (w_i, w_{i+1}, n, n) and a tensor t of shape (w_i, n, ...) whose first
+    axis meets the left operator bond and whose second is a ket's physical
+    index; the result has shape (w_{i+1}, n, ...).  Swapping the first two
+    axes of W applies the site from the right.  Every contraction with an
+    MPO site goes through here and is charged to the flop counter."""
+    return flops.tdot(w, t, axes=((0, 3), (0, 1)))

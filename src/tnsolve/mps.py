@@ -6,18 +6,28 @@ the matrix selected by the physical index i.  Within a block the first site
 is the fastest bit of the physical index, matching the package layout.
 Open chains have D_1 = D_{q+1} = 1; periodic chains close with a trace, so
 D_{q+1} = D_1.
+
+A Hamiltonian enters every chain contraction as its matrix product operator
+(:func:`hamiltonian.mpo`); the ALS environments have shape (w, W, D, D), w
+the operator bond and W the wrap legs of a periodic chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockedHamiltonian, SpinHamiltonian, regroup
+from .hamiltonian import (
+    Blocking,
+    BlockedHamiltonian,
+    SpinHamiltonian,
+    mpo,
+    mpo_apply,
+    regroup,
+)
 from .records import TraceEntry
 from .tensor import (
     DenseState,
@@ -125,25 +135,6 @@ def from_unit_vector(index: int, p: int) -> MpsState:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def evaluate(x: MpsState, bits: Sequence[int]) -> complex:
-    """Single component: matrix product over the per-block indices, closed by
-    a trace for periodic chains."""
-    bits = list(bits)
-    if len(bits) != x.p or any(b not in (0, 1) for b in bits):
-        raise IndexError("need one bit per site")
-    cuts = x.blocking.cuts
-    acc = None
-    for j, w in enumerate(x.blocking.widths):
-        local = 0
-        for r, site in enumerate(range(cuts[j], cuts[j + 1])):
-            local += bits[site] << r
-        mat = x.sites[j][:, local, :]
-        acc = mat if acc is None else acc @ mat
-    if x.boundary == "open":
-        return complex(acc[0, 0])
-    return complex(np.trace(acc))
-
 
 def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
     """Full coefficient vector in the package layout."""
@@ -282,32 +273,6 @@ def gauge_residual_right(site: np.ndarray) -> float:
     return float(np.linalg.norm(g - np.eye(g.shape[0])))
 
 
-def two_site_shift(x: MpsState, j: int, direction: str,
-                   d_max: int | None = None,
-                   tols: Tolerances = DEFAULT_TOLS) -> MpsState:
-    """SVD of the merged two-site block (j, j+1), optionally truncated to the
-    d_max largest singular values.  Moving right installs the isometry at
-    site j and the remainder at j+1; moving left mirrors this."""
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    if not 0 <= j < x.q - 1:
-        raise ValueError(f"two-site pair ({j}, {j + 1}) is off the chain")
-    out = x.copy()
-    sj, sj1 = out.sites[j], out.sites[j + 1]
-    dl, d1, _ = sj.shape
-    _, d2, dr = sj1.shape
-    theta = np.tensordot(sj, sj1, axes=(2, 0))  # (dl, d1, d2, dr)
-    m = _merge_ff(_merge_ff(theta, 0), 1)       # rows (m, i_j), cols (i_{j+1}, m')
-    u, s, v = _trimmed_svd(m, d_max=d_max, tols=tols)
-    if direction == "right":
-        out.sites[j] = _split_rows(u, dl, d1)
-        out.sites[j + 1] = _split_cols(s[:, None] * v, d2, dr)
-    else:
-        out.sites[j] = _split_rows(u * s[None, :], dl, d1)
-        out.sites[j + 1] = _split_cols(v, d2, dr)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # contractions
 
@@ -319,39 +284,40 @@ def _zipper_init(dy: int, dx: int) -> np.ndarray:
     return e.astype(complex)
 
 
-def _env_step_right(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Grow M stacked (bra, ket) environments (M, ..., Dl, Dl) by one site
-    from the left; kets (M, Dl, d, Dr) holds the site with each term's block
-    operator applied.  Axes between the first and the last two are batch
-    axes: the chain environments carry the wrap legs there as (M, W, Dl, Dl)."""
-    m_terms, dl, d, dr = kets.shape
-    batch = (1,) * (env.ndim - 3)
-    f = flops.tdot(env, bra.conj(), axes=(env.ndim - 2, 0))   # (M, ..., kx, i, ky')
-    f = np.swapaxes(f.reshape(f.shape[:-3] + (dl * d, -1)), -1, -2)
-    return flops.matmul(f, kets.reshape((m_terms,) + batch + (dl * d, dr)))
+def _env_step_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
+                    w: np.ndarray | None = None) -> np.ndarray:
+    """Grow a (bra, ket) environment (w_j, ..., Dl, Dl) by one site from
+    the left: L'[b, ..., y', x'] = sum L[a, ..., y, x] conj(bra[y, i, y'])
+    H_j[a, b, i, j] ket[x, j, x'] with H_j = w the site's MPO tensor
+    (w_j, w_{j+1}, d, d), or the identity when w is None.  Axes between the
+    first and the last two are batch axes: the chain environments carry the
+    wrap legs there as (w, W, Dl, Dl)."""
+    f = np.moveaxis(flops.tdot(env, ket, axes=(-1, 0)), -2, 1)  # (a, j, ..., y, x')
+    if w is not None:
+        f = mpo_apply(w, f)                                     # (b, i, ..., y, x')
+    f = flops.tdot(f, bra.conj(), axes=((1, -2), (1, 0)))      # (b, ..., x', y')
+    return np.swapaxes(f, -1, -2)
 
 
-def _env_step_left(env: np.ndarray, bra: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Mirror image of :func:`_env_step_right`: (M, ..., Dr, Dr) ->
-    (M, ..., Dl, Dl)."""
-    m_terms, dl, d, dr = kets.shape
-    batch = (1,) * (env.ndim - 3)
-    f = flops.tdot(env, bra.conj(), axes=(env.ndim - 2, 2))   # (M, ..., kx', ky, i)
-    f = np.moveaxis(f, -3, -1)
-    f = f.reshape(f.shape[:-3] + (-1, d * dr))
-    kets = np.swapaxes(kets.reshape((m_terms,) + batch + (dl, d * dr)), -1, -2)
-    return flops.matmul(f, kets)
+def _env_step_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Mirror image of :func:`_env_step_right`: (w_{j+1}, ..., Dr, Dr) ->
+    (w_j, ..., Dl, Dl), the MPO site applied from its right bond."""
+    f = np.moveaxis(flops.tdot(env, ket, axes=(-1, 2)), -1, 1)  # (b, j, ..., y', x)
+    f = mpo_apply(np.swapaxes(w, 0, 1), f)                      # (a, i, ..., y', x)
+    f = flops.tdot(f, bra.conj(), axes=((1, -2), (1, 2)))      # (a, ..., x, y)
+    return np.swapaxes(f, -1, -2)
 
 
-def _zipper(bras: list, kets: list) -> complex:
-    """sum_i conj(bra_i) ket_i over two site lists: one environment, with the
-    wrap legs as its batch axis, grows site by site by
-    :func:`_env_step_right` and is closed by tracing the wrap legs against
-    the last bonds."""
+def _zipper(bras: list, kets: list, ws: list | None = None) -> complex:
+    """sum_i conj(bra_i) (H ket)_i over two site lists, H the MPO with sites
+    ws (the identity when ws is None): one environment, with the wrap legs
+    as its batch axis, grows site by site by :func:`_env_step_right` and is
+    closed by tracing the wrap legs against the last bonds."""
     dy, dx = bras[0].shape[0], kets[0].shape[0]
     e = _zipper_init(dy, dx).reshape(1, dy * dx, dy, dx)
-    for bra, ket in zip(bras, kets):
-        e = _env_step_right(e, bra, ket[None])
+    for bra, ket, w in zip(bras, kets, ws or [None] * len(kets)):
+        e = _env_step_right(e, bra, ket, w)
     flops.add(dy * dx)
     return complex(np.einsum("abab->", e.reshape(dy, dx, dy, dx)))
 
@@ -365,46 +331,30 @@ def inner(x: MpsState, y: MpsState) -> complex:
     return _zipper(y.sites, x.sites)
 
 
-def _op_site(blocked: BlockedHamiltonian, k: int, i: int,
-             site: np.ndarray) -> np.ndarray:
-    """Block operator of term k acting on the physical index of a site
-    (the site itself where that block is the identity)."""
-    if blocked.is_identity_block(k, i):
-        return site
-    dl, d, dr = site.shape
-    stack = site.transpose(1, 0, 2).reshape(d, dl * dr)
-    out = blocked.apply_block(k, i, stack)
-    return out.reshape(d, dl, dr).transpose(1, 0, 2)
-
-
 def expectation(h: SpinHamiltonian, x: MpsState,
                 tols: Tolerances = DEFAULT_TOLS) -> float:
-    """<x, H x> by a per-term zipper with the block operator woven onto the
-    physical bond; never forms H x as a state.  Refuses an imaginary residue
-    above tols.rayleigh_imag (relative)."""
-    blocked = regroup(h, x.blocking)
-    total = 0.0 + 0.0j
-    for k in range(blocked.num_terms):
-        kets = [_op_site(blocked, k, j, site) for j, site in enumerate(x.sites)]
-        total += blocked.coefficient(k) * _zipper(x.sites, kets)
+    """<x, H x> by one zipper with the Hamiltonian's MPO woven onto the
+    physical bonds; never forms H x as a state.  Refuses an imaginary
+    residue above tols.rayleigh_imag (relative)."""
+    total = _zipper(x.sites, x.sites, mpo(regroup(h, x.blocking)))
     if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
         raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
     return float(total.real)
 
 
 def apply_hamiltonian(h: SpinHamiltonian, x: MpsState) -> MpsState:
-    """H x as a single chain: each term acts site-locally, terms are combined
-    with :func:`add`, so bonds grow by a factor of the term count."""
-    blocked = regroup(h, x.blocking)
-    result = None
-    for k in range(blocked.num_terms):
-        sites = []
-        for j, site in enumerate(x.sites):
-            sites.append(_op_site(blocked, k, j, site).copy())
-        sites[0] = sites[0] * blocked.coefficient(k)
-        term_state = MpsState(x.boundary, x.blocking, sites)
-        result = term_state if result is None else add(result, term_state)
-    return result
+    """H x as a single chain: site j is the MPO site H_j applied to x_j, its
+    operator bonds merged into the state's (operator bond slow), so bond j
+    grows from D_j to w_j D_j."""
+    sites = []
+    for w, site in zip(mpo(regroup(h, x.blocking)), x.sites):
+        wl, wr, d, _ = w.shape
+        dl, _, dr = site.shape
+        # the operator bond pair (a, b) as one outgoing bond of a size-1 one
+        t = mpo_apply(w.reshape(1, wl * wr, d, d), site.transpose(1, 0, 2)[None])
+        t = t.reshape(wl, wr, d, dl, dr).transpose(0, 3, 2, 1, 4)
+        sites.append(t.reshape(wl * dl, d, wr * dr))
+    return MpsState(x.boundary, x.blocking, sites)
 
 
 def mps_energy(h: SpinHamiltonian, x: MpsState,
@@ -417,73 +367,64 @@ def mps_energy(h: SpinHamiltonian, x: MpsState,
 # ---------------------------------------------------------------------------
 # ALS ground-state search
 
-def _heff_apply(lenv: np.ndarray, weighted_ops: np.ndarray, renv: np.ndarray,
+def _heff_apply(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
-    """sum_k c_k (L_k x O_k x R_k) acting on a site tensor x of shape
-    (Dl, d, Dr), given the M terms' (M, Dl, Dl) left environments,
-    (M, d, d) block operators already scaled by c_k, and (M, Dr, Dr) right
-    environments.  The left environments act in one contraction, the right
-    ones in one batched product, and the block operators together with the
-    sum over terms in a last contraction."""
-    m_terms, dl, _ = lenv.shape
-    _, d, dr = x.shape
-    y = flops.tdot(lenv, x, axes=(2, 0))                   # (M, Dl, d, Dr)
-    y = flops.matmul(y.reshape(m_terms, dl * d, dr), renv.transpose(0, 2, 1))
-    y = flops.tdot(weighted_ops, y.reshape(m_terms, dl, d, dr),
-                   axes=((0, 2), (0, 2)))                  # (d, Dl, Dr)
+    """sum_{a,b} L_a x H_c[a, b] x R_b acting on a site tensor x of shape
+    (Dl, d, Dr), from the (w_c, Dl, Dl) left environments, the center's MPO
+    site H_c = w of shape (w_c, w_{c+1}, d, d) and the (w_{c+1}, Dr, Dr)
+    right environments, in three contractions."""
+    y = np.moveaxis(flops.tdot(lenv, x, axes=(2, 0)), 2, 1)  # (a, j, Dl, Dr)
+    y = mpo_apply(w, y)                                      # (b, i, Dl, Dr)
+    y = flops.tdot(y, renv, axes=((0, 3), (0, 2)))           # (i, Dl, Dr)
     return y.transpose(1, 0, 2)
 
 
-def _pencil(lenv: np.ndarray, ops: np.ndarray, renv: np.ndarray) -> np.ndarray:
-    """Dense matrix of sum_k L_k x O_k x R_k on site tensors (Dl, d, Dr),
-    from (M, W, Dl, Dl) left and (M, W, Dr, Dr) right environments closed
-    over their wrap legs W, and (M, d, d) block operators."""
-    m_terms, w, dl, _ = lenv.shape
-    dr, d = renv.shape[-1], ops.shape[-1]
-    lr = flops.matmul(lenv.reshape(m_terms, w, dl * dl).transpose(0, 2, 1),
-                      renv.reshape(m_terms, w, dr * dr))
-    mat = flops.tdot(ops, lr.reshape(m_terms, dl, dl, dr, dr), axes=(0, 0))
-    return mat.transpose(2, 0, 4, 3, 1, 5).reshape(dl * d * dr, dl * d * dr)
+def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
+    """Dense matrix of sum_{a,b} L_a x H_c[a, b] x R_b on site tensors
+    (Dl, d, Dr), from (w_c, W, Dl, Dl) left and (w_{c+1}, W, Dr, Dr) right
+    environments closed over their wrap legs W, and the MPO site H_c = w of
+    shape (w_c, w_{c+1}, d, d): the left environments, times the identity on the
+    physical leg, go through the MPO site and then meet the right ones."""
+    dl, dr, d = lenv.shape[-1], renv.shape[-1], w.shape[-1]
+    t = lenv[:, None, ..., None] * np.eye(d)[:, None, None, None, :]
+    t = mpo_apply(w, t)                                # (b, i, W, y, x, j)
+    mat = flops.tdot(t, renv, axes=((0, 2), (0, 1)))   # (i, y, x, j, y', x')
+    return mat.transpose(1, 0, 4, 2, 3, 5).reshape(dl * d * dr, dl * d * dr)
 
 
 def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
     """Local problem of a chain of either boundary.
 
-    One (left, right) environment pair per Hamiltonian term, stacked over
-    the terms as (M, W, D, D) arrays whose axis W carries the wrap legs
-    (W = 1 for open chains), gives the effective operator of the center site
-    as sum_k c_k L_k x O_k x R_k, with L_k R_k closed over W.  Both chain
+    The Hamiltonian enters as its MPO (:func:`mpo`, sites H_j with operator
+    bonds w_j).  One cached (left, right) environment pair per cut, of shape
+    (w, W, D, D) whose axis W carries the wrap legs (W = 1 for open chains),
+    gives the effective operator of the center site as
+    sum_{a,b} L_a x H_c[a, b] x R_b, with L_a R_b closed over W.  Both chain
     ends start from the :func:`_zipper_init` identity.
 
     An open chain is kept in mixed-canonical gauge, so the update is a
     Hermitian eigenproblem: :func:`_heff_apply` applies the operator
     matrix-free and :func:`krylov_min` finds its lowest eigenpair from a
     Krylov space started at the current center tensor, so no update raises
-    the energy.  A periodic gauge is not orthonormal: one more stacked entry
-    with the identity operator is the norm environment, and the numerator
-    and denominator pencils go to :func:`generalized_eig_min`, falling back
-    to the projected solve when the denominator is singular.
+    the energy.  A periodic gauge is not orthonormal: the norm environments
+    are L in the automaton's "start" state and R in its "done" state, and
+    the numerator and denominator pencils go to :func:`generalized_eig_min`,
+    falling back to the projected solve when the denominator is singular.
 
     Returns (solve, moved): solve(c) gives the lowest (energy, site vector)
     at center c; moved(c, step) grows the environments over site c once the
     center has moved on to c + step.
     """
     q = state.q
-    m_terms = blocked.num_terms
+    ws = mpo(blocked)
     periodic = state.boundary == "periodic"
     dw = state.sites[0].shape[0]
 
     def grown(env, c, step):
-        site = state.sites[c]
         step_fn = _env_step_right if step > 0 else _env_step_left
-        kets = [_op_site(blocked, k, c, site) for k in range(m_terms)]
-        if periodic:
-            kets.append(site)
-        return step_fn(env, site, np.stack(kets))
+        return step_fn(env, state.sites[c], state.sites[c], ws[c])
 
     edge = _zipper_init(dw, dw).reshape(1, dw * dw, dw, dw)
-    n_env = m_terms + 1 if periodic else m_terms
-    edge = np.broadcast_to(edge, (n_env,) + edge.shape[1:])
     lenv = [edge] + [None] * (q - 1)
     renv = [None] * (q - 1) + [edge]
     for j in range(q - 1, 0, -1):  # right environments for center 0
@@ -491,19 +432,17 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
 
     def solve(c):
         site = state.sites[c]
-        ops = np.stack([blocked.coefficient(k) * blocked.block_matrix(k, c)
-                        for k in range(m_terms)])
         if periodic:
-            num = _pencil(lenv[c][:m_terms], ops, renv[c][:m_terms])
-            eye = np.eye(site.shape[1], dtype=complex)[None]
-            den = _pencil(lenv[c][m_terms:], eye, renv[c][m_terms:])
+            num = _pencil(lenv[c], ws[c], renv[c])
+            eye = np.eye(site.shape[1])[None, None]
+            den = _pencil(lenv[c][:1], eye, renv[c][-1:])
             try:
                 return generalized_eig_min(num, den, tols)
             except SingularDenominatorError:
                 return generalized_eig_min_projected(num, den, tols)
 
         def matvec(v):
-            return _heff_apply(lenv[c][:, 0], ops, renv[c][:, 0],
+            return _heff_apply(lenv[c][:, 0], ws[c], renv[c][:, 0],
                                v.reshape(site.shape))
 
         return krylov_min(matvec, site, tols)
@@ -556,16 +495,17 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Alternating single-site minimization of the Rayleigh quotient.
 
-    Both boundaries keep one cached environment pair per Hamiltonian term,
-    carrying the wrap legs of a periodic chain, and grow it by one site after
-    every update.  Open chains stay in mixed-canonical gauge, so every update
-    is a standard Hermitian eigenproblem, solved matrix-free by a Krylov
-    method started at the current site tensor (the effective matrix is never
-    formed); periodic chains close the environments into the numerator and
-    denominator of a generalized pencil and fall back to a projected solve
-    when the denominator is singular.  One sweep is one directional pass;
-    direction alternates, re-gauging by SVD after every update.  Returns
-    (trace, state) with a nonincreasing energy trace.
+    Both boundaries keep one cached environment per cut against the
+    Hamiltonian's MPO, carrying the wrap legs of a periodic chain, and grow
+    it by one site after every update.  Open chains stay in mixed-canonical
+    gauge, so every update is a standard Hermitian eigenproblem, solved
+    matrix-free by a Krylov method started at the current site tensor (the
+    effective matrix is never formed); periodic chains close the
+    environments into the numerator and denominator of a generalized pencil
+    and fall back to a projected solve when the denominator is singular.
+    One sweep is one directional pass; direction alternates, re-gauging by
+    SVD after every update.  Returns (trace, state) with a nonincreasing
+    energy trace.
     """
     if d_bond < 1 or sweeps < 1:
         raise ValueError("need d_bond >= 1 and sweeps >= 1")

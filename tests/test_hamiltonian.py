@@ -18,6 +18,7 @@ from tnsolve.hamiltonian import (
     build_ising_2d,
     apply,
     materialize_dense,
+    mpo,
     pauli_form,
     regroup,
 )
@@ -408,3 +409,64 @@ def test_block_table_keeps_distinct_custom_operators():
     assert np.array_equal(table.ops[0][1], SIGMA_PLUS)
     assert np.array_equal(table.ops[0][2], SIGMA_MINUS)
     assert table.ops[1].shape == (1, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# matrix product operators
+
+def mpo_dense(sites):
+    """The operator of an MPO as a matrix, its first group the fastest."""
+    acc = sites[0]
+    for w in sites[1:]:
+        acc = np.einsum("abIJ,bcij->aciIjJ", acc, w)
+        a, c, n, m = acc.shape[:4]
+        acc = acc.reshape(a, c, n * m, n * m)
+    return acc[0, 0]
+
+
+def custom_chain(p):
+    full, splus = SiteOperator.custom(CUSTOM_FULL), SiteOperator.custom(SIGMA_PLUS)
+    return SpinHamiltonian(p, [
+        KroneckerTerm(0.8, [full, OP_I, OP_I, splus] + [OP_I] * (p - 4)),
+        KroneckerTerm(0.4, [OP_I, splus, full] + [OP_I] * (p - 4) + [OP_Z]),
+        KroneckerTerm(1.1, [OP_I, OP_I, full] + [OP_I] * (p - 3)),
+        KroneckerTerm(-2.5, [OP_I] * p),
+    ])
+
+
+MPO_MODELS = {
+    "ising-open": lambda: build_ising(6, 0.7, "open"),
+    "ising-periodic": lambda: build_ising(6, 1.3, "periodic"),
+    "xy-open": lambda: build_heisenberg_xy(6, 0.8, -0.3, 0.6, "open"),
+    "2d-open": lambda: build_ising_2d(2, 3, 0.9, "open"),
+    "2d-periodic": lambda: build_ising_2d(2, 3, 0.5, "periodic"),
+    "custom": lambda: custom_chain(6),
+    "identity-only": lambda: SpinHamiltonian(6, [KroneckerTerm(-2.5, [OP_I] * 6)]),
+}
+
+
+@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("model", MPO_MODELS)
+def test_mpo_matches_dense(model, blocking):
+    h = MPO_MODELS[model]()
+    b = Blocking.from_string(blocking)
+    sites = mpo(regroup(h, b))
+    assert [w.shape[2] for w in sites] == [2**t for t in b.widths]
+    ref = materialize_dense(h)
+    assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # bond w at every cut: 2 + the terms whose support straddles it, 1 outside
+    block_of = np.repeat(np.arange(b.q), b.widths)
+    spans = [(min(blocks), max(blocks)) for blocks in
+             ([block_of[s] for s in t.support()] for t in h.terms) if blocks]
+    widths = [sites[0].shape[0]] + [w.shape[1] for w in sites]
+    assert widths[0] == widths[-1] == 1
+    for c in range(1, b.q):
+        assert widths[c] == 2 + sum(lo < c <= hi for lo, hi in spans), c
+
+
+@pytest.mark.parametrize("model,bond", [("ising-open", 3), ("xy-open", 4),
+                                        ("ising-periodic", 4)])
+def test_mpo_bond_of_chains(model, bond):
+    sites = mpo(regroup(MPO_MODELS[model](), Blocking.single_sites(6)))
+    assert [w.shape[:2] for w in sites] == \
+        [(1, bond)] + [(bond, bond)] * 4 + [(bond, 1)]

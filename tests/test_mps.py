@@ -13,6 +13,7 @@ from tnsolve.hamiltonian import (
     SpinHamiltonian,
     build_ising,
     materialize_dense,
+    mpo,
     regroup,
 )
 from tnsolve.mps import (
@@ -25,7 +26,6 @@ from tnsolve.mps import (
     add,
     als_ground_state,
     apply_hamiltonian,
-    evaluate,
     expectation,
     from_unit_vector,
     gauge_residual_left,
@@ -36,7 +36,6 @@ from tnsolve.mps import (
     normalize_right_sweep,
     random_mps,
     to_dense,
-    two_site_shift,
 )
 from tnsolve.oracle import ground_state_dense, rayleigh
 
@@ -55,10 +54,10 @@ def bits_of(index, p):
 def test_unit_vector_mps_evaluates_to_indicator():
     p = 5
     for j in [0, 7, 19, 31]:
-        x = from_unit_vector(j, p)
+        dense = to_dense(from_unit_vector(j, p)).vector
         for i in range(2**p):
             expect = 1.0 if i == j else 0.0
-            assert evaluate(x, bits_of(i, p)) == pytest.approx(expect)
+            assert dense[i] == pytest.approx(expect)
 
 
 def test_unit_vector_dense_is_basis_vector():
@@ -73,18 +72,11 @@ def test_product_state_evaluation():
     p = 4
     facs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(p)]
     sites = [f.reshape(1, 2, 1) for f in facs]
-    x = MpsState("open", Blocking.single_sites(p), sites)
+    dense = to_dense(MpsState("open", Blocking.single_sites(p), sites)).vector
     for i in [0, 3, 9, 15]:
         b = bits_of(i, p)
         expect = np.prod([facs[r][b[r]] for r in range(p)])
-        assert evaluate(x, b) == pytest.approx(expect)
-
-
-def test_evaluate_matches_dense_random():
-    x = random_mps(6, 3, "open", seed=1)
-    dense = to_dense(x).vector
-    for i in [0, 17, 40, 63]:
-        assert evaluate(x, bits_of(i, 6)) == pytest.approx(dense[i], abs=1e-13)
+        assert dense[i] == pytest.approx(expect)
 
 
 def test_dense_equals_ancilla_sum_expansion():
@@ -110,14 +102,6 @@ def test_random_mps_reproducible_and_clamped():
     assert a.bond_dims() == (1, 2, 4, 2, 1)
     c = random_mps(4, 1, "open", seed=3)
     assert c.bond_dims() == (1, 1, 1, 1, 1)
-
-
-def test_evaluate_rejects_bad_index():
-    x = random_mps(3, 2, "open", seed=0)
-    with pytest.raises(IndexError):
-        evaluate(x, [0, 1])
-    with pytest.raises(IndexError):
-        evaluate(x, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -210,51 +194,6 @@ def test_block_mps_gauge_sweep():
 
 
 # ---------------------------------------------------------------------------
-# two-site shift
-
-def test_two_site_shift_full_rank_preserves():
-    x = random_mps(5, 3, "open", seed=14)
-    before = to_dense(x).vector
-    for j in range(4):
-        for direction in ("left", "right"):
-            y = two_site_shift(x, j, direction)
-            assert np.linalg.norm(to_dense(y).vector - before) <= 1e-12 * np.linalg.norm(before)
-
-
-def test_two_site_truncation_error_is_sv_tail():
-    # mixed-canonical chain: the cut spectrum is the dense matricization's SVD
-    p, j = 4, 1
-    x = random_mps(p, 4, "open", seed=15)
-    x, _ = normalize_right_sweep(x)  # center at site 0
-    x = two_site_shift(x, 0, "right")  # move center to site 1
-    before = to_dense(x).vector
-    mat = before.reshape(4, 4, order="F")  # sites (1,2) vs (3,4)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    for d_max in (1, 2, 3):
-        y = two_site_shift(x, j, "right", d_max=d_max)
-        err = np.linalg.norm(to_dense(y).vector - before)
-        tail = np.sqrt(np.sum(svals[d_max:] ** 2))
-        assert err == pytest.approx(tail, abs=1e-11)
-
-
-def test_two_site_rank_one_block_lossless():
-    # bond-2 representation whose two-site blocks still have matrix rank 1
-    zero = from_unit_vector(3, 4)
-    zero.sites[0] = 0.0 * zero.sites[0]
-    x = add(from_unit_vector(3, 4), zero)
-    assert x.bond_dims() == (1, 2, 2, 2, 1)
-    before = to_dense(x).vector
-    y = two_site_shift(x, 1, "right", d_max=1)
-    assert np.linalg.norm(to_dense(y).vector - before) <= 1e-12 * np.linalg.norm(before)
-
-
-def test_two_site_shift_end_rejected():
-    x = random_mps(4, 2, "open", seed=16)
-    with pytest.raises(ValueError):
-        two_site_shift(x, 3, "right")
-
-
-# ---------------------------------------------------------------------------
 # inner products
 
 def test_inner_unit_vectors():
@@ -327,8 +266,10 @@ def test_apply_hamiltonian_bond_growth():
     x = random_mps(4, 2, "open", seed=27)
     y = apply_hamiltonian(h, x)
     bx = x.bond_dims()
-    for j in range(1, 4):
-        assert y.bond_dims()[j] == h.num_terms * bx[j]
+    widths = [w.shape[0] for w in mpo(regroup(h, x.blocking))] + [1]
+    assert widths == [1, 3, 3, 3, 1]
+    for j in range(5):
+        assert y.bond_dims()[j] == widths[j] * bx[j]
 
 
 def test_expectation_all_up_state_zero_field():
@@ -452,36 +393,41 @@ def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
 
 
 def test_env_steps_charge_their_contractions():
-    m, dl, d, dr = 3, 4, 2, 5
+    wl, wr, dl, d, dr = 3, 4, 4, 2, 5
     rng = np.random.default_rng(40)
-    bra, kets = crandn(rng, dl, d, dr), crandn(rng, m, dl, d, dr)
-    left, right = crandn(rng, m, dl, dl), crandn(rng, m, dr, dr)
-    # one contraction of the environment with the bra, one with the kets
-    expected = m * dl * d * dr * (dl + dr)
+    bra, ket = crandn(rng, dl, d, dr), crandn(rng, dl, d, dr)
+    w = crandn(rng, wl, wr, d, d)
+    left, right = crandn(rng, wl, dl, dl), crandn(rng, wr, dr, dr)
+    # one contraction of the environment with the ket, one with the MPO
+    # site and one with the bra
+    mpo_site = wl * wr * d * d * dl * dr
     with flops.tally() as fc:
-        grown = _env_step_right(left, bra, kets)
-    assert fc.total == expected
-    assert np.allclose(grown, np.einsum("kab,aic,kbid->kcd", left, bra.conj(), kets))
+        grown = _env_step_right(left, bra, ket, w)
+    assert fc.total == wl * dl * dl * d * dr + mpo_site + wr * dl * d * dr * dr
+    assert np.allclose(grown, np.einsum("kab,aic,klij,bjd->lcd", left, bra.conj(), w, ket))
     with flops.tally() as fc:
-        grown = _env_step_left(right, bra, kets)
-    assert fc.total == expected
-    assert np.allclose(grown, np.einsum("kcd,aic,kbid->kab", right, bra.conj(), kets))
+        grown = _env_step_left(right, bra, ket, w)
+    assert fc.total == wr * dr * dr * d * dl + mpo_site + wl * dr * d * dl * dl
+    assert np.allclose(grown, np.einsum("lcd,aic,klij,bjd->kab", right, bra.conj(), w, ket))
 
 
 def test_env_steps_carry_wrap_legs_as_batch():
-    m, w, dl, d, dr = 3, 4, 2, 2, 3
+    wl, wr, nw, dl, d, dr = 3, 2, 4, 2, 2, 3
     rng = np.random.default_rng(42)
-    bra, kets = crandn(rng, dl, d, dr), crandn(rng, m, dl, d, dr)
-    left, right = crandn(rng, m, w, dl, dl), crandn(rng, m, w, dr, dr)
-    expected = m * w * dl * d * dr * (dl + dr)
+    bra, ket = crandn(rng, dl, d, dr), crandn(rng, dl, d, dr)
+    w = crandn(rng, wl, wr, d, d)
+    left, right = crandn(rng, wl, nw, dl, dl), crandn(rng, wr, nw, dr, dr)
+    mpo_site = wl * wr * d * d * nw * dl * dr
     with flops.tally() as fc:
-        grown = _env_step_right(left, bra, kets)
-    assert fc.total == expected
-    assert np.allclose(grown, np.einsum("kwab,aic,kbid->kwcd", left, bra.conj(), kets))
+        grown = _env_step_right(left, bra, ket, w)
+    assert fc.total == nw * (wl * dl * dl * d * dr + wr * dl * d * dr * dr) + mpo_site
+    assert np.allclose(grown, np.einsum("kwab,aic,klij,bjd->lwcd",
+                                        left, bra.conj(), w, ket))
     with flops.tally() as fc:
-        grown = _env_step_left(right, bra, kets)
-    assert fc.total == expected
-    assert np.allclose(grown, np.einsum("kwcd,aic,kbid->kwab", right, bra.conj(), kets))
+        grown = _env_step_left(right, bra, ket, w)
+    assert fc.total == nw * (wr * dr * dr * d * dl + wl * dr * d * dl * dl) + mpo_site
+    assert np.allclose(grown, np.einsum("lwcd,aic,klij,bjd->kwab",
+                                        right, bra.conj(), w, ket))
 
 
 def _ring_pencil(sites, ops, c):
@@ -539,12 +485,13 @@ def test_periodic_pencil_from_cached_environments(monkeypatch):
 
 
 def test_heff_apply_matches_kron_assembly():
-    m, dl, d, dr = 3, 3, 4, 2
+    wl, wr, dl, d, dr = 3, 2, 3, 4, 2
     rng = np.random.default_rng(41)
-    lenv, ops, renv = crandn(rng, m, dl, dl), crandn(rng, m, d, d), crandn(rng, m, dr, dr)
+    lenv, w, renv = crandn(rng, wl, dl, dl), crandn(rng, wl, wr, d, d), crandn(rng, wr, dr, dr)
     x = crandn(rng, dl, d, dr)
-    heff = sum(np.kron(lenv[k], np.kron(ops[k], renv[k])) for k in range(m))
-    got = _heff_apply(lenv, ops, renv, x)
+    heff = sum(np.kron(lenv[a], np.kron(w[a, b], renv[b]))
+               for a in range(wl) for b in range(wr))
+    got = _heff_apply(lenv, w, renv, x)
     assert got.shape == x.shape
     assert np.allclose(got.reshape(-1), heff @ x.reshape(-1))
 
