@@ -13,7 +13,8 @@ class Tolerances:
     svd_reconstruction: float = 1e-12
     #: allowed Hermiticity defect (relative to the matrix norm) before a solve refuses
     hermitian: float = 1e-10
-    #: b is treated as singular when lambda_min(b) <= pd_floor_scale * trace(b)/dim(b)
+    #: a generalized eigensolve drops the directions of its denominator b whose
+    #: eigenvalue is at or below pd_floor_scale * trace(b)/dim(b)
     pd_floor_scale: float = 1e-12
     #: singular values below zero_singular * sigma_max are dropped during gauging
     zero_singular: float = 1e-14

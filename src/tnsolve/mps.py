@@ -32,9 +32,7 @@ from .records import TraceEntry
 from .tensor import (
     DenseState,
     DimensionCapError,
-    SingularDenominatorError,
     generalized_eig_min,
-    generalized_eig_min_projected,
     krylov_min,
     ravel,
     svd,
@@ -409,7 +407,7 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
     the energy.  A periodic gauge is not orthonormal: the norm environments
     are L in the automaton's "start" state and R in its "done" state, and
     the numerator and denominator pencils go to :func:`generalized_eig_min`,
-    falling back to the projected solve when the denominator is singular.
+    which drops the denominator directions below its floor.
 
     Returns (solve, moved): solve(c) gives the lowest (energy, site vector)
     at center c; moved(c, step) grows the environments over site c once the
@@ -436,10 +434,7 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
             num = _pencil(lenv[c], ws[c], renv[c])
             eye = np.eye(site.shape[1])[None, None]
             den = _pencil(lenv[c][:1], eye, renv[c][-1:])
-            try:
-                return generalized_eig_min(num, den, tols)
-            except SingularDenominatorError:
-                return generalized_eig_min_projected(num, den, tols)
+            return generalized_eig_min(num, den, tols)
 
         def matvec(v):
             return _heff_apply(lenv[c][:, 0], ws[c], renv[c][:, 0],
@@ -501,8 +496,8 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     gauge, so every update is a standard Hermitian eigenproblem, solved
     matrix-free by a Krylov method started at the current site tensor (the
     effective matrix is never formed); periodic chains close the
-    environments into the numerator and denominator of a generalized pencil
-    and fall back to a projected solve when the denominator is singular.
+    environments into the numerator and denominator of a generalized pencil,
+    solved on the eigenspace of the denominator above its floor.
     One sweep is one directional pass; direction alternates, re-gauging by
     SVD after every update.  Returns (trace, state) with a nonincreasing
     energy trace.

@@ -19,43 +19,20 @@ from .mps import MpsState
 from .records import TraceEntry
 from .tensor import (
     DenseState,
-    SingularDenominatorError,
     generalized_eig_min,
-    generalized_eig_min_projected,
     hermitian_eig,
     outer_product,
     ravel,
 )
 
 
-@dataclass
-class EffectiveCpProblem:
-    """One assembled mode update: minimize v^H numerator v / v^H denominator v.
-
-    Greedy stages produce the bordered (2^{t_i}+1) pencil with the working
-    vector's last coordinate pinned; simultaneous updates produce the
-    rank * 2^{t_i} grid pencil.  The numerator is Hermitian and the
-    denominator Hermitian positive semidefinite by construction.
-    """
-
-    numerator: np.ndarray
-    denominator: np.ndarray
-
-    def solve_min(self, tols: Tolerances = DEFAULT_TOLS):
-        """Smallest eigenpair, projecting onto the nonsingular subspace of
-        the denominator when it is not positive definite."""
-        try:
-            return generalized_eig_min(self.numerator, self.denominator, tols)
-        except SingularDenominatorError:
-            return generalized_eig_min_projected(self.numerator,
-                                                 self.denominator, tols)
-
-
 def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
-                     gamma: float, v_i: np.ndarray,
-                     rho: float) -> EffectiveCpProblem:
-    """Greedy-stage pencil over (x_i, 1): self block, cross vectors against
-    the frozen addends, and the frozen addends' own scalars."""
+                     gamma: float, v_i: np.ndarray, rho: float) -> tuple:
+    """Greedy-stage pencil (numerator, denominator) over (x_i, 1): self
+    block, cross vectors against the frozen addends, and the frozen addends'
+    own scalars.  The numerator is Hermitian and the denominator Hermitian
+    positive semidefinite; :func:`generalized_eig_min` solves it whether or
+    not the denominator is singular."""
     dim = h_i.shape[0]
     num = np.zeros((dim + 1, dim + 1), dtype=complex)
     num[:dim, :dim] = h_i
@@ -67,7 +44,7 @@ def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
     den[:dim, dim] = v_i
     den[dim, :dim] = v_i.conj()
     den[dim, dim] = rho
-    return EffectiveCpProblem(num, den)
+    return num, den
 
 
 @dataclass
@@ -234,12 +211,11 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
 # ---------------------------------------------------------------------------
 # greedy one-addend-at-a-time ALS
 
-def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i, rank_one: bool):
+def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i):
     """Self block of the working addend at mode i: gamma = prod_{j != i}
     x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k).
-    Returns (h_i, gamma); for the pure rank-one stage h_i comes divided by
-    gamma, so its lowest eigenpair is the update.  The scalars come from
-    s_j[u] = x_j^H O_{j,u} x_j, one batched product per mode (s_j[0] = |x_j|^2).
+    Returns (h_i, gamma).  The scalars come from s_j[u] = x_j^H O_{j,u} x_j,
+    one batched product per mode (s_j[0] = |x_j|^2).
     """
     gamma = 1.0
     b = blocked.alpha
@@ -249,8 +225,7 @@ def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i, rank_one: bool):
             s = blocked.grams(j, col, col)[:, 0, 0].real
             gamma *= float(s[0])
             b = b * s[blocked.idx[:, j]]
-    scale = gamma if rank_one else 1.0
-    h_i = flops.tdot(blocked.collect(i, b / scale), blocked.ops[i], axes=1)
+    h_i = flops.tdot(blocked.collect(i, b), blocked.ops[i], axes=1)
     return h_i, gamma
 
 
@@ -337,18 +312,19 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
             energy = None
             restarted = False
             for i in range(q):
-                h_i, gamma = _stage_matrix(blocked, x_cols, i, cross is None)
+                h_i, gamma = _stage_matrix(blocked, x_cols, i)
                 if cross is None:
+                    # pure rank-one stage: the quotient's denominator is gamma
                     w, v = hermitian_eig(h_i, tols)
-                    energy = float(w[0])
+                    energy = float(w[0]) / gamma
                     x_cols[i] = v[:, 0]
                 else:
                     dim = x_cols[i].shape[0]
                     u_i = cross.numerator_vector(x_cols, i)
                     v_i = cross.denominator_vector(x_cols, i)
-                    problem = bordered_problem(h_i, u_i, cross.beta, gamma, v_i,
-                                               cross.rho)
-                    lam, vec = problem.solve_min(tols)
+                    lam, vec = generalized_eig_min(
+                        *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho),
+                        tols)
                     pin = vec[dim]
                     if abs(pin) < 1e-12 * np.linalg.norm(vec):
                         restarts += 1
@@ -394,9 +370,13 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
     """Grow the rank one addend at a time: a pure rank-one stage first, then
     each new addend solved from the bordered generalized eigenproblem with
-    all earlier addends frozen.  init='spectral' starts the first stage from
-    the block-local ground states instead of a random draw, matching the
-    simultaneous solver's default starting point.  Returns (trace, BlockedCp)."""
+    all earlier addends frozen.  :func:`generalized_eig_min` drops the
+    denominator directions below its floor, which appear when the frozen sum
+    already spans the working addend; a solution that then leaves the pinned
+    coordinate at 0 restarts the stage.  init='spectral' starts the first
+    stage from the block-local ground states instead of a random draw,
+    matching the simultaneous solver's default starting point.  Returns
+    (trace, BlockedCp)."""
     if d_final < 1 or inner_iters < 1:
         raise ValueError("need d_final >= 1 and inner_iters >= 1")
     if init == "spectral":
@@ -415,12 +395,14 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
 # ---------------------------------------------------------------------------
 # simultaneous ALS (all addends of one mode at once)
 
-def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp,
-                  i: int) -> EffectiveCpProblem:
-    """The rank*2^{t_i} pencil of mode i over the stacked addend vectors:
-    a_mat = sum_u kron(C_u, O_{i,u}) with C_u = sum_{k : idx[k, i] = u}
-    alpha_k (ww * prod_{j != i} G_j[idx[k, j]]), b_mat = kron(ww * prod_{j != i}
-    G_j[0], I), where ww = conj(w) w^T and G_j[u] = X_j^H O_{j,u} X_j."""
+def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp, i: int) -> tuple:
+    """The rank*2^{t_i} pencil (a_mat, b_mat) of mode i over the stacked
+    addend vectors: a_mat = sum_u kron(C_u, O_{i,u}) with C_u =
+    sum_{k : idx[k, i] = u} alpha_k (ww * prod_{j != i} G_j[idx[k, j]]),
+    b_mat = kron(ww * prod_{j != i} G_j[0], I), where ww = conj(w) w^T and
+    G_j[u] = X_j^H O_{j,u} X_j.  b_mat is singular when the addends' other
+    modes are linearly dependent; :func:`generalized_eig_min` then drops the
+    directions it cannot resolve."""
     ww = np.outer(x.weights.conj(), x.weights)
     coeff = blocked.alpha[:, None, None] * ww
     gram = ww
@@ -433,7 +415,7 @@ def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp,
     dim, rank = ops.shape[1], x.rank
     a_mat = flops.tdot(blocked.collect(i, coeff), ops, axes=(0, 0))
     a_mat = a_mat.transpose(0, 2, 1, 3).reshape(rank * dim, rank * dim)
-    return EffectiveCpProblem(a_mat, np.kron(gram, np.eye(dim)))
+    return a_mat, np.kron(gram, np.eye(dim))
 
 
 def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
@@ -460,7 +442,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     for sweep in range(sweeps):
         energy = None
         for i in range(q):
-            lam, vec = _mode_problem(blocked, x, i).solve_min(tols)
+            lam, vec = generalized_eig_min(*_mode_problem(blocked, x, i), tols)
             energy = lam
             x.factors[i] = vec.reshape(rank, -1).T
             x.weights = np.ones(rank, dtype=complex)

@@ -25,11 +25,6 @@ from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 
 
-class SingularDenominatorError(RuntimeError):
-    """Raised when the denominator of a generalized eigenproblem is not
-    positive definite; callers may project onto the nonsingular subspace."""
-
-
 class DimensionCapError(ValueError):
     """Raised when a dense materialization would exceed the configured cap."""
 
@@ -161,18 +156,23 @@ def svd(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return u, s, vh
 
 
-def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
-    """Eigenvalues (ascending) and phase-normalized orthonormal eigenvectors
-    of a Hermitian matrix.  Refuses inputs that are not Hermitian within
-    `tols.hermitian` relative to the matrix norm; symmetrizes before solving.
-    """
+def _hermitian_part(m: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """(m + m^H) / 2 as a complex array, refusing an `m` that is not
+    Hermitian within `tols.hermitian` relative to max(1, ||m||)."""
     m = np.asarray(m, dtype=complex)
     scale = max(1.0, np.linalg.norm(m))
     defect = np.linalg.norm(m - m.conj().T)
     if defect > tols.hermitian * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    msym = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(msym)
+    return 0.5 * (m + m.conj().T)
+
+
+def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """Eigenvalues (ascending) and phase-normalized orthonormal eigenvectors
+    of a Hermitian matrix.  Refuses inputs that are not Hermitian within
+    `tols.hermitian` relative to the matrix norm; symmetrizes before solving.
+    """
+    w, v = np.linalg.eigh(_hermitian_part(m, tols))
     v = np.ascontiguousarray(v)
     _phase_normalize_columns(v)
     return w, v
@@ -237,56 +237,26 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return theta, x[:, 0]
 
 
-def pd_floor(b: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Positive-definiteness floor for a denominator matrix."""
-    b = np.asarray(b)
-    return tols.pd_floor_scale * float(np.real(np.trace(b))) / b.shape[0]
-
-
 def generalized_eig_min(a: np.ndarray, b: np.ndarray,
                         tols: Tolerances = DEFAULT_TOLS):
-    """Smallest eigenpair of the Hermitian pencil (a, b) with b positive
-    definite, via Cholesky reduction.  Returns (lambda_min, v) normalized to
-    v^H b v = 1 with the usual phase convention.
-
-    Raises SingularDenominatorError when lambda_min(b) falls below the floor,
-    signalling the caller to project onto the nonsingular subspace instead.
+    """Smallest eigenpair of the Hermitian pencil (a, b), b positive
+    semidefinite, as (lambda_min, x) with x^H b x = 1 and the usual phase
+    convention.  b is eigendecomposed once; its eigenvalues at or below the
+    floor tols.pd_floor_scale * trace(b) / dim(b) are dropped, and the lowest
+    eigenpair (lambda, y) of S^H a S, S = Q_k W_k^{-1/2} whitening the kept
+    eigenspace, gives x = S y.  So one path serves a regular b and a singular
+    one.  Raises ValueError when a or b is not Hermitian or no eigenvalue of
+    b lies above the floor.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    floor = pd_floor(b, tols)
-    bw = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-    if bw[0] <= floor:
-        raise SingularDenominatorError(
-            f"denominator eigenvalue {bw[0]:.3e} at or below floor {floor:.3e}"
-        )
-    l = np.linalg.cholesky(0.5 * (b + b.conj().T))
-    # reduced = L^-1 a L^-H, kept Hermitian by construction
-    tmp = np.linalg.solve(l, a)
-    reduced = np.linalg.solve(l, tmp.conj().T).conj().T
-    w, v = hermitian_eig(reduced, tols)
-    x = np.linalg.solve(l.conj().T, v[:, 0])
-    nb = np.sqrt(np.real(np.vdot(x, b @ x)))
-    x = x / nb
-    x, _ = _phase_normalize_columns(x.reshape(-1, 1))
-    return float(w[0]), x[:, 0]
-
-
-def generalized_eig_min_projected(a: np.ndarray, b: np.ndarray,
-                                  tols: Tolerances = DEFAULT_TOLS):
-    """Like :func:`generalized_eig_min` but solves on the numerically
-    nonsingular eigenspace of b and embeds the eigenvector back."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    w, q = hermitian_eig(b, tols)
-    floor = pd_floor(b, tols)
+    a = _hermitian_part(a, tols)
+    b = _hermitian_part(b, tols)
+    w, q = np.linalg.eigh(b)
+    floor = tols.pd_floor_scale * float(np.trace(b).real) / b.shape[0]
     keep = w > max(floor, 0.0)
-    if not np.any(keep):
-        raise SingularDenominatorError("denominator has no positive eigenvalues")
-    qk = q[:, keep]
-    ap = qk.conj().T @ a @ qk
-    bp = np.diag(w[keep])
-    lam, y = generalized_eig_min(ap, bp, tols)
-    x = qk @ y
-    x, _ = _phase_normalize_columns(x.reshape(-1, 1))
-    return lam, x[:, 0]
+    if not keep.any():
+        raise ValueError(f"denominator has no eigenvalue above the floor {floor:.3e}")
+    s = q[:, keep] / np.sqrt(w[keep])
+    reduced = s.conj().T @ a @ s
+    lam, y = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
+    x, _ = _phase_normalize_columns(s @ y[:, :1])
+    return float(lam[0]), x[:, 0]

@@ -380,6 +380,23 @@ def test_als_periodic_converges():
     assert trace[-1].energy == pytest.approx(rayleigh(h, to_dense(state)), abs=1e-9)
 
 
+@pytest.mark.parametrize("blocking,seed", [
+    ("2,1,3", 0), ("2,1,3", 1), ("2,1,3", 2), ("2,2,2", 1),
+])
+def test_als_blocked_periodic_near_singular_denominator(blocking, seed):
+    # these runs meet denominators that are nearly singular but above the
+    # floor; reducing such a pencil by its Cholesky factor lost Hermiticity
+    h = build_ising(6, 1.0, "periodic")
+    e0, _ = ground_state_dense(h)
+    tols = Tolerances()
+    trace, _ = als_ground_state(h, 6, 4, "periodic", sweeps=6, seed=seed,
+                                blocking=Blocking.from_string(blocking), tols=tols)
+    energies = [t.energy for t in trace]
+    assert min(energies) >= e0 - 1e-9
+    assert all(e2 <= e1 + tols.energy_monotone for e1, e2 in zip(energies, energies[1:]))
+    assert abs(energies[-1] - e0) <= 1e-8
+
+
 @pytest.mark.parametrize("boundary,p,d_bond,entries,energy", [
     ("open", 8, 4, 40, -9.837949818606878),
     ("periodic", 6, 2, 60, -7.726522065342363),
@@ -461,15 +478,11 @@ def test_periodic_pencil_from_cached_environments(monkeypatch):
             return fn(a, b, tols)
         return wrapped
 
-    for name in ("generalized_eig_min", "generalized_eig_min_projected"):
-        monkeypatch.setattr(mps, name, spy(getattr(mps, name)))
+    monkeypatch.setattr(mps, "generalized_eig_min", spy(mps.generalized_eig_min))
 
     def recorded(c):
         snapshots.append((c, [s.copy() for s in state.sites]))
-        n = len(pencils)
-        out = solve(c)
-        del pencils[n + 1:]  # the projected fallback sees the same pencil
-        return out
+        return solve(c)
 
     _als_sweeps(state, 1, tols, recorded, moved)
     assert [c for c, _ in snapshots] == list(range(p))
@@ -511,9 +524,8 @@ def test_open_als_local_solves_stay_small(monkeypatch):
                                                lambda a: np.size(a[1])))
     monkeypatch.setattr(tensor, "hermitian_eig", spy(tensor.hermitian_eig, eig_dims,
                                                      lambda a: np.shape(a[0])[0]))
-    for name in ("generalized_eig_min", "generalized_eig_min_projected"):
-        monkeypatch.setattr(mps, name, spy(getattr(mps, name), eig_dims,
-                                           lambda a: np.shape(a[0])[0]))
+    monkeypatch.setattr(mps, "generalized_eig_min", spy(mps.generalized_eig_min, eig_dims,
+                                                        lambda a: np.shape(a[0])[0]))
     h = build_ising(10, 1.0, "open")
     trace, _ = als_ground_state(h, 10, 16, "open", sweeps=4, seed=0)
     assert max(local_dims) == 512

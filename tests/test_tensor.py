@@ -6,9 +6,7 @@ import pytest
 from tnsolve.tensor import (
     DenseState,
     _phase_normalize_columns,
-    SingularDenominatorError,
     generalized_eig_min,
-    generalized_eig_min_projected,
     hermitian_eig,
     kron_first_fastest,
     krylov_min,
@@ -234,14 +232,47 @@ def test_gen_eig_matches_hermitian_eig_at_identity():
 
 
 def test_gen_eig_singular_denominator_signals():
+    # the direction b cannot resolve is dropped, not refused
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
-    with pytest.raises(SingularDenominatorError):
-        generalized_eig_min(a, b)
-    # projected variant solves on the nonsingular subspace
-    lam, v = generalized_eig_min_projected(a, b)
+    lam, v = generalized_eig_min(a, b)
     assert lam == pytest.approx(1.0)
     assert abs(v[1]) < 1e-12
+
+
+@pytest.mark.parametrize("b", [np.zeros((3, 3)), np.diag([0.0, -1.0, -2.0]), -np.eye(3)],
+                         ids=["zero", "negative-semidefinite", "negative"])
+def test_gen_eig_denominator_without_kept_direction_refused(b):
+    with pytest.raises(ValueError, match="floor"):
+        generalized_eig_min(np.eye(3), b)
+
+
+def test_gen_eig_refuses_non_hermitian():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        generalized_eig_min(skew, np.eye(2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        generalized_eig_min(np.eye(2), skew)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 5])
+def test_gen_eig_rank_deficient_denominator(rank):
+    rng = np.random.default_rng(18 + rank)
+    a = crandn(rng, 8, 8)
+    a = a + a.conj().T
+    l = crandn(rng, 8, rank)
+    b = l @ l.conj().T
+    lam, x = generalized_eig_min(a, b)
+    # x lies in range(b) = range(l) and solves the pencil there; a x keeps
+    # a component in null(b), so the residual is taken on range(b)
+    qk, _ = np.linalg.qr(l)
+    assert np.linalg.norm(x - qk @ (qk.conj().T @ x)) <= 1e-10 * np.linalg.norm(x)
+    resid = qk.conj().T @ (a @ x - lam * (b @ x))
+    assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(a) * np.linalg.norm(x)
+    assert np.vdot(x, b @ x).real == pytest.approx(1.0, abs=1e-10)
+    # lambda is the lowest quotient on range(b): the compressed pencil agrees
+    w = np.linalg.eigvals(np.linalg.solve(qk.conj().T @ b @ qk, qk.conj().T @ a @ qk))
+    assert lam == pytest.approx(w.real.min(), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
