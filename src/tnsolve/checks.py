@@ -29,35 +29,50 @@ def _result(name, errs, cost_measured, cost_bound):
     return report
 
 
-def check_mps_inner(instances: int = 200, seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-    out = []
-    for boundary, bound_power in (("open", 3), ("periodic", 5)):
-        errs = []
-        worst_cost = 0
-        worst_bound = 1
-        for _ in range(instances):
-            p = int(rng.integers(4, 11))
-            d = int(rng.integers(1, 4))
-            x = mps.random_mps(p, d, boundary, seed=int(rng.integers(2**31)))
-            y = mps.random_mps(p, d, boundary, seed=int(rng.integers(2**31)))
-            with flops.tally() as fc:
-                got = mps.inner(x, y)
-            expect = np.vdot(mps.to_dense(y).vector, mps.to_dense(x).vector)
-            errs.append(abs(got - expect) / max(1.0, abs(expect)))
-            bound = 4 * d**bound_power * p + (d**2 if boundary == "periodic" else 0)
-            if fc.total / bound > worst_cost / worst_bound:
-                worst_cost, worst_bound = fc.total, bound
-        out.append(_result(f"mps-inner-{boundary}", errs, worst_cost, worst_bound))
-    return out
-
-
-def check_cp_inner(instances: int = 200, seed: int = 1) -> list:
-    rng = np.random.default_rng(seed)
+def _family(name, rng, instances, draw, to_dense, measure=None) -> dict:
+    """One report over `instances` draws.  draw(rng) gives (x, y, kernel,
+    bound); kernel(x, y) is held against the dense <y, x>, and the worst
+    measure(counter, x) against its bound."""
     errs = []
     worst_cost = 0
     worst_bound = 1
     for _ in range(instances):
+        x, y, kernel, bound = draw(rng)
+        with flops.tally() as fc:
+            got = kernel(x, y)
+        expect = np.vdot(to_dense(y).vector, to_dense(x).vector)
+        errs.append(abs(got - expect) / max(1.0, abs(expect)))
+        if measure is not None:
+            cost = measure(fc, x)
+            if cost / bound > worst_cost / worst_bound:
+                worst_cost, worst_bound = cost, bound
+    if measure is None:
+        return _result(name, errs, None, None)
+    return _result(name, errs, worst_cost, worst_bound)
+
+
+def _total(fc, x):
+    return fc.total
+
+
+def check_mps_inner(instances: int = 200, seed: int = 0) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+    for boundary, bound_power in (("open", 3), ("periodic", 5)):
+        def draw(rng, boundary=boundary, bound_power=bound_power):
+            p = int(rng.integers(4, 11))
+            d = int(rng.integers(1, 4))
+            x = mps.random_mps(p, d, boundary, seed=int(rng.integers(2**31)))
+            y = mps.random_mps(p, d, boundary, seed=int(rng.integers(2**31)))
+            bound = 4 * d**bound_power * p + (d**2 if boundary == "periodic" else 0)
+            return x, y, mps.inner, bound
+        out.append(_family(f"mps-inner-{boundary}", rng, instances, draw,
+                           mps.to_dense, _total))
+    return out
+
+
+def check_cp_inner(instances: int = 200, seed: int = 1) -> list:
+    def draw(rng):
         p = int(rng.integers(4, 11))
         q = int(rng.integers(1, min(4, p) + 1))
         widths = _random_widths(rng, p, q)
@@ -65,16 +80,11 @@ def check_cp_inner(instances: int = 200, seed: int = 1) -> list:
         b = Blocking(widths)
         x = parafac.random_cp(b, rank, seed=int(rng.integers(2**31)))
         y = parafac.random_cp(b, rank, seed=int(rng.integers(2**31)))
-        with flops.tally() as fc:
-            got = parafac.inner(y, x)
-        expect = np.vdot(parafac.to_dense(y).vector, parafac.to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
         # per-addend-pair bound with the widest block standing in for 2^(p/q)
-        per_pair = fc.total / rank**2
         bound = len(widths) * (2 * 2 ** max(widths) + 1)
-        if per_pair / bound > worst_cost / worst_bound:
-            worst_cost, worst_bound = per_pair, bound
-    return [_result("cp-inner", errs, worst_cost, worst_bound)]
+        return x, y, lambda x, y: parafac.inner(y, x), bound
+    return [_family("cp-inner", np.random.default_rng(seed), instances, draw,
+                    parafac.to_dense, lambda fc, x: fc.total / x.rank**2)]
 
 
 def _random_widths(rng, p, q):
@@ -93,50 +103,29 @@ def _random_mixed_term(rng, p, periodic=False):
                            offset)
 
 
-def check_mixed_obc(instances: int = 200, seed: int = 2) -> list:
-    rng = np.random.default_rng(seed)
-    errs = []
-    worst_cost = 0
-    worst_bound = 1
-    for _ in range(instances):
+def _check_mixed_terms(name, instances, seed, kernel, periodic, step_power):
+    def draw(rng):
         p = int(rng.integers(4, 11))
-        x = _random_mixed_term(rng, p)
-        y = _random_mixed_term(rng, p)
-        with flops.tally() as fc:
-            got = mixed.inner_mixed_obc(x, y)
-        expect = np.vdot(mixed.term_to_dense(y).vector, mixed.term_to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
+        x = _random_mixed_term(rng, p, periodic)
+        y = _random_mixed_term(rng, p, periodic)
         r = max(max(x.blocking.widths), max(y.blocking.widths))
-        bound = 2**r * (x.blocking.q + y.blocking.q)
-        if fc.total / bound > worst_cost / worst_bound:
-            worst_cost, worst_bound = fc.total, bound
-    return [_result("mixed-inner-obc", errs, worst_cost, worst_bound)]
+        return x, y, kernel, 2 ** int(np.ceil(step_power * r)) * (x.blocking.q + y.blocking.q)
+    return [_family(name, np.random.default_rng(seed), instances, draw,
+                    mixed.term_to_dense, _total)]
+
+
+def check_mixed_obc(instances: int = 200, seed: int = 2) -> list:
+    return _check_mixed_terms("mixed-inner-obc", instances, seed,
+                              mixed.inner_mixed_obc, False, 1)
 
 
 def check_mixed_pbc(instances: int = 200, seed: int = 3) -> list:
-    rng = np.random.default_rng(seed)
-    errs = []
-    worst_cost = 0
-    worst_bound = 1
-    for _ in range(instances):
-        p = int(rng.integers(4, 11))
-        x = _random_mixed_term(rng, p, periodic=True)
-        y = _random_mixed_term(rng, p, periodic=True)
-        with flops.tally() as fc:
-            got = mixed.inner_mixed_pbc(x, y)
-        expect = np.vdot(mixed.term_to_dense(y).vector, mixed.term_to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
-        r = max(max(x.blocking.widths), max(y.blocking.widths))
-        bound = 2 ** int(np.ceil(1.5 * r)) * (x.blocking.q + y.blocking.q)
-        if fc.total / bound > worst_cost / worst_bound:
-            worst_cost, worst_bound = fc.total, bound
-    return [_result("mixed-inner-pbc", errs, worst_cost, worst_bound)]
+    return _check_mixed_terms("mixed-inner-pbc", instances, seed,
+                              mixed.inner_terms, True, 1.5)
 
 
 def check_block_mps_mixed(instances: int = 200, seed: int = 4) -> list:
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(instances):
+    def draw(rng):
         p = int(rng.integers(4, 11))
         bx = Blocking(_random_widths(rng, p, int(rng.integers(1, min(4, p) + 1))))
         by = Blocking(_random_widths(rng, p, int(rng.integers(1, min(4, p) + 1))))
@@ -144,44 +133,27 @@ def check_block_mps_mixed(instances: int = 200, seed: int = 4) -> list:
                            seed=int(rng.integers(2**31)))
         y = mps.random_mps(p, int(rng.integers(1, 4)), "open", by,
                            seed=int(rng.integers(2**31)))
-        got = mixed.inner_block_mps_mixed(x, y)
-        expect = np.vdot(mps.to_dense(y).vector, mps.to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
-    return [_result("block-mps-mixed-inner", errs, None, None)]
+        return x, y, mixed.inner_block_mps_mixed, None
+    return [_family("block-mps-mixed-inner", np.random.default_rng(seed), instances,
+                    draw, mps.to_dense)]
 
 
 def check_pattern_2d(instances: int = 200, seed: int = 5) -> list:
-    rng = np.random.default_rng(seed)
-    errs = []
-    worst_cost = 0
-    worst_bound = 1
-    for _ in range(instances):
+    def draw(rng):
         sb_rows, sb_cols, r_sites = (2, 2, int(rng.integers(1, 3)))
         pa, pb = rng.integers(1, 5, size=2)
         n_pairs = sb_rows * sb_cols // 2
-        x = mixed.PatternedTerm2D(
-            sb_rows, sb_cols, r_sites, int(pa),
+        x, y = (mixed.PatternedTerm2D(
+            sb_rows, sb_cols, r_sites, int(pattern),
             [_crandn(rng, 4**r_sites) for _ in range(n_pairs)],
-            complex(_crandn(rng, 1)[0]))
-        y = mixed.PatternedTerm2D(
-            sb_rows, sb_cols, r_sites, int(pb),
-            [_crandn(rng, 4**r_sites) for _ in range(n_pairs)],
-            complex(_crandn(rng, 1)[0]))
-        with flops.tally() as fc:
-            got = mixed.inner_pattern_2d(x, y)
-        expect = np.vdot(mixed.term_to_dense(y).vector,
-                         mixed.term_to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
-        bound = 2 ** (3 * r_sites)
-        if fc.max_step / bound > worst_cost / worst_bound:
-            worst_cost, worst_bound = fc.max_step, bound
-    return [_result("pattern-2d-inner", errs, worst_cost, worst_bound)]
+            complex(_crandn(rng, 1)[0])) for pattern in (pa, pb))
+        return x, y, mixed.inner_terms, 2 ** (3 * r_sites)
+    return [_family("pattern-2d-inner", np.random.default_rng(seed), instances, draw,
+                    mixed.term_to_dense, lambda fc, x: fc.max_step)]
 
 
 def check_peps_inner(instances: int = 200, seed: int = 6) -> list:
-    rng = np.random.default_rng(seed)
-    errs = []
-    for _ in range(instances):
+    def draw(rng):
         rows = int(rng.integers(1, 4))
         cols = int(rng.integers(1, 5))
         if rows * cols > 12:
@@ -189,10 +161,9 @@ def check_peps_inner(instances: int = 200, seed: int = 6) -> list:
         d = int(rng.integers(1, 3))
         x = peps.random_peps(rows, cols, d, seed=int(rng.integers(2**31)))
         y = peps.random_peps(rows, cols, d, seed=int(rng.integers(2**31)))
-        got = peps.inner_peps(x, y, d_cut=d * d)
-        expect = np.vdot(peps.to_dense(y).vector, peps.to_dense(x).vector)
-        errs.append(abs(got - expect) / max(1.0, abs(expect)))
-    return [_result("peps-inner-lossless", errs, None, None)]
+        return x, y, lambda x, y: peps.inner_peps(x, y, d_cut=d * d), None
+    return [_family("peps-inner-lossless", np.random.default_rng(seed), instances,
+                    draw, peps.to_dense)]
 
 
 def peps_cost_slope(dims=(1, 2, 3), lattice=(4, 4), seed: int = 7) -> dict:

@@ -125,20 +125,6 @@ class ExperimentConfig:
             "tolerances": dict(self.tolerances),
         }
 
-    def to_file(self, path: str) -> None:
-        cp = configparser.ConfigParser()
-        d = self.to_dict()
-        for section in ("model", "method", "run"):
-            cp[section] = {}
-            for key, value in d[section].items():
-                if value is None:
-                    continue
-                cp[section][key] = str(value)
-        if d["tolerances"]:
-            cp["tolerances"] = {k: str(v) for k, v in d["tolerances"].items()}
-        with open(path, "w") as fh:
-            cp.write(fh)
-
 
 def _coerce(section: str, key: str, raw: str, target_type):
     try:

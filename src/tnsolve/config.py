@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: relative residual allowed for SVD reconstruction checks
-    svd_reconstruction: float = 1e-12
     #: allowed Hermiticity defect (relative to the matrix norm) before a solve refuses
     hermitian: float = 1e-10
     #: a generalized eigensolve drops the directions of its denominator b whose

@@ -5,6 +5,11 @@ of the chain; cyclic blockings (periodic geometry) may start at an offset so
 one block wraps the seam.  The 2D variant pairs lattice subblocks into
 superblocks following one of four tiling patterns.  All kernels contract
 without materializing 2^p vectors and count their operations.
+
+Every inner product is one labelled network (:func:`_contract_network`) over
+bit-level pieces: a block tensor carries one label per chain site and, for
+block chains, one per bond.  Only the open-boundary pair kernel
+(:func:`inner_mixed_obc`) keeps the paper's dedicated left-to-right sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import Blocking, BlockTable, SpinHamiltonian
-from .mps import MpsState, _zipper_init
+from .mps import MpsState
 from .parafac import (
     BlockedCp,
     _AlignedCrossTerms,
@@ -106,6 +111,10 @@ class PatternedTerm2D:
     @property
     def p(self) -> int:
         return self.sb_rows * self.sb_cols * self.r_sites
+
+    @property
+    def lattice(self) -> tuple:
+        return (self.sb_rows, self.sb_cols, self.r_sites)
 
     def subblock_id(self, row: int, col: int) -> int:
         return row * self.sb_cols + col
@@ -267,7 +276,7 @@ def _contract_network(pieces, open_labels=frozenset()):
 
 
 # ---------------------------------------------------------------------------
-# 1D kernels
+# pair kernels
 
 def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
     """<y, x> for open-boundary terms: left-to-right partial contraction,
@@ -318,10 +327,13 @@ def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
             ey = pos + y.blocking.widths[iy]
 
 
-def inner_mixed_pbc(x: MixedTerm, y: MixedTerm) -> complex:
-    """<y, x> for cyclic blockings (at most one seam-crossing block each):
-    stepwise contraction choosing pairs whose summed indices outweigh the
-    leftover ones, keeping each step below 2^{3r/2} operations."""
+def inner_terms(x, y) -> complex:
+    """<y, x> for cyclic blockings or 2D patterns: one network over the
+    bit-level pieces of both terms, each step contracting the pair whose
+    summed indices outweigh the leftover ones.  Keeps each step below
+    2^{3r/2} operations on a chain and (2^r)^3 on a subblock lattice."""
+    if getattr(x, "lattice", None) != getattr(y, "lattice", None):
+        raise ValueError("patterned terms must share the subblock lattice")
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
     pieces = _term_pieces(x) + [(sites, t.conj()) for sites, t in _term_pieces(y)]
@@ -329,28 +341,8 @@ def inner_mixed_pbc(x: MixedTerm, y: MixedTerm) -> complex:
     return complex(np.conj(y.weight) * x.weight * scalar)
 
 
-def inner_pattern_2d(x: PatternedTerm2D, y: PatternedTerm2D) -> complex:
-    """<y, x> for two patterned terms: repeatedly contract superblocks that
-    share a subblock index, each step emitting a block of the two leftover
-    indices at cost (2^r)^3."""
-    if (x.sb_rows, x.sb_cols, x.r_sites) != (y.sb_rows, y.sb_cols, y.r_sites):
-        raise ValueError("patterned terms must share the subblock lattice")
-    size = 2**x.r_sites
-    pieces = []
-    for term, conj in ((x, False), (y, True)):
-        for (a, b), f in zip(term.superblocks(), term.factors):
-            t = f.reshape(size, size, order="F")
-            pieces.append(((("sb", a), ("sb", b)), t.conj() if conj else t))
-    scalar, _ = _contract_network(pieces)
-    return complex(np.conj(y.weight) * x.weight * scalar)
-
-
 def _pair_kernel(geometry: str):
-    if geometry == "1d-open":
-        return inner_mixed_obc
-    if geometry == "1d-periodic":
-        return inner_mixed_pbc
-    return inner_pattern_2d
+    return inner_mixed_obc if geometry == "1d-open" else inner_terms
 
 
 def inner_sum(x: MixedTermSum, y: MixedTermSum) -> complex:
@@ -401,72 +393,42 @@ def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
 # ---------------------------------------------------------------------------
 # block chains with different blockings
 
-def _split_site_tensor(site: np.ndarray, sites: tuple, bond_in, bond_out):
-    """Labelled bit-level view of one chain site tensor."""
-    dl, d, dr = site.shape
-    t = len(sites)
-    arr = site.reshape((dl,) + (2,) * t + (dr,))
-    # C-order split leaves bit r of the physical index at axis t - r
-    labels = (bond_in,) + tuple(sites[t - 1 - r] for r in range(t)) + (bond_out,)
-    return arr, labels
+def _chain_pieces(x: MpsState, tag) -> list:
+    """Labelled bit-level pieces of a chain: block j carries its sites and
+    the bonds ("b", tag, j) and ("b", tag, j + 1).  An open chain drops its
+    two unit outer bonds; a periodic one closes its last bond onto bond 0,
+    traced at once when a single block holds both ends."""
+    q, periodic = x.q, x.boundary == "periodic"
+    pieces = []
+    for j, site in enumerate(x.sites):
+        sites = [("s", s) for s in x.blocking.block_sites(j)]
+        right = (j + 1) % q if periodic else j + 1
+        labels = [("b", tag, j)] + sites + [("b", tag, right)]
+        shape = (site.shape[0],) + (2,) * len(sites) + (site.shape[2],)
+        t = site.reshape(shape, order="F")
+        if periodic and q == 1:
+            flops.add(t.size // shape[0])
+            labels, t = sites, np.trace(t, axis1=0, axis2=-1)
+        elif not periodic:
+            lo, hi = int(j == 0), len(labels) - int(j == q - 1)
+            labels, t = labels[lo:hi], t.reshape(shape[lo:hi])
+        pieces.append((tuple(labels), t))
+    return pieces
 
 
 def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
-    """<y, x> for block chains whose blockings may differ: the zipper sweeps
-    both chains, at every step contracting the physical sites shared by the
-    current leading blocks with the ancilla legs appended to the open ones."""
+    """<y, x> for block chains whose blockings may differ: one network over
+    the bit-level pieces of both chains, so the sites of differently cut
+    blocks meet as shared labels."""
     if x.p != y.p or x.boundary != y.boundary:
         raise ValueError("chains must share length and boundary")
-    # wrap legs keep the same sweep valid for both boundaries
-    env = _zipper_init(y.sites[0].shape[0], x.sites[0].shape[0])
-    env_labels = (("wy",), ("wx",), ("by", 0), ("bx", 0))
-    cuts_x, cuts_y = x.blocking.cuts, y.blocking.cuts
-    jx = jy = 0
-    while jx < x.q or jy < y.q:
-        take_y = jy < y.q and (jx >= x.q or cuts_y[jy + 1] <= cuts_x[jx + 1])
-        if take_y:
-            sites = tuple(range(cuts_y[jy], cuts_y[jy + 1]))
-            arr, labels = _split_site_tensor(
-                y.sites[jy].conj(), tuple(("s", s) for s in sites),
-                ("by", jy), ("by", jy + 1))
-            jy += 1
-        else:
-            sites = tuple(range(cuts_x[jx], cuts_x[jx + 1]))
-            arr, labels = _split_site_tensor(
-                x.sites[jx], tuple(("s", s) for s in sites),
-                ("bx", jx), ("bx", jx + 1))
-            jx += 1
-        env, env_labels = _contract_labelled(env, env_labels, arr, labels)
-    # close: trace the wrap legs against the final bonds
-    iy = env_labels.index(("wy",))
-    ix = env_labels.index(("wx",))
-    fy = env_labels.index(("by", y.q))
-    fx = env_labels.index(("bx", x.q))
-    flops.add(env.shape[iy] * env.shape[ix])
-    subscript = "".join(
-        {iy: "a", ix: "b", fy: "a", fx: "b"}[i] for i in range(env.ndim)
-    )
-    return complex(np.einsum(subscript + "->", env))
+    bras = [(labels, t.conj()) for labels, t in _chain_pieces(y, "y")]
+    scalar, _ = _contract_network(_chain_pieces(x, "x") + bras)
+    return scalar
 
 
 # ---------------------------------------------------------------------------
 # greedy ground-state search over a schedule of blockings
-
-def _chain_pieces(x: BlockedCp, tag) -> list:
-    """Labelled pieces of a blocked CP state as its diagonal chain
-    (:func:`as_diagonal_mps`): block j carries its sites and the addend bonds
-    ("b", tag, j) and ("b", tag, j + 1), less the two unit outer bonds."""
-    q = x.blocking.q
-    pieces = []
-    for j, site in enumerate(as_diagonal_mps(x).sites):
-        sites = [("s", s) for s in x.blocking.block_sites(j)]
-        labels = [("b", tag, j)] + sites + [("b", tag, j + 1)]
-        shape = (site.shape[0],) + (2,) * len(sites) + (site.shape[2],)
-        lo, hi = int(j == 0), len(labels) - int(j == q - 1)
-        pieces.append((tuple(labels[lo:hi]),
-                       site.reshape(shape, order="F").reshape(shape[lo:hi])))
-    return pieces
-
 
 class _MixedCrossTerms:
     """Cross contractions of the working addend against frozen addends with
@@ -486,8 +448,9 @@ class _MixedCrossTerms:
         self.rho = float(inner_sum(frozen, frozen).real)
         cps = [BlockedCp(b, [c[:, None] for c in cols], [w])
                for b, cols, w in frozen_terms]
-        self.kets = [_chain_pieces(y, n) for n, y in enumerate(cps)]
-        self.images = [_chain_pieces(apply_hamiltonian(h, y), n)
+        self.kets = [_chain_pieces(as_diagonal_mps(y), n)
+                     for n, y in enumerate(cps)]
+        self.images = [_chain_pieces(as_diagonal_mps(apply_hamiltonian(h, y)), n)
                        for n, y in enumerate(cps)]
 
     def _open_contract(self, x_cols, i, kets):

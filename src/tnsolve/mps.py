@@ -200,7 +200,7 @@ def _split_cols(v: np.ndarray, d: int, dr: int) -> np.ndarray:
 def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
                  tols: Tolerances = DEFAULT_TOLS):
     """SVD dropping exact-zero singular values (and capping at d_max)."""
-    u, s, v = svd(m, tols)
+    u, s, v = svd(m)
     if s.size and s[0] > 0.0:
         rank = int(np.sum(s > tols.zero_singular * s[0]))
     else:

@@ -419,8 +419,7 @@ def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp, i: int) -> tuple:
 
 
 def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
-                     sweeps: int = 50, seed: int | None = 0,
-                     init: str | BlockedCp = "random",
+                     sweeps: int = 50, seed: int = 0, init: str = "random",
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Per mode, replace the whole slab of addend vectors by the minimizer of
     the rank*2^{t_i} generalized eigenproblem; addends are renormalized at
@@ -428,12 +427,10 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
     blocked = regroup(h, blocking)
-    if isinstance(init, BlockedCp):
-        x = init.copy()
-    elif init == "spectral":
+    if init == "spectral":
         x = spectral_init(h, blocking, rank)
     elif init == "random":
-        x = random_cp(blocking, rank, seed or 0)
+        x = random_cp(blocking, rank, seed)
     else:
         raise ValueError(f"unknown init {init!r}")
     q = blocking.q

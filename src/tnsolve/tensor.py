@@ -139,7 +139,7 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
     return u, v
 
 
-def svd(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def svd(m: np.ndarray):
     """Economy SVD m = U @ diag(s) @ V with a deterministic phase convention.
 
     Singular values are nonincreasing and nonnegative; `U` has orthonormal

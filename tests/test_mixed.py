@@ -22,9 +22,8 @@ from tnsolve.mixed import (
     ground_state_mixed_greedy,
     inner_block_mps_mixed,
     inner_mixed_obc,
-    inner_mixed_pbc,
-    inner_pattern_2d,
     inner_sum,
+    inner_terms,
     sum_to_dense,
     term_to_dense,
 )
@@ -142,7 +141,7 @@ def test_pbc_aligned_cuts_equals_obc():
     rng = np.random.default_rng(6)
     x = random_term(rng, (3, 3))
     y = random_term(rng, (2, 4))
-    assert inner_mixed_pbc(x, y) == pytest.approx(inner_mixed_obc(x, y), abs=1e-12)
+    assert inner_terms(x, y) == pytest.approx(inner_mixed_obc(x, y), abs=1e-12)
 
 
 def test_pbc_random_cyclic_vs_dense():
@@ -154,7 +153,7 @@ def test_pbc_random_cyclic_vs_dense():
         x = random_term(rng, wx, offset=ox)
         y = random_term(rng, wy, offset=oy)
         expect = np.vdot(term_to_dense(y).vector, term_to_dense(x).vector)
-        assert inner_mixed_pbc(x, y) == pytest.approx(
+        assert inner_terms(x, y) == pytest.approx(
             expect, abs=1e-13 * max(1.0, abs(expect))
         )
 
@@ -169,7 +168,7 @@ def test_pbc_per_step_cost_bound():
         y = random_term(rng, wy, offset=oy)
         r = max(max(wx), max(wy))
         with flops.tally() as fc:
-            inner_mixed_pbc(x, y)
+            inner_terms(x, y)
         k, m = len(wx), len(wy)
         assert fc.max_step <= 4 * 2 ** int(np.ceil(1.5 * r))
         assert fc.total <= 4 * 2 ** int(np.ceil(1.5 * r)) * (k + m)
@@ -303,12 +302,15 @@ def test_block_mps_mixed_more_blockings():
 
 
 def test_block_mps_mixed_periodic():
-    x = random_mps(6, 2, "periodic", blocking=Blocking((2, 2, 2)), seed=22)
-    y = random_mps(6, 2, "periodic", blocking=Blocking((3, 3)), seed=23)
-    expect = np.vdot(to_dense(y).vector, to_dense(x).vector)
-    assert inner_block_mps_mixed(x, y) == pytest.approx(
-        expect, abs=1e-12 * max(1.0, abs(expect))
-    )
+    # a single block's bond closes on itself; bond dimensions may differ
+    for wx, wy, dx, dy in [((2, 2, 2), (3, 3), 2, 2), ((6,), (2, 4), 2, 2),
+                           ((2, 2, 2), (3, 3), 2, 3)]:
+        x = random_mps(6, dx, "periodic", blocking=Blocking(wx), seed=22)
+        y = random_mps(6, dy, "periodic", blocking=Blocking(wy), seed=23)
+        expect = np.vdot(to_dense(y).vector, to_dense(x).vector)
+        assert inner_block_mps_mixed(x, y) == pytest.approx(
+            expect, abs=1e-12 * max(1.0, abs(expect))
+        )
 
 
 def test_block_mps_mixed_unit_vectors():
@@ -354,7 +356,7 @@ def test_pattern_identical_patterns_product_of_dots():
     expect = np.conj(y.weight) * x.weight * np.prod(
         [np.vdot(fy, fx) for fy, fx in zip(y.factors, x.factors)]
     )
-    assert inner_pattern_2d(x, y) == pytest.approx(expect, abs=1e-12 * abs(expect))
+    assert inner_terms(x, y) == pytest.approx(expect, abs=1e-12 * abs(expect))
 
 
 @pytest.mark.parametrize("pa,pb", [(1, 3), (2, 4), (1, 2), (3, 4), (1, 4), (2, 3)])
@@ -363,7 +365,7 @@ def test_pattern_cross_patterns_vs_dense_small(pa, pb):
     x = random_pattern_term(rng, 2, 2, 2, pa)  # p = 8
     y = random_pattern_term(rng, 2, 2, 2, pb)
     expect = np.vdot(term_to_dense(y).vector, term_to_dense(x).vector)
-    assert inner_pattern_2d(x, y) == pytest.approx(
+    assert inner_terms(x, y) == pytest.approx(
         expect, abs=1e-12 * max(1.0, abs(expect))
     )
 
@@ -374,7 +376,7 @@ def test_pattern_4x2_subblocks_vs_dense():
     x = random_pattern_term(rng, 4, 2, 2, 1)  # p = 16
     y = random_pattern_term(rng, 4, 2, 2, 3)
     expect = np.vdot(term_to_dense(y).vector, term_to_dense(x).vector)
-    assert inner_pattern_2d(x, y) == pytest.approx(
+    assert inner_terms(x, y) == pytest.approx(
         expect, abs=1e-12 * max(1.0, abs(expect))
     )
 
@@ -385,7 +387,7 @@ def test_pattern_per_step_cost():
     x = random_pattern_term(rng, 4, 2, r, 1)
     y = random_pattern_term(rng, 4, 2, r, 3)
     with flops.tally() as fc:
-        inner_pattern_2d(x, y)
+        inner_terms(x, y)
     assert fc.max_step <= 4 * 2 ** (3 * r)
 
 
@@ -394,7 +396,12 @@ def test_pattern_lattice_mismatch():
     x = random_pattern_term(rng, 2, 2, 1, 1)
     y = random_pattern_term(rng, 2, 2, 2, 1)
     with pytest.raises(ValueError):
-        inner_pattern_2d(x, y)
+        inner_terms(x, y)
+    # equal p = 8 on transposed subblock lattices is refused as well
+    x = random_pattern_term(rng, 2, 4, 1, 1)
+    y = random_pattern_term(rng, 4, 2, 1, 3)
+    with pytest.raises(ValueError, match="subblock lattice"):
+        inner_terms(x, y)
 
 
 def test_pattern_expectation_2d_hamiltonian():
