@@ -408,13 +408,6 @@ class BlockedHamiltonian(BlockTable):
         self.hamiltonian = h
         self.blocking = blocking
 
-    @property
-    def num_terms(self) -> int:
-        return self.hamiltonian.num_terms
-
-    def coefficient(self, k: int) -> float:
-        return self.hamiltonian.terms[k].coefficient
-
     def is_identity_block(self, k: int, i: int) -> bool:
         return bool(self.idx[k, i] == 0)
 

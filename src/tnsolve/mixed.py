@@ -211,12 +211,12 @@ def _pair_score(la, sa, lb, sb_, open_labels):
     shared = (set(la) & set(lb)) - open_labels
     if not shared:
         return None
-    shared_bits = sum(int(np.log2(sa[la.index(s)])) for s in shared)
+    shared_bits = sum(sa[la.index(s)].bit_length() - 1 for s in shared)
     left_bits = 0
     for labels, shapes in ((la, sa), (lb, sb_)):
         for lab, size in zip(labels, shapes):
             if lab not in shared:
-                left_bits += int(np.log2(size))
+                left_bits += size.bit_length() - 1
     return shared_bits - left_bits
 
 

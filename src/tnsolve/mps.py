@@ -28,7 +28,7 @@ from .hamiltonian import (
     mpo_apply,
     regroup,
 )
-from .records import TraceEntry
+from .records import run_sweeps
 from .tensor import (
     DenseState,
     DimensionCapError,
@@ -85,11 +85,8 @@ class MpsState:
 
 @dataclass
 class GaugeStatus:
-    """Per-site gauge flags ('left' | 'right' | None), the orthogonality
-    center if one exists, and the squared norm when the sweep exposes it."""
+    """The squared norm, when the gauge sweep exposes it (open chains)."""
 
-    flags: tuple
-    center: int | None
     gamma: float | None = None
 
 
@@ -237,11 +234,10 @@ def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     q = out.q
     for j in range(q - 1):
         _shift_center_right(out, j, tols)
-    flags = tuple(["left"] * (q - 1) + [None])
     gamma = None
     if out.boundary == "open":
         gamma = float(np.sum(np.abs(out.sites[q - 1]) ** 2))
-    return out, GaugeStatus(flags, q - 1, gamma)
+    return out, GaugeStatus(gamma)
 
 
 def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
@@ -250,11 +246,10 @@ def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     q = out.q
     for j in range(q - 1, 0, -1):
         _shift_center_left(out, j, tols)
-    flags = tuple([None] + ["right"] * (q - 1))
     gamma = None
     if out.boundary == "open":
         gamma = float(np.sum(np.abs(out.sites[0]) ** 2))
-    return out, GaugeStatus(flags, 0, gamma)
+    return out, GaugeStatus(gamma)
 
 
 def gauge_residual_left(site: np.ndarray) -> float:
@@ -391,7 +386,7 @@ def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
 
 
 def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
-    """Local problem of a chain of either boundary.
+    """ALS update of a chain of either boundary, for :func:`run_sweeps`.
 
     The Hamiltonian enters as its MPO (:func:`mpo`, sites H_j with operator
     bonds w_j).  One cached (left, right) environment pair per cut, of shape
@@ -409,9 +404,10 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
     the numerator and denominator pencils go to :func:`generalized_eig_min`,
     which drops the denominator directions below its floor.
 
-    Returns (solve, moved): solve(c) gives the lowest (energy, site vector)
-    at center c; moved(c, step) grows the environments over site c once the
-    center has moved on to c + step.
+    update(sweep, c) moves the center to c: it re-gauges the site left
+    behind by SVD and grows the environments over it (even sweeps go right,
+    odd ones left), then replaces site c by the lowest local eigenvector and
+    returns its energy.
     """
     q = state.q
     ws = mpo(blocked)
@@ -428,60 +424,30 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
     for j in range(q - 1, 0, -1):  # right environments for center 0
         renv[j - 1] = grown(renv[j], j, -1)
 
-    def solve(c):
+    def update(sweep, c):
+        step = 1 if sweep % 2 == 0 else -1
+        behind = c - step
+        if 0 <= behind < q:
+            shift, envs = ((_shift_center_right, lenv) if step > 0
+                           else (_shift_center_left, renv))
+            shift(state, behind, tols)
+            envs[c] = grown(envs[behind], behind, step)
         site = state.sites[c]
         if periodic:
             num = _pencil(lenv[c], ws[c], renv[c])
             eye = np.eye(site.shape[1])[None, None]
             den = _pencil(lenv[c][:1], eye, renv[c][-1:])
-            return generalized_eig_min(num, den, tols)
-
-        def matvec(v):
-            return _heff_apply(lenv[c][:, 0], ws[c], renv[c][:, 0],
-                               v.reshape(site.shape))
-
-        return krylov_min(matvec, site, tols)
-
-    def moved(c, step):
-        if step > 0:
-            lenv[c + 1] = grown(lenv[c], c, step)
+            energy, vec = generalized_eig_min(num, den, tols)
         else:
-            renv[c - 1] = grown(renv[c], c, step)
+            def matvec(v):
+                return _heff_apply(lenv[c][:, 0], ws[c], renv[c][:, 0],
+                                   v.reshape(site.shape))
 
-    return solve, moved
+            energy, vec = krylov_min(matvec, site, tols)
+        state.sites[c] = vec.reshape(site.shape)
+        return energy
 
-
-def _als_sweeps(state: MpsState, sweeps: int, tols: Tolerances,
-                solve, moved) -> tuple:
-    """Single-site sweeps shared by both boundaries: update the center with
-    solve(c), re-gauge it by SVD, grow the environments over it with
-    moved(c, step), and go on; the direction alternates per sweep, and two
-    consecutive sweeps that change the energy by less than tols.convergence
-    stop the search."""
-    q = state.q
-    trace = []
-    last_sweep_e = None
-    still = 0
-    for sweep in range(sweeps):
-        going_right = sweep % 2 == 0
-        step = 1 if going_right else -1
-        order = range(q) if going_right else range(q - 1, -1, -1)
-        for c in order:
-            energy, vec = solve(c)
-            state.sites[c] = vec.reshape(state.sites[c].shape)
-            trace.append(TraceEntry(0, sweep, c, energy, flops.current_total()))
-            if 0 <= c + step < q:
-                shift = _shift_center_right if going_right else _shift_center_left
-                shift(state, c, tols)
-                moved(c, step)
-        if last_sweep_e is not None and abs(energy - last_sweep_e) < tols.convergence:
-            still += 1
-            if still >= 2:
-                break
-        else:
-            still = 0
-        last_sweep_e = energy
-    return trace, state
+    return update
 
 
 def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
@@ -499,8 +465,9 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     environments into the numerator and denominator of a generalized pencil,
     solved on the eigenspace of the denominator above its floor.
     One sweep is one directional pass; direction alternates, re-gauging by
-    SVD after every update.  Returns (trace, state) with a nonincreasing
-    energy trace.
+    SVD after every update, and two consecutive sweeps that move the energy
+    by less than tols.convergence stop the search.  Returns (trace, state)
+    with a nonincreasing energy trace.
     """
     if d_bond < 1 or sweeps < 1:
         raise ValueError("need d_bond >= 1 and sweeps >= 1")
@@ -512,5 +479,8 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
         state, _ = normalize_right_sweep(state, tols)
     else:
         state, _ = normalize_left_sweep(state, tols)
-    solve, moved = _chain_local(blocked, state, tols)
-    return _als_sweeps(state, sweeps, tols, solve, moved)
+    trace = []
+    run_sweeps(_chain_local(blocked, state, tols),
+               (range(state.q), range(state.q - 1, -1, -1)), sweeps, tols, trace,
+               patience=2)
+    return trace, state

@@ -16,7 +16,7 @@ from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import Blocking, BlockedHamiltonian, SpinHamiltonian, regroup
 from .mps import MpsState
-from .records import TraceEntry
+from .records import TraceEntry, run_sweeps
 from .tensor import (
     DenseState,
     generalized_eig_min,
@@ -304,58 +304,37 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
         else:
             x_cols = fresh_cols()
         cross = cross_factory(blocked, frozen_terms) if frozen_terms else None
-        restarts = 0
-        degenerate = False
-        it = 0
-        last_e = None
-        while it < inner_iters:
-            energy = None
-            restarted = False
-            for i in range(q):
-                h_i, gamma = _stage_matrix(blocked, x_cols, i)
-                if cross is None:
-                    # pure rank-one stage: the quotient's denominator is gamma
-                    w, v = hermitian_eig(h_i, tols)
-                    energy = float(w[0]) / gamma
-                    x_cols[i] = v[:, 0]
-                else:
-                    dim = x_cols[i].shape[0]
-                    u_i = cross.numerator_vector(x_cols, i)
-                    v_i = cross.denominator_vector(x_cols, i)
-                    lam, vec = generalized_eig_min(
-                        *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho),
-                        tols)
-                    pin = vec[dim]
-                    if abs(pin) < 1e-12 * np.linalg.norm(vec):
-                        restarts += 1
-                        if restarts > max_restarts:
-                            # the frozen sum is already optimal within this
-                            # dictionary: freeze a weight-zero addend
-                            trace.append(TraceEntry(
-                                stage + 1, it, i, float("nan"),
-                                flops.current_total(), "degenerate-stage"))
-                            degenerate = True
-                            break
-                        trace.append(TraceEntry(stage + 1, it, i, float("nan"),
-                                                flops.current_total(), "restart"))
-                        x_cols = fresh_cols()
-                        restarted = True
-                        break
-                    energy = lam
-                    x_cols[i] = vec[:dim] / pin
-                if not restarted:
-                    trace.append(TraceEntry(stage + 1, it, i, energy,
-                                            flops.current_total()))
+
+        def update(it, i):
+            h_i, gamma = _stage_matrix(blocked, x_cols, i)
+            if cross is None:
+                # pure rank-one stage: the quotient's denominator is gamma
+                w, v = hermitian_eig(h_i, tols)
+                x_cols[i] = v[:, 0]
+                return float(w[0]) / gamma
+            dim = x_cols[i].shape[0]
+            u_i = cross.numerator_vector(x_cols, i)
+            v_i = cross.denominator_vector(x_cols, i)
+            lam, vec = generalized_eig_min(
+                *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho), tols)
+            pin = vec[dim]
+            if abs(pin) < 1e-12 * np.linalg.norm(vec):
+                return None  # the pinned coordinate vanished: restart the stage
+            x_cols[i] = vec[:dim] / pin
+            return lam
+
+        restarts, degenerate = 0, False
+        while (stop := run_sweeps(update, [range(q)], inner_iters, tols, trace,
+                                  stage + 1)) is not None:
+            restarts += 1
+            degenerate = restarts > max_restarts
+            trace.append(TraceEntry(stage + 1, *stop, float("nan"), flops.current_total(),
+                                    "degenerate-stage" if degenerate else "restart"))
             if degenerate:
+                # the frozen sum is already optimal within this dictionary:
+                # freeze a weight-zero addend
                 break
-            if restarted:
-                it = 0
-                last_e = None
-                continue
-            if last_e is not None and abs(energy - last_e) < tols.convergence:
-                break
-            last_e = energy
-            it += 1
+            x_cols[:] = fresh_cols()
         # freeze the finished addend in normalized form
         norms = [np.linalg.norm(c) for c in x_cols]
         weight = 0.0j if degenerate else complex(np.prod(norms))
@@ -423,7 +402,8 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Per mode, replace the whole slab of addend vectors by the minimizer of
     the rank*2^{t_i} generalized eigenproblem; addends are renormalized at
-    the end of every sweep.  Returns (trace, BlockedCp)."""
+    the end of every sweep, and a sweep that moves the energy by less than
+    tols.convergence stops the search.  Returns (trace, BlockedCp)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
     blocked = regroup(h, blocking)
@@ -433,19 +413,16 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
         x = random_cp(blocking, rank, seed)
     else:
         raise ValueError(f"unknown init {init!r}")
-    q = blocking.q
+
+    def update(sweep, i):
+        nonlocal x
+        lam, vec = generalized_eig_min(*_mode_problem(blocked, x, i), tols)
+        x.factors[i] = vec.reshape(rank, -1).T
+        x.weights = np.ones(rank, dtype=complex)
+        if i == blocking.q - 1:
+            x = x.normalize_addends()
+        return lam
+
     trace = []
-    last_e = None
-    for sweep in range(sweeps):
-        energy = None
-        for i in range(q):
-            lam, vec = generalized_eig_min(*_mode_problem(blocked, x, i), tols)
-            energy = lam
-            x.factors[i] = vec.reshape(rank, -1).T
-            x.weights = np.ones(rank, dtype=complex)
-            trace.append(TraceEntry(0, sweep, i, energy, flops.current_total()))
-        x = x.normalize_addends()
-        if last_e is not None and abs(energy - last_e) < tols.convergence:
-            break
-        last_e = energy
+    run_sweeps(update, [range(blocking.q)], sweeps, tols, trace)
     return trace, x

@@ -1,8 +1,10 @@
-"""Shared trace record for the iterative solvers."""
+"""Shared trace record and sweep driver for the iterative solvers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from . import flops
 
 
 @dataclass(frozen=True)
@@ -23,3 +25,30 @@ class TraceEntry:
     energy: float
     flops: int = 0
     note: str = ""
+
+
+def run_sweeps(update, modes, sweeps: int, tols, trace: list, stage: int = 0,
+               patience: int = 1):
+    """Alternating least squares over the modes of a format.
+
+    Sweep s visits the modes in order modes[s % len(modes)] and calls
+    update(s, mode), which solves that local problem and returns the
+    Rayleigh quotient after it, or None to abandon the run.  Every energy is
+    appended to `trace` as a TraceEntry of `stage` with the flop total.  The
+    run stops after `sweeps` sweeps, or once `patience` consecutive sweeps
+    each end within tols.convergence of the sweep before.  Returns None, or
+    the (sweep, mode) of the abandoned update, which is not recorded.
+    """
+    last, calm = None, 0
+    for sweep in range(sweeps):
+        for mode in modes[sweep % len(modes)]:
+            energy = update(sweep, mode)
+            if energy is None:
+                return sweep, mode
+            trace.append(TraceEntry(stage, sweep, mode, energy, flops.current_total()))
+        settled = last is not None and abs(energy - last) < tols.convergence
+        calm = calm + 1 if settled else 0
+        if calm >= patience:
+            break
+        last = energy
+    return None

@@ -83,9 +83,6 @@ class DenseState:
             raise ValueError("state tensor must have all modes of size 2")
         return cls(p, ravel(t))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 # ---------------------------------------------------------------------------
 # tensor operations

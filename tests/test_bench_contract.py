@@ -1,0 +1,35 @@
+"""Names the benchmark's span tracer (tnbench/tracer.py) needs from the
+package.  The tracer wraps every entry of its METHODS table and the
+selftest asserts a few imported names; deleting one of them breaks every
+traced benchmark run, so it is caught here."""
+
+import importlib
+import importlib.util
+import pathlib
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "tnbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("tnbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_methods_are_defined_on_their_classes():
+    tracer = _tracer()
+    for layer, classes in tracer.METHODS.items():
+        mod = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        for cls_name, methods in classes.items():
+            cls = getattr(mod, cls_name)
+            for meth in methods:
+                assert meth in vars(cls), f"{layer}.{cls_name}.{meth}"
+
+
+def test_names_the_tracer_selftest_rebinds_exist():
+    from tnsolve import hamiltonian, mps, oracle, parafac, tensor
+
+    assert mps.hermitian_eig is tensor.hermitian_eig
+    assert parafac.hermitian_eig is tensor.hermitian_eig
+    assert oracle.materialize_dense is hamiltonian.materialize_dense

@@ -281,7 +281,7 @@ def test_regroup_single_block_is_full_term():
     h = build_ising(4, 1.0, "open")
     g = regroup(h, Blocking((4,)))
     m = materialize_dense(h)
-    total = sum(g.coefficient(k) * g.block_matrix(k, 0) for k in range(g.num_terms))
+    total = sum(g.alpha[k] * g.block_matrix(k, 0) for k in range(len(g.alpha)))
     assert np.allclose(total, m, atol=1e-14)
 
 
@@ -297,8 +297,8 @@ def test_regroup_reassembles_dense():
     h = build_ising(4, 1.0, "open")
     g = regroup(h, Blocking((2, 2)))
     total = np.zeros((16, 16), dtype=complex)
-    for k in range(g.num_terms):
-        total += g.coefficient(k) * kron_first_fastest(
+    for k in range(len(g.alpha)):
+        total += g.alpha[k] * kron_first_fastest(
             [g.block_matrix(k, 0), g.block_matrix(k, 1)]
         )
     assert np.linalg.norm(total - materialize_dense(h)) <= 1e-14 * np.linalg.norm(total)
@@ -311,8 +311,8 @@ def test_regroup_partition_invariant_all_blockings():
     for widths in compositions(p):
         g = regroup(h, Blocking(widths))
         total = np.zeros_like(dense)
-        for k in range(g.num_terms):
-            total += g.coefficient(k) * kron_first_fastest(
+        for k in range(len(g.alpha)):
+            total += g.alpha[k] * kron_first_fastest(
                 [g.block_matrix(k, i) for i in range(g.blocking.q)]
             )
         assert np.linalg.norm(total - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
@@ -328,7 +328,7 @@ def test_apply_block_matches_matrix():
     rng = np.random.default_rng(2)
     h = build_heisenberg_xy(6, 1.0, 0.5, 0.2, "open")
     g = regroup(h, Blocking((3, 3)))
-    for k in range(0, g.num_terms, 3):
+    for k in range(0, len(g.alpha), 3):
         for i in range(2):
             v = crandn(rng, 8)
             assert np.allclose(g.apply_block(k, i, v), g.block_matrix(k, i) @ v,

@@ -18,8 +18,6 @@ from tnsolve.hamiltonian import (
 )
 from tnsolve.mps import (
     MpsState,
-    _als_sweeps,
-    _chain_local,
     _env_step_left,
     _env_step_right,
     _heff_apply,
@@ -466,31 +464,31 @@ def _ring_pencil(sites, ops, c):
 def test_periodic_pencil_from_cached_environments(monkeypatch):
     p, d_bond = 5, 3
     h = build_ising(p, 1.0, "periodic")
-    state, _ = normalize_left_sweep(random_mps(p, d_bond, "periodic", seed=43))
-    blocked = regroup(h, state.blocking)
-    tols = Tolerances()
-    solve, moved = _chain_local(blocked, state, tols)
-    pencils, snapshots = [], []
+    blocked = regroup(h, Blocking.single_sites(p))
+    states, pencils, snapshots = [], [], []
+
+    def gauged(x, tols):
+        out, status = normalize_left_sweep(x, tols)
+        states.append(out)  # the chain the sweeps update in place
+        return out, status
 
     def spy(fn):
         def wrapped(a, b, tols):
             pencils.append((a, b))
+            snapshots.append([s.copy() for s in states[0].sites])
             return fn(a, b, tols)
         return wrapped
 
+    monkeypatch.setattr(mps, "normalize_left_sweep", gauged)
     monkeypatch.setattr(mps, "generalized_eig_min", spy(mps.generalized_eig_min))
-
-    def recorded(c):
-        snapshots.append((c, [s.copy() for s in state.sites]))
-        return solve(c)
-
-    _als_sweeps(state, 1, tols, recorded, moved)
-    assert [c for c, _ in snapshots] == list(range(p))
+    trace, _ = als_ground_state(h, p, d_bond, "periodic", sweeps=1, seed=43)
+    assert [t.mode for t in trace] == list(range(p))
+    assert len(states) == 1 and len(pencils) == p
     eye = np.eye(2)
-    for (c, sites), (num, den) in zip(snapshots, pencils):
-        terms = [[blocked.coefficient(k) * blocked.block_matrix(k, j) if j == c
+    for c, sites, (num, den) in zip(range(p), snapshots, pencils):
+        terms = [[blocked.alpha[k] * blocked.block_matrix(k, j) if j == c
                   else blocked.block_matrix(k, j) for j in range(p)]
-                 for k in range(blocked.num_terms)]
+                 for k in range(len(blocked.alpha))]
         want_num = _ring_pencil(sites, terms, c)
         want_den = _ring_pencil(sites, [[eye] * p], c)
         assert np.linalg.norm(num - want_num) <= 1e-12 * np.linalg.norm(want_num)

@@ -300,6 +300,18 @@ def test_greedy_trace_energy_is_true_rayleigh():
 # ---------------------------------------------------------------------------
 # simultaneous ALS
 
+def test_greedy_restarts_then_freezes_degenerate_stage():
+    # one two-site block: the rank-one stage already reaches the ground
+    # energy, and every bordered solve of stage 2 leaves the pinned
+    # coordinate at 0, so the stage restarts until it gives up
+    trace, x = greedy_als(build_ising(2, 0.0), Blocking((2,)), 2, 20, 0)
+    assert len(trace) == 13
+    notes = [t.note for t in trace]
+    assert notes.count("restart") == 10 and notes[-1] == "degenerate-stage"
+    assert all(np.isnan(t.energy) for t in trace if t.note)
+    assert np.allclose(x.weights, [1, 0], rtol=0, atol=1e-12)
+
+
 def test_simultaneous_full_capacity_single_block():
     h = build_ising(4, 1.0, "open")
     e0, _ = ground_state_dense(h)
