@@ -7,7 +7,13 @@ the output directory, atomically and deterministically: with a fixed config
 and seed the bytes are identical across runs.  Timing fields are zero
 unless --timing is given, since wall time is not reproducible.
 
-Exit codes: 0 success, 2 configuration error, 3 dense cap exceeded,
+--validate checks the final energy against the Rayleigh quotient of the
+solver's state made dense, under tolerances.dense_site_cap; above that cap
+it records `validate_skipped` in summary.json instead.  --init takes
+random|spectral.
+
+Exit codes: 0 success, 2 configuration error, 3 dense cap exceeded by a
+method that needs the oracle (exact; never after a successful solve),
 4 solver or validation failure.
 """
 
@@ -116,12 +122,7 @@ class ExperimentConfig:
         return {
             "model": dataclasses.asdict(self.model),
             "method": dataclasses.asdict(self.method),
-            "run": {
-                "seed": self.seed,
-                "out": self.out,
-                "validate": self.validate,
-                "timing": self.timing,
-            },
+            "run": {name: getattr(self, name) for name in _SECTION_TYPES["run"]},
             "tolerances": dict(self.tolerances),
         }
 
@@ -287,14 +288,25 @@ def _csv_rows(method: str, trace, e0: float | None, elapsed: float | None):
     return "\n".join(rows) + "\n"
 
 
-def _densify(method: str, state):
-    if method == "mps-als":
-        return mps.to_dense(state)
-    if method == "parafac-als":
-        return parafac.to_dense(state)
-    if method == "mixed-als":
-        return mixed.sum_to_dense(state)
-    return None
+#: Each solver's state as a dense vector at p <= cap (names bound at call time)
+_DENSE_FORMS = {
+    "mps-als": lambda x, cap: mps.to_dense(x, cap),
+    "parafac-als": lambda x, cap: parafac.to_dense(x),
+    "mixed-als": lambda x, cap: mixed.sum_to_dense(x),
+}
+
+
+def _cp_als(h: SpinHamiltonian, blocking: Blocking, rank: int, sweeps: int,
+            seed: int, init: str, mode: str,
+            tols: Tolerances = DEFAULT_TOLS) -> tuple:
+    """(trace, state) of greedy or simultaneous blocked-CP ALS."""
+    if init not in ("random", "spectral"):
+        raise ConfigError(f"method.init must be random|spectral, got {init!r}")
+    if mode == "greedy":
+        return parafac.greedy_als(h, blocking, rank, sweeps, seed, tols, init=init)
+    if mode == "simultaneous":
+        return parafac.simultaneous_als(h, blocking, rank, sweeps, seed, init, tols)
+    raise ConfigError(f"method.mode must be greedy|simultaneous, got {mode!r}")
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -308,10 +320,7 @@ def run(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"unknown method {method!r}")
 
         extras: dict = {}
-        trace = []
-        final_energy = None
-        e0 = None
-        state = None
+        trace, state, e0 = [], None, None
 
         if method == "contract-check":
             reports = checks.run_all(instances=50, seed=cfg.seed)
@@ -346,52 +355,37 @@ def run(cfg: ExperimentConfig) -> int:
         else:
             h = build_model(cfg.model)
             e0 = cached_oracle_energy(h, cfg.out, tols)
+            m = cfg.method
             with flops.tally():
                 if method == "exact":
                     if e0 is None:
                         raise DimensionCapError(
                             f"p={h.p} exceeds the dense oracle cap")
-                    final_energy = e0
-                    trace = [TraceEntry(0, 0, 0, final_energy, 0)]
+                    trace = [TraceEntry(0, 0, 0, e0, 0)]
                 elif method == "mps-als":
-                    blocking = (_parse_blocking(cfg.method.blocking)
-                                if cfg.method.blocking else None)
+                    blocking = _parse_blocking(m.blocking) if m.blocking else None
                     trace, state = mps.als_ground_state(
-                        h, h.p, cfg.method.rank, cfg.model.boundary,
-                        cfg.method.sweeps, cfg.seed, blocking, tols)
-                    final_energy = trace[-1].energy
+                        h, h.p, m.rank, cfg.model.boundary, m.sweeps, cfg.seed,
+                        blocking, tols)
                 elif method == "parafac-als":
-                    blocking = _parse_blocking(cfg.method.blocking)
-                    init, init_seed = _parse_init(cfg)
-                    if cfg.method.mode == "greedy":
-                        trace, state = parafac.greedy_als(
-                            h, blocking, cfg.method.rank, cfg.method.sweeps,
-                            init_seed, tols, init=init)
-                    elif cfg.method.mode == "simultaneous":
-                        trace, state = parafac.simultaneous_als(
-                            h, blocking, cfg.method.rank, cfg.method.sweeps,
-                            init_seed, init, tols)
-                    else:
-                        raise ConfigError(
-                            f"method.mode must be greedy|simultaneous,"
-                            f" got {cfg.method.mode!r}")
-                    final_energy = trace[-1].energy
+                    trace, state = _cp_als(h, _parse_blocking(m.blocking), m.rank,
+                                           m.sweeps, cfg.seed, m.init, m.mode, tols)
                 elif method == "mixed-als":
-                    if not cfg.method.schedule:
+                    if not m.schedule:
                         raise ConfigError("mixed-als requires method.schedule")
-                    schedule = [_parse_blocking(tok)
-                                for tok in cfg.method.schedule.split("|")]
+                    schedule = [_parse_blocking(tok) for tok in m.schedule.split("|")]
                     trace, state = mixed.ground_state_mixed_greedy(
-                        h, schedule, cfg.method.rank, cfg.method.sweeps,
-                        cfg.seed, tols)
-                    final_energy = trace[-1].energy
-
+                        h, schedule, m.rank, m.sweeps, cfg.seed, tols)
+        final_energy = trace[-1].energy if trace else None
         elapsed = time.perf_counter() - started if cfg.timing else 0.0
 
-        if cfg.validate and state is not None and final_energy is not None:
-            dense = _densify(method, state)
-            if dense is not None and dense.p <= tols.dense_site_cap:
-                check = rayleigh(build_model(cfg.model), dense, tols)
+        if cfg.validate and method in _DENSE_FORMS:
+            # the one cap decision: nothing is made dense above it
+            cap = tols.dense_site_cap
+            if h.p > cap:
+                extras["validate_skipped"] = f"p={h.p} exceeds the dense cap {cap}"
+            else:
+                check = rayleigh(h, _DENSE_FORMS[method](state, cap), tols)
                 extras["validate_rayleigh"] = check
                 extras["validate_diff"] = abs(check - final_energy)
                 if extras["validate_diff"] > 1e-8:
@@ -415,8 +409,7 @@ def run(cfg: ExperimentConfig) -> int:
                       json.dumps(summary, sort_keys=True, indent=1,
                                  default=_jsonable) + "\n")
         _atomic_write(os.path.join(cfg.out, "trace.csv"),
-                      _csv_rows(method, trace, e0,
-                                elapsed if cfg.timing else None))
+                      _csv_rows(method, trace, e0, elapsed))
         if final_energy is not None:
             gap = "" if e0 is None else f"  |E - E0| = {abs(final_energy - e0):.3e}"
             print(f"{method}: E = {final_energy!r}{gap}")
@@ -438,21 +431,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _parse_init(cfg: ExperimentConfig) -> tuple:
-    """(kind, seed) from method.init: 'random', 'spectral' or 'random:<int>'
-    (a random start with its own seed)."""
-    init = cfg.method.init
-    if init in ("random", "spectral"):
-        return init, cfg.seed
-    if init.startswith("random:"):
-        try:
-            return "random", int(init[len("random:"):])
-        except ValueError:
-            pass
-    raise ConfigError(
-        f"method.init must be random|spectral|random:<int>, got {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +455,8 @@ def _run_cell(args):
     grid = FIGURE_GRIDS[figure]
     h = build_ising(grid["p"], 1.0, "open")
     tag = f"{figure}_{mode}_b{blocking.replace(',', '-')}_D{rank}"
-    if mode == "greedy":
-        trace, state = parafac.greedy_als(h, Blocking.from_string(blocking),
-                                          rank, sweeps, seed, init="spectral")
-    else:
-        trace, state = parafac.simultaneous_als(
-            h, Blocking.from_string(blocking), rank, sweeps, seed, "spectral")
+    trace, _ = _cp_als(h, Blocking.from_string(blocking), rank, sweeps, seed,
+                       "spectral", mode)
     e0 = cached_oracle_energy(h, out_dir)
     _atomic_write(os.path.join(out_dir, tag + ".csv"),
                   _csv_rows(f"parafac-als-{mode}", trace, e0, None))
@@ -520,22 +494,16 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
     else:
         cells = [_run_cell(job) for job in jobs]
 
+    errors = {(c["mode"], c["blocking"], c["rank"]): c["abs_error"] for c in cells}
     comparisons = []
     if mode == "both":
         for b in use_blockings:
             for r in use_ranks:
-                ge = next(c for c in cells
-                          if c["mode"] == "greedy" and c["blocking"] == b
-                          and c["rank"] == r)
-                se = next(c for c in cells
-                          if c["mode"] == "simultaneous" and c["blocking"] == b
-                          and c["rank"] == r)
+                ge, se = errors["greedy", b, r], errors["simultaneous", b, r]
                 comparisons.append({
                     "blocking": b, "rank": r,
-                    "greedy_error": ge["abs_error"],
-                    "simultaneous_error": se["abs_error"],
-                    "simultaneous_not_worse":
-                        se["abs_error"] <= ge["abs_error"] + 1e-12,
+                    "greedy_error": ge, "simultaneous_error": se,
+                    "simultaneous_not_worse": se <= ge + 1e-12,
                 })
     manifest = {
         "schema": "tnsolve-reproduction-v1",
@@ -556,44 +524,9 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--model", dest="model_name")
-    sub.add_argument("-p", type=int, dest="p")
-    sub.add_argument("--rows", type=int)
-    sub.add_argument("--cols", type=int)
-    sub.add_argument("--lam", type=float)
-    sub.add_argument("--jx", type=float)
-    sub.add_argument("--jy", type=float)
-    sub.add_argument("--boundary", choices=["open", "periodic"])
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--validate", action="store_true", default=None)
-    sub.add_argument("--timing", action="store_true", default=None)
-
-
-def _apply_overrides(cfg: ExperimentConfig, ns: argparse.Namespace) -> None:
-    pairs = [("model_name", ("model", "name")), ("p", ("model", "p")),
-             ("rows", ("model", "rows")), ("cols", ("model", "cols")),
-             ("lam", ("model", "lam")), ("jx", ("model", "jx")),
-             ("jy", ("model", "jy")), ("boundary", ("model", "boundary")),
-             ("rank", ("method", "rank")), ("blocking", ("method", "blocking")),
-             ("schedule", ("method", "schedule")), ("sweeps", ("method", "sweeps")),
-             ("init", ("method", "init")), ("d_cut", ("method", "d_cut")),
-             ("mode", ("method", "mode")),
-             ("seed", ("", "seed")), ("out", ("", "out")),
-             ("validate", ("", "validate")), ("timing", ("", "timing"))]
-    for attr, (section, key) in pairs:
-        if not hasattr(ns, attr):
-            continue
-        value = getattr(ns, attr)
-        if value is None:
-            continue
-        target = cfg if section == "" else getattr(cfg, section)
-        setattr(target, key, value)
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line.  Every method flag's dest names the config field it
+    sets, as "section.field"; _apply_overrides reads the mapping from there."""
     parser = argparse.ArgumentParser(
         prog="tnsolve",
         description="Ground states of spin Hamiltonians in structured tensor "
@@ -602,19 +535,35 @@ def main(argv=None) -> int:
 
     for name in METHODS:
         sub = subs.add_parser(name)
-        _add_common(sub)
+        sub.add_argument("--config", help="INI config file; flags override it")
+        sub.add_argument("--model", dest="model.name")
+        sub.add_argument("-p", type=int, dest="model.p")
+        sub.add_argument("--rows", type=int, dest="model.rows")
+        sub.add_argument("--cols", type=int, dest="model.cols")
+        sub.add_argument("--lam", type=float, dest="model.lam")
+        sub.add_argument("--jx", type=float, dest="model.jx")
+        sub.add_argument("--jy", type=float, dest="model.jy")
+        sub.add_argument("--boundary", choices=["open", "periodic"],
+                         dest="model.boundary")
+        sub.add_argument("--seed", type=int, dest="run.seed")
+        sub.add_argument("--out", dest="run.out")
+        sub.add_argument("--validate", action="store_true", default=None,
+                         dest="run.validate")
+        sub.add_argument("--timing", action="store_true", default=None,
+                         dest="run.timing")
         if name in ("mps-als", "parafac-als", "mixed-als", "peps-contract"):
-            sub.add_argument("--rank", "-D", type=int, dest="rank")
-            sub.add_argument("--sweeps", type=int)
+            sub.add_argument("--rank", "-D", type=int, dest="method.rank")
+            sub.add_argument("--sweeps", type=int, dest="method.sweeps")
         if name in ("mps-als", "parafac-als"):
-            sub.add_argument("--blocking")
+            sub.add_argument("--blocking", dest="method.blocking")
         if name == "parafac-als":
-            sub.add_argument("--mode", choices=["greedy", "simultaneous"])
-            sub.add_argument("--init")
+            sub.add_argument("--mode", choices=["greedy", "simultaneous"],
+                             dest="method.mode")
+            sub.add_argument("--init", dest="method.init")
         if name == "mixed-als":
-            sub.add_argument("--schedule")
+            sub.add_argument("--schedule", dest="method.schedule")
         if name == "peps-contract":
-            sub.add_argument("--d-cut", type=int, dest="d_cut")
+            sub.add_argument("--d-cut", type=int, dest="method.d_cut")
 
     rep = subs.add_parser("reproduce")
     rep.add_argument("--figure", required=True, choices=["p10", "p12"])
@@ -625,8 +574,21 @@ def main(argv=None) -> int:
     rep.add_argument("--ranks", help="comma-separated rank list")
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--workers", type=int, default=1)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def _apply_overrides(cfg: ExperimentConfig, ns: argparse.Namespace) -> None:
+    """Copy every flag given on the command line into the config field that
+    its dest names."""
+    targets = {"model": cfg.model, "method": cfg.method, "run": cfg}
+    for dest, value in vars(ns).items():
+        section, _, key = dest.rpartition(".")
+        if section and value is not None:
+            setattr(targets[section], key, value)
+
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "reproduce":
             try:

@@ -18,8 +18,6 @@ class Tolerances:
     zero_singular: float = 1e-14
     #: imaginary residue allowed when a quotient is asserted real
     rayleigh_imag: float = 1e-10
-    #: per-update slack for "energy trace nonincreasing" assertions
-    energy_monotone: float = 1e-10
     #: |dE| threshold for solver convergence stops
     convergence: float = 1e-10
     #: dense materialization cap: refuse p above this

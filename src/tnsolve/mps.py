@@ -75,9 +75,6 @@ class MpsState:
     def q(self) -> int:
         return self.blocking.q
 
-    def bond_dims(self) -> tuple:
-        return tuple(s.shape[0] for s in self.sites) + (self.sites[-1].shape[2],)
-
     def copy(self) -> "MpsState":
         return MpsState(self.boundary, self.blocking,
                         [s.copy() for s in self.sites])

@@ -157,13 +157,6 @@ def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
     return BlockedCp(x.blocking, factors, np.tile(x.weights, blocked.alpha.size))
 
 
-def cp_energy(h: SpinHamiltonian, x: BlockedCp) -> float:
-    blocked = regroup(h, x.blocking)
-    num = expectation_form(blocked, x, x)
-    den = inner(x, x).real
-    return float(num.real / den)
-
-
 def as_diagonal_mps(x: BlockedCp) -> MpsState:
     """Equivalent open chain with diagonal matrices: addend l occupies the
     l-th diagonal entry of every bond; weights fold into the first site."""

@@ -76,13 +76,6 @@ class DenseState:
         """View with one binary mode per site (site 1 fastest)."""
         return unravel(self.amplitudes, (2,) * self.p)
 
-    @classmethod
-    def from_tensor(cls, t: np.ndarray) -> "DenseState":
-        p = t.ndim
-        if t.shape != (2,) * p:
-            raise ValueError("state tensor must have all modes of size 2")
-        return cls(p, ravel(t))
-
 
 # ---------------------------------------------------------------------------
 # tensor operations

@@ -1,10 +1,13 @@
 """Names the benchmark's span tracer (tnbench/tracer.py) needs from the
 package.  The tracer wraps every entry of its METHODS table and the
 selftest asserts a few imported names; deleting one of them breaks every
-traced benchmark run, so it is caught here."""
+traced benchmark run, so it is caught here.  The tracer also reads the
+spans of a few `cli` functions by name; renaming one of those would
+silently zero the metric built from it."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "tnbench" / "tracer.py"
@@ -33,3 +36,18 @@ def test_names_the_tracer_selftest_rebinds_exist():
     assert mps.hermitian_eig is tensor.hermitian_eig
     assert parafac.hermitian_eig is tensor.hermitian_eig
     assert oracle.materialize_dense is hamiltonian.materialize_dense
+
+
+def test_cli_names_the_tracer_reads_are_public_functions():
+    from tnsolve import cli
+
+    tracer = _tracer()
+    names = [k for k in tracer.HOOKS if k.startswith("cli.")]
+    # SpanTracer._cache_hit_ratio counts the spans of this lookup
+    names.append("cli.cached_oracle_energy")
+    for name in names:
+        attr = name[len("cli."):]
+        fn = getattr(cli, attr, None)
+        # the tracer wraps exactly the public functions a module defines
+        assert not attr.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == cli.__name__, name

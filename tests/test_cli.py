@@ -1,5 +1,6 @@
 """Configuration handling, run orchestration, determinism, reproduction."""
 
+import argparse
 import json
 import os
 import sys
@@ -273,6 +274,88 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_validate_above_cap_skips_after_solve(tmp_path):
+    out = tmp_path / "x"
+    rc = main(["mps-als", "-p", "16", "-D", "4", "--sweeps", "2", "--validate",
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["validate_skipped"] == "p=16 exceeds the dense cap 14"
+    assert summary["oracle_energy"] is None
+    assert summary["final_energy"] is not None
+    assert "validate_diff" not in summary
+
+
+def test_validate_runs_at_the_configured_cap(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[tolerances]\ndense_site_cap = 15\n")
+    out = tmp_path / "x"
+    rc = main(["mps-als", "--config", str(path), "-p", "15", "-D", "4",
+               "--sweeps", "2", "--validate", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert "validate_skipped" not in summary
+    assert summary["validate_diff"] <= 1e-8
+
+
+def test_validate_above_cap_never_densifies(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.parafac, "to_dense", lambda x: calls.append(x))
+    out = tmp_path / "x"
+    rc = main(["parafac-als", "-p", "16", "--blocking", "8,8", "--rank", "1",
+               "--sweeps", "2", "--validate", "--out", str(out)])
+    assert rc == 0
+    assert calls == []
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["validate_skipped"] == "p=16 exceeds the dense cap 14"
+
+
+def _method_parsers():
+    """{method: its argparse subparser}"""
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: sub.choices[name] for name in cli.METHODS}
+
+
+def test_every_flag_names_a_config_field():
+    for method, parser in _method_parsers().items():
+        for action in parser._actions:
+            if action.dest in ("help", "config"):
+                continue
+            section, _, key = action.dest.partition(".")
+            assert key in cli._SECTION_TYPES.get(section, {}), \
+                f"{method} {action.option_strings} -> {action.dest}"
+
+
+def test_every_flag_reaches_the_config():
+    defaults = ExperimentConfig().to_dict()
+    for method, parser in _method_parsers().items():
+        argv, want = [method], {}
+        for action in parser._actions:
+            if "." not in action.dest:
+                continue
+            section, key = action.dest.split(".")
+            if action.nargs == 0:  # store_true
+                argv.append(action.option_strings[0])
+                value = True
+            elif action.choices:
+                value = next(c for c in action.choices
+                             if c != defaults[section][key])
+                argv += [action.option_strings[0], value]
+            else:
+                kind = cli._SECTION_TYPES[section][key]
+                value = {int: 7, float: 0.375, str: "x7"}[kind]
+                argv += [action.option_strings[0], str(value)]
+            assert value != defaults[section][key], action.dest
+            want[action.dest] = value
+        cfg = ExperimentConfig()
+        cli._apply_overrides(cfg, cli._parser().parse_args(argv))
+        got = cfg.to_dict()
+        for dest, value in want.items():
+            section, key = dest.split(".")
+            assert got[section][key] == value, f"{method} {dest}"
+
+
 def test_oracle_cache_reused(tmp_path):
     out = str(tmp_path)
     h = build_ising(6, 1.0, "open")
@@ -344,13 +427,10 @@ def test_init_misspelled_exit_code(tmp_path):
 
 
 def test_init_bad_seed_exit_code(tmp_path):
+    # --init names the start only; its seed is --seed
     assert main(_parafac_args(tmp_path, "--init", "random:x")) == 2
-    # a well-formed seeded start runs like --seed
-    assert main(_parafac_args(tmp_path, "--init", "random:5")) == 0
-    seeded = json.loads(read(tmp_path / "x" / "summary.json"))["final_energy"]
-    assert main(_parafac_args(tmp_path, "--seed", "5")) == 0
-    plain = json.loads(read(tmp_path / "x" / "summary.json"))["final_energy"]
-    assert seeded == plain
+    assert main(_parafac_args(tmp_path, "--init", "random:5")) == 2
+    assert not os.path.exists(tmp_path / "x" / "summary.json")
 
 
 def test_reproduce_bad_ranks_exit_code(tmp_path):

@@ -42,6 +42,11 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def bond_dims(x):
+    """Bond sizes from the left edge to the right edge of a chain."""
+    return tuple(s.shape[0] for s in x.sites) + (x.sites[-1].shape[2],)
+
+
 def bits_of(index, p):
     return [(index >> r) & 1 for r in range(p)]
 
@@ -97,9 +102,9 @@ def test_random_mps_reproducible_and_clamped():
     b = random_mps(4, 8, "open", seed=9)
     for sa, sb in zip(a.sites, b.sites):
         assert np.array_equal(sa, sb)
-    assert a.bond_dims() == (1, 2, 4, 2, 1)
+    assert bond_dims(a) == (1, 2, 4, 2, 1)
     c = random_mps(4, 1, "open", seed=3)
-    assert c.bond_dims() == (1, 1, 1, 1, 1)
+    assert bond_dims(c) == (1, 1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +129,7 @@ def test_add_bond_profile():
     x = random_mps(5, 2, "open", seed=6)
     y = random_mps(5, 3, "open", seed=7)
     s = add(x, y)
-    bx, by, bs = x.bond_dims(), y.bond_dims(), s.bond_dims()
+    bx, by, bs = bond_dims(x), bond_dims(y), bond_dims(s)
     for j in range(1, 5):
         assert bs[j] == bx[j] + by[j]
     assert bs[0] == bs[5] == 1
@@ -263,11 +268,11 @@ def test_apply_hamiltonian_bond_growth():
     h = build_ising(4, 1.0, "open")
     x = random_mps(4, 2, "open", seed=27)
     y = apply_hamiltonian(h, x)
-    bx = x.bond_dims()
+    bx = bond_dims(x)
     widths = [w.shape[0] for w in mpo(regroup(h, x.blocking))] + [1]
     assert widths == [1, 3, 3, 3, 1]
     for j in range(5):
-        assert y.bond_dims()[j] == widths[j] * bx[j]
+        assert bond_dims(y)[j] == widths[j] * bx[j]
 
 
 def test_expectation_all_up_state_zero_field():
@@ -391,7 +396,7 @@ def test_als_blocked_periodic_near_singular_denominator(blocking, seed):
                                 blocking=Blocking.from_string(blocking), tols=tols)
     energies = [t.energy for t in trace]
     assert min(energies) >= e0 - 1e-9
-    assert all(e2 <= e1 + tols.energy_monotone for e1, e2 in zip(energies, energies[1:]))
+    assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
     assert abs(energies[-1] - e0) <= 1e-8
 
 

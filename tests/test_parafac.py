@@ -23,7 +23,6 @@ from tnsolve.parafac import (
     _stage_matrix,
     as_diagonal_mps,
     apply_hamiltonian,
-    cp_energy,
     expectation_form,
     greedy_als,
     inner,
@@ -37,6 +36,12 @@ from tnsolve.tensor import kron_first_fastest
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _cp_energy(h, x):
+    """Rayleigh quotient of a CP state from its contractions."""
+    num = expectation_form(regroup(h, x.blocking), x, x)
+    return float(num.real / inner(x, x).real)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +232,8 @@ def test_spectral_init_full_rank():
 def test_spectral_init_beats_random_median():
     h = build_ising(10, 1.0, "open")
     b = Blocking((5, 5))
-    e_spec = cp_energy(h, spectral_init(h, b, 2))
-    rand_energies = [cp_energy(h, random_cp(b, 2, seed=s)) for s in range(20)]
+    e_spec = _cp_energy(h, spectral_init(h, b, 2))
+    rand_energies = [_cp_energy(h, random_cp(b, 2, seed=s)) for s in range(20)]
     assert e_spec <= np.median(rand_energies)
 
 
@@ -257,7 +262,7 @@ def test_greedy_energy_never_below_oracle():
     for entry in trace:
         if not np.isnan(entry.energy):
             assert entry.energy >= e0 - 1e-10
-    assert cp_energy(h, state) == pytest.approx(trace[-1].energy, abs=1e-9)
+    assert _cp_energy(h, state) == pytest.approx(trace[-1].energy, abs=1e-9)
 
 
 def test_greedy_stagewise_improvement():
@@ -335,7 +340,7 @@ def test_simultaneous_trace_monotone_and_consistent():
     energies = [t.energy for t in trace]
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(rayleigh(h, to_dense(state)), abs=1e-10)
-    assert energies[-1] == pytest.approx(cp_energy(h, state), abs=1e-10)
+    assert energies[-1] == pytest.approx(_cp_energy(h, state), abs=1e-10)
 
 
 def test_simultaneous_not_worse_than_greedy_small():

@@ -48,7 +48,7 @@ def test_dense_state_roundtrip():
     v = crandn(rng, 32)
     st = DenseState(5, v)
     assert np.array_equal(ravel(st.tensor()), st.vector)
-    assert np.array_equal(DenseState.from_tensor(st.tensor()).vector, v)
+    assert np.array_equal(DenseState(5, ravel(st.tensor())).vector, v)
     with pytest.raises(ValueError):
         DenseState(4, v)
 
