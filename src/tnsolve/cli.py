@@ -314,6 +314,7 @@ def run(cfg: ExperimentConfig) -> int:
     try:
         os.makedirs(cfg.out, exist_ok=True)
         tols = cfg.tols()
+        cap = tols.dense_site_cap  # the largest p ever made dense
         started = time.perf_counter()
         method = cfg.method.name
         if method not in METHODS:
@@ -346,8 +347,9 @@ def run(cfg: ExperimentConfig) -> int:
             extras["value_re"] = value.real
             extras["value_im"] = value.imag
             extras["flops"] = fc.total
-            if rows * cols <= peps.PEPS_DENSE_CAP:
-                ref = np.vdot(peps.to_dense(y).vector, peps.to_dense(x).vector)
+            if rows * cols <= cap:
+                ref = np.vdot(peps.to_dense(y, cap).vector,
+                              peps.to_dense(x, cap).vector)
                 extras["dense_re"] = ref.real
                 extras["dense_im"] = ref.imag
                 extras["abs_deviation"] = abs(value - ref)
@@ -381,7 +383,6 @@ def run(cfg: ExperimentConfig) -> int:
 
         if cfg.validate and method in _DENSE_FORMS:
             # the one cap decision: nothing is made dense above it
-            cap = tols.dense_site_cap
             if h.p > cap:
                 extras["validate_skipped"] = f"p={h.p} exceeds the dense cap {cap}"
             else:

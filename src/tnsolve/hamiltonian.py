@@ -189,19 +189,12 @@ class SpinHamiltonian:
 # model builders
 
 def build_ising(p: int, lam: float, boundary: str = "open") -> SpinHamiltonian:
-    """Transverse-field Ising chain: sum of nearest-neighbor ZZ terms with
-    unit coupling plus lam * X on every site."""
-    _check_boundary(boundary)
+    """Transverse-field Ising chain: the 1 x p lattice of
+    :func:`build_ising_2d`, nearest-neighbor ZZ terms with unit coupling
+    plus lam * X on every site."""
     if p < 2:
         raise ValueError("Ising chain needs p >= 2")
-    terms = []
-    for k in range(p - 1):
-        terms.append(_single_site_term(p, 1.0, {k: OP_Z, k + 1: OP_Z}))
-    if boundary == "periodic":
-        terms.append(_single_site_term(p, 1.0, {p - 1: OP_Z, 0: OP_Z}))
-    for k in range(p):
-        terms.append(_single_site_term(p, float(lam), {k: OP_X}))
-    return SpinHamiltonian(p, terms)
+    return build_ising_2d(1, p, lam, boundary)
 
 
 def build_heisenberg_xy(p: int, jx: float, jy: float, lam: float,
@@ -475,9 +468,10 @@ def mpo(table: BlockTable) -> list:
 
 def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_{a, j} W[a, b, i, j] t[a, j, ...] for an MPO site W of shape
-    (w_i, w_{i+1}, n, n) and a tensor t of shape (w_i, n, ...) whose first
-    axis meets the left operator bond and whose second is a ket's physical
-    index; the result has shape (w_{i+1}, n, ...).  Swapping the first two
-    axes of W applies the site from the right.  Every contraction with an
-    MPO site goes through here and is charged to the flop counter."""
+    (w_i, w_{i+1}, n_out, n_in) and a tensor t of shape (w_i, n_in, ...)
+    whose first axis meets the left operator bond and whose second is a
+    ket's physical index; the result has shape (w_{i+1}, n_out, ...).
+    Swapping the first two axes of W applies the site from the right.  Every
+    contraction with an MPO site goes through here and is charged to the
+    flop counter."""
     return flops.tdot(w, t, axes=((0, 3), (0, 1)))

@@ -174,21 +174,15 @@ def add(x: MpsState, y: MpsState) -> MpsState:
     return MpsState(x.boundary, x.blocking, sites)
 
 
-def _merge_ff(arr: np.ndarray, ax: int) -> np.ndarray:
-    """Merge axes (ax, ax+1) into one, with axis ax the fast index."""
-    sh = arr.shape
-    moved = np.swapaxes(arr, ax, ax + 1)
-    return moved.reshape(sh[:ax] + (sh[ax] * sh[ax + 1],) + sh[ax + 2:])
+def _merge_rows(site: np.ndarray) -> np.ndarray:
+    """Site (D, d, D') as the (d D, D') matrix whose row index is the
+    (bond, phys) pair with the bond fast."""
+    return np.swapaxes(site, 0, 1).reshape(-1, site.shape[2])
 
 
 def _split_rows(u: np.ndarray, dl: int, d: int) -> np.ndarray:
-    """Inverse of the (bond, phys) row merge used when left-gauging."""
+    """Inverse of :func:`_merge_rows`."""
     return u.reshape(d, dl, -1).transpose(1, 0, 2)
-
-
-def _split_cols(v: np.ndarray, d: int, dr: int) -> np.ndarray:
-    """Inverse of the (phys, bond) column merge used when right-gauging."""
-    return v.reshape(-1, dr, d).transpose(0, 2, 1)
 
 
 def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
@@ -205,22 +199,22 @@ def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
     return u[:, :rank], s[:rank], v[:rank, :]
 
 
-def _shift_center_right(state: MpsState, c: int, tols: Tolerances) -> None:
-    """Left-gauge site c by SVD and push the remaining factor into c + 1."""
-    dl, d, _ = state.sites[c].shape
-    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 0), tols=tols)
-    state.sites[c] = _split_rows(u, dl, d)
-    carry = s[:, None] * v
-    state.sites[c + 1] = np.tensordot(carry, state.sites[c + 1], axes=(1, 0))
+def _shift_center_right(sites: list, c: int, tols: Tolerances,
+                        d_max: int | None = None) -> None:
+    """Left-gauge sites[c] by SVD, keeping at most d_max singular values,
+    and push the remaining factor s v into sites[c + 1]."""
+    dl, d, _ = sites[c].shape
+    u, s, v = _trimmed_svd(_merge_rows(sites[c]), d_max, tols)
+    sites[c] = _split_rows(u, dl, d)
+    sites[c + 1] = flops.tdot(s[:, None] * v, sites[c + 1], axes=(1, 0))
 
 
-def _shift_center_left(state: MpsState, c: int, tols: Tolerances) -> None:
-    """Right-gauge site c by SVD and push the remaining factor into c - 1."""
-    _, d, dr = state.sites[c].shape
-    u, s, v = _trimmed_svd(_merge_ff(state.sites[c], 1), tols=tols)
-    state.sites[c] = _split_cols(v, d, dr)
-    carry = u * s[None, :]
-    state.sites[c - 1] = np.tensordot(state.sites[c - 1], carry, axes=(2, 0))
+def _shift_center_left(sites: list, c: int, tols: Tolerances) -> None:
+    """Right-gauge sites[c] and push the remaining factor into sites[c - 1]:
+    :func:`_shift_center_right` on the two sites mirrored."""
+    pair = [sites[c].transpose(2, 1, 0), sites[c - 1].transpose(2, 1, 0)]
+    _shift_center_right(pair, 0, tols)
+    sites[c], sites[c - 1] = (t.transpose(2, 1, 0) for t in pair)
 
 
 def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
@@ -230,7 +224,7 @@ def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     out = x.copy()
     q = out.q
     for j in range(q - 1):
-        _shift_center_right(out, j, tols)
+        _shift_center_right(out.sites, j, tols)
     gamma = None
     if out.boundary == "open":
         gamma = float(np.sum(np.abs(out.sites[q - 1]) ** 2))
@@ -242,7 +236,7 @@ def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     out = x.copy()
     q = out.q
     for j in range(q - 1, 0, -1):
-        _shift_center_left(out, j, tols)
+        _shift_center_left(out.sites, j, tols)
     gamma = None
     if out.boundary == "open":
         gamma = float(np.sum(np.abs(out.sites[0]) ** 2))
@@ -251,16 +245,15 @@ def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
 
 def gauge_residual_left(site: np.ndarray) -> float:
     """|| sum_i U^(i)H U^(i) - I || for one site tensor."""
-    m = _merge_ff(site, 0)
+    m = _merge_rows(site)
     g = m.conj().T @ m
     return float(np.linalg.norm(g - np.eye(g.shape[0])))
 
 
 def gauge_residual_right(site: np.ndarray) -> float:
-    """|| sum_i U^(i) U^(i)H - I || for one site tensor."""
-    m = _merge_ff(site, 1)
-    g = m @ m.conj().T
-    return float(np.linalg.norm(g - np.eye(g.shape[0])))
+    """|| sum_i U^(i) U^(i)H - I || for one site tensor: the left residual
+    of the mirrored site."""
+    return gauge_residual_left(site.transpose(2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +285,10 @@ def _env_step_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
 def _env_step_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
                    w: np.ndarray) -> np.ndarray:
     """Mirror image of :func:`_env_step_right`: (w_{j+1}, ..., Dr, Dr) ->
-    (w_j, ..., Dl, Dl), the MPO site applied from its right bond."""
-    f = np.moveaxis(flops.tdot(env, ket, axes=(-1, 2)), -1, 1)  # (b, j, ..., y', x)
-    f = mpo_apply(np.swapaxes(w, 0, 1), f)                      # (a, i, ..., y', x)
-    f = flops.tdot(f, bra.conj(), axes=((1, -2), (1, 2)))      # (a, ..., x, y)
-    return np.swapaxes(f, -1, -2)
+    (w_j, ..., Dl, Dl), the right step on the mirrored sites with the MPO
+    site applied from its right bond."""
+    return _env_step_right(env, bra.transpose(2, 1, 0), ket.transpose(2, 1, 0),
+                           np.swapaxes(w, 0, 1))
 
 
 def _zipper(bras: list, kets: list, ws: list | None = None) -> complex:
@@ -332,19 +324,28 @@ def expectation(h: SpinHamiltonian, x: MpsState,
     return float(total.real)
 
 
-def apply_hamiltonian(h: SpinHamiltonian, x: MpsState) -> MpsState:
-    """H x as a single chain: site j is the MPO site H_j applied to x_j, its
-    operator bonds merged into the state's (operator bond slow), so bond j
-    grows from D_j to w_j D_j."""
-    sites = []
-    for w, site in zip(mpo(regroup(h, x.blocking)), x.sites):
-        wl, wr, d, _ = w.shape
+def _apply_mpo(ws: list, sites: list) -> list:
+    """Sites of the MPO with sites ws applied to a chain: MPO site j of shape
+    (w_j, w_{j+1}, n_out, n_in) meets chain site j of shape (D_j, n_in,
+    D_{j+1}), its operator bonds merged into the chain's (operator bond
+    slow), so site j becomes (w_j D_j, n_out, w_{j+1} D_{j+1})."""
+    out = []
+    for w, site in zip(ws, sites):
+        wl, wr, n_out, n_in = w.shape
         dl, _, dr = site.shape
         # the operator bond pair (a, b) as one outgoing bond of a size-1 one
-        t = mpo_apply(w.reshape(1, wl * wr, d, d), site.transpose(1, 0, 2)[None])
-        t = t.reshape(wl, wr, d, dl, dr).transpose(0, 3, 2, 1, 4)
-        sites.append(t.reshape(wl * dl, d, wr * dr))
-    return MpsState(x.boundary, x.blocking, sites)
+        t = mpo_apply(w.reshape(1, wl * wr, n_out, n_in),
+                      site.transpose(1, 0, 2)[None])
+        t = t.reshape(wl, wr, n_out, dl, dr).transpose(0, 3, 2, 1, 4)
+        out.append(t.reshape(wl * dl, n_out, wr * dr))
+    return out
+
+
+def apply_hamiltonian(h: SpinHamiltonian, x: MpsState) -> MpsState:
+    """H x as a single chain (:func:`_apply_mpo`), so bond j grows from D_j
+    to w_j D_j."""
+    return MpsState(x.boundary, x.blocking,
+                    _apply_mpo(mpo(regroup(h, x.blocking)), x.sites))
 
 
 def mps_energy(h: SpinHamiltonian, x: MpsState,
@@ -427,7 +428,7 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
         if 0 <= behind < q:
             shift, envs = ((_shift_center_right, lenv) if step > 0
                            else (_shift_center_left, renv))
-            shift(state, behind, tols)
+            shift(state.sites, behind, tols)
             envs[c] = grown(envs[behind], behind, step)
         site = state.sites[c]
         if periodic:

@@ -4,14 +4,14 @@ Site (r, c) of a rows x cols lattice holds a tensor of shape
 (2, up, down, left, right); open-boundary edge bonds have size 1, and the
 lattice is numbered row-major so 1 x p grids coincide with open chains.
 
-The inner-product scheme pairs bra and ket tensors column by column and
-absorbs each column into a boundary column.  After every absorption the
-grown vertical pair indices are reduced back to `d_cut` by SVDs along the
-column (index split: vertical pair versus all remaining legs), sweeping
-bottom-up without truncation first and truncating top-down, so caps at or
-above the exact bond rank reproduce the dense value; smaller caps give the
-scheme's approximation.  The counted cost of the dominant absorption step
-grows like D^10 at d_cut = D.
+The inner-product scheme pairs bra and ket tensors column by column.  The
+boundary column is an open MPS over the vertical pair bonds, and each
+further column acts on it as an MPO (`mps._apply_mpo`).  After every
+absorption the chain gauge shifts of `mps` reduce the grown bonds back to
+`d_cut`: a bottom-up pass without truncation, then a truncating top-down
+one, so caps at or above the exact bond rank reproduce the dense value;
+smaller caps give the scheme's approximation.  The counted cost of the
+dominant absorption step grows like D^10 at d_cut = D.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .mps import MpsState, _trimmed_svd
+from .mps import MpsState, _apply_mpo, _shift_center_left, _shift_center_right
 from .tensor import DenseState, DimensionCapError, _contract_labelled
-
-PEPS_DENSE_CAP = 12
 
 
 @dataclass
@@ -114,7 +112,7 @@ def _site_piece(x: PepsState, r: int, c: int):
     return legs, t[tuple(idx)]
 
 
-def to_dense(x: PepsState, cap: int = PEPS_DENSE_CAP) -> DenseState:
+def to_dense(x: PepsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
     """Brute-force contraction, consuming sites in row-major order."""
     if x.p > cap:
         raise DimensionCapError(f"{x.rows}x{x.cols} lattice exceeds dense cap {cap}")
@@ -134,74 +132,42 @@ def to_dense(x: PepsState, cap: int = PEPS_DENSE_CAP) -> DenseState:
 # column-by-column inner product
 
 def _merge_pair_column(x: PepsState, y: PepsState, c: int) -> list:
-    """Per row: bra-ket pair tensor of column c with paired legs
-    (up, down, left, right), each the product of the two layers' bonds."""
+    """Per row: bra-ket pair tensor of column c as an MPO site with paired
+    legs (up, down, right, left), each the product of the two layers'
+    bonds."""
     merged = []
     for r in range(x.rows):
         tx, ty = x.sites[r][c], y.sites[r][c]
         z = flops.tdot(ty.conj(), tx, axes=(0, 0))
-        # (uy, dy, ly, ry, ux, dx, lx, rx) -> (uy ux, dy dx, ly lx, ry rx)
-        z = z.transpose(0, 4, 1, 5, 2, 6, 3, 7)
+        # (uy, dy, ly, ry, ux, dx, lx, rx) -> (uy ux, dy dx, ry rx, ly lx)
+        z = z.transpose(0, 4, 1, 5, 3, 7, 2, 6)
         s = z.shape
         merged.append(z.reshape(s[0] * s[1], s[2] * s[3], s[4] * s[5], s[6] * s[7]))
     return merged
 
 
-def _compress_column(col: list, d_cut: int, tols: Tolerances) -> list:
-    """Treat the merged column as a chain over its vertical pair bonds and
-    truncate every bond to at most d_cut.
-
-    Bottom-up pass first (zero-drop only), making everything below the
-    working bond an isometry, then a top-down truncating pass; the local
-    singular values of the (up leg | rest) split then are the true cut
-    spectrum, so caps at or above the exact rank lose nothing.
-    """
-    rows = len(col)
-    # bottom-up canonicalization: split (down, free | up), push weight up
-    for r in range(rows - 1, 0, -1):
-        u_dim, d_dim, m_dim = col[r].shape
-        mat = col[r].transpose(1, 2, 0).reshape(d_dim * m_dim, u_dim)
-        uu, ss, vv = _trimmed_svd(mat, tols=tols)
-        rank = ss.size
-        col[r] = uu.reshape(d_dim, m_dim, rank).transpose(2, 0, 1)
-        carry = ss[:, None] * vv  # (rank, u_dim)
-        col[r - 1] = flops.tdot(col[r - 1], carry, axes=(1, 1)).transpose(0, 2, 1)
-    # top-down truncation: split (up, free | down), push weight down
-    for r in range(rows - 1):
-        u_dim, d_dim, m_dim = col[r].shape
-        mat = col[r].transpose(0, 2, 1).reshape(u_dim * m_dim, d_dim)
-        uu, ss, vv = _trimmed_svd(mat, d_max=d_cut, tols=tols)
-        rank = ss.size
-        col[r] = uu.reshape(u_dim, m_dim, rank).transpose(0, 2, 1)
-        carry = ss[:, None] * vv  # (rank, d_dim)
-        col[r + 1] = flops.tdot(carry, col[r + 1], axes=(1, 0))
-    return col
-
-
 def inner_peps(x: PepsState, y: PepsState, d_cut: int,
                tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """<y, x> by absorbing bra-ket columns left to right with the vertical
-    pair indices truncated to d_cut after every absorption.  Exact whenever
-    d_cut is at least the rank the truncated bonds actually carry."""
+    """<y, x> by absorbing bra-ket columns left to right into a boundary
+    chain whose bonds are truncated to d_cut after every absorption.  Exact
+    whenever d_cut is at least the rank the truncated bonds actually carry."""
     if (x.rows, x.cols) != (y.rows, y.cols):
         raise ValueError("lattices must match")
     if d_cut < 1:
         raise ValueError("d_cut must be at least 1")
-    rows, cols = x.rows, x.cols
-    # column 0: (u, d, left=1, right) -> boundary column of (u, d, m) tensors
-    boundary = [t[:, :, 0, :] for t in _merge_pair_column(x, y, 0)]
-    for c in range(1, cols):
-        col = _merge_pair_column(x, y, c)
-        grown = []
-        for r in range(rows):
-            b, t = boundary[r], col[r]
-            z = flops.tdot(b, t, axes=(2, 2))  # (u1, d1, u2, d2, rr)
-            s = z.shape
-            z = z.transpose(0, 2, 1, 3, 4).reshape(s[0] * s[2], s[1] * s[3], s[4])
-            grown.append(z)
-        boundary = _compress_column(grown, d_cut, tols)
+    rows = x.rows
+    # column 0 as a chain over the vertical pair bonds: sites (up, right, down)
+    chain = [t[..., 0].transpose(0, 2, 1) for t in _merge_pair_column(x, y, 0)]
+    for c in range(1, x.cols):
+        chain = _apply_mpo(_merge_pair_column(x, y, c), chain)
+        # right-gauge bottom-up without truncation, so the top-down pass
+        # sees the true cut spectrum and caps at the exact rank lose nothing
+        for r in range(rows - 1, 0, -1):
+            _shift_center_left(chain, r, tols)
+        for r in range(rows - 1):
+            _shift_center_right(chain, r, tols, d_max=d_cut)
     # last column has right legs of size 1: close from the bottom
-    env = boundary[rows - 1][:, 0, 0]
+    env = chain[rows - 1][:, 0, 0]
     for r in range(rows - 2, -1, -1):
-        env = flops.tdot(boundary[r][:, :, 0], env, axes=(1, 0))
+        env = flops.tdot(chain[r][:, 0, :], env, axes=(1, 0))
     return complex(env[0])

@@ -5,12 +5,14 @@ traced benchmark run, so it is caught here.  The tracer also reads the
 spans of a few `cli` functions by name; renaming one of those would
 silently zero the metric built from it."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pathlib
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "tnbench" / "tracer.py"
+TNBENCH = pathlib.Path(__file__).resolve().parents[1] / "tnbench"
+TRACER = TNBENCH / "tracer.py"
 
 
 def _tracer():
@@ -51,3 +53,40 @@ def test_cli_names_the_tracer_reads_are_public_functions():
         # the tracer wraps exactly the public functions a module defines
         assert not attr.startswith("_") and inspect.isfunction(fn), name
         assert fn.__module__ == cli.__name__, name
+
+
+def _dotted(node: ast.AST) -> list | None:
+    """['mod', 'a', 'b'] for the expression mod.a.b, None for anything else."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else head + [node.attr]
+    return None
+
+
+def test_workload_names_exist_in_the_package():
+    # the benchmark workloads call into tnsolve by attribute; a refactor that
+    # removes or renames one of those names breaks every benchmark run
+    tree = ast.parse((TNBENCH / "workloads.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tnsolve":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = importlib.import_module(
+                    f"tnsolve.{alias.name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tnsolve."):
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
+    assert {"mps", "peps", "cli"} <= set(modules)
+    used = set()
+    for node in ast.walk(tree):
+        path = _dotted(node)
+        if path and len(path) > 1 and path[0] in modules:
+            used.add(".".join(path))
+            obj = modules[path[0]]
+            for part in path[1:]:
+                assert hasattr(obj, part), ".".join(path)
+                obj = getattr(obj, part)
+    assert {"mps.mps_energy", "peps.inner_peps", "peps.PepsState"} <= used

@@ -249,6 +249,21 @@ def test_peps_contract_run(tmp_path):
     assert summary["flops"] > 0
 
 
+def test_peps_contract_dense_check_follows_the_configured_cap(tmp_path):
+    args = ["peps-contract", "--rows", "2", "--cols", "7", "--rank", "1",
+            "--d-cut", "1"]
+    out = tmp_path / "default"
+    assert main(args + ["--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert summary["abs_deviation"] <= 1e-10 * max(1.0, abs(summary["dense_re"]))
+    path = tmp_path / "cfg.ini"
+    path.write_text("[tolerances]\ndense_site_cap = 12\n")
+    out = tmp_path / "capped"
+    assert main(args + ["--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert "dense_re" not in summary and "abs_deviation" not in summary
+
+
 def test_parafac_cli_reaches_reproduction_tolerance(tmp_path):
     out = str(tmp_path / "p10")
     rc = main(["parafac-als", "--model", "ising", "-p", "10", "--lam", "1.0",

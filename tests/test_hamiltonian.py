@@ -104,6 +104,25 @@ def test_ising_2d_degenerate_row_equals_chain():
     assert np.allclose(materialize_dense(h1), materialize_dense(h2))
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_ising_chain_cache_key_is_the_chain_term_list(boundary):
+    # oracle cache keys hash model_key(): the chain's keys stay those of its
+    # term list, ZZ on (k, k + 1) with the wrap bond last, then lam * X
+    for p in range(2, 13):
+        bonds = [(k, k + 1) for k in range(p - 1)]
+        if boundary == "periodic":
+            bonds.append((p - 1, 0))
+        for lam in (0.0, 0.7, 1.0):
+            parts = [f"p={p}"]
+            parts += ["1.0:" + "".join("Z" if j in bond else "I" for j in range(p))
+                      for bond in bonds]
+            parts += [f"{lam!r}:" + "".join("X" if j == k else "I" for j in range(p))
+                      for k in range(p)]
+            assert build_ising(p, lam, boundary).model_key() == ";".join(parts)
+    with pytest.raises(ValueError, match="p >= 2"):
+        build_ising(1, 1.0, boundary)
+
+
 def test_ising_2d_2x2_ground_energy():
     h = build_ising_2d(2, 2, 0.0, "open")
     zz_terms = [t for t in h.terms if len(t.support()) == 2]

@@ -180,6 +180,21 @@ def test_right_sweep_gauges_and_preserves(boundary):
         assert status.gamma == pytest.approx(np.linalg.norm(before) ** 2, rel=1e-12)
 
 
+def test_gauge_sweeps_charge_their_carries():
+    # each shift SVDs one site (uncounted) and contracts the kept factor,
+    # of the new bond's size by the old one, into the neighbour
+    x = random_mps(7, 4, "open", seed=14)
+    with flops.tally() as fc:
+        gauged, _ = normalize_left_sweep(x)
+    assert fc.total == sum(gauged.sites[j].shape[2] * x.sites[j + 1].size
+                           for j in range(x.q - 1))
+    with flops.tally() as fc:
+        gauged, _ = normalize_right_sweep(x)
+    assert fc.total == sum(gauged.sites[j].shape[0] * x.sites[j - 1].size
+                           for j in range(1, x.q))
+    assert fc.total > 0
+
+
 def test_left_sweep_idempotent_at_dense_level():
     x = random_mps(5, 2, "open", seed=12)
     g1, _ = normalize_left_sweep(x)
