@@ -153,9 +153,6 @@ class Blocking:
         cuts = self.cuts
         return range(cuts[i], cuts[i + 1])
 
-    def __str__(self) -> str:
-        return ",".join(str(w) for w in self.widths)
-
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
@@ -203,11 +200,8 @@ def build_heisenberg_xy(p: int, jx: float, jy: float, lam: float,
     _check_boundary(boundary)
     if p < 2:
         raise ValueError("XY chain needs p >= 2")
-    bonds = [(k, k + 1) for k in range(p - 1)]
-    if boundary == "periodic":
-        bonds.append((p - 1, 0))
     terms = []
-    for a, b in bonds:
+    for a, b in _lattice_bonds(1, p, boundary):
         terms.append(_single_site_term(p, float(jx), {a: OP_X, b: OP_X}))
         terms.append(_single_site_term(p, float(jy), {a: OP_Y, b: OP_Y}))
     for k in range(p):
@@ -217,36 +211,35 @@ def build_heisenberg_xy(p: int, jx: float, jy: float, lam: float,
 
 def build_ising_2d(rows: int, cols: int, lam: float,
                    boundary: str = "open") -> SpinHamiltonian:
-    """Ising model on a rows x cols lattice (row-major numbering): ZZ on all
-    horizontal and vertical nearest-neighbor pairs, lam * X on every site.
-
-    Periodic wrap bonds are added along a direction only when its extent is
-    at least 2 (extent 1 would produce a self-loop).
-    """
+    """Ising model on a rows x cols lattice (row-major numbering): ZZ on the
+    nearest-neighbor pairs of :func:`_lattice_bonds`, lam * X on every site."""
     _check_boundary(boundary)
     p = rows * cols
     if p < 2:
         raise ValueError("lattice must contain at least 2 sites")
-
-    def site(r: int, c: int) -> int:
-        return r * cols + c
-
-    bonds = []
-    for r in range(rows):
-        for c in range(cols - 1):
-            bonds.append((site(r, c), site(r, c + 1)))
-        if boundary == "periodic" and cols >= 2:
-            bonds.append((site(r, cols - 1), site(r, 0)))
-    for c in range(cols):
-        for r in range(rows - 1):
-            bonds.append((site(r, c), site(r + 1, c)))
-        if boundary == "periodic" and rows >= 2:
-            bonds.append((site(rows - 1, c), site(0, c)))
-
-    terms = [_single_site_term(p, 1.0, {a: OP_Z, b: OP_Z}) for a, b in bonds]
+    terms = [_single_site_term(p, 1.0, {a: OP_Z, b: OP_Z})
+             for a, b in _lattice_bonds(rows, cols, boundary)]
     for k in range(p):
         terms.append(_single_site_term(p, float(lam), {k: OP_X}))
     return SpinHamiltonian(p, terms)
+
+
+def _lattice_bonds(rows: int, cols: int, boundary: str) -> list:
+    """Nearest-neighbor site pairs of a rows x cols lattice (row-major
+    numbering): the horizontal bonds row by row, then the vertical bonds
+    column by column as the horizontal bonds of the transposed lattice.
+    A periodic wrap bond closes every line of extent at least 2, last in its
+    line (extent 1 would be a self-loop; extent 2 doubles the bond, as in
+    the periodic p = 2 chain).  The order fixes the term order, and with it
+    every oracle cache key."""
+
+    def horizontal(n_rows: int, n_cols: int) -> list:
+        wrap = int(boundary == "periodic" and n_cols >= 2)
+        return [((r, c), (r, (c + 1) % n_cols))
+                for r in range(n_rows) for c in range(n_cols - 1 + wrap)]
+
+    pairs = horizontal(rows, cols) + [(a[::-1], b[::-1]) for a, b in horizontal(cols, rows)]
+    return [(a[0] * cols + a[1], b[0] * cols + b[1]) for a, b in pairs]
 
 
 def _check_boundary(boundary: str) -> None:

@@ -126,22 +126,19 @@ class PatternedTerm2D:
 
     def superblocks(self) -> list:
         """Ordered subblock pairs of this pattern; factor k belongs to pair k
-        with the first subblock as the fast index half."""
+        with the first subblock as the fast index half.  Patterns 3 and 4
+        are patterns 1 and 2 on the transposed subblock lattice."""
+        vertical = self.pattern > 2
+        shift = 1 - self.pattern % 2
+        lines, extent = self.sb_rows, self.sb_cols
+        if vertical:
+            lines, extent = extent, lines
         out = []
-        if self.pattern in (1, 2):
-            shift = 0 if self.pattern == 1 else 1
-            for row in range(self.sb_rows):
-                for c in range(0, self.sb_cols, 2):
-                    a = (c + shift) % self.sb_cols
-                    b = (c + shift + 1) % self.sb_cols
-                    out.append((self.subblock_id(row, a), self.subblock_id(row, b)))
-        else:
-            shift = 0 if self.pattern == 3 else 1
-            for col in range(self.sb_cols):
-                for rr in range(0, self.sb_rows, 2):
-                    a = (rr + shift) % self.sb_rows
-                    b = (rr + shift + 1) % self.sb_rows
-                    out.append((self.subblock_id(a, col), self.subblock_id(b, col)))
+        for line in range(lines):
+            for c in range(shift, extent + shift, 2):
+                pair = ((line, c % extent), (line, (c + 1) % extent))
+                out.append(tuple(self.subblock_id(*(rc[::-1] if vertical else rc))
+                                 for rc in pair))
         return out
 
     def block_sites_list(self) -> list:
@@ -287,44 +284,32 @@ def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
     if x.wraps() or y.wraps():
         raise ValueError("open-boundary kernel requires offset-free blockings")
     acc = complex(np.conj(y.weight) * x.weight)
-    ix = iy = 0
-    cx = x.factors[0].copy()
-    ex = x.blocking.widths[0]
-    cy = y.factors[0].conj()
-    ey = y.blocking.widths[0]
+    # side 0 is x, side 1 is y; carry[s] is the vector of side s's block
+    # idx[s], which ends at chain position end[s]
+    facs = ([f.copy() for f in x.factors], [f.conj() for f in y.factors])
+    cuts = (x.blocking.cuts, y.blocking.cuts)
+    idx = [0, 0]
+    carry = [facs[0][0], facs[1][0]]
+    end = [cuts[0][1], cuts[1][1]]
     pos = 0
-    p = x.p
     while True:
-        if ex == ey:
-            flops.add(cx.size)
-            acc *= complex(cy @ cx)
-            pos = ex
-            if pos == p:
+        if end[0] == end[1]:
+            flops.add(carry[0].size)
+            acc *= complex(carry[1] @ carry[0])
+            if end[0] == x.p:
                 return acc
-            ix += 1
-            iy += 1
-            cx = x.factors[ix].copy()
-            ex = pos + x.blocking.widths[ix]
-            cy = y.factors[iy].conj()
-            ey = pos + y.blocking.widths[iy]
-        elif ex < ey:
-            head = 2 ** (ex - pos)
-            mat = cy.reshape(head, -1, order="F")
-            flops.add(mat.size)
-            cy = cx @ mat
-            pos = ex
-            ix += 1
-            cx = x.factors[ix].copy()
-            ex = pos + x.blocking.widths[ix]
+            steps = (0, 1)
         else:
-            head = 2 ** (ey - pos)
-            mat = cx.reshape(head, -1, order="F")
+            a = int(end[1] < end[0])
+            mat = carry[1 - a].reshape(2 ** (end[a] - pos), -1, order="F")
             flops.add(mat.size)
-            cx = cy @ mat
-            pos = ey
-            iy += 1
-            cy = y.factors[iy].conj()
-            ey = pos + y.blocking.widths[iy]
+            carry[1 - a] = carry[a] @ mat
+            steps = (a,)
+        pos = end[steps[0]]
+        for s in steps:
+            idx[s] += 1
+            carry[s] = facs[s][idx[s]]
+            end[s] = cuts[s][idx[s] + 1]
 
 
 def inner_terms(x, y) -> complex:
@@ -474,20 +459,14 @@ class _MixedCrossTerms:
 def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
                               sweeps: int = 30, seed: int = 0,
                               tols: Tolerances = DEFAULT_TOLS) -> tuple:
-    """Greedy addend-by-addend minimization where the n-th group of addends
-    uses blocking schedule[n]; d_per_blocking addends are optimized per
-    schedule entry (a list gives a per-entry count).  Cross terms against
+    """Greedy addend-by-addend minimization where the n-th group of
+    d_per_blocking addends uses blocking schedule[n].  Cross terms against
     frozen differently-blocked addends run through the mixed kernels.
     Returns (trace, MixedTermSum)."""
-    schedule = [b if isinstance(b, Blocking) else Blocking(tuple(b))
-                for b in schedule]
-    if isinstance(d_per_blocking, int):
-        counts = [d_per_blocking] * len(schedule)
-    else:
-        counts = list(d_per_blocking)
-    if len(counts) != len(schedule) or any(c < 1 for c in counts):
-        raise ValueError("need one positive addend count per scheduled blocking")
-    addend_blockings = [b for b, c in zip(schedule, counts) for _ in range(c)]
+    if d_per_blocking < 1:
+        raise ValueError("need a positive addend count per scheduled blocking")
+    addend_blockings = [b if isinstance(b, Blocking) else Blocking(tuple(b))
+                        for b in schedule for _ in range(d_per_blocking)]
 
     def factory(blocked, frozen_terms):
         if all(b == blocked.blocking for b, _, _ in frozen_terms):

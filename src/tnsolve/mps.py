@@ -146,31 +146,22 @@ def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
 # structure
 
 def add(x: MpsState, y: MpsState) -> MpsState:
-    """Sum of two chains: block-diagonal interior matrices, concatenated
-    boundary vectors for open chains.  Bond dimensions add."""
+    """Sum of two chains: every site block-diagonal in its bonds.  An open
+    chain then sums its first site over the left bond and its last site over
+    the right bond, which concatenates the boundary vectors (and gives a + b
+    for a single block).  Bond dimensions add."""
     if x.p != y.p or x.boundary != y.boundary or x.blocking != y.blocking:
         raise ValueError("summands must share length, boundary and blocking")
-    q = x.q
     sites = []
-    for j in range(q):
-        a, b = x.sites[j], y.sites[j]
-        open_left = x.boundary == "open" and j == 0
-        open_right = x.boundary == "open" and j == q - 1
-        if open_left and open_right:
-            sites.append(a + b)
-            continue
-        if open_left:
-            sites.append(np.concatenate([a, b], axis=2))
-            continue
-        if open_right:
-            sites.append(np.concatenate([a, b], axis=0))
-            continue
-        dl = a.shape[0] + b.shape[0]
-        dr = a.shape[2] + b.shape[2]
-        c = np.zeros((dl, a.shape[1], dr), dtype=complex)
+    for a, b in zip(x.sites, y.sites):
+        c = np.zeros((a.shape[0] + b.shape[0], a.shape[1], a.shape[2] + b.shape[2]),
+                     dtype=complex)
         c[: a.shape[0], :, : a.shape[2]] = a
         c[a.shape[0] :, :, a.shape[2] :] = b
         sites.append(c)
+    if x.boundary == "open":
+        sites[0] = sites[0].sum(axis=0, keepdims=True)
+        sites[-1] = sites[-1].sum(axis=2, keepdims=True)
     return MpsState(x.boundary, x.blocking, sites)
 
 

@@ -117,15 +117,15 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
     Columns without an entry above 1e-300 are left untouched.
     """
     nonzero = np.abs(u) > 1e-300
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    z = u[nonzero.argmax(axis=0)[cols], cols]
+    z = u[nonzero.argmax(axis=0), np.arange(u.shape[1])]
+    z = np.where(nonzero.any(axis=0), z, 1.0)
     # Rounding matches a per-column loop: hypot is what abs() of a complex
-    # scalar computes (np.abs of an array rounds differently), and each
-    # column is scaled as one array by one broadcast factor.
+    # scalar computes (np.abs of an array rounds differently), and a column
+    # without a nonzero entry is scaled by exactly 1.
     phase = z / np.hypot(z.real, z.imag)
-    u[:, cols] = (u[:, cols].T * np.conj(phase)[:, None]).T
+    u *= np.conj(phase)
     if v is not None:
-        v[cols, :] *= phase[:, None]
+        v *= phase[:, None]
     return u, v
 
 

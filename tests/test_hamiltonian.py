@@ -123,6 +123,52 @@ def test_ising_chain_cache_key_is_the_chain_term_list(boundary):
         build_ising(1, 1.0, boundary)
 
 
+def _key(p, bond_terms, lam):
+    """model_key() of (coefficient, ops, bond) bond terms followed by lam * X
+    on every site."""
+    parts = [f"p={p}"]
+    parts += [f"{coeff!r}:" + "".join(op if j in bond else "I" for j in range(p))
+              for coeff, op, bond in bond_terms]
+    parts += [f"{lam!r}:" + "".join("X" if j == k else "I" for j in range(p))
+              for k in range(p)]
+    return ";".join(parts)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_ising_2d_cache_key_is_the_lattice_term_list(boundary):
+    # horizontal bonds row by row, then vertical bonds column by column; a
+    # wrap bond ends every line of length >= 2 (twice the bond at length 2)
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            if rows * cols < 2:
+                continue
+            bonds = []
+            for r in range(rows):
+                bonds += [(r * cols + c, r * cols + c + 1) for c in range(cols - 1)]
+                if boundary == "periodic" and cols >= 2:
+                    bonds.append((r * cols + cols - 1, r * cols))
+            for c in range(cols):
+                bonds += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1)]
+                if boundary == "periodic" and rows >= 2:
+                    bonds.append(((rows - 1) * cols + c, c))
+            for lam in (0.0, 0.7, 1.0):
+                expect = _key(rows * cols, [(1.0, "Z", b) for b in bonds], lam)
+                assert build_ising_2d(rows, cols, lam, boundary).model_key() == expect
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_xy_chain_cache_key_is_the_chain_term_list(boundary):
+    # XX then YY on (k, k + 1), the wrap bond last, then lam * X
+    for p in range(2, 9):
+        bonds = [(k, k + 1) for k in range(p - 1)]
+        if boundary == "periodic":
+            bonds.append((p - 1, 0))
+        for jx, jy, lam in ((1.0, 1.0, 0.0), (0.5, -0.3, 0.7), (2.0, 1.0, 1.0)):
+            terms = [t for b in bonds for t in ((jx, "X", b), (jy, "Y", b))]
+            expect = _key(p, terms, lam)
+            assert build_heisenberg_xy(p, jx, jy, lam, boundary).model_key() == expect
+
+
 def test_ising_2d_2x2_ground_energy():
     h = build_ising_2d(2, 2, 0.0, "open")
     zz_terms = [t for t in h.terms if len(t.support()) == 2]

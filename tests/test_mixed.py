@@ -349,6 +349,24 @@ def test_pattern_tiles_lattice(pattern):
     assert sorted(seen) == list(range(16))
 
 
+@pytest.mark.parametrize("sb_rows, sb_cols, pattern, pairs", [
+    (2, 4, 1, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    (2, 4, 2, [(1, 2), (3, 0), (5, 6), (7, 4)]),
+    (2, 4, 3, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+    (2, 4, 4, [(4, 0), (5, 1), (6, 2), (7, 3)]),
+    (4, 2, 1, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    (4, 2, 2, [(1, 0), (3, 2), (5, 4), (7, 6)]),
+    (4, 2, 3, [(0, 2), (4, 6), (1, 3), (5, 7)]),
+    (4, 2, 4, [(2, 4), (6, 0), (3, 5), (7, 1)]),
+])
+def test_pattern_pair_order(sb_rows, sb_cols, pattern, pairs):
+    # factor k covers pair k, first subblock as the fast half; with one site
+    # per subblock, subblock ids are chain sites
+    t = PatternedTerm2D(sb_rows, sb_cols, 1, pattern, [np.ones(4)] * 4)
+    assert t.superblocks() == pairs
+    assert t.block_sites_list() == pairs
+
+
 def test_pattern_identical_patterns_product_of_dots():
     rng = np.random.default_rng(25)
     x = random_pattern_term(rng, 2, 2, 2, 1)

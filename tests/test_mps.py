@@ -110,9 +110,13 @@ def test_random_mps_reproducible_and_clamped():
 # ---------------------------------------------------------------------------
 # sums
 
-def test_add_dense_additivity():
-    x = random_mps(5, 2, "open", seed=4)
-    y = random_mps(5, 2, "open", seed=5)
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("widths", [(1,) * 5, (2, 3), (2, 1, 2), (3,)],
+                         ids=lambda w: ",".join(map(str, w)))
+def test_add_dense_additivity(boundary, widths):
+    blocking = Blocking(widths)
+    x = random_mps(blocking.p, 2, boundary, blocking, seed=4)
+    y = random_mps(blocking.p, 2, boundary, blocking, seed=5)
     s = add(x, y)
     assert np.linalg.norm(
         to_dense(s).vector - (to_dense(x).vector + to_dense(y).vector)
