@@ -451,22 +451,25 @@ FIGURE_GRIDS = {
 }
 
 
-def _run_cell(args):
-    figure, blocking, rank, mode, sweeps, out_dir, seed = args
-    grid = FIGURE_GRIDS[figure]
-    h = build_ising(grid["p"], 1.0, "open")
-    tag = f"{figure}_{mode}_b{blocking.replace(',', '-')}_D{rank}"
-    trace, _ = _cp_als(h, Blocking.from_string(blocking), rank, sweeps, seed,
-                       "spectral", mode)
-    e0 = cached_oracle_energy(h, out_dir)
-    _atomic_write(os.path.join(out_dir, tag + ".csv"),
-                  _csv_rows(f"parafac-als-{mode}", trace, e0, None))
-    final = trace[-1].energy
-    return {
-        "figure": figure, "mode": mode, "blocking": blocking, "rank": rank,
-        "file": tag + ".csv", "final_energy": final,
-        "oracle_energy": e0, "abs_error": abs(final - e0),
-    }
+def _run_job(args):
+    """One solver run on one blocking, cut per rank: cell r keeps the stages
+    <= r, which are a greedy rank-r run; simultaneous entries are stage 0."""
+    figure, h, e0, mode, blocking, ranks, sweeps, out_dir, seed = args
+    trace, _ = _cp_als(h, Blocking.from_string(blocking), max(ranks), sweeps,
+                       seed, "spectral", mode)
+    cells = []
+    for rank in ranks:
+        cut = [t for t in trace if t.stage <= rank]
+        tag = f"{figure}_{mode}_b{blocking.replace(',', '-')}_D{rank}"
+        _atomic_write(os.path.join(out_dir, tag + ".csv"),
+                      _csv_rows(f"parafac-als-{mode}", cut, e0, None))
+        final = cut[-1].energy
+        cells.append({
+            "figure": figure, "mode": mode, "blocking": blocking, "rank": rank,
+            "file": tag + ".csv", "final_energy": final,
+            "oracle_energy": e0, "abs_error": abs(final - e0),
+        })
+    return cells
 
 
 def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
@@ -480,22 +483,27 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
         raise ConfigError(f"unknown figure {figure!r} (use p10|p12)")
     if mode not in ("greedy", "simultaneous", "both"):
         raise ConfigError("mode must be greedy|simultaneous|both")
-    os.makedirs(out_dir, exist_ok=True)
     grid = FIGURE_GRIDS[figure]
     use_ranks = list(ranks) if ranks else grid["ranks"]
     use_blockings = list(blockings) if blockings else grid["blockings"]
+    if min(use_ranks) < 1 or sweeps < 1:
+        raise ConfigError(f"need ranks >= 1 and sweeps >= 1, got {use_ranks}, {sweeps}")
+    os.makedirs(out_dir, exist_ok=True)
     modes = ["greedy", "simultaneous"] if mode == "both" else [mode]
-    # oracle first so parallel cells hit a warm cache
-    cached_oracle_energy(build_ising(grid["p"], 1.0, "open"), out_dir)
-    jobs = [(figure, b, r, m, sweeps, out_dir, seed)
-            for b in use_blockings for r in use_ranks for m in modes]
+    h = build_ising(grid["p"], 1.0, "open")
+    e0 = cached_oracle_energy(h, out_dir)
+    cuts = {"greedy": [use_ranks], "simultaneous": [[r] for r in use_ranks]}
+    jobs = [(figure, h, e0, m, b, rs, sweeps, out_dir, seed)
+            for b in use_blockings for m in modes for rs in cuts[m]]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, jobs))
+            done = list(pool.map(_run_job, jobs))
     else:
-        cells = [_run_cell(job) for job in jobs]
+        done = [_run_job(job) for job in jobs]
+    made = {(c["mode"], c["blocking"], c["rank"]): c for cells in done for c in cells}
+    cells = [made[m, b, r] for b in use_blockings for r in use_ranks for m in modes]
 
-    errors = {(c["mode"], c["blocking"], c["rank"]): c["abs_error"] for c in cells}
+    errors = {key: c["abs_error"] for key, c in made.items()}
     comparisons = []
     if mode == "both":
         for b in use_blockings:

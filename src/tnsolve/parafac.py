@@ -348,7 +348,8 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
     coordinate at 0 restarts the stage.  init='spectral' starts the first
     stage from the block-local ground states instead of a random draw,
     matching the simultaneous solver's default starting point.  Returns
-    (trace, BlockedCp)."""
+    (trace, BlockedCp).  No stage depends on d_final: a rank-r run is the
+    rank-R run cut after stage r, entry for entry and addend for addend."""
     if d_final < 1 or inner_iters < 1:
         raise ValueError("need d_final >= 1 and inner_iters >= 1")
     if init == "spectral":

@@ -24,6 +24,7 @@ from tnsolve.cli import (
 )
 from tnsolve.config import Tolerances
 from tnsolve.hamiltonian import (
+    Blocking,
     KroneckerTerm,
     PAULI_Z,
     SiteOperator,
@@ -32,6 +33,7 @@ from tnsolve.hamiltonian import (
     materialize_dense,
 )
 from tnsolve.oracle import ground_state_dense
+from tnsolve.parafac import greedy_als
 from tnsolve.records import TraceEntry
 
 
@@ -452,6 +454,42 @@ def test_reproduce_bad_ranks_exit_code(tmp_path):
     rc = main(["reproduce", "--figure", "p10", "--ranks", "1,x",
                "--out", str(tmp_path / "rep")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--ranks", "0"], ["--ranks", "2,0,3"], ["--ranks=-1"], ["--sweeps", "0"],
+], ids=["rank-0", "rank-0-inside", "rank-negative", "sweeps-0"])
+def test_reproduce_rank_or_sweeps_below_one_exit_code(tmp_path, args):
+    out = tmp_path / "rep"
+    rc = main(["reproduce", "--figure", "p10", "--out", str(out), *args])
+    assert rc == 2
+    # refused before the out dir, the oracle cache or the manifest is written
+    assert not out.exists()
+
+
+def test_reproduce_greedy_cells_are_cut_from_one_run(tmp_path):
+    # one greedy run per blocking at rank 3: each rank's CSV must equal a
+    # run of its own, and the process pool must write the same bytes
+    blockings, ranks = ["5,5", "2,2,3,3"], [1, 2, 3]
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = str(tmp_path / f"w{workers}")
+        reproduce_figure("p10", "both", outs[workers], sweeps=6, ranks=ranks,
+                         blockings=blockings, seed=0, workers=workers)
+    h = build_ising(10, 1.0, "open")
+    e0, _ = ground_state_dense(h)
+    for b in blockings:
+        for r in ranks:
+            trace, _ = greedy_als(h, Blocking.from_string(b), r, 6, 0,
+                                  init="spectral")
+            name = f"p10_greedy_b{b.replace(',', '-')}_D{r}.csv"
+            want = _csv_rows("parafac-als-greedy", trace, e0, None)
+            assert read(os.path.join(outs[1], name)).decode() == want, name
+    names = sorted(os.listdir(outs[1]))
+    assert sorted(os.listdir(outs[2])) == names
+    assert len([n for n in names if n.endswith(".csv")]) == 12
+    for name in names:
+        assert read(os.path.join(outs[2], name)) == read(os.path.join(outs[1], name)), name
 
 
 def test_atomic_write_concurrent_writers(tmp_path):

@@ -317,6 +317,36 @@ def test_greedy_restarts_then_freezes_degenerate_stage():
     assert np.allclose(x.weights, [1, 0], rtol=0, atol=1e-12)
 
 
+def _entry_fields(t):
+    # NaN energies of markers compare equal as text; real energies exactly
+    energy = "nan" if np.isnan(t.energy) else t.energy
+    return t.stage, t.sweep, t.mode, energy, t.flops, t.note
+
+
+@pytest.mark.parametrize("h,blocking,top,sweeps,init,notes", [
+    (build_ising(8, 1.0, "open"), Blocking((4, 4)), 3, 30, "random", {""}),
+    (build_ising(8, 1.0, "open"), Blocking((4, 4)), 3, 30, "spectral", {""}),
+    (build_ising(2, 0.0), Blocking((2,)), 3, 20, "random",
+     {"", "restart", "degenerate-stage"}),
+], ids=["p8", "p8-spectral", "restarts"])
+def test_greedy_rank_r_run_is_a_prefix_of_the_top_rank_run(h, blocking, top,
+                                                          sweeps, init, notes):
+    # stage d does not depend on the final rank, so a rank-r run is the
+    # first r stages of a longer one: entries, markers, flop counts and
+    # frozen addends
+    with flops.tally():
+        full, x_full = greedy_als(h, blocking, top, sweeps, 0, init=init)
+    assert {t.note for t in full} == notes
+    for r in range(1, top):
+        with flops.tally():
+            trace, x = greedy_als(h, blocking, r, sweeps, 0, init=init)
+        assert ([_entry_fields(t) for t in trace]
+                == [_entry_fields(t) for t in full if t.stage <= r])
+        for f, f_full in zip(x.factors, x_full.factors):
+            assert np.array_equal(f, f_full[:, :r])
+        assert np.array_equal(x.weights, x_full.weights[:r])
+
+
 def test_simultaneous_full_capacity_single_block():
     h = build_ising(4, 1.0, "open")
     e0, _ = ground_state_dense(h)
