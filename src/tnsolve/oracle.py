@@ -2,11 +2,13 @@
 2^p-dimensional problem.
 
 Both work matrix-free on the Pauli-string form of the Hamiltonian
-(:func:`hamiltonian.pauli_form`); the ground state comes from Krylov
-iteration (:func:`tensor.krylov_min`), so the 2^p x 2^p matrix is never
-formed.  The ground state is still capped at desk scale (p <= 14) and exists
-to anchor every structured-format result; ``materialize_dense`` plus a full
-eigensolve stays as the tests' cross-check at small p.
+(:func:`hamiltonian.pauli_form`); the ground state comes from
+:func:`tensor.krylov_min`, a Lanczos recurrence with full
+reorthogonalization; real tridiagonal projected matrix.  So the 2^p x 2^p
+matrix is never formed, and the solver holds one basis of 2^p-vectors and
+no images of it.  The ground state is still capped at desk scale (p <= 14)
+and exists to anchor every structured-format result; ``materialize_dense``
+plus a full eigensolve stays as the tests' cross-check at small p.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def ground_state_dense(h: SpinHamiltonian,
                        tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Smallest eigenvalue and a unit-norm, phase-normalized eigenvector.
 
-    Krylov iteration on the Pauli-string action from a fixed-seed real
+    Lanczos recurrence on the Pauli-string action from a fixed-seed real
     Gaussian start vector: a symmetric start (uniform, say) can be
     orthogonal to the symmetry sector of the ground state.
     """

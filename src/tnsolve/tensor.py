@@ -147,9 +147,11 @@ def svd(m: np.ndarray):
 
 
 def _hermitian_part(m: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """(m + m^H) / 2 as a complex array, refusing an `m` that is not
-    Hermitian within `tols.hermitian` relative to max(1, ||m||)."""
-    m = np.asarray(m, dtype=complex)
+    """(m + m^H) / 2, refusing an `m` that is not Hermitian within
+    `tols.hermitian` relative to max(1, ||m||).  A real `m` stays real (a
+    real symmetric matrix), any other is made complex."""
+    m = np.asarray(m)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     scale = max(1.0, np.linalg.norm(m))
     defect = np.linalg.norm(m - m.conj().T)
     if defect > tols.hermitian * scale:
@@ -161,6 +163,8 @@ def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Eigenvalues (ascending) and phase-normalized orthonormal eigenvectors
     of a Hermitian matrix.  Refuses inputs that are not Hermitian within
     `tols.hermitian` relative to the matrix norm; symmetrizes before solving.
+    A real symmetric matrix is solved in real arithmetic and has real
+    eigenvectors.
     """
     w, v = np.linalg.eigh(_hermitian_part(m, tols))
     v = np.ascontiguousarray(v)
@@ -178,13 +182,22 @@ def _padded(a: np.ndarray, shape) -> np.ndarray:
 def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Lowest eigenpair of a Hermitian operator given only as `matvec`.
 
-    Rayleigh-Ritz on a Krylov space that starts at `v0` and is fully
-    reorthogonalized (two Gram-Schmidt passes per new vector); the projected
-    matrix goes through :func:`hermitian_eig`, so an operator that is not
-    Hermitian is refused.  Each step extends the space by the Ritz residual
-    and stops once ||A x - theta x|| <= tols.convergence * max(1, |theta|),
-    or when the space is invariant or spans the whole vector space.  Since
-    `v0` lies in the space, theta never exceeds its Rayleigh quotient.
+    Lanczos recurrence with full reorthogonalization; real tridiagonal
+    projected matrix.  The basis starts at `v0`.  Step k applies the
+    operator once to the newest basis vector v_k, forms h = V^H A v_k, takes
+    alpha_k = Re h_k and orthogonalizes A v_k against the whole basis by two
+    Gram-Schmidt passes; the norm of what is left is beta_k and its
+    direction is v_{k+1}.  The projected matrix V^H A V has h as column k
+    and beta_{k-1} below its diagonal, so it must be Hermitian within
+    `tols.hermitian` relative to max(1, ||V^H A V||): its defect accumulates
+    from Im alpha_k, h_{k-1} - beta_{k-1} and the h_j, j < k - 1, which all
+    vanish for a Hermitian operator.  So an operator that is not Hermitian
+    is refused.  The real symmetric tridiagonal T of the alphas and betas
+    goes through :func:`hermitian_eig`; its lowest Ritz pair (theta, y) has
+    the residual ||A x - theta x|| = beta_k |y_k|, and the recurrence stops
+    once that is <= tols.convergence * max(1, |theta|) (an invariant space
+    has beta_k below that bound) or the basis spans the whole vector space.
+    Since `v0` lies in the space, theta never exceeds its Rayleigh quotient.
     Returns (theta, x) with x of unit norm and the usual phase convention.
     """
     u = np.asarray(v0, dtype=complex).reshape(-1)
@@ -193,36 +206,45 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     if not nrm > 0.0:
         raise ValueError("krylov_min needs a nonzero start vector")
     u = u / nrm
-    # basis vectors and their images by row, and the projected matrix, in
-    # buffers that double when full; rows keep every product a contiguous
-    # matrix-vector product, and vs^H r is formed as conj(vs @ conj(r)) so
-    # the basis is never copied
-    vs = ws = np.zeros((0, n), dtype=complex)
-    t = np.zeros((0, 0), dtype=complex)
+    # the basis by rows, in one buffer that doubles in place when full (a
+    # reallocation, so the basis is never held twice; no view of it outlives
+    # a statement, which is what makes refcheck=False safe), and T in a small
+    # buffer that doubles with it; rows keep every product a contiguous
+    # matrix-vector product, and V^H w is formed as conj(V @ conj(w)) so the
+    # basis is never copied
+    vs = np.zeros((0, n), dtype=complex)
+    t = np.zeros((0, 0))
+    beta = defect2 = norm2 = 0.0
     k = 0
     while True:
         if k == vs.shape[0]:
             cap = min(n, max(8, 2 * k))
-            vs, ws, t = _padded(vs, (cap, n)), _padded(ws, (cap, n)), \
-                _padded(t, (cap, cap))
+            vs.resize((cap, n), refcheck=False)
+            t = _padded(t, (cap, cap))
         vs[k] = u
-        ws[k] = np.asarray(matvec(u), dtype=complex).reshape(-1)
+        w = np.asarray(matvec(u), dtype=complex).reshape(-1)
         k += 1
-        t[:k, k - 1] = (vs[:k] @ ws[k - 1].conj()).conj()
-        t[k - 1, :k] = ws[:k] @ u.conj()
-        w, y = hermitian_eig(t[:k, :k], tols)
-        theta, y0 = float(w[0]), y[:, 0]
-        x = y0 @ vs[:k]
-        r = y0 @ ws[:k] - theta * x
-        scale = tols.convergence * max(1.0, abs(theta))
-        if np.linalg.norm(r) <= scale or k == n:
+        h = (vs[:k] @ w.conj()).conj()
+        # column k of V^H A V - (V^H A V)^H above its diagonal
+        above = h[:-1].copy()
+        if k > 1:
+            above[-1] -= beta
+        defect2 += 4.0 * h[-1].imag ** 2 + 2.0 * np.vdot(above, above).real
+        norm2 += np.vdot(h, h).real + beta ** 2
+        if np.sqrt(defect2) > tols.hermitian * max(1.0, np.sqrt(norm2)):
+            raise ValueError(f"matrix is not Hermitian: defect {np.sqrt(defect2):.3e}")
+        w = w - h @ vs[:k]  # not in place: w may be matvec's own array
+        w -= (vs[:k] @ w.conj()).conj() @ vs[:k]
+        t[k - 1, k - 1] = h[-1].real
+        if k > 1:
+            t[k - 2, k - 1] = t[k - 1, k - 2] = beta
+        beta = np.linalg.norm(w)
+        lam, y = hermitian_eig(t[:k, :k], tols)
+        theta, y0 = float(lam[0]), y[:, 0]
+        if beta * abs(y0[-1]) <= tols.convergence * max(1.0, abs(theta)) or k == n:
             break
-        for _ in range(2):
-            r = r - (vs[:k] @ r.conj()).conj() @ vs[:k]
-        beta = np.linalg.norm(r)
-        if beta <= scale:
-            break
-        u = r / beta
+        u = w / beta
+    x = y0 @ vs[:k]
     x, _ = _phase_normalize_columns((x / np.linalg.norm(x)).reshape(-1, 1))
     return theta, x[:, 0]
 

@@ -1,5 +1,7 @@
 """Dense tensor utilities and the linear-algebra kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,19 @@ def test_eigh_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigh_real_symmetric_stays_real():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((9, 9))
+    m = a + a.T
+    w, v = hermitian_eig(m)
+    assert v.dtype == np.float64
+    wc, vc = hermitian_eig(m.astype(complex))
+    assert np.abs(w - wc).max() <= 1e-12
+    assert np.abs(v - vc).max() <= 1e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(a)
+
+
 # ---------------------------------------------------------------------------
 # generalized eigenproblem
 
@@ -330,3 +345,76 @@ def test_krylov_min_refuses_non_hermitian():
         krylov_min(lambda v: a @ v, crandn(rng, 7))
     with pytest.raises(ValueError):
         krylov_min(lambda v: v, np.zeros(3))
+
+
+def chain_matrix(n, eps, at):
+    # real tridiagonal with a positive off-diagonal: started at e_0, the
+    # Lanczos basis is the standard basis, so the projected matrix is the
+    # matrix itself and a perturbation at `at` (two or more places above the
+    # diagonal) reaches only the coefficients above the tridiagonal band
+    a = np.diag(np.arange(n, dtype=float)) + np.diag(np.ones(n - 1), 1) \
+        + np.diag(np.ones(n - 1), -1)
+    a[at] += eps * np.linalg.norm(a)
+    return a
+
+
+def test_krylov_min_refuses_defect_above_band():
+    n, at = 12, (0, 3)
+    start = np.eye(n)[0]
+    a = chain_matrix(n, 1e-6, at)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        krylov_min(lambda v: a @ v, start)
+    a = chain_matrix(n, 1e-13, at)
+    theta, _ = krylov_min(lambda v: a @ v, start)
+    assert theta == pytest.approx(np.linalg.eigvalsh(chain_matrix(n, 0.0, at))[0], abs=1e-10)
+
+
+def test_krylov_min_scale_invariant_refusal():
+    # the Hermitian defect is relative to the projected matrix's norm
+    rng = np.random.default_rng(34)
+    a = 1e8 * random_hermitian(rng, 40)
+    theta, x = krylov_min(lambda v: a @ v, crandn(rng, 40))
+    w, _ = hermitian_eig(a)
+    assert theta == pytest.approx(w[0], rel=1e-12)
+    assert np.linalg.norm(a @ x - theta * x) <= 1e-9 * abs(theta)
+
+
+def test_krylov_min_stops_at_invariant_space():
+    # five distinct eigenvalues: the Krylov space is invariant after five
+    # vectors, whatever the dimension
+    rng = np.random.default_rng(35)
+    d = np.resize([3.0, -1.0, 0.5, 2.0, -4.0], 64)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return d * v
+
+    theta, x = krylov_min(matvec, crandn(rng, 64))
+    assert len(calls) <= 5
+    assert theta == pytest.approx(-4.0, abs=1e-12)
+    assert np.linalg.norm(d * x - theta * x) <= 1e-10
+
+
+def test_krylov_min_holds_one_basis_buffer():
+    # 40 evenly spaced eigenvalues keep the recurrence going to the
+    # invariant space, so the basis buffer has doubled to 64 rows; the basis
+    # is all the solver holds (no buffer of images), and it grows in place
+    n = 2**14
+    d = np.resize(np.linspace(0.0, 1.0, 40), n)
+    v0 = np.random.default_rng(36).standard_normal(n)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return d * v
+
+    tracemalloc.start()
+    try:
+        theta, _ = krylov_min(matvec, v0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 32 < len(calls) <= 64
+    assert theta == pytest.approx(0.0, abs=1e-10)
+    assert peak < 1.5 * 64 * n * np.dtype(complex).itemsize
