@@ -5,7 +5,8 @@ A run is described by an INI-style config file (sections [model], [method],
 run writes `trace.csv` (one row per solver update) and `summary.json` into
 the output directory, atomically and deterministically: with a fixed config
 and seed the bytes are identical across runs.  Timing fields are zero
-unless --timing is given, since wall time is not reproducible.
+unless --timing is given, since wall time is not reproducible; with it, a
+trace row's elapsed_s is the time from the run's start to its update.
 
 --validate checks the final energy against the Rayleigh quotient of the
 solver's state made dense, under tolerances.dense_site_cap; above that cap
@@ -274,16 +275,18 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _csv_rows(method: str, trace, e0: float | None, elapsed: float | None):
+def _csv_rows(method: str, trace, e0: float | None, started: float | None):
     """One CSV row per trace entry: finite energies only, since restart
-    markers carry no energy and stay in the library trace."""
+    markers carry no energy and stay in the library trace.  elapsed_s is
+    the entry's clock less `started`, or 0.0 when `started` is None."""
     rows = [CSV_HEADER]
     for t in trace:
         if not np.isfinite(t.energy):
             continue
         err = None if e0 is None else abs(t.energy - e0)
         rows.append(",".join([method, str(t.stage), str(t.sweep), str(t.mode),
-                              _fmt(t.energy), _fmt(err), _fmt(elapsed or 0.0),
+                              _fmt(t.energy), _fmt(err),
+                              _fmt(0.0 if started is None else t.clock - started),
                               str(t.flops)]))
     return "\n".join(rows) + "\n"
 
@@ -363,7 +366,7 @@ def run(cfg: ExperimentConfig) -> int:
                     if e0 is None:
                         raise DimensionCapError(
                             f"p={h.p} exceeds the dense oracle cap")
-                    trace = [TraceEntry(0, 0, 0, e0, 0)]
+                    trace = [TraceEntry(0, 0, 0, e0, 0, clock=time.perf_counter())]
                 elif method == "mps-als":
                     blocking = _parse_blocking(m.blocking) if m.blocking else None
                     trace, state = mps.als_ground_state(
@@ -410,7 +413,7 @@ def run(cfg: ExperimentConfig) -> int:
                       json.dumps(summary, sort_keys=True, indent=1,
                                  default=_jsonable) + "\n")
         _atomic_write(os.path.join(cfg.out, "trace.csv"),
-                      _csv_rows(method, trace, e0, elapsed))
+                      _csv_rows(method, trace, e0, started if cfg.timing else None))
         if final_energy is not None:
             gap = "" if e0 is None else f"  |E - E0| = {abs(final_energy - e0):.3e}"
             print(f"{method}: E = {final_energy!r}{gap}")
@@ -486,8 +489,9 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
     grid = FIGURE_GRIDS[figure]
     use_ranks = list(ranks) if ranks else grid["ranks"]
     use_blockings = list(blockings) if blockings else grid["blockings"]
-    if min(use_ranks) < 1 or sweeps < 1:
-        raise ConfigError(f"need ranks >= 1 and sweeps >= 1, got {use_ranks}, {sweeps}")
+    if min(use_ranks) < 1 or sweeps < 1 or workers < 1:
+        raise ConfigError("need ranks, sweeps and workers >= 1, got "
+                          f"{use_ranks}, {sweeps}, {workers}")
     os.makedirs(out_dir, exist_ok=True)
     modes = ["greedy", "simultaneous"] if mode == "both" else [mode]
     h = build_ising(grid["p"], 1.0, "open")

@@ -4,13 +4,14 @@ Terms are stored fully expanded to length p (identities explicit), which
 keeps regrouping and blocked contractions uniform.  2D lattices are numbered
 row-major: site (r, c) of a rows x cols lattice is chain position r*cols + c.
 
-A :class:`BlockTable` compiles the terms against any list of site groups
-(the blocks of a :class:`Blocking`, or the factor groups of a mixed term):
-per group a stack of the distinct block operators, identity first, and an
-integer incidence saying which entry each term uses there.  Blocked solvers
-then work on gathers and batched products instead of per-term loops, and
-:func:`mpo` compiles a table into the matrix product operator that the chain
-solvers contract.
+A :class:`BlockTable` compiles the terms against any partition of the sites
+into groups (the blocks of a :class:`Blocking`, the factors of a mixed term,
+or one stage of a greedy solver, which is a list of site groups): per group
+a stack of the distinct block operators, identity first, and an integer
+incidence saying which entry each term uses there.  It is the one table the
+solvers read: blocked solvers work on gathers and batched products instead
+of per-term loops, and :func:`mpo` compiles a table into the matrix product
+operator that the chain solvers contract.
 """
 
 from __future__ import annotations
@@ -149,9 +150,11 @@ class Blocking:
             out.append(out[-1] + w)
         return tuple(out)
 
-    def block_sites(self, i: int) -> range:
+    @functools.cached_property
+    def groups(self) -> tuple:
+        """The sites of each block: block i holds s_i, ..., s_{i+1} - 1."""
         cuts = self.cuts
-        return range(cuts[i], cuts[i + 1])
+        return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -342,19 +345,22 @@ def apply(h: SpinHamiltonian, x: DenseState) -> DenseState:
 # block-operator tables and regrouping to a blocking
 
 class BlockTable:
-    """The terms of a Hamiltonian restricted to a list of site groups.
+    """The terms of a Hamiltonian restricted to a partition of its sites
+    into groups.
 
-    ``ops[i]`` stacks the distinct restrictions of the terms to group i as
-    (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts to
-    ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
+    ``ops[i]`` stacks the distinct restrictions of the terms to ``groups[i]``
+    as (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts
+    to ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
     first site is its fastest bit (:func:`kron_first_fastest`, ``order="F"``).
     """
 
     def __init__(self, h: SpinHamiltonian, groups):
-        groups = [tuple(g) for g in groups]
-        self.idx = np.zeros((h.num_terms, len(groups)), dtype=np.intp)
+        self.groups = tuple(tuple(g) for g in groups)
+        if sorted(s for g in self.groups for s in g) != list(range(h.p)):
+            raise ValueError(f"groups {self.groups} do not partition {h.p} sites")
+        self.idx = np.zeros((h.num_terms, len(self.groups)), dtype=np.intp)
         ops = []
-        for i, sites in enumerate(groups):
+        for i, sites in enumerate(self.groups):
             seen = {("I",) * len(sites): 0}
             distinct = [[OP_I] * len(sites)]
             for k, term in enumerate(h.terms):
@@ -381,36 +387,28 @@ class BlockTable:
 
 
 class BlockedHamiltonian(BlockTable):
-    """The block table of a Hamiltonian over the contiguous blocks of a
-    blocking.  H_i^(k), block i of term k, has three views for per-term
-    callers: whether it is the identity, its matrix, and its action."""
-
-    def __init__(self, h: SpinHamiltonian, blocking: Blocking):
-        if blocking.p != h.p:
-            raise ValueError(
-                f"blocking covers {blocking.p} sites, Hamiltonian has {h.p}"
-            )
-        super().__init__(h, map(blocking.block_sites, range(blocking.q)))
-        self.hamiltonian = h
-        self.blocking = blocking
+    """Per-term views of a block table: whether H_i^(k), group i of term k,
+    is the identity, its matrix, and its action.  The solvers read the
+    table's arrays instead; the benchmark tracer wraps these views."""
 
     def is_identity_block(self, k: int, i: int) -> bool:
         return bool(self.idx[k, i] == 0)
 
     def block_matrix(self, k: int, i: int) -> np.ndarray:
-        """Explicit 2^{t_i} x 2^{t_i} matrix of block i of term k."""
+        """Explicit n_i x n_i matrix of group i of term k."""
         return self.ops[i][self.idx[k, i]]
 
     def apply_block(self, k: int, i: int, vec: np.ndarray) -> np.ndarray:
-        """Block i of term k applied to a length-2^{t_i} vector or to a
-        (2^{t_i}, m) stack of columns, charged as a dense product."""
+        """Group i of term k applied to a length-n_i vector or to an
+        (n_i, m) stack of columns, charged as a dense product."""
         vec = np.asarray(vec, dtype=complex)
-        stack = vec.reshape(2 ** self.blocking.widths[i], -1)
+        stack = vec.reshape(self.ops[i].shape[1], -1)
         return flops.matmul(self.block_matrix(k, i), stack).reshape(vec.shape)
 
 
-def regroup(h: SpinHamiltonian, blocking: Blocking) -> BlockedHamiltonian:
-    return BlockedHamiltonian(h, blocking)
+def regroup(h: SpinHamiltonian, blocking: Blocking) -> BlockTable:
+    """The block table of `h` over the blocks of `blocking`."""
+    return BlockTable(h, blocking.groups)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ Every inner product is one labelled network (:func:`_contract_network`) over
 bit-level pieces: a block tensor carries one label per chain site and, for
 block chains, one per bond.  Only the open-boundary pair kernel
 (:func:`inner_mixed_obc`) keeps the paper's dedicated left-to-right sweep.
+
+The greedy solver runs the CP greedy loop (`parafac._greedy_core`) with the
+blocks of each scheduled blocking as the site groups of its stages.
 """
 
 from __future__ import annotations
@@ -61,18 +64,10 @@ class MixedTerm:
     def p(self) -> int:
         return self.blocking.p
 
-    def block_sites(self, j: int) -> tuple:
-        """Chain positions covered by block j, in factor bit order."""
-        p = self.p
-        start = (self.offset + self.blocking.cuts[j]) % p
-        return tuple((start + r) % p for r in range(self.blocking.widths[j]))
-
     def block_sites_list(self) -> list:
-        """Per factor: the chain positions it covers, in factor bit order."""
-        return [self.block_sites(j) for j in range(self.blocking.q)]
-
-    def wraps(self) -> bool:
-        return self.offset != 0
+        """Per factor: the chain positions it covers, in factor bit order
+        (the blocking's groups shifted by the offset)."""
+        return [tuple((self.offset + s) % self.p for s in g) for g in self.blocking.groups]
 
 
 @dataclass
@@ -281,7 +276,7 @@ def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
     Costs at most 2^r per step over (k + m) steps, r the widest block."""
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
-    if x.wraps() or y.wraps():
+    if x.offset or y.offset:
         raise ValueError("open-boundary kernel requires offset-free blockings")
     acc = complex(np.conj(y.weight) * x.weight)
     # side 0 is x, side 1 is y; carry[s] is the vector of side s's block
@@ -386,7 +381,7 @@ def _chain_pieces(x: MpsState, tag) -> list:
     q, periodic = x.q, x.boundary == "periodic"
     pieces = []
     for j, site in enumerate(x.sites):
-        sites = [("s", s) for s in x.blocking.block_sites(j)]
+        sites = [("s", s) for s in x.blocking.groups[j]]
         right = (j + 1) % q if periodic else j + 1
         labels = [("b", tag, j)] + sites + [("b", tag, right)]
         shape = (site.shape[0],) + (2,) * len(sites) + (site.shape[2],)
@@ -418,32 +413,31 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
 class _MixedCrossTerms:
     """Cross contractions of the working addend against frozen addends with
     arbitrary (possibly different) open-boundary blockings, via labelled
-    piece networks with the working block's sites left open.
+    piece networks with the sites of the working group left open.
 
     Each frozen addend y and its image H y (rank M in y's blocking) are
     built once per stage as diagonal chains: one network per frozen addend.
     `beta` and `rho` are the frozen sum's <y, H y> and <y, y>."""
 
-    def __init__(self, h: SpinHamiltonian, blocked, frozen_terms,
+    def __init__(self, h: SpinHamiltonian, table: BlockTable, frozen: list,
                  tols: Tolerances):
-        self.blocking = blocked.blocking
-        frozen = MixedTermSum(h.p, [MixedTerm(b, cols, w)
-                                    for b, cols, w in frozen_terms], "1d-open")
-        self.beta = expectation_mixed(h, frozen, tols)
-        self.rho = float(inner_sum(frozen, frozen).real)
-        cps = [BlockedCp(b, [c[:, None] for c in cols], [w])
-               for b, cols, w in frozen_terms]
+        self.groups = table.groups
+        frozen_sum = MixedTermSum(h.p, frozen, "1d-open")
+        self.beta = expectation_mixed(h, frozen_sum, tols)
+        self.rho = float(inner_sum(frozen_sum, frozen_sum).real)
+        cps = [BlockedCp(t.blocking, [f[:, None] for f in t.factors], [t.weight])
+               for t in frozen]
         self.kets = [_chain_pieces(as_diagonal_mps(y), n)
                      for n, y in enumerate(cps)]
         self.images = [_chain_pieces(as_diagonal_mps(apply_hamiltonian(h, y)), n)
                        for n, y in enumerate(cps)]
 
     def _open_contract(self, x_cols, i, kets):
-        cuts = self.blocking.cuts
-        open_sites = tuple(("s", s) for s in range(cuts[i], cuts[i + 1]))
-        bras = [(tuple(("s", s) for s in sites), t.conj()) for j, (sites, t)
-                in enumerate(_term_pieces(MixedTerm(self.blocking, x_cols))) if j != i]
-        total = np.zeros(2 ** self.blocking.widths[i], dtype=complex)
+        open_sites = tuple(("s", s) for s in self.groups[i])
+        bras = [(tuple(("s", s) for s in sites),
+                 x.reshape((2,) * len(sites), order="F").conj())
+                for j, (sites, x) in enumerate(zip(self.groups, x_cols)) if j != i]
+        total = np.zeros(2 ** len(self.groups[i]), dtype=complex)
         for pieces in kets:
             scalar, tens = _contract_network(pieces + bras, open_labels=open_sites)
             total += scalar * tens.reshape(-1, order="F")
@@ -459,22 +453,25 @@ class _MixedCrossTerms:
 def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
                               sweeps: int = 30, seed: int = 0,
                               tols: Tolerances = DEFAULT_TOLS) -> tuple:
-    """Greedy addend-by-addend minimization where the n-th group of
-    d_per_blocking addends uses blocking schedule[n].  Cross terms against
-    frozen differently-blocked addends run through the mixed kernels.
-    Returns (trace, MixedTermSum)."""
+    """Greedy addend-by-addend minimization where the n-th run of
+    d_per_blocking stages takes the blocks of schedule[n] as its site
+    groups.  Cross terms against frozen addends on other groups run through
+    the mixed kernels.  A blocking that does not cover the chain is refused
+    before the first solve.  Returns (trace, MixedTermSum)."""
     if d_per_blocking < 1:
         raise ValueError("need a positive addend count per scheduled blocking")
-    addend_blockings = [b if isinstance(b, Blocking) else Blocking(tuple(b))
-                        for b in schedule for _ in range(d_per_blocking)]
+    blockings = [b if isinstance(b, Blocking) else Blocking(tuple(b))
+                 for b in schedule for _ in range(d_per_blocking)]
 
-    def factory(blocked, frozen_terms):
-        if all(b == blocked.blocking for b, _, _ in frozen_terms):
-            return _AlignedCrossTerms(blocked, frozen_terms)
-        return _MixedCrossTerms(h, blocked, frozen_terms, tols)
+    def as_terms(frozen_terms):
+        return [MixedTerm(b, cols, w) for b, (_, cols, w) in zip(blockings, frozen_terms)]
 
-    trace, frozen_terms = _greedy_core(h, addend_blockings, sweeps, seed,
-                                       tols, factory)
-    terms = [MixedTerm(b, cols, w) for b, cols, w in frozen_terms]
-    return trace, MixedTermSum(h.p, terms, "1d-open")
+    def factory(table, frozen_terms):
+        if all(groups == table.groups for groups, _, _ in frozen_terms):
+            return _AlignedCrossTerms(table, frozen_terms)
+        return _MixedCrossTerms(h, table, as_terms(frozen_terms), tols)
+
+    trace, frozen_terms = _greedy_core(h, [b.groups for b in blockings], sweeps,
+                                       seed, tols, factory)
+    return trace, MixedTermSum(h.p, as_terms(frozen_terms), "1d-open")
 

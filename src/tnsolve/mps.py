@@ -22,7 +22,7 @@ from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import (
     Blocking,
-    BlockedHamiltonian,
+    BlockTable,
     SpinHamiltonian,
     mpo,
     mpo_apply,
@@ -180,13 +180,8 @@ def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
                  tols: Tolerances = DEFAULT_TOLS):
     """SVD dropping exact-zero singular values (and capping at d_max)."""
     u, s, v = svd(m)
-    if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > tols.zero_singular * s[0]))
-    else:
-        rank = 0
-    rank = max(rank, 1)
-    if d_max is not None:
-        rank = min(rank, int(d_max))
+    rank = int(np.sum(s > tols.zero_singular * s[0])) if s.size and s[0] > 0.0 else 0
+    rank = max(rank, 1) if d_max is None else min(max(rank, 1), int(d_max))
     return u[:, :rank], s[:rank], v[:rank, :]
 
 
@@ -216,10 +211,8 @@ def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     q = out.q
     for j in range(q - 1):
         _shift_center_right(out.sites, j, tols)
-    gamma = None
-    if out.boundary == "open":
-        gamma = float(np.sum(np.abs(out.sites[q - 1]) ** 2))
-    return out, GaugeStatus(gamma)
+    gamma = float(np.sum(np.abs(out.sites[-1]) ** 2))
+    return out, GaugeStatus(gamma if out.boundary == "open" else None)
 
 
 def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
@@ -228,10 +221,8 @@ def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
     q = out.q
     for j in range(q - 1, 0, -1):
         _shift_center_left(out.sites, j, tols)
-    gamma = None
-    if out.boundary == "open":
-        gamma = float(np.sum(np.abs(out.sites[0]) ** 2))
-    return out, GaugeStatus(gamma)
+    gamma = float(np.sum(np.abs(out.sites[0]) ** 2))
+    return out, GaugeStatus(gamma if out.boundary == "open" else None)
 
 
 def gauge_residual_left(site: np.ndarray) -> float:
@@ -374,7 +365,7 @@ def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
     return mat.transpose(1, 0, 4, 2, 3, 5).reshape(dl * d * dr, dl * d * dr)
 
 
-def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances):
+def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
     """ALS update of a chain of either boundary, for :func:`run_sweeps`.
 
     The Hamiltonian enters as its MPO (:func:`mpo`, sites H_j with operator
@@ -401,7 +392,7 @@ def _chain_local(blocked: BlockedHamiltonian, state: MpsState, tols: Tolerances)
     returns its energy.
     """
     q = state.q
-    ws = mpo(blocked)
+    ws = mpo(table)
     periodic = state.boundary == "periodic"
     dw = state.sites[0].shape[0]
 
@@ -466,13 +457,13 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     state = random_mps(p, d_bond, boundary, blocking, seed)
-    blocked = regroup(h, state.blocking)
+    table = regroup(h, state.blocking)
     if boundary == "open":
         state, _ = normalize_right_sweep(state, tols)
     else:
         state, _ = normalize_left_sweep(state, tols)
     trace = []
-    run_sweeps(_chain_local(blocked, state, tols),
+    run_sweeps(_chain_local(table, state, tols),
                (range(state.q), range(state.q - 1, -1, -1)), sweeps, tols, trace,
                patience=2)
     return trace, state

@@ -4,17 +4,22 @@ A state over blocking widths (t_1, ..., t_q) stores one factor matrix per
 mode, shape (2^{t_i}, D); addend l is the tensor product of the columns
 factors[i][:, l], scaled by weights[l].  Contractions reduce to per-mode
 Gram matrices, so an inner product costs q block dots per addend pair.
+
+The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
+site groups.  A greedy stage is such a list of site groups, and the addend
+it adds has one factor per group (:func:`_greedy_core`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockedHamiltonian, SpinHamiltonian, regroup
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, regroup
 from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
@@ -33,18 +38,13 @@ def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
     own scalars.  The numerator is Hermitian and the denominator Hermitian
     positive semidefinite; :func:`generalized_eig_min` solves it whether or
     not the denominator is singular."""
+    def border(mat, vec, corner):
+        out = np.empty((dim + 1, dim + 1), dtype=complex)
+        out[:dim, :dim], out[:dim, dim], out[dim, :dim], out[dim, dim] = \
+            mat, vec, vec.conj(), corner
+        return out
     dim = h_i.shape[0]
-    num = np.zeros((dim + 1, dim + 1), dtype=complex)
-    num[:dim, :dim] = h_i
-    num[:dim, dim] = u_i
-    num[dim, :dim] = u_i.conj()
-    num[dim, dim] = beta
-    den = np.zeros((dim + 1, dim + 1), dtype=complex)
-    den[:dim, :dim] = gamma * np.eye(dim)
-    den[:dim, dim] = v_i
-    den[dim, :dim] = v_i.conj()
-    den[dim, dim] = rho
-    return num, den
+    return border(h_i, u_i, beta), border(gamma * np.eye(dim), v_i, rho)
 
 
 @dataclass
@@ -129,16 +129,15 @@ def inner(y: BlockedCp, x: BlockedCp) -> complex:
     return complex(y.weights.conj() @ prod @ x.weights)
 
 
-def expectation_form(blocked: BlockedHamiltonian, y: BlockedCp,
-                     x: BlockedCp) -> complex:
+def expectation_form(table: BlockTable, y: BlockedCp, x: BlockedCp) -> complex:
     """<y, H x> = sum_k alpha_k w_y^H (Hadamard product over modes of
     Y_i^H H_i^(k) X_i) w_x, the per-mode Gram matrices gathered from one
     batched product over the block's distinct operators."""
-    if y.blocking != x.blocking or blocked.blocking != x.blocking:
+    if y.blocking != x.blocking or table.groups != x.blocking.groups:
         raise ValueError("expectation requires one common blocking")
-    prod = blocked.alpha[:, None, None]
+    prod = table.alpha[:, None, None]
     for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
-        prod = prod * blocked.grams(i, fy, fx)[blocked.idx[:, i]]
+        prod = prod * table.grams(i, fy, fx)[table.idx[:, i]]
         flops.add(prod.size)
     flops.add(prod.size + prod.shape[1])
     return complex(y.weights.conj() @ prod.sum(axis=0) @ x.weights)
@@ -147,14 +146,14 @@ def expectation_form(blocked: BlockedHamiltonian, y: BlockedCp,
 def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
     """H x as a blocked CP state of rank M * D, addend k*D + l holding term
     k applied to addend l; coefficients are absorbed into the first mode."""
-    blocked = regroup(h, x.blocking)
+    table = regroup(h, x.blocking)
     factors = []
-    for i, (ops, f) in enumerate(zip(blocked.ops, x.factors)):
-        applied = flops.matmul(ops, f)[blocked.idx[:, i]]
+    for i, (ops, f) in enumerate(zip(table.ops, x.factors)):
+        applied = flops.matmul(ops, f)[table.idx[:, i]]
         if i == 0:
-            applied = applied * blocked.alpha[:, None, None]
+            applied = applied * table.alpha[:, None, None]
         factors.append(applied.transpose(1, 0, 2).reshape(f.shape[0], -1))
-    return BlockedCp(x.blocking, factors, np.tile(x.weights, blocked.alpha.size))
+    return BlockedCp(x.blocking, factors, np.tile(x.weights, table.alpha.size))
 
 
 def as_diagonal_mps(x: BlockedCp) -> MpsState:
@@ -179,62 +178,67 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
                   seed: int = 0) -> BlockedCp:
     """Mode-i factors from the lowest eigenvectors of the block-local part of
     the Hamiltonian: a term contributes to a block only if its whole support
-    lies inside that block, and it enters with its coefficient.
-    """
-    blocked = regroup(h, blocking)
+    lies inside that block, and it enters with its coefficient."""
+    return BlockedCp(blocking, _spectral_factors(regroup(h, blocking), rank, seed))
+
+
+def _spectral_factors(table: BlockTable, rank: int, seed: int = 0) -> list:
+    """The factor matrices of :func:`spectral_init`, one per group of `table`;
+    columns beyond a group's dimension are random unit vectors."""
     rng = np.random.default_rng(seed)
     factors = []
-    for i, w in enumerate(blocking.widths):
-        dim = 2**w
+    for i, ops in enumerate(table.ops):
+        dim = ops.shape[1]
         # a term is block-local when it is the identity on every other block;
         # skipping fully-elsewhere terms drops only an identity shift
-        others = np.delete(blocked.idx, i, axis=1)
-        local_alpha = np.where((others == 0).all(axis=1), blocked.alpha, 0.0)
-        local = np.tensordot(blocked.collect(i, local_alpha), blocked.ops[i], axes=1)
+        others = np.delete(table.idx, i, axis=1)
+        local_alpha = np.where((others == 0).all(axis=1), table.alpha, 0.0)
+        local = np.tensordot(table.collect(i, local_alpha), ops, axes=1)
         _, vecs = hermitian_eig(local)
-        take = min(rank, dim)
-        cols = [vecs[:, j] for j in range(take)]
+        cols = list(vecs[:, :rank].T)
         while len(cols) < rank:
             extra = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             cols.append(extra / np.linalg.norm(extra))
         factors.append(np.stack(cols, axis=1))
-    return BlockedCp(blocking, factors)
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # greedy one-addend-at-a-time ALS
 
-def _stage_matrix(blocked: BlockedHamiltonian, x_cols, i):
+def _stage_matrix(table: BlockTable, x_cols, i):
     """Self block of the working addend at mode i: gamma = prod_{j != i}
     x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k).
     Returns (h_i, gamma).  The scalars come from s_j[u] = x_j^H O_{j,u} x_j,
     one batched product per mode (s_j[0] = |x_j|^2).
     """
     gamma = 1.0
-    b = blocked.alpha
+    b = table.alpha
     for j, x in enumerate(x_cols):
         if j != i:
             col = x[:, None]
-            s = blocked.grams(j, col, col)[:, 0, 0].real
+            s = table.grams(j, col, col)[:, 0, 0].real
             gamma *= float(s[0])
-            b = b * s[blocked.idx[:, j]]
-    h_i = flops.tdot(blocked.collect(i, b), blocked.ops[i], axes=1)
+            b = b * s[table.idx[:, j]]
+    h_i = flops.tdot(table.collect(i, b), table.ops[i], axes=1)
     return h_i, gamma
 
 
-def _stack_addends(blocking: Blocking, frozen_terms) -> BlockedCp:
-    """BlockedCp holding the frozen (blocking, cols, weight) addends."""
+def _stack_addends(frozen_terms) -> BlockedCp:
+    """BlockedCp holding frozen (groups, cols, weight) addends that share
+    the groups of one blocking."""
+    groups = frozen_terms[0][0]
     return BlockedCp(
-        blocking,
+        Blocking(tuple(map(len, groups))),
         [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
-         for i in range(blocking.q)],
+         for i in range(len(groups))],
         np.array([w for _, _, w in frozen_terms]),
     )
 
 
 class _AlignedCrossTerms:
     """Cross contractions of the working addend against frozen addends that
-    share its blocking.  The bordered problem adds x_i^H u_i + u_i^H x_i to
+    share its site groups.  The bordered problem adds x_i^H u_i + u_i^H x_i to
     the numerator and x_i^H v_i + v_i^H x_i to the denominator; the frozen
     sum y fills the corners with `beta` = <y, H y> and `rho` = <y, y>.  Here
 
@@ -243,14 +247,14 @@ class _AlignedCrossTerms:
         v_i = sum_l w_l (prod_{j != i} x_j^H y_j^(l)) * y_i^(l).
     """
 
-    def __init__(self, blocked: BlockedHamiltonian, frozen_terms):
-        self.blocked = blocked
-        self.frozen = _stack_addends(blocked.blocking, frozen_terms)
+    def __init__(self, table: BlockTable, frozen_terms):
+        self.table = table
+        self.frozen = _stack_addends(frozen_terms)
         # O_{j,u} Y_j for every block and distinct operator; the frozen
         # addends do not change within a stage
         self.applied = [flops.matmul(ops, f) for ops, f in
-                        zip(blocked.ops, self.frozen.factors)]
-        self.beta = float(expectation_form(blocked, self.frozen, self.frozen).real)
+                        zip(table.ops, self.frozen.factors)]
+        self.beta = float(expectation_form(table, self.frozen, self.frozen).real)
         self.rho = float(inner(self.frozen, self.frozen).real)
 
     def _cross(self, x_cols, i, alpha, idx):
@@ -263,43 +267,42 @@ class _AlignedCrossTerms:
         return flops.tdot(self.applied[i][idx[:, i]], coeffs, axes=([0, 2], [0, 1]))
 
     def numerator_vector(self, x_cols, i):
-        return self._cross(x_cols, i, self.blocked.alpha, self.blocked.idx)
+        return self._cross(x_cols, i, self.table.alpha, self.table.idx)
 
     def denominator_vector(self, x_cols, i):
         # one term that is the identity (entry 0) on every block
         return self._cross(x_cols, i, np.ones(1), np.zeros((1, len(x_cols)), int))
 
 
-def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
+def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
                  seed: int, tols: Tolerances, cross_factory,
-                 first_stage_cols=None) -> tuple:
-    """Shared greedy driver: stage d optimizes one new addend with blocking
-    addend_blockings[d] against the frozen earlier ones."""
+                 first_stage=None) -> tuple:
+    """Shared greedy loop: stage d optimizes one new addend, one factor
+    per site group of stages[d] (a tuple of tuples), against the frozen
+    earlier ones.  The tables of all distinct stages are built, and checked,
+    before the first solve.  first_stage(table) gives the first addend's
+    start; cross_factory(table, frozen_terms) the later stages' cross terms."""
     rng = np.random.default_rng(seed)
     trace = []
-    frozen_terms = []  # list of (blocking, cols, weight)
+    frozen_terms = []  # list of (groups, cols, weight)
     max_restarts = 10
-    regrouped = {b: regroup(h, b) for b in addend_blockings}
+    tables = {groups: BlockTable(h, groups) for groups in dict.fromkeys(stages)}
 
-    for stage, blocking in enumerate(addend_blockings):
-        blocked = regrouped[blocking]
-        q = blocking.q
+    for stage, groups in enumerate(stages):
+        table = tables[groups]
 
         def fresh_cols():
             cols = []
-            for w in blocking.widths:
-                v = rng.standard_normal(2**w) + 1j * rng.standard_normal(2**w)
+            for n in (2 ** len(sites) for sites in groups):
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 cols.append(v / np.linalg.norm(v))
             return cols
 
-        if stage == 0 and first_stage_cols is not None:
-            x_cols = [c.copy() for c in first_stage_cols]
-        else:
-            x_cols = fresh_cols()
-        cross = cross_factory(blocked, frozen_terms) if frozen_terms else None
+        x_cols = first_stage(table) if stage == 0 and first_stage else fresh_cols()
+        cross = cross_factory(table, frozen_terms) if frozen_terms else None
 
         def update(it, i):
-            h_i, gamma = _stage_matrix(blocked, x_cols, i)
+            h_i, gamma = _stage_matrix(table, x_cols, i)
             if cross is None:
                 # pure rank-one stage: the quotient's denominator is gamma
                 w, v = hermitian_eig(h_i, tols)
@@ -317,12 +320,13 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
             return lam
 
         restarts, degenerate = 0, False
-        while (stop := run_sweeps(update, [range(q)], inner_iters, tols, trace,
-                                  stage + 1)) is not None:
+        while (stop := run_sweeps(update, [range(len(groups))], inner_iters, tols,
+                                  trace, stage + 1)) is not None:
             restarts += 1
             degenerate = restarts > max_restarts
             trace.append(TraceEntry(stage + 1, *stop, float("nan"), flops.current_total(),
-                                    "degenerate-stage" if degenerate else "restart"))
+                                    "degenerate-stage" if degenerate else "restart",
+                                    time.perf_counter()))
             if degenerate:
                 # the frozen sum is already optimal within this dictionary:
                 # freeze a weight-zero addend
@@ -332,7 +336,7 @@ def _greedy_core(h: SpinHamiltonian, addend_blockings: list, inner_iters: int,
         norms = [np.linalg.norm(c) for c in x_cols]
         weight = 0.0j if degenerate else complex(np.prod(norms))
         cols = [c / n if n > 0 else c for c, n in zip(x_cols, norms)]
-        frozen_terms.append((blocking, cols, weight))
+        frozen_terms.append((groups, cols, weight))
 
     return trace, frozen_terms
 
@@ -353,22 +357,21 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
     if d_final < 1 or inner_iters < 1:
         raise ValueError("need d_final >= 1 and inner_iters >= 1")
     if init == "spectral":
-        first = [f[:, 0] for f in spectral_init(h, blocking, 1).factors]
+        def first(table):
+            return [f[:, 0] for f in _spectral_factors(table, 1)]
     elif init == "random":
         first = None
     else:
         raise ValueError(f"unknown init {init!r}")
-    trace, frozen_terms = _greedy_core(
-        h, [blocking] * d_final, inner_iters, seed, tols,
-        _AlignedCrossTerms, first_stage_cols=first
-    )
-    return trace, _stack_addends(blocking, frozen_terms)
+    trace, frozen_terms = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
+                                       seed, tols, _AlignedCrossTerms, first)
+    return trace, _stack_addends(frozen_terms)
 
 
 # ---------------------------------------------------------------------------
 # simultaneous ALS (all addends of one mode at once)
 
-def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp, i: int) -> tuple:
+def _mode_problem(table: BlockTable, x: BlockedCp, i: int) -> tuple:
     """The rank*2^{t_i} pencil (a_mat, b_mat) of mode i over the stacked
     addend vectors: a_mat = sum_u kron(C_u, O_{i,u}) with C_u =
     sum_{k : idx[k, i] = u} alpha_k (ww * prod_{j != i} G_j[idx[k, j]]),
@@ -377,16 +380,16 @@ def _mode_problem(blocked: BlockedHamiltonian, x: BlockedCp, i: int) -> tuple:
     modes are linearly dependent; :func:`generalized_eig_min` then drops the
     directions it cannot resolve."""
     ww = np.outer(x.weights.conj(), x.weights)
-    coeff = blocked.alpha[:, None, None] * ww
+    coeff = table.alpha[:, None, None] * ww
     gram = ww
     for j, f in enumerate(x.factors):
         if j != i:
-            g = blocked.grams(j, f, f)
-            coeff = coeff * g[blocked.idx[:, j]]
+            g = table.grams(j, f, f)
+            coeff = coeff * g[table.idx[:, j]]
             gram = gram * g[0]
-    ops = blocked.ops[i]
+    ops = table.ops[i]
     dim, rank = ops.shape[1], x.rank
-    a_mat = flops.tdot(blocked.collect(i, coeff), ops, axes=(0, 0))
+    a_mat = flops.tdot(table.collect(i, coeff), ops, axes=(0, 0))
     a_mat = a_mat.transpose(0, 2, 1, 3).reshape(rank * dim, rank * dim)
     return a_mat, np.kron(gram, np.eye(dim))
 
@@ -400,9 +403,9 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     tols.convergence stops the search.  Returns (trace, BlockedCp)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
-    blocked = regroup(h, blocking)
+    table = regroup(h, blocking)
     if init == "spectral":
-        x = spectral_init(h, blocking, rank)
+        x = BlockedCp(blocking, _spectral_factors(table, rank))
     elif init == "random":
         x = random_cp(blocking, rank, seed)
     else:
@@ -410,7 +413,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
 
     def update(sweep, i):
         nonlocal x
-        lam, vec = generalized_eig_min(*_mode_problem(blocked, x, i), tols)
+        lam, vec = generalized_eig_min(*_mode_problem(table, x, i), tols)
         x.factors[i] = vec.reshape(rank, -1).T
         x.weights = np.ones(rank, dtype=complex)
         if i == blocking.q - 1:

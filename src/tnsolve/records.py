@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from . import flops
 
@@ -17,6 +18,7 @@ class TraceEntry:
     energy: Rayleigh quotient after the update
     flops: cumulative contraction operations at record time (0 if untallied)
     note:  optional event marker (e.g. restarts)
+    clock: time.perf_counter() at record time (0.0 if unset); not compared
     """
 
     stage: int
@@ -25,6 +27,7 @@ class TraceEntry:
     energy: float
     flops: int = 0
     note: str = ""
+    clock: float = field(default=0.0, compare=False)
 
 
 def run_sweeps(update, modes, sweeps: int, tols, trace: list, stage: int = 0,
@@ -34,10 +37,11 @@ def run_sweeps(update, modes, sweeps: int, tols, trace: list, stage: int = 0,
     Sweep s visits the modes in order modes[s % len(modes)] and calls
     update(s, mode), which solves that local problem and returns the
     Rayleigh quotient after it, or None to abandon the run.  Every energy is
-    appended to `trace` as a TraceEntry of `stage` with the flop total.  The
-    run stops after `sweeps` sweeps, or once `patience` consecutive sweeps
-    each end within tols.convergence of the sweep before.  Returns None, or
-    the (sweep, mode) of the abandoned update, which is not recorded.
+    appended to `trace` as a TraceEntry of `stage` with the flop total and
+    the clock.  The run stops after `sweeps` sweeps, or once `patience`
+    consecutive sweeps each end within tols.convergence of the sweep before.
+    Returns None, or the (sweep, mode) of the abandoned update, which is not
+    recorded.
     """
     last, calm = None, 0
     for sweep in range(sweeps):
@@ -45,7 +49,8 @@ def run_sweeps(update, modes, sweeps: int, tols, trace: list, stage: int = 0,
             energy = update(sweep, mode)
             if energy is None:
                 return sweep, mode
-            trace.append(TraceEntry(stage, sweep, mode, energy, flops.current_total()))
+            trace.append(TraceEntry(stage, sweep, mode, energy, flops.current_total(),
+                                    clock=time.perf_counter()))
         settled = last is not None and abs(energy - last) < tols.convergence
         calm = calm + 1 if settled else 0
         if calm >= patience:

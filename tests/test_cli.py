@@ -229,6 +229,27 @@ def test_mps_run_with_validation(tmp_path):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("args", [
+    ["mps-als", "-p", "6", "--rank", "4", "--sweeps", "4"],
+    ["parafac-als", "-p", "6", "--blocking", "3,3", "--rank", "2",
+     "--mode", "greedy", "--sweeps", "5"],
+    ["exact", "-p", "6"],
+], ids=["mps-als", "parafac-greedy", "exact"])
+def test_timing_gives_each_row_its_own_elapsed_time(tmp_path, args):
+    def elapsed(out):
+        lines = read(os.path.join(out, "trace.csv")).decode().splitlines()[1:]
+        return [float(line.split(",")[6]) for line in lines]
+
+    untimed, timed = str(tmp_path / "untimed"), str(tmp_path / "timed")
+    assert main(args + ["--out", untimed]) == 0
+    assert set(elapsed(untimed)) == {0.0}
+    assert main(args + ["--out", timed, "--timing"]) == 0
+    times = elapsed(timed)
+    summary = json.loads(read(os.path.join(timed, "summary.json")))
+    assert 0.0 < times[0] and all(a <= b for a, b in zip(times, times[1:]))
+    assert times[-1] <= summary["wall_time_s"]
+
+
 def test_mixed_run(tmp_path):
     out = str(tmp_path / "mixed")
     rc = main(["mixed-als", "--model", "ising", "-p", "6", "--lam", "1.0",
@@ -464,6 +485,15 @@ def test_reproduce_rank_or_sweeps_below_one_exit_code(tmp_path, args):
     rc = main(["reproduce", "--figure", "p10", "--out", str(out), *args])
     assert rc == 2
     # refused before the out dir, the oracle cache or the manifest is written
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_reproduce_workers_below_one_exit_code(tmp_path, workers):
+    out = tmp_path / "rep"
+    rc = main(["reproduce", "--figure", "p10", "--out", str(out),
+               f"--workers={workers}"])
+    assert rc == 2
     assert not out.exists()
 
 

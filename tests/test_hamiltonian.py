@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tnsolve.hamiltonian import (
+    BlockedHamiltonian,
     BlockTable,
     Blocking,
     KroneckerTerm,
@@ -346,7 +347,7 @@ def test_regroup_single_block_is_full_term():
     h = build_ising(4, 1.0, "open")
     g = regroup(h, Blocking((4,)))
     m = materialize_dense(h)
-    total = sum(g.alpha[k] * g.block_matrix(k, 0) for k in range(len(g.alpha)))
+    total = sum(g.alpha[k] * g.ops[0][g.idx[k, 0]] for k in range(len(g.alpha)))
     assert np.allclose(total, m, atol=1e-14)
 
 
@@ -355,7 +356,7 @@ def test_regroup_single_sites_are_factors():
     g = regroup(h, Blocking((1, 1, 1)))
     for k, term in enumerate(h.terms):
         for i, f in enumerate(term.factors):
-            assert np.allclose(g.block_matrix(k, i), f.matrix)
+            assert np.allclose(g.ops[i][g.idx[k, i]], f.matrix)
 
 
 def test_regroup_reassembles_dense():
@@ -364,7 +365,7 @@ def test_regroup_reassembles_dense():
     total = np.zeros((16, 16), dtype=complex)
     for k in range(len(g.alpha)):
         total += g.alpha[k] * kron_first_fastest(
-            [g.block_matrix(k, 0), g.block_matrix(k, 1)]
+            [g.ops[0][g.idx[k, 0]], g.ops[1][g.idx[k, 1]]]
         )
     assert np.linalg.norm(total - materialize_dense(h)) <= 1e-14 * np.linalg.norm(total)
 
@@ -378,7 +379,7 @@ def test_regroup_partition_invariant_all_blockings():
         total = np.zeros_like(dense)
         for k in range(len(g.alpha)):
             total += g.alpha[k] * kron_first_fastest(
-                [g.block_matrix(k, i) for i in range(g.blocking.q)]
+                [g.ops[i][g.idx[k, i]] for i in range(len(g.groups))]
             )
         assert np.linalg.norm(total - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
 
@@ -389,10 +390,18 @@ def test_regroup_blocking_must_cover():
         regroup(h, Blocking((2, 3)))
 
 
+@pytest.mark.parametrize("groups", [
+    [(0, 1), (1, 2, 3)], [(0, 1), (3,)], [(0, 1), (2, 3, 4)],
+], ids=["overlap", "missing-site", "outside"])
+def test_block_table_groups_must_partition_the_sites(groups):
+    with pytest.raises(ValueError, match="partition"):
+        BlockTable(build_ising(4, 1.0), groups)
+
+
 def test_apply_block_matches_matrix():
     rng = np.random.default_rng(2)
     h = build_heisenberg_xy(6, 1.0, 0.5, 0.2, "open")
-    g = regroup(h, Blocking((3, 3)))
+    g = BlockedHamiltonian(h, Blocking((3, 3)).groups)
     for k in range(0, len(g.alpha), 3):
         for i in range(2):
             v = crandn(rng, 8)
@@ -436,12 +445,12 @@ TABLE_MODELS = {
 def _mixed_term_groups():
     b = Blocking((3, 4, 3))
     term = MixedTerm(b, [np.zeros(2**w) for w in b.widths], offset=8)
-    return [term.block_sites(j) for j in range(b.q)]
+    return term.block_sites_list()
 
 
 TABLE_GROUPS = {
-    "5,5": lambda: [Blocking((5, 5)).block_sites(i) for i in range(2)],
-    "2,3,5": lambda: [Blocking((2, 3, 5)).block_sites(i) for i in range(3)],
+    "5,5": lambda: list(Blocking((5, 5)).groups),
+    "2,3,5": lambda: list(Blocking((2, 3, 5)).groups),
     "single-sites": lambda: [(s,) for s in range(10)],
     "mixed-term": _mixed_term_groups,
 }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops
+from tnsolve import flops, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
@@ -442,11 +442,10 @@ def test_mixed_cross_vectors_match_dense():
     # block left open; frozen addends on two other blockings, complex XY terms
     rng = np.random.default_rng(60)
     h = build_heisenberg_xy(8, 1.0, 0.6, 0.3, "open")
-    frozen = [(t.blocking, t.factors, t.weight)
-              for t in (random_term(rng, (3, 5)), random_term(rng, (2, 2, 4)))]
+    frozen = [random_term(rng, (3, 5)), random_term(rng, (2, 2, 4))]
     b = Blocking((4, 1, 3))
     cross = _MixedCrossTerms(h, regroup(h, b), frozen, DEFAULT_TOLS)
-    y = sum(term_to_dense(MixedTerm(*f)).vector for f in frozen)
+    y = sum(term_to_dense(t).vector for t in frozen)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
 
     def open_contract(vec, i):
@@ -454,7 +453,7 @@ def test_mixed_cross_vectors_match_dense():
         for j in reversed(range(b.q)):
             if j != i:
                 xj = x_cols[j].conj().reshape((2,) * b.widths[j], order="F")
-                t = np.tensordot(t, xj, axes=(list(b.block_sites(j)), list(range(xj.ndim))))
+                t = np.tensordot(t, xj, axes=(list(b.groups[j]), list(range(xj.ndim))))
         return t.reshape(-1, order="F")
 
     for i in range(b.q):
@@ -462,6 +461,15 @@ def test_mixed_cross_vectors_match_dense():
                            open_contract(materialize_dense(h) @ y, i)),
                           (cross.denominator_vector(x_cols, i), open_contract(y, i))):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
+
+
+def test_mixed_greedy_refuses_a_short_blocking_before_any_update(monkeypatch):
+    # the second scheduled blocking covers 5 of the 6 sites
+    calls = []
+    monkeypatch.setattr(parafac, "run_sweeps", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="partition"):
+        ground_state_mixed_greedy(build_ising(6, 1.0), [(3, 3), (2, 3)], 1)
+    assert calls == []
 
 
 def test_mixed_greedy_identical_schedule_matches_parafac():

@@ -510,8 +510,8 @@ def test_periodic_pencil_from_cached_environments(monkeypatch):
     assert len(states) == 1 and len(pencils) == p
     eye = np.eye(2)
     for c, sites, (num, den) in zip(range(p), snapshots, pencils):
-        terms = [[blocked.alpha[k] * blocked.block_matrix(k, j) if j == c
-                  else blocked.block_matrix(k, j) for j in range(p)]
+        terms = [[blocked.alpha[k] * blocked.ops[j][blocked.idx[k, j]] if j == c
+                  else blocked.ops[j][blocked.idx[k, j]] for j in range(p)]
                  for k in range(len(blocked.alpha))]
         want_num = _ring_pencil(sites, terms, c)
         want_den = _ring_pencil(sites, [[eye] * p], c)

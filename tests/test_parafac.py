@@ -216,7 +216,7 @@ def test_spectral_init_rank_one_block_ground_states():
         for k, term in enumerate(h.terms):
             sup = term.support()
             if sup and all(3 * i <= s < 3 * (i + 1) for s in sup):
-                local += term.coefficient * g.block_matrix(k, i)
+                local += term.coefficient * g.ops[i][g.idx[k, i]]
         w = np.linalg.eigvalsh(local)
         val = np.vdot(x.factors[i][:, 0], local @ x.factors[i][:, 0]).real
         assert val == pytest.approx(w[0], abs=1e-10)
@@ -392,8 +392,8 @@ LOCAL_MODELS = {
 
 def term_blocks(h, blocking):
     """ops[k][j]: term k restricted to block j, from its factors directly."""
-    return [[kron_first_fastest([t.factors[s].matrix for s in blocking.block_sites(j)])
-             for j in range(blocking.q)] for t in h.terms]
+    return [[kron_first_fastest([t.factors[s].matrix for s in sites])
+             for sites in blocking.groups] for t in h.terms]
 
 
 def close(got, want):
@@ -422,7 +422,7 @@ def test_aligned_numerator_vector_matches_term_loop(model):
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
     rng = np.random.default_rng(51)
-    frozen = [(b, [crandn(rng, 2**w) for w in b.widths], complex(crandn(rng, 1)[0]))
+    frozen = [(b.groups, [crandn(rng, 2**w) for w in b.widths], complex(crandn(rng, 1)[0]))
               for _ in range(3)]
     cross = _AlignedCrossTerms(regroup(h, b), frozen)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
