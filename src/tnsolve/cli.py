@@ -492,6 +492,9 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
     if min(use_ranks) < 1 or sweeps < 1 or workers < 1:
         raise ConfigError("need ranks, sweeps and workers >= 1, got "
                           f"{use_ranks}, {sweeps}, {workers}")
+    for name, values in (("ranks", use_ranks), ("blockings", use_blockings)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} must not repeat, got {values}")
     os.makedirs(out_dir, exist_ok=True)
     modes = ["greedy", "simultaneous"] if mode == "both" else [mode]
     h = build_ising(grid["p"], 1.0, "open")

@@ -444,15 +444,15 @@ def mpo(table: BlockTable) -> list:
             w[0, 0] = ops[0]
         if i > 0:
             w[-1, -1] = ops[0]
-        block = ops[table.idx[:, i]]
+        # gather each class's blocks alone: all M at once would hold M n x n matrices
         local = (first == i) & (last == i)
-        w[0, -1] = np.tensordot(table.alpha[local], block[local], axes=1)
+        w[0, -1] = np.tensordot(table.alpha[local], ops[table.idx[local, i]], axes=1)
         enter = (first == i) & (last > i)
-        w[0, chan[enter, i + 1]] = table.alpha[enter, None, None] * block[enter]
+        w[0, chan[enter, i + 1]] = table.alpha[enter, None, None] * ops[table.idx[enter, i]]
         through = (first < i) & (last > i)
-        w[chan[through, i], chan[through, i + 1]] = block[through]
+        w[chan[through, i], chan[through, i + 1]] = ops[table.idx[through, i]]
         leave = (first < i) & (last == i)
-        w[chan[leave, i], -1] = block[leave]
+        w[chan[leave, i], -1] = ops[table.idx[leave, i]]
         sites.append(w)
     return sites
 

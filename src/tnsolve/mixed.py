@@ -11,27 +11,26 @@ bit-level pieces: a block tensor carries one label per chain site and, for
 block chains, one per bond.  Only the open-boundary pair kernel
 (:func:`inner_mixed_obc`) keeps the paper's dedicated left-to-right sweep.
 
-The greedy solver runs the CP greedy loop (`parafac._greedy_core`) with the
-blocks of each scheduled blocking as the site groups of its stages.
+H enters as its matrix product operator over the site groups of one product
+term, whatever they are (:func:`_term_chains`): the term becomes a chain
+of unit bonds and its image under H a chain of the MPO's bonds, so
+<y, H x> is one network per (image, bra) pair.  The greedy solver runs the
+CP greedy loop (`parafac._greedy_core`) with the blocks of each scheduled
+blocking as the site groups of its stages, and takes its cross terms
+against frozen addends on other groups from the same images.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian
-from .mps import MpsState
-from .parafac import (
-    BlockedCp,
-    _AlignedCrossTerms,
-    _greedy_core,
-    apply_hamiltonian,
-    as_diagonal_mps,
-)
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, mpo
+from .mps import MpsState, _apply_mpo
+from .parafac import _AlignedCrossTerms, _greedy_core
 from .tensor import DenseState, _contract_labelled, ravel
 
 
@@ -167,10 +166,16 @@ class MixedTermSum:
 # ---------------------------------------------------------------------------
 # dense expansion (oracle plumbing)
 
+def _product_pieces(groups, cols) -> list:
+    """(site labels, bit tensor) pairs of the product of `cols` over site
+    groups: column i on groups[i], its first site the fastest bit."""
+    return [(tuple(("s", s) for s in sites), np.reshape(c, (2,) * len(sites), order="F"))
+            for sites, c in zip(groups, cols)]
+
+
 def _term_pieces(term) -> list:
-    """(site labels, bit tensor) pairs for one term, weight excluded."""
-    return [(tuple(sites), f.reshape((2,) * len(sites), order="F"))
-            for sites, f in zip(term.block_sites_list(), term.factors)]
+    """The product pieces of one term, weight excluded."""
+    return _product_pieces(term.block_sites_list(), term.factors)
 
 
 def _outer_labelled(pieces, order) -> np.ndarray:
@@ -185,15 +190,13 @@ def _outer_labelled(pieces, order) -> np.ndarray:
 
 
 def term_to_dense(term) -> DenseState:
-    tens = _outer_labelled(_term_pieces(term), range(term.p))
+    tens = _outer_labelled(_term_pieces(term), [("s", s) for s in range(term.p)])
     return DenseState(term.p, term.weight * ravel(tens))
 
 
 def sum_to_dense(x: MixedTermSum) -> DenseState:
-    total = np.zeros(2**x.p, dtype=complex)
-    for t in x.terms:
-        total += term_to_dense(t).vector
-    return DenseState(x.p, total)
+    vectors = (term_to_dense(t).vector for t in x.terms)
+    return DenseState(x.p, sum(vectors, np.zeros(2**x.p, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +207,34 @@ def _pair_score(la, sa, lb, sb_, open_labels):
     if not shared:
         return None
     shared_bits = sum(sa[la.index(s)].bit_length() - 1 for s in shared)
-    left_bits = 0
-    for labels, shapes in ((la, sa), (lb, sb_)):
-        for lab, size in zip(labels, shapes):
-            if lab not in shared:
-                left_bits += size.bit_length() - 1
+    left_bits = sum(n.bit_length() - 1 for lab, n in zip(la + lb, sa + sb_)
+                    if lab not in shared)
     return shared_bits - left_bits
 
 
-def _contract_network(pieces, open_labels=frozenset()):
+def _contract_network(pieces, open_labels=()):
     """Contract a list of (labels, tensor) pieces over all labels shared by
     two pieces, leaving `open_labels` as free legs.
 
     Pair choice maximizes (contracted bits - leftover bits), i.e. the
     summation part is kept larger than the remaining indices; ties fall to
     the piece pair containing the leftmost label.  Returns (scalar, tensor
-    over sorted(open_labels) or None).
+    with its axes in the order of `open_labels`, or None).
     """
-    open_labels = frozenset(open_labels)
-    work = [(tuple(l), np.asarray(t)) for l, t in pieces]
-    scalar = 1.0 + 0.0j
+    order = tuple(open_labels)
+    open_labels = frozenset(order)
+    work, scalar = [], 1.0 + 0.0j
 
-    def sweep_scalars():
+    def push(labels, t):
+        # a fully contracted piece joins the scalar at once
         nonlocal scalar
-        keep = []
-        for labels, t in work:
-            if t.ndim == 0:
-                scalar *= complex(t)
-            else:
-                keep.append((labels, t))
-        return keep
+        if t.ndim == 0:
+            scalar *= complex(t)
+        else:
+            work.append((tuple(labels), t))
 
-    work = sweep_scalars()
+    for labels, t in pieces:
+        push(labels, np.asarray(t))
     while True:
         best = None
         for ia in range(len(work)):
@@ -255,8 +254,7 @@ def _contract_network(pieces, open_labels=frozenset()):
         lb, tb = work[ib]
         tc, lc = _contract_labelled(ta, la, tb, lb)
         work = [w for i, w in enumerate(work) if i not in (ia, ib)]
-        work.append((lc, tc))
-        work = sweep_scalars()
+        push(lc, tc)
 
     if not open_labels:
         if work:
@@ -264,7 +262,7 @@ def _contract_network(pieces, open_labels=frozenset()):
         return scalar, None
     if {l for labels, _ in work for l in labels} != set(open_labels):
         raise ValueError("open legs do not match the requested labels")
-    return scalar, _outer_labelled(work, sorted(open_labels))
+    return scalar, _outer_labelled(work, order)
 
 
 # ---------------------------------------------------------------------------
@@ -321,74 +319,32 @@ def inner_terms(x, y) -> complex:
     return complex(np.conj(y.weight) * x.weight * scalar)
 
 
-def _pair_kernel(geometry: str):
-    return inner_mixed_obc if geometry == "1d-open" else inner_terms
-
-
 def inner_sum(x: MixedTermSum, y: MixedTermSum) -> complex:
     """<y, x> over all term pairs; bilinear in the term weights."""
     if x.p != y.p or x.geometry != y.geometry:
         raise ValueError("sums must share sites and geometry")
-    kernel = _pair_kernel(x.geometry)
-    total = 0.0 + 0.0j
-    for tx in x.terms:
-        for ty in y.terms:
-            total += kernel(tx, ty)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian expectation
-
-def _apply_term_ops(h: SpinHamiltonian, term) -> list:
-    """Per Hamiltonian term k, a copy of `term` with H^(k) absorbed into its
-    factors (coefficient excluded): O_{j,u} f_j for every factor j and
-    distinct block operator u of the term's own :class:`BlockTable`, then
-    gathered at u = idx[k, j]."""
-    table = BlockTable(h, term.block_sites_list())
-    applied = [flops.matmul(ops, f) for ops, f in zip(table.ops, term.factors)]
-    return [replace(term, factors=[a[u] for a, u in zip(applied, row)])
-            for row in table.idx]
-
-
-def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
-                      tols: Tolerances = DEFAULT_TOLS) -> float:
-    """<x, H x>: each Hamiltonian term is absorbed site-locally into the ket
-    side (regrouped per that addend's blocking), then summed pairwise.
-    Refuses an imaginary residue above tols.rayleigh_imag (relative)."""
-    if h.p != x.p:
-        raise ValueError("Hamiltonian and state sizes differ")
-    kernel = _pair_kernel(x.geometry)
-    applied = [_apply_term_ops(h, ket) for ket in x.terms]
-    total = 0.0 + 0.0j
-    for k, hterm in enumerate(h.terms):
-        for kets in applied:
-            for bra in x.terms:
-                total += hterm.coefficient * kernel(kets[k], bra)
-    if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
-        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    kernel = inner_mixed_obc if x.geometry == "1d-open" else inner_terms
+    return sum((kernel(tx, ty) for tx in x.terms for ty in y.terms), 0j)
 
 
 # ---------------------------------------------------------------------------
 # block chains with different blockings
 
-def _chain_pieces(x: MpsState, tag) -> list:
-    """Labelled bit-level pieces of a chain: block j carries its sites and
-    the bonds ("b", tag, j) and ("b", tag, j + 1).  An open chain drops its
-    two unit outer bonds; a periodic one closes its last bond onto bond 0,
-    traced at once when a single block holds both ends."""
-    q, periodic = x.q, x.boundary == "periodic"
+def _chain_pieces(groups, sites, tag, periodic=False) -> list:
+    """Labelled bit-level pieces of a chain over site groups: site j carries
+    the sites of groups[j] and the bonds ("b", tag, j) and ("b", tag, j + 1).
+    An open chain drops its two unit outer bonds; a periodic one closes its
+    last bond onto bond 0, traced at once when a single site holds both ends."""
+    q = len(sites)
     pieces = []
-    for j, site in enumerate(x.sites):
-        sites = [("s", s) for s in x.blocking.groups[j]]
+    for j, site in enumerate(sites):
         right = (j + 1) % q if periodic else j + 1
-        labels = [("b", tag, j)] + sites + [("b", tag, right)]
-        shape = (site.shape[0],) + (2,) * len(sites) + (site.shape[2],)
+        labels = [("b", tag, j)] + [("s", s) for s in groups[j]] + [("b", tag, right)]
+        shape = (site.shape[0],) + (2,) * (len(labels) - 2) + (site.shape[2],)
         t = site.reshape(shape, order="F")
         if periodic and q == 1:
             flops.add(t.size // shape[0])
-            labels, t = sites, np.trace(t, axis1=0, axis2=-1)
+            labels, t = labels[1:-1], np.trace(t, axis1=0, axis2=-1)
         elif not periodic:
             lo, hi = int(j == 0), len(labels) - int(j == q - 1)
             labels, t = labels[lo:hi], t.reshape(shape[lo:hi])
@@ -402,41 +358,81 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
     blocks meet as shared labels."""
     if x.p != y.p or x.boundary != y.boundary:
         raise ValueError("chains must share length and boundary")
-    bras = [(labels, t.conj()) for labels, t in _chain_pieces(y, "y")]
-    scalar, _ = _contract_network(_chain_pieces(x, "x") + bras)
+    periodic = x.boundary == "periodic"
+    bras = [(labels, t.conj()) for labels, t in
+            _chain_pieces(y.blocking.groups, y.sites, "y", periodic)]
+    scalar, _ = _contract_network(
+        _chain_pieces(x.blocking.groups, x.sites, "x", periodic) + bras)
     return scalar
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian images of product terms
+
+def _term_chains(h: SpinHamiltonian, groups, cols, weight, tag) -> tuple:
+    """(ket, image, bra) pieces of the product term weight * (c_1 (x) ...
+    (x) c_q) over any site groups, c_i on groups[i] and the weight on c_1:
+    the term as an open chain of unit bonds, its image under H (that chain
+    through the MPO of `h` over the same groups, :func:`mps._apply_mpo`, so
+    image bond j is the MPO's w_j), both with bond tag `tag`, and the
+    conjugate term as product pieces."""
+    chain = [np.reshape(c, (1, -1, 1)) for c in cols]
+    chain[0] = weight * chain[0]
+    image = _apply_mpo(mpo(BlockTable(h, groups)), chain)
+    return (_chain_pieces(groups, chain, tag), _chain_pieces(groups, image, tag),
+            _product_pieces(groups, [np.conj(c) for c in chain]))
+
+
+def _closed_sum(kets, bras) -> complex:
+    """sum over (ket, bra) pairs of the closed network of their pieces."""
+    return sum(_contract_network(ket + bra)[0] for ket in kets for bra in bras)
+
+
+def _real_part(total: complex, tols: Tolerances) -> float:
+    """The real part of an expectation value, refused when its imaginary
+    residue exceeds tols.rayleigh_imag (relative)."""
+    if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
+        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
+    return float(total.real)
+
+
+def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
+                      tols: Tolerances = DEFAULT_TOLS) -> float:
+    """<x, H x> in every geometry: each term pushed through the MPO of `h`
+    over its own site groups (:func:`_term_chains`), then one network per
+    (image, bra) pair.  Refuses an imaginary residue above
+    tols.rayleigh_imag (relative)."""
+    if h.p != x.p:
+        raise ValueError("Hamiltonian and state sizes differ")
+    chains = [_term_chains(h, t.block_sites_list(), t.factors, t.weight, n)
+              for n, t in enumerate(x.terms)]
+    return _real_part(_closed_sum([c[1] for c in chains], [c[2] for c in chains]), tols)
 
 
 # ---------------------------------------------------------------------------
 # greedy ground-state search over a schedule of blockings
 
 class _MixedCrossTerms:
-    """Cross contractions of the working addend against frozen addends with
-    arbitrary (possibly different) open-boundary blockings, via labelled
-    piece networks with the sites of the working group left open.
+    """Cross contractions of the working addend against frozen (groups,
+    cols, weight) addends on any site groups, via labelled piece networks
+    with the sites of the working group left open.
 
-    Each frozen addend y and its image H y (rank M in y's blocking) are
-    built once per stage as diagonal chains: one network per frozen addend.
-    `beta` and `rho` are the frozen sum's <y, H y> and <y, y>."""
+    Each frozen addend y and its image H y are built once per stage
+    (:func:`_term_chains`): one network per frozen addend.  `beta` and
+    `rho` are the frozen sum's <y, H y> and <y, y> over the same pieces."""
 
     def __init__(self, h: SpinHamiltonian, table: BlockTable, frozen: list,
                  tols: Tolerances):
         self.groups = table.groups
-        frozen_sum = MixedTermSum(h.p, frozen, "1d-open")
-        self.beta = expectation_mixed(h, frozen_sum, tols)
-        self.rho = float(inner_sum(frozen_sum, frozen_sum).real)
-        cps = [BlockedCp(t.blocking, [f[:, None] for f in t.factors], [t.weight])
-               for t in frozen]
-        self.kets = [_chain_pieces(as_diagonal_mps(y), n)
-                     for n, y in enumerate(cps)]
-        self.images = [_chain_pieces(as_diagonal_mps(apply_hamiltonian(h, y)), n)
-                       for n, y in enumerate(cps)]
+        self.kets, self.images, bras = zip(*(_term_chains(h, *y, n)
+                                             for n, y in enumerate(frozen)))
+        self.beta = _real_part(_closed_sum(self.images, bras), tols)
+        self.rho = float(_closed_sum(self.kets, bras).real)
 
     def _open_contract(self, x_cols, i, kets):
         open_sites = tuple(("s", s) for s in self.groups[i])
-        bras = [(tuple(("s", s) for s in sites),
-                 x.reshape((2,) * len(sites), order="F").conj())
-                for j, (sites, x) in enumerate(zip(self.groups, x_cols)) if j != i]
+        bras = [(labels, t.conj()) for j, (labels, t) in
+                enumerate(_product_pieces(self.groups, x_cols)) if j != i]
         total = np.zeros(2 ** len(self.groups[i]), dtype=complex)
         for pieces in kets:
             scalar, tens = _contract_network(pieces + bras, open_labels=open_sites)
@@ -463,15 +459,13 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     blockings = [b if isinstance(b, Blocking) else Blocking(tuple(b))
                  for b in schedule for _ in range(d_per_blocking)]
 
-    def as_terms(frozen_terms):
-        return [MixedTerm(b, cols, w) for b, (_, cols, w) in zip(blockings, frozen_terms)]
-
     def factory(table, frozen_terms):
         if all(groups == table.groups for groups, _, _ in frozen_terms):
             return _AlignedCrossTerms(table, frozen_terms)
-        return _MixedCrossTerms(h, table, as_terms(frozen_terms), tols)
+        return _MixedCrossTerms(h, table, frozen_terms, tols)
 
     trace, frozen_terms = _greedy_core(h, [b.groups for b in blockings], sweeps,
                                        seed, tols, factory)
-    return trace, MixedTermSum(h.p, as_terms(frozen_terms), "1d-open")
+    terms = [MixedTerm(b, cols, w) for b, (_, cols, w) in zip(blockings, frozen_terms)]
+    return trace, MixedTermSum(h.p, terms, "1d-open")
 

@@ -488,6 +488,21 @@ def test_reproduce_rank_or_sweeps_below_one_exit_code(tmp_path, args):
     assert not out.exists()
 
 
+def test_reproduce_repeated_rank_is_refused(tmp_path):
+    # a repeated rank (or blocking) would run its cells twice and write the
+    # same CSVs twice
+    out = tmp_path / "rep"
+    with pytest.raises(ConfigError, match="ranks must not repeat"):
+        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[2, 2],
+                         blockings=["5,5"])
+    with pytest.raises(ConfigError, match="blockings must not repeat"):
+        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[1],
+                         blockings=["5,5", "5,5"])
+    assert main(["reproduce", "--figure", "p10", "--ranks", "1,2,1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_reproduce_workers_below_one_exit_code(tmp_path, workers):
     out = tmp_path / "rep"

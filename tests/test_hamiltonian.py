@@ -519,22 +519,31 @@ MPO_MODELS = {
 }
 
 
-@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("blocking", [
+    "1,1,1,1,1,1", "2,1,3",
+    # partitions that are not blockings: a wrapping group, unordered groups
+    pytest.param(((4, 5, 0), (1, 2, 3)), id="4.5.0|1.2.3"),
+    pytest.param(((5, 1), (0, 4), (2, 3)), id="5.1|0.4|2.3"),
+])
 @pytest.mark.parametrize("model", MPO_MODELS)
 def test_mpo_matches_dense(model, blocking):
     h = MPO_MODELS[model]()
-    b = Blocking.from_string(blocking)
-    sites = mpo(regroup(h, b))
-    assert [w.shape[2] for w in sites] == [2**t for t in b.widths]
-    ref = materialize_dense(h)
+    groups = Blocking.from_string(blocking).groups if isinstance(blocking, str) else blocking
+    sites = mpo(BlockTable(h, groups))
+    assert [w.shape[2] for w in sites] == [2 ** len(g) for g in groups]
+    # the dense matrix in the partition's bit order: the sites of the
+    # groups in turn, the first of each group its fastest bit
+    order = [s for g in groups for s in g]
+    ref = materialize_dense(h).reshape((2,) * 2 * h.p, order="F")
+    ref = ref.transpose(order + [h.p + s for s in order]).reshape(2**h.p, -1, order="F")
     assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
     # bond w at every cut: 2 + the terms whose support straddles it, 1 outside
-    block_of = np.repeat(np.arange(b.q), b.widths)
-    spans = [(min(blocks), max(blocks)) for blocks in
-             ([block_of[s] for s in t.support()] for t in h.terms) if blocks]
+    group_of = {s: i for i, g in enumerate(groups) for s in g}
+    spans = [(min(gs), max(gs)) for gs in
+             ([group_of[s] for s in t.support()] for t in h.terms) if gs]
     widths = [sites[0].shape[0]] + [w.shape[1] for w in sites]
     assert widths[0] == widths[-1] == 1
-    for c in range(1, b.q):
+    for c in range(1, len(groups)):
         assert widths[c] == 2 + sum(lo < c <= hi for lo, hi in spans), c
 
 

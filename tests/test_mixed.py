@@ -7,11 +7,11 @@ from tnsolve import flops, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
+    BlockTable,
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
     materialize_dense,
-    regroup,
 )
 from tnsolve.mixed import (
     MixedTerm,
@@ -255,18 +255,20 @@ def test_expectation_honours_caller_tolerances():
 
 
 def test_expectation_periodic_geometry():
+    # the complex YY terms of periodic XY cross the wrapping group
     rng = np.random.default_rng(14)
-    h = build_ising(6, 0.7, "periodic")
-    terms = []
-    for _ in range(2):
-        w, o = random_cyclic_partition(rng, 6)
-        terms.append(random_term(rng, w, offset=o))
-    x = MixedTermSum(6, terms, "1d-periodic")
-    dense = sum_to_dense(x).vector
-    expect = np.vdot(dense, materialize_dense(h) @ dense).real
-    assert expectation_mixed(h, x) == pytest.approx(
-        expect, abs=1e-11 * max(1.0, abs(expect))
-    )
+    for h in (build_ising(6, 0.7, "periodic"),
+              build_heisenberg_xy(6, 1.0, 0.6, 0.3, "periodic")):
+        terms = []
+        for _ in range(2):
+            w, o = random_cyclic_partition(rng, 6)
+            terms.append(random_term(rng, w, offset=o))
+        x = MixedTermSum(6, terms, "1d-periodic")
+        dense = sum_to_dense(x).vector
+        expect = np.vdot(dense, materialize_dense(h) @ dense).real
+        assert expectation_mixed(h, x) == pytest.approx(
+            expect, abs=1e-11 * max(1.0, abs(expect))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -424,43 +426,90 @@ def test_pattern_lattice_mismatch():
 
 def test_pattern_expectation_2d_hamiltonian():
     rng = np.random.default_rng(30)
-    h = build_ising_2d(2, 4, 0.9, "open")  # 2x4 lattice, p = 8
-    terms = [random_pattern_term(rng, 2, 2, 2, p) for p in (1, 3)]
-    x = MixedTermSum(8, terms, "2d")
-    dense = sum_to_dense(x).vector
-    expect = np.vdot(dense, materialize_dense(h) @ dense).real
-    assert expectation_mixed(h, x) == pytest.approx(
-        expect, abs=1e-11 * max(1.0, abs(expect))
-    )
+    for boundary, patterns in (("open", (1, 3)), ("periodic", (2, 4))):
+        h = build_ising_2d(2, 4, 0.9, boundary)  # 2x4 lattice, p = 8
+        terms = [random_pattern_term(rng, 2, 2, 2, p) for p in patterns]
+        x = MixedTermSum(8, terms, "2d")
+        dense = sum_to_dense(x).vector
+        expect = np.vdot(dense, materialize_dense(h) @ dense).real
+        assert expectation_mixed(h, x) == pytest.approx(
+            expect, abs=1e-11 * max(1.0, abs(expect))
+        )
 
 
 # ---------------------------------------------------------------------------
 # greedy solver over blocking schedules
 
-def test_mixed_cross_vectors_match_dense():
+def random_addend(rng, groups):
+    """A frozen (groups, cols, weight) addend as the greedy solver keeps it."""
+    return groups, [crandn(rng, 2 ** len(g)) for g in groups], complex(crandn(rng, 1)[0])
+
+
+def product_dense(groups, cols):
+    """The product of `cols` over site groups as a dense vector."""
+    operands = []
+    for g, c in zip(groups, cols):
+        operands += [c.reshape((2,) * len(g), order="F"), list(g)]
+    p = sum(map(len, groups))
+    return np.einsum(*operands, list(range(p))).reshape(-1, order="F")
+
+
+def open_contract_dense(vec, groups, x_cols, i):
+    """<x_{j != i}| vec> with the sites of groups[i] left open, in the
+    group's own bit order (its first site fastest)."""
+    p = sum(map(len, groups))
+    operands = [vec.reshape((2,) * p, order="F"), list(range(p))]
+    for j, (g, x) in enumerate(zip(groups, x_cols)):
+        if j != i:
+            operands += [x.conj().reshape((2,) * len(g), order="F"), list(g)]
+    return np.einsum(*operands, list(groups[i])).reshape(-1, order="F")
+
+
+def check_cross_terms(h, working, frozen, rng):
     # u_i and v_i are <x_{j != i}| H Y> and <x_{j != i}| Y> with the working
-    # block left open; frozen addends on two other blockings, complex XY terms
-    rng = np.random.default_rng(60)
-    h = build_heisenberg_xy(8, 1.0, 0.6, 0.3, "open")
-    frozen = [random_term(rng, (3, 5)), random_term(rng, (2, 2, 4))]
-    b = Blocking((4, 1, 3))
-    cross = _MixedCrossTerms(h, regroup(h, b), frozen, DEFAULT_TOLS)
-    y = sum(term_to_dense(t).vector for t in frozen)
-    x_cols = [crandn(rng, 2**w) for w in b.widths]
-
-    def open_contract(vec, i):
-        t = vec.reshape((2,) * 8, order="F")
-        for j in reversed(range(b.q)):
-            if j != i:
-                xj = x_cols[j].conj().reshape((2,) * b.widths[j], order="F")
-                t = np.tensordot(t, xj, axes=(list(b.groups[j]), list(range(xj.ndim))))
-        return t.reshape(-1, order="F")
-
-    for i in range(b.q):
+    # group left open; beta and rho are <Y, H Y> and <Y, Y>
+    addends = [random_addend(rng, g) for g in frozen]
+    cross = _MixedCrossTerms(h, BlockTable(h, working), addends, DEFAULT_TOLS)
+    y = sum(w * product_dense(g, cols) for g, cols, w in addends)
+    hy = materialize_dense(h) @ y
+    x_cols = [crandn(rng, 2 ** len(g)) for g in working]
+    for i in range(len(working)):
         for got, want in ((cross.numerator_vector(x_cols, i),
-                           open_contract(materialize_dense(h) @ y, i)),
-                          (cross.denominator_vector(x_cols, i), open_contract(y, i))):
+                           open_contract_dense(hy, working, x_cols, i)),
+                          (cross.denominator_vector(x_cols, i),
+                           open_contract_dense(y, working, x_cols, i))):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
+    beta, rho = np.vdot(y, hy).real, np.vdot(y, y).real
+    assert cross.beta == pytest.approx(beta, abs=1e-12 * max(1.0, abs(beta)))
+    assert cross.rho == pytest.approx(rho, abs=1e-12 * rho)
+
+
+def test_mixed_cross_vectors_match_dense():
+    # frozen addends on two other blockings, complex XY terms
+    h = build_heisenberg_xy(8, 1.0, 0.6, 0.3, "open")
+    check_cross_terms(h, Blocking((4, 1, 3)).groups,
+                      [Blocking((3, 5)).groups, Blocking((2, 2, 4)).groups],
+                      np.random.default_rng(60))
+
+
+WRAPPING_GROUPS = [((6, 7, 0), (1, 2, 3, 4, 5)), ((5, 1), (0, 4), (2, 6, 3, 7))]
+
+
+@pytest.mark.parametrize("model, working, frozen", [
+    # the working group (2, 0) is not ascending
+    ("xy-open", ((2, 0), (1, 3), (4, 5, 6, 7)),
+     [Blocking((3, 5)).groups, Blocking((2, 2, 4)).groups]),
+    # frozen addends on a wrapping and on non-contiguous groups
+    ("xy-periodic", Blocking((4, 1, 3)).groups, WRAPPING_GROUPS),
+    ("xy-periodic", ((2, 0), (1, 3), (4, 5, 6, 7)), WRAPPING_GROUPS),
+    ("ising-2x4-periodic", Blocking((4, 1, 3)).groups, WRAPPING_GROUPS),
+], ids=["non-ascending-working", "xy-wrapping-frozen", "xy-all-unordered",
+        "2d-wrapping-frozen"])
+def test_mixed_cross_vectors_on_any_groups(model, working, frozen):
+    h = {"xy-open": lambda: build_heisenberg_xy(8, 1.0, 0.6, 0.3, "open"),
+         "xy-periodic": lambda: build_heisenberg_xy(8, 1.0, 0.6, 0.3, "periodic"),
+         "ising-2x4-periodic": lambda: build_ising_2d(2, 4, 0.9, "periodic")}[model]()
+    check_cross_terms(h, working, frozen, np.random.default_rng(61))
 
 
 def test_mixed_greedy_refuses_a_short_blocking_before_any_update(monkeypatch):
