@@ -14,7 +14,8 @@ class Tolerances:
     #: a generalized eigensolve drops the directions of its denominator b whose
     #: eigenvalue is at or below pd_floor_scale * trace(b)/dim(b)
     pd_floor_scale: float = 1e-12
-    #: singular values below zero_singular * sigma_max are dropped during gauging
+    #: singular values below zero_singular * sigma_max are dropped by the SVD
+    #: gauge steps; the QR gauge steps keep every direction
     zero_singular: float = 1e-14
     #: imaginary residue allowed when a quotient is asserted real
     rayleigh_imag: float = 1e-10

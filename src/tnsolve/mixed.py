@@ -369,16 +369,23 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
 # ---------------------------------------------------------------------------
 # Hamiltonian images of product terms
 
-def _term_chains(h: SpinHamiltonian, groups, cols, weight, tag) -> tuple:
+def _group_mpos(h: SpinHamiltonian, group_tuples, table: BlockTable | None = None) -> dict:
+    """The MPO of `h` over each distinct tuple of site groups, compiled once;
+    `table`, if given, serves its own groups."""
+    return {g: mpo(table if table is not None and g == table.groups else BlockTable(h, g))
+            for g in dict.fromkeys(map(tuple, group_tuples))}
+
+
+def _term_chains(ws: list, groups, cols, weight, tag) -> tuple:
     """(ket, image, bra) pieces of the product term weight * (c_1 (x) ...
     (x) c_q) over any site groups, c_i on groups[i] and the weight on c_1:
     the term as an open chain of unit bonds, its image under H (that chain
-    through the MPO of `h` over the same groups, :func:`mps._apply_mpo`, so
-    image bond j is the MPO's w_j), both with bond tag `tag`, and the
-    conjugate term as product pieces."""
+    through the MPO sites `ws` of H over the same groups,
+    :func:`mps._apply_mpo`, so image bond j is the MPO's w_j), both with
+    bond tag `tag`, and the conjugate term as product pieces."""
     chain = [np.reshape(c, (1, -1, 1)) for c in cols]
     chain[0] = weight * chain[0]
-    image = _apply_mpo(mpo(BlockTable(h, groups)), chain)
+    image = _apply_mpo(ws, chain)
     return (_chain_pieces(groups, chain, tag), _chain_pieces(groups, image, tag),
             _product_pieces(groups, [np.conj(c) for c in chain]))
 
@@ -399,13 +406,15 @@ def _real_part(total: complex, tols: Tolerances) -> float:
 def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
                       tols: Tolerances = DEFAULT_TOLS) -> float:
     """<x, H x> in every geometry: each term pushed through the MPO of `h`
-    over its own site groups (:func:`_term_chains`), then one network per
-    (image, bra) pair.  Refuses an imaginary residue above
-    tols.rayleigh_imag (relative)."""
+    over its own site groups (:func:`_term_chains`; one MPO per distinct
+    group tuple), then one network per (image, bra) pair.  Refuses an
+    imaginary residue above tols.rayleigh_imag (relative)."""
     if h.p != x.p:
         raise ValueError("Hamiltonian and state sizes differ")
-    chains = [_term_chains(h, t.block_sites_list(), t.factors, t.weight, n)
-              for n, t in enumerate(x.terms)]
+    groups = [tuple(t.block_sites_list()) for t in x.terms]
+    mpos = _group_mpos(h, groups)
+    chains = [_term_chains(mpos[g], g, t.factors, t.weight, n)
+              for n, (g, t) in enumerate(zip(groups, x.terms))]
     return _real_part(_closed_sum([c[1] for c in chains], [c[2] for c in chains]), tols)
 
 
@@ -418,13 +427,16 @@ class _MixedCrossTerms:
     with the sites of the working group left open.
 
     Each frozen addend y and its image H y are built once per stage
-    (:func:`_term_chains`): one network per frozen addend.  `beta` and
-    `rho` are the frozen sum's <y, H y> and <y, y> over the same pieces."""
+    (:func:`_term_chains`, one MPO per distinct group tuple, the working
+    table serving its own groups): one network per frozen addend.  `beta`
+    and `rho` are the frozen sum's <y, H y> and <y, y> over the same
+    pieces."""
 
     def __init__(self, h: SpinHamiltonian, table: BlockTable, frozen: list,
                  tols: Tolerances):
         self.groups = table.groups
-        self.kets, self.images, bras = zip(*(_term_chains(h, *y, n)
+        mpos = _group_mpos(h, [g for g, _, _ in frozen], table)
+        self.kets, self.images, bras = zip(*(_term_chains(mpos[y[0]], *y, n)
                                              for n, y in enumerate(frozen)))
         self.beta = _real_part(_closed_sum(self.images, bras), tols)
         self.rho = float(_closed_sum(self.kets, bras).real)

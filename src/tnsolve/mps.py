@@ -195,12 +195,43 @@ def _shift_center_right(sites: list, c: int, tols: Tolerances,
     sites[c + 1] = flops.tdot(s[:, None] * v, sites[c + 1], axes=(1, 0))
 
 
+def _mirrored(shift, sites: list, c: int, *args) -> None:
+    """The rightward step `shift` at sites[c] of the mirrored chain: it
+    right-gauges sites[c] and pushes the remaining factor into sites[c - 1]."""
+    pair = [sites[c].transpose(2, 1, 0), sites[c - 1].transpose(2, 1, 0)]
+    shift(pair, 0, *args)
+    sites[c], sites[c - 1] = (t.transpose(2, 1, 0) for t in pair)
+
+
 def _shift_center_left(sites: list, c: int, tols: Tolerances) -> None:
     """Right-gauge sites[c] and push the remaining factor into sites[c - 1]:
     :func:`_shift_center_right` on the two sites mirrored."""
-    pair = [sites[c].transpose(2, 1, 0), sites[c - 1].transpose(2, 1, 0)]
-    _shift_center_right(pair, 0, tols)
-    sites[c], sites[c - 1] = (t.transpose(2, 1, 0) for t in pair)
+    _mirrored(_shift_center_right, sites, c, tols)
+
+
+def _qr_shift_right(sites: list, c: int) -> None:
+    """Left-gauge sites[c] by reduced QR, keeping every direction, and push
+    R into sites[c + 1]."""
+    dl, d, _ = sites[c].shape
+    q, r = np.linalg.qr(_merge_rows(sites[c]))
+    sites[c] = _split_rows(q, dl, d)
+    sites[c + 1] = flops.tdot(r, sites[c + 1], axes=(1, 0))
+
+
+def _truncate_bonds(sites: list, d_max: int, tols: Tolerances) -> None:
+    """Cap every bond of an open chain at d_max, in place.  One exact QR
+    step at the top clamps bond 1 to what site 0 carries (a chain that just
+    absorbed an MPO can hold far more there), a QR pass from the bottom
+    right-gauges the chain without truncation, and the top-down SVD pass of
+    :func:`_shift_center_right` then truncates each cut against its true
+    spectrum, so a cap at or above the exact bond rank loses nothing."""
+    if len(sites) < 2:
+        return
+    _qr_shift_right(sites, 0)
+    for c in range(len(sites) - 1, 0, -1):
+        _mirrored(_qr_shift_right, sites, c)
+    for c in range(len(sites) - 1):
+        _shift_center_right(sites, c, tols, d_max=d_max)
 
 
 def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):

@@ -7,11 +7,14 @@ lattice is numbered row-major so 1 x p grids coincide with open chains.
 The inner-product scheme pairs bra and ket tensors column by column.  The
 boundary column is an open MPS over the vertical pair bonds, and each
 further column acts on it as an MPO (`mps._apply_mpo`).  After every
-absorption the chain gauge shifts of `mps` reduce the grown bonds back to
-`d_cut`: a bottom-up pass without truncation, then a truncating top-down
-one, so caps at or above the exact bond rank reproduce the dense value;
-smaller caps give the scheme's approximation.  The counted cost of the
-dominant absorption step grows like D^10 at d_cut = D.
+absorption `mps._truncate_bonds` reduces the grown bonds back to `d_cut`
+in three passes: one QR step at the top row clamps the top bond to what
+that row carries, a bottom-up QR pass right-gauges the chain without
+truncation, and a top-down SVD pass truncates.  The top bond is clamped
+first because the bottom-up pass would otherwise factor row 1 at its full
+grown bond.  Caps at or above the exact bond rank reproduce the dense
+value; smaller caps give the scheme's approximation.  The counted cost of
+the dominant absorption step grows like D^10 at d_cut = D.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .mps import MpsState, _apply_mpo, _shift_center_left, _shift_center_right
+from .mps import MpsState, _apply_mpo, _truncate_bonds
 from .tensor import DenseState, DimensionCapError, _contract_labelled
 
 
@@ -149,7 +152,8 @@ def _merge_pair_column(x: PepsState, y: PepsState, c: int) -> list:
 def inner_peps(x: PepsState, y: PepsState, d_cut: int,
                tols: Tolerances = DEFAULT_TOLS) -> complex:
     """<y, x> by absorbing bra-ket columns left to right into a boundary
-    chain whose bonds are truncated to d_cut after every absorption.  Exact
+    chain whose bonds are truncated to d_cut after every absorption (top
+    bond clamped by QR, bottom-up QR gauge, top-down SVD truncation).  Exact
     whenever d_cut is at least the rank the truncated bonds actually carry."""
     if (x.rows, x.cols) != (y.rows, y.cols):
         raise ValueError("lattices must match")
@@ -160,12 +164,10 @@ def inner_peps(x: PepsState, y: PepsState, d_cut: int,
     chain = [t[..., 0].transpose(0, 2, 1) for t in _merge_pair_column(x, y, 0)]
     for c in range(1, x.cols):
         chain = _apply_mpo(_merge_pair_column(x, y, c), chain)
-        # right-gauge bottom-up without truncation, so the top-down pass
-        # sees the true cut spectrum and caps at the exact rank lose nothing
-        for r in range(rows - 1, 0, -1):
-            _shift_center_left(chain, r, tols)
-        for r in range(rows - 1):
-            _shift_center_right(chain, r, tols, d_max=d_cut)
+        # the bonds grew to (pair bond) x (chain bond); clamping the top
+        # bond to what row 0 carries first keeps the bottom-up QR pass from
+        # factoring row 1 at its full grown bond
+        _truncate_bonds(chain, d_cut, tols)
     # last column has right legs of size 1: close from the bottom
     env = chain[rows - 1][:, 0, 0]
     for r in range(rows - 2, -1, -1):

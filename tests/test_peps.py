@@ -5,10 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from tnsolve import flops
-from tnsolve.mps import inner as mps_inner, random_mps, to_dense as mps_to_dense
+from tnsolve import flops, mps
+from tnsolve.config import DEFAULT_TOLS
+from tnsolve.mps import (
+    _apply_mpo,
+    _shift_center_left,
+    _shift_center_right,
+    inner as mps_inner,
+    random_mps,
+    to_dense as mps_to_dense,
+)
 from tnsolve.peps import (
     PepsState,
+    _merge_pair_column,
     from_mps_row,
     inner_peps,
     random_peps,
@@ -86,6 +95,75 @@ def test_inner_truncation_sweep_reports_deviation():
     assert devs[-1] <= 1e-11
     if any(d2 > d1 + 1e-12 for d1, d2 in zip(devs, devs[1:])):
         warnings.warn(f"deviation not monotone in the cap: {devs}")
+
+
+def svd_gauge_inner(x, y, d_cut, tols=DEFAULT_TOLS):
+    """The column scheme with the earlier SVD passes after every absorption:
+    an uncapped bottom-up right-gauge, then the capped top-down sweep."""
+    rows = x.rows
+    chain = [t[..., 0].transpose(0, 2, 1) for t in _merge_pair_column(x, y, 0)]
+    for c in range(1, x.cols):
+        chain = _apply_mpo(_merge_pair_column(x, y, c), chain)
+        for r in range(rows - 1, 0, -1):
+            _shift_center_left(chain, r, tols)
+        for r in range(rows - 1):
+            _shift_center_right(chain, r, tols, d_max=d_cut)
+    env = chain[rows - 1][:, 0, 0]
+    for r in range(rows - 2, -1, -1):
+        env = chain[r][:, 0, :] @ env
+    return complex(env[0])
+
+
+@pytest.mark.parametrize("rows,cols,d,seed,caps", [
+    (4, 4, 4, 20, (4,)),
+    (3, 3, 2, 9, (1, 2, 3, 4)),   # the grid of the truncation sweep above
+])
+def test_inner_truncated_matches_svd_gauge_scheme(rows, cols, d, seed, caps):
+    # any exact right-canonical gauge gives the same truncated chain, so the
+    # QR passes move the capped value by rounding only
+    x = random_peps(rows, cols, d, seed=seed)
+    y = random_peps(rows, cols, d, seed=seed + 100)
+    for cap in caps:
+        expect = svd_gauge_inner(x, y, cap)
+        got = inner_peps(x, y, d_cut=cap)
+        assert abs(got - expect) <= 1e-12 * abs(expect), cap
+
+
+def test_inner_factorizations_stay_small(monkeypatch):
+    # clamping the top bond first keeps the gauge passes off the grown
+    # (16 * 256, 256) site that an uncapped bottom-up pass would factor
+    shapes = []
+
+    def spy(factor):
+        def wrapped(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return factor(m, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mps, "svd", spy(mps.svd))
+    monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr))
+    x = random_peps(4, 4, 4, seed=21)
+    y = random_peps(4, 4, 4, seed=121)
+    inner_peps(x, y, d_cut=4)
+    assert shapes
+    assert max(a * b for a, b in shapes) <= 1024 * 64, max(shapes, key=np.prod)
+
+
+def test_inner_tall_lattice_matches_dense():
+    # five rows: the top QR step, four bottom-up steps and three interior cuts
+    x = random_peps(5, 2, 2, seed=22)
+    y = random_peps(5, 2, 2, seed=122)
+    expect = dense_conj_dot(x, y)
+    got = inner_peps(x, y, d_cut=4)
+    assert got == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
+
+
+def test_inner_refuses_nan_entry():
+    x = random_peps(3, 3, 2, seed=23)
+    y = random_peps(3, 3, 2, seed=123)
+    x.sites[1][1][0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        inner_peps(x, y, d_cut=2)
 
 
 def test_inner_errors():
