@@ -99,8 +99,8 @@ def _random_mixed_term(rng, p, periodic=False):
     widths = _random_widths(rng, p, min(q, p))
     offset = int(rng.integers(0, p)) if periodic else 0
     factors = [_crandn(rng, 2**w) for w in widths]
-    return mixed.MixedTerm(Blocking(widths), factors, complex(_crandn(rng, 1)[0]),
-                           offset)
+    return mixed.MixedTerm(Blocking(widths).shifted(offset), factors,
+                           complex(_crandn(rng, 1)[0]))
 
 
 def _check_mixed_terms(name, instances, seed, kernel, periodic, step_power):
@@ -108,8 +108,8 @@ def _check_mixed_terms(name, instances, seed, kernel, periodic, step_power):
         p = int(rng.integers(4, 11))
         x = _random_mixed_term(rng, p, periodic)
         y = _random_mixed_term(rng, p, periodic)
-        r = max(max(x.blocking.widths), max(y.blocking.widths))
-        return x, y, kernel, 2 ** int(np.ceil(step_power * r)) * (x.blocking.q + y.blocking.q)
+        r = max(map(len, x.groups + y.groups))
+        return x, y, kernel, 2 ** int(np.ceil(step_power * r)) * len(x.groups + y.groups)
     return [_family(name, np.random.default_rng(seed), instances, draw,
                     mixed.term_to_dense, _total)]
 

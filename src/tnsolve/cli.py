@@ -190,11 +190,29 @@ def config_from_file(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse_blocking(text: str) -> Blocking:
+def _parse_blocking(text: str, p: int) -> Blocking:
+    """The blocking of comma-separated widths `text`, refused unless the
+    widths sum to p."""
     try:
-        return Blocking.from_string(text)
+        blocking = Blocking.from_string(text)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if blocking.p != p:
+        raise ConfigError(f"blocking {text!r} covers {blocking.p} of {p} sites")
+    return blocking
+
+
+def _solver_blocks(m: MethodSpec, p: int):
+    """The parsed blocking of an mps-als (None if unset) or parafac-als run,
+    or the list of scheduled blockings of a mixed-als run; refuses a rank
+    or sweep count below 1 as well."""
+    if m.rank < 1 or m.sweeps < 1:
+        raise ConfigError(f"need rank and sweeps >= 1, got {m.rank} and {m.sweeps}")
+    if m.name == "mixed-als":
+        if not m.schedule:
+            raise ConfigError("mixed-als requires method.schedule")
+        return [_parse_blocking(tok, p) for tok in m.schedule.split("|")]
+    return _parse_blocking(m.blocking, p) if m.blocking or m.name == "parafac-als" else None
 
 
 def build_model(spec: ModelSpec) -> SpinHamiltonian:
@@ -341,8 +359,11 @@ def run(cfg: ExperimentConfig) -> int:
                     line += f"slope={rep['slope']:.2f} counts={rep['counts']}"
                 print(line)
         elif method == "peps-contract":
-            rows = cfg.model.rows or 1
-            cols = cfg.model.cols or cfg.model.p or 1
+            rows = 1 if cfg.model.rows is None else cfg.model.rows
+            cols = next(n for n in (cfg.model.cols, cfg.model.p, 1) if n is not None)
+            if min(rows, cols, cfg.method.rank, cfg.method.d_cut) < 1:
+                raise ConfigError("need rows, cols, rank and d_cut >= 1, got "
+                                  f"{rows}, {cols}, {cfg.method.rank}, {cfg.method.d_cut}")
             x = peps.random_peps(rows, cols, cfg.method.rank, seed=cfg.seed)
             y = peps.random_peps(rows, cols, cfg.method.rank, seed=cfg.seed + 1000)
             with flops.tally() as fc:
@@ -359,8 +380,10 @@ def run(cfg: ExperimentConfig) -> int:
             print(f"value = {value!r}  flops = {fc.total}")
         else:
             h = build_model(cfg.model)
-            e0 = cached_oracle_energy(h, cfg.out, tols)
             m = cfg.method
+            # every parameter error surfaces before the oracle runs
+            blocks = None if method == "exact" else _solver_blocks(m, h.p)
+            e0 = cached_oracle_energy(h, cfg.out, tols)
             with flops.tally():
                 if method == "exact":
                     if e0 is None:
@@ -368,19 +391,15 @@ def run(cfg: ExperimentConfig) -> int:
                             f"p={h.p} exceeds the dense oracle cap")
                     trace = [TraceEntry(0, 0, 0, e0, 0, clock=time.perf_counter())]
                 elif method == "mps-als":
-                    blocking = _parse_blocking(m.blocking) if m.blocking else None
                     trace, state = mps.als_ground_state(
                         h, h.p, m.rank, cfg.model.boundary, m.sweeps, cfg.seed,
-                        blocking, tols)
+                        blocks, tols)
                 elif method == "parafac-als":
-                    trace, state = _cp_als(h, _parse_blocking(m.blocking), m.rank,
-                                           m.sweeps, cfg.seed, m.init, m.mode, tols)
+                    trace, state = _cp_als(h, blocks, m.rank, m.sweeps, cfg.seed,
+                                           m.init, m.mode, tols)
                 elif method == "mixed-als":
-                    if not m.schedule:
-                        raise ConfigError("mixed-als requires method.schedule")
-                    schedule = [_parse_blocking(tok) for tok in m.schedule.split("|")]
                     trace, state = mixed.ground_state_mixed_greedy(
-                        h, schedule, m.rank, m.sweeps, cfg.seed, tols)
+                        h, blocks, m.rank, m.sweeps, cfg.seed, tols)
         final_energy = trace[-1].energy if trace else None
         elapsed = time.perf_counter() - started if cfg.timing else 0.0
 
@@ -495,6 +514,8 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
     for name, values in (("ranks", use_ranks), ("blockings", use_blockings)):
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat, got {values}")
+    for b in use_blockings:
+        _parse_blocking(b, grid["p"])
     os.makedirs(out_dir, exist_ok=True)
     modes = ["greedy", "simultaneous"] if mode == "both" else [mode]
     h = build_ising(grid["p"], 1.0, "open")

@@ -6,7 +6,7 @@ row-major: site (r, c) of a rows x cols lattice is chain position r*cols + c.
 
 A :class:`BlockTable` compiles the terms against any partition of the sites
 into groups (the blocks of a :class:`Blocking`, the factors of a mixed term,
-or one stage of a greedy solver, which is a list of site groups): per group
+or one stage of a greedy solver, which is a tuple of site groups): per group
 a stack of the distinct block operators, identity first, and an integer
 incidence saying which entry each term uses there.  It is the one table the
 solvers read: blocked solvers work on gathers and batched products instead
@@ -155,6 +155,36 @@ class Blocking:
         """The sites of each block: block i holds s_i, ..., s_{i+1} - 1."""
         cuts = self.cuts
         return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
+
+    def shifted(self, offset: int) -> tuple:
+        """The groups of the cyclic blocking whose block 1 starts at site
+        `offset`; a nonzero offset makes one block wrap the seam."""
+        if not 0 <= offset < self.p:
+            raise ValueError("offset must lie in [0, p)")
+        return tuple(tuple((offset + s) % self.p for s in g) for g in self.groups)
+
+    @classmethod
+    def from_groups(cls, groups) -> "Blocking":
+        """The blocking whose blocks are `groups`, which must be contiguous
+        runs of sites in chain order."""
+        out = cls(tuple(map(len, groups)))
+        if out.groups != tuple(map(tuple, groups)):
+            raise ValueError(f"groups {tuple(groups)} are not blocks in chain order")
+        return out
+
+
+def _partition(groups, p: int | None = None, lengths=None) -> tuple:
+    """`groups` as a tuple of tuples, refused unless they are nonempty and
+    partition range(p) (p defaults to their total size) and, if factor
+    `lengths` are given, unless group i has a factor of length 2^|g_i|."""
+    groups = tuple(tuple(g) for g in groups)
+    sites = sorted(s for g in groups for s in g)
+    p = len(sites) if p is None else p
+    if not groups or not all(groups) or sites != list(range(p)):
+        raise ValueError(f"groups {groups} do not partition {p} sites")
+    if lengths is not None and list(lengths) != [2 ** len(g) for g in groups]:
+        raise ValueError(f"factor lengths {list(lengths)} do not fit groups {groups}")
+    return groups
 
 
 @dataclass(frozen=True)
@@ -355,9 +385,7 @@ class BlockTable:
     """
 
     def __init__(self, h: SpinHamiltonian, groups):
-        self.groups = tuple(tuple(g) for g in groups)
-        if sorted(s for g in self.groups for s in g) != list(range(h.p)):
-            raise ValueError(f"groups {self.groups} do not partition {h.p} sites")
+        self.groups = _partition(groups, h.p)
         self.idx = np.zeros((h.num_terms, len(self.groups)), dtype=np.intp)
         ops = []
         for i, sites in enumerate(self.groups):

@@ -1,23 +1,27 @@
-"""Sums of tensor-product terms with a different blocking per addend.
+"""Sums of tensor-product terms, each over its own partition of the sites.
 
-A MixedTerm is one Kronecker product of block vectors over its own blocking
-of the chain; cyclic blockings (periodic geometry) may start at an offset so
-one block wraps the seam.  The 2D variant pairs lattice subblocks into
-superblocks following one of four tiling patterns.  All kernels contract
-without materializing 2^p vectors and count their operations.
+A term's factor i lives on the sites of groups[i], the group's first site
+its fastest bit.  A MixedTerm takes any partition: a :class:`Blocking`'s
+blocks, a cyclic blocking's groups (:meth:`Blocking.shifted`) or scattered
+sites; a PatternedTerm2D derives its groups from one of four tilings of a
+subblock lattice by superblock pairs.  A sum reads nothing but its terms.
+All kernels contract without materializing 2^p vectors and count their
+operations.
 
 Every inner product is one labelled network (:func:`_contract_network`) over
 bit-level pieces: a block tensor carries one label per chain site and, for
 block chains, one per bond.  Only the open-boundary pair kernel
-(:func:`inner_mixed_obc`) keeps the paper's dedicated left-to-right sweep.
+(:func:`inner_mixed_obc`), for groups that are blocks in chain order, keeps
+the paper's dedicated left-to-right sweep.
 
 H enters as its matrix product operator over the site groups of one product
 term, whatever they are (:func:`_term_chains`): the term becomes a chain
 of unit bonds and its image under H a chain of the MPO's bonds, so
 <y, H x> is one network per (image, bra) pair.  The greedy solver runs the
 CP greedy loop (`parafac._greedy_core`) with the blocks of each scheduled
-blocking as the site groups of its stages, and takes its cross terms
-against frozen addends on other groups from the same images.
+blocking as the site groups of its stages, takes its cross terms against
+frozen addends on other groups from the same images, and returns each
+frozen (groups, cols, weight) addend as a MixedTerm.
 """
 
 from __future__ import annotations
@@ -28,45 +32,28 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, mpo
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, mpo
 from .mps import MpsState, _apply_mpo
 from .parafac import _AlignedCrossTerms, _greedy_core
-from .tensor import DenseState, _contract_labelled, ravel
+from .tensor import DenseState, _contract_labelled, _product_vector, _real_part
 
 
 @dataclass
 class MixedTerm:
-    """weight * (x_1 (x) ... (x) x_q) over this term's own blocking.
+    """weight * (x_1 (x) ... (x) x_q), x_i on the sites of groups[i] (in
+    factor bit order), the groups any partition of the sites."""
 
-    `offset` is the chain position where block 1 starts; nonzero offsets make
-    the partition cyclic (exactly one block crosses the seam) and are only
-    meaningful for periodic geometry.
-    """
-
-    blocking: Blocking
+    groups: tuple
     factors: list
     weight: complex = 1.0
-    offset: int = 0
 
     def __post_init__(self):
         self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
-        if len(self.factors) != self.blocking.q:
-            raise ValueError("one factor per block required")
-        for f, w in zip(self.factors, self.blocking.widths):
-            if f.size != 2**w:
-                raise ValueError("factor length must be 2^width of its block")
-        p = self.blocking.p
-        if not 0 <= self.offset < p:
-            raise ValueError("offset must lie in [0, p)")
+        self.groups = _partition(self.groups, lengths=[f.size for f in self.factors])
 
     @property
     def p(self) -> int:
-        return self.blocking.p
-
-    def block_sites_list(self) -> list:
-        """Per factor: the chain positions it covers, in factor bit order
-        (the blocking's groups shifted by the offset)."""
-        return [tuple((self.offset + s) % self.p for s in g) for g in self.blocking.groups]
+        return sum(map(len, self.groups))
 
 
 @dataclass
@@ -95,12 +82,7 @@ class PatternedTerm2D:
         if self.pattern not in (1, 2, 3, 4):
             raise ValueError("pattern must be 1..4")
         self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
-        pairs = self.superblocks()
-        if len(self.factors) != len(pairs):
-            raise ValueError(f"pattern {self.pattern} needs {len(pairs)} factors")
-        for f in self.factors:
-            if f.size != 4**self.r_sites:
-                raise ValueError("superblock factors must have length 2^(2r)")
+        _partition(self.groups, lengths=[f.size for f in self.factors])
 
     @property
     def p(self) -> int:
@@ -109,14 +91,6 @@ class PatternedTerm2D:
     @property
     def lattice(self) -> tuple:
         return (self.sb_rows, self.sb_cols, self.r_sites)
-
-    def subblock_id(self, row: int, col: int) -> int:
-        return row * self.sb_cols + col
-
-    def subblock_sites(self, sb: int) -> tuple:
-        row, col = divmod(sb, self.sb_cols)
-        width = self.sb_cols * self.r_sites
-        return tuple(row * width + col * self.r_sites + u for u in range(self.r_sites))
 
     def superblocks(self) -> list:
         """Ordered subblock pairs of this pattern; factor k belongs to pair k
@@ -131,36 +105,30 @@ class PatternedTerm2D:
         for line in range(lines):
             for c in range(shift, extent + shift, 2):
                 pair = ((line, c % extent), (line, (c + 1) % extent))
-                out.append(tuple(self.subblock_id(*(rc[::-1] if vertical else rc))
-                                 for rc in pair))
+                out.append(tuple(row * self.sb_cols + col for row, col in
+                                 (rc[::-1] if vertical else rc for rc in pair)))
         return out
 
-    def block_sites_list(self) -> list:
-        """Per factor: the chain sites it covers, in factor bit order."""
-        return [self.subblock_sites(a) + self.subblock_sites(b)
+    @property
+    def groups(self) -> list:
+        """Per factor: the chain sites it covers, in factor bit order;
+        subblock k (row-major) holds sites k*r_sites, ..., (k+1)*r_sites - 1."""
+        r = self.r_sites
+        return [tuple(range(a * r, a * r + r)) + tuple(range(b * r, b * r + r))
                 for a, b in self.superblocks()]
 
 
 @dataclass
 class MixedTermSum:
-    """Sum of tensor-product terms; every term may use its own blocking."""
+    """Sum of tensor-product terms; every term has its own site groups."""
 
     p: int
     terms: list
-    geometry: str  # '1d-open' | '1d-periodic' | '2d'
 
     def __post_init__(self):
-        if self.geometry not in ("1d-open", "1d-periodic", "2d"):
-            raise ValueError(f"bad geometry {self.geometry!r}")
         for t in self.terms:
             if t.p != self.p:
                 raise ValueError("all terms must cover the same sites")
-            if self.geometry == "2d" and not isinstance(t, PatternedTerm2D):
-                raise ValueError("2d geometry requires patterned terms")
-            if self.geometry != "2d" and isinstance(t, PatternedTerm2D):
-                raise ValueError("patterned terms require 2d geometry")
-            if self.geometry == "1d-open" and t.offset != 0:
-                raise ValueError("open-boundary blockings cannot wrap")
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +139,6 @@ def _product_pieces(groups, cols) -> list:
     groups: column i on groups[i], its first site the fastest bit."""
     return [(tuple(("s", s) for s in sites), np.reshape(c, (2,) * len(sites), order="F"))
             for sites, c in zip(groups, cols)]
-
-
-def _term_pieces(term) -> list:
-    """The product pieces of one term, weight excluded."""
-    return _product_pieces(term.block_sites_list(), term.factors)
 
 
 def _outer_labelled(pieces, order) -> np.ndarray:
@@ -190,8 +153,7 @@ def _outer_labelled(pieces, order) -> np.ndarray:
 
 
 def term_to_dense(term) -> DenseState:
-    tens = _outer_labelled(_term_pieces(term), [("s", s) for s in range(term.p)])
-    return DenseState(term.p, term.weight * ravel(tens))
+    return DenseState(term.p, term.weight * _product_vector(term.groups, term.factors))
 
 
 def sum_to_dense(x: MixedTermSum) -> DenseState:
@@ -269,18 +231,17 @@ def _contract_network(pieces, open_labels=()):
 # pair kernels
 
 def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
-    """<y, x> for open-boundary terms: left-to-right partial contraction,
-    always folding the shorter leading block into the longer one's prefix.
-    Costs at most 2^r per step over (k + m) steps, r the widest block."""
+    """<y, x> for terms whose groups are blocks in chain order (refused
+    otherwise): left-to-right partial contraction, always folding the
+    shorter leading block into the longer one's prefix.  Costs at most 2^r
+    per step over (k + m) steps, r the widest block."""
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
-    if x.offset or y.offset:
-        raise ValueError("open-boundary kernel requires offset-free blockings")
+    cuts = (Blocking.from_groups(x.groups).cuts, Blocking.from_groups(y.groups).cuts)
     acc = complex(np.conj(y.weight) * x.weight)
     # side 0 is x, side 1 is y; carry[s] is the vector of side s's block
     # idx[s], which ends at chain position end[s]
     facs = ([f.copy() for f in x.factors], [f.conj() for f in y.factors])
-    cuts = (x.blocking.cuts, y.blocking.cuts)
     idx = [0, 0]
     carry = [facs[0][0], facs[1][0]]
     end = [cuts[0][1], cuts[1][1]]
@@ -306,25 +267,28 @@ def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
 
 
 def inner_terms(x, y) -> complex:
-    """<y, x> for cyclic blockings or 2D patterns: one network over the
-    bit-level pieces of both terms, each step contracting the pair whose
-    summed indices outweigh the leftover ones.  Keeps each step below
-    2^{3r/2} operations on a chain and (2^r)^3 on a subblock lattice."""
+    """<y, x> for terms on any site groups, 2D patterns included: one
+    network over the bit-level pieces of both terms, each step contracting
+    the pair whose summed indices outweigh the leftover ones.  Keeps each
+    step below 2^{3r/2} operations on a cyclic blocking and (2^r)^3 on a
+    subblock lattice.  Refuses a patterned term against a term that is not
+    on its subblock lattice."""
     if getattr(x, "lattice", None) != getattr(y, "lattice", None):
         raise ValueError("patterned terms must share the subblock lattice")
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
-    pieces = _term_pieces(x) + [(sites, t.conj()) for sites, t in _term_pieces(y)]
+    pieces = _product_pieces(x.groups, x.factors) + [
+        (sites, t.conj()) for sites, t in _product_pieces(y.groups, y.factors)]
     scalar, _ = _contract_network(pieces)
     return complex(np.conj(y.weight) * x.weight * scalar)
 
 
 def inner_sum(x: MixedTermSum, y: MixedTermSum) -> complex:
-    """<y, x> over all term pairs; bilinear in the term weights."""
-    if x.p != y.p or x.geometry != y.geometry:
-        raise ValueError("sums must share sites and geometry")
-    kernel = inner_mixed_obc if x.geometry == "1d-open" else inner_terms
-    return sum((kernel(tx, ty) for tx in x.terms for ty in y.terms), 0j)
+    """<y, x> over all term pairs, one :func:`inner_terms` network each;
+    bilinear in the term weights."""
+    if x.p != y.p:
+        raise ValueError("sums must share their sites")
+    return sum((inner_terms(tx, ty) for tx in x.terms for ty in y.terms), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +359,15 @@ def _closed_sum(kets, bras) -> complex:
     return sum(_contract_network(ket + bra)[0] for ket in kets for bra in bras)
 
 
-def _real_part(total: complex, tols: Tolerances) -> float:
-    """The real part of an expectation value, refused when its imaginary
-    residue exceeds tols.rayleigh_imag (relative)."""
-    if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
-        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-    return float(total.real)
-
-
 def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
                       tols: Tolerances = DEFAULT_TOLS) -> float:
-    """<x, H x> in every geometry: each term pushed through the MPO of `h`
-    over its own site groups (:func:`_term_chains`; one MPO per distinct
-    group tuple), then one network per (image, bra) pair.  Refuses an
-    imaginary residue above tols.rayleigh_imag (relative)."""
+    """<x, H x> for terms on any site groups: each term pushed through the
+    MPO of `h` over its own groups (:func:`_term_chains`; one MPO per
+    distinct group tuple), then one network per (image, bra) pair.  Refuses
+    an imaginary residue above tols.rayleigh_imag (relative)."""
     if h.p != x.p:
         raise ValueError("Hamiltonian and state sizes differ")
-    groups = [tuple(t.block_sites_list()) for t in x.terms]
+    groups = [tuple(t.groups) for t in x.terms]
     mpos = _group_mpos(h, groups)
     chains = [_term_chains(mpos[g], g, t.factors, t.weight, n)
               for n, (g, t) in enumerate(zip(groups, x.terms))]
@@ -465,19 +421,18 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     d_per_blocking stages takes the blocks of schedule[n] as its site
     groups.  Cross terms against frozen addends on other groups run through
     the mixed kernels.  A blocking that does not cover the chain is refused
-    before the first solve.  Returns (trace, MixedTermSum)."""
+    before the first solve.  Returns (trace, MixedTermSum), the sum's terms
+    the frozen addends on their stages' groups."""
     if d_per_blocking < 1:
         raise ValueError("need a positive addend count per scheduled blocking")
-    blockings = [b if isinstance(b, Blocking) else Blocking(tuple(b))
-                 for b in schedule for _ in range(d_per_blocking)]
+    stages = [(b if isinstance(b, Blocking) else Blocking(tuple(b))).groups
+              for b in schedule for _ in range(d_per_blocking)]
 
     def factory(table, frozen_terms):
         if all(groups == table.groups for groups, _, _ in frozen_terms):
             return _AlignedCrossTerms(table, frozen_terms)
         return _MixedCrossTerms(h, table, frozen_terms, tols)
 
-    trace, frozen_terms = _greedy_core(h, [b.groups for b in blockings], sweeps,
-                                       seed, tols, factory)
-    terms = [MixedTerm(b, cols, w) for b, (_, cols, w) in zip(blockings, frozen_terms)]
-    return trace, MixedTermSum(h.p, terms, "1d-open")
+    trace, frozen_terms = _greedy_core(h, stages, sweeps, seed, tols, factory)
+    return trace, MixedTermSum(h.p, [MixedTerm(*t) for t in frozen_terms])
 

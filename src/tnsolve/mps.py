@@ -32,6 +32,7 @@ from .records import run_sweeps
 from .tensor import (
     DenseState,
     DimensionCapError,
+    _real_part,
     generalized_eig_min,
     krylov_min,
     ravel,
@@ -332,9 +333,7 @@ def expectation(h: SpinHamiltonian, x: MpsState,
     physical bonds; never forms H x as a state.  Refuses an imaginary
     residue above tols.rayleigh_imag (relative)."""
     total = _zipper(x.sites, x.sites, mpo(regroup(h, x.blocking)))
-    if abs(total.imag) > tols.rayleigh_imag * max(1.0, abs(total.real)):
-        raise ValueError(f"expectation has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return _real_part(total, tols)
 
 
 def _apply_mpo(ws: list, sites: list) -> list:

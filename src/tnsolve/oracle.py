@@ -20,7 +20,7 @@ from .hamiltonian import SpinHamiltonian, apply, pauli_form
 # not called here; the benchmark's tracer self-test checks that this
 # imported name is rebound
 from .hamiltonian import materialize_dense  # noqa: F401
-from .tensor import DenseState, DimensionCapError, krylov_min
+from .tensor import DenseState, DimensionCapError, _real_part, krylov_min
 
 
 def ground_state_dense(h: SpinHamiltonian,
@@ -46,7 +46,4 @@ def rayleigh(h: SpinHamiltonian, x: DenseState,
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
     hx = apply(h, x)
     num = np.vdot(x.vector, hx.vector)
-    quot = num / nrm2
-    if abs(quot.imag) > tols.rayleigh_imag * max(1.0, abs(quot.real)):
-        raise ValueError(f"Rayleigh quotient has imaginary residue {quot.imag:.3e}")
-    return float(quot.real)
+    return _real_part(num / nrm2, tols, "Rayleigh quotient")

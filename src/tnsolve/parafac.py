@@ -1,13 +1,15 @@
 """Blocked canonical (CP) ansatz: rank-D sums of block-vector tensor products.
 
-A state over blocking widths (t_1, ..., t_q) stores one factor matrix per
-mode, shape (2^{t_i}, D); addend l is the tensor product of the columns
+A state over site groups (g_1, ..., g_q), any partition of the sites,
+stores one factor matrix per mode, shape (2^{|g_i|}, D), g_i's first site
+its fastest bit; addend l is the tensor product of the columns
 factors[i][:, l], scaled by weights[l].  Contractions reduce to per-mode
 Gram matrices, so an inner product costs q block dots per addend pair.
+Only :func:`as_diagonal_mps` needs the groups to be blocks in chain order.
 
 The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
-site groups.  A greedy stage is such a list of site groups, and the addend
-it adds has one factor per group (:func:`_greedy_core`).
+site groups.  A greedy stage is such a tuple of site groups, and the
+addend it adds has one factor per group (:func:`_greedy_core`).
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, regroup
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, regroup
 from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
     DenseState,
+    _product_vector,
     generalized_eig_min,
     hermitian_eig,
-    outer_product,
-    ravel,
 )
 
 
@@ -49,20 +50,15 @@ def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
 
 @dataclass
 class BlockedCp:
-    blocking: Blocking
+    groups: tuple
     factors: list
     weights: np.ndarray = None
 
     def __post_init__(self):
         self.factors = [np.asarray(f, dtype=complex) for f in self.factors]
-        if len(self.factors) != self.blocking.q:
-            raise ValueError("one factor matrix per block required")
-        ranks = {f.shape[1] for f in self.factors}
-        if len(ranks) != 1:
+        self.groups = _partition(self.groups, lengths=[f.shape[0] for f in self.factors])
+        if len({f.shape[1] for f in self.factors}) != 1:
             raise ValueError("all modes must hold the same number of addends")
-        for f, w in zip(self.factors, self.blocking.widths):
-            if f.shape[0] != 2**w:
-                raise ValueError("factor length must match 2^width of its block")
         if self.weights is None:
             self.weights = np.ones(self.rank, dtype=complex)
         else:
@@ -76,10 +72,10 @@ class BlockedCp:
 
     @property
     def p(self) -> int:
-        return self.blocking.p
+        return sum(map(len, self.groups))
 
     def copy(self) -> "BlockedCp":
-        return BlockedCp(self.blocking, [f.copy() for f in self.factors],
+        return BlockedCp(self.groups, [f.copy() for f in self.factors],
                          self.weights.copy())
 
     def normalize_addends(self) -> "BlockedCp":
@@ -100,14 +96,13 @@ def random_cp(blocking: Blocking, rank: int, seed: int = 0) -> BlockedCp:
     for w in blocking.widths:
         f = rng.standard_normal((2**w, rank)) + 1j * rng.standard_normal((2**w, rank))
         factors.append(f / np.linalg.norm(f, axis=0))
-    return BlockedCp(blocking, factors)
+    return BlockedCp(blocking.groups, factors)
 
 
 def to_dense(x: BlockedCp) -> DenseState:
     total = np.zeros(2**x.p, dtype=complex)
     for l in range(x.rank):
-        cols = [x.factors[i][:, l] for i in range(x.blocking.q)]
-        total += x.weights[l] * ravel(outer_product(cols))
+        total += x.weights[l] * _product_vector(x.groups, [f[:, l] for f in x.factors])
     return DenseState(x.p, total)
 
 
@@ -117,8 +112,8 @@ def to_dense(x: BlockedCp) -> DenseState:
 def inner(y: BlockedCp, x: BlockedCp) -> complex:
     """<y, x> = w_y^H (Hadamard product over modes of Y_i^H X_i) w_x: per
     addend pair a product of q block dots."""
-    if y.blocking != x.blocking:
-        raise ValueError("inner product requires identical blockings")
+    if y.groups != x.groups:
+        raise ValueError("inner product requires identical site groups")
     prod = 1.0
     for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
         gram = flops.matmul(fy.conj().T, fx)
@@ -133,8 +128,8 @@ def expectation_form(table: BlockTable, y: BlockedCp, x: BlockedCp) -> complex:
     """<y, H x> = sum_k alpha_k w_y^H (Hadamard product over modes of
     Y_i^H H_i^(k) X_i) w_x, the per-mode Gram matrices gathered from one
     batched product over the block's distinct operators."""
-    if y.blocking != x.blocking or table.groups != x.blocking.groups:
-        raise ValueError("expectation requires one common blocking")
+    if not y.groups == x.groups == table.groups:
+        raise ValueError("expectation requires one common set of site groups")
     prod = table.alpha[:, None, None]
     for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
         prod = prod * table.grams(i, fy, fx)[table.idx[:, i]]
@@ -146,29 +141,30 @@ def expectation_form(table: BlockTable, y: BlockedCp, x: BlockedCp) -> complex:
 def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
     """H x as a blocked CP state of rank M * D, addend k*D + l holding term
     k applied to addend l; coefficients are absorbed into the first mode."""
-    table = regroup(h, x.blocking)
+    table = BlockTable(h, x.groups)
     factors = []
     for i, (ops, f) in enumerate(zip(table.ops, x.factors)):
         applied = flops.matmul(ops, f)[table.idx[:, i]]
         if i == 0:
             applied = applied * table.alpha[:, None, None]
         factors.append(applied.transpose(1, 0, 2).reshape(f.shape[0], -1))
-    return BlockedCp(x.blocking, factors, np.tile(x.weights, table.alpha.size))
+    return BlockedCp(x.groups, factors, np.tile(x.weights, table.alpha.size))
 
 
 def as_diagonal_mps(x: BlockedCp) -> MpsState:
     """Equivalent open chain with diagonal matrices: addend l occupies the
-    l-th diagonal entry of every bond; weights fold into the first site."""
-    q, eye = x.blocking.q, np.eye(x.rank)
+    l-th diagonal entry of every bond; weights fold into the first site.
+    Refuses groups that are not blocks in chain order."""
+    blocking, eye = Blocking.from_groups(x.groups), np.eye(x.rank)
     sites = []
     for i, f in enumerate(x.factors):
         a = f[None] * eye[:, None]  # a[l, :, m] = delta_lm f[:, m]
         if i == 0:
             a = (a * x.weights[:, None, None]).sum(axis=0, keepdims=True)
-        if i == q - 1:
+        if i == blocking.q - 1:
             a = a.sum(axis=2, keepdims=True)
         sites.append(a)
-    return MpsState("open", x.blocking, sites)
+    return MpsState("open", blocking, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
     """Mode-i factors from the lowest eigenvectors of the block-local part of
     the Hamiltonian: a term contributes to a block only if its whole support
     lies inside that block, and it enters with its coefficient."""
-    return BlockedCp(blocking, _spectral_factors(regroup(h, blocking), rank, seed))
+    return BlockedCp(blocking.groups, _spectral_factors(regroup(h, blocking), rank, seed))
 
 
 def _spectral_factors(table: BlockTable, rank: int, seed: int = 0) -> list:
@@ -226,10 +222,10 @@ def _stage_matrix(table: BlockTable, x_cols, i):
 
 def _stack_addends(frozen_terms) -> BlockedCp:
     """BlockedCp holding frozen (groups, cols, weight) addends that share
-    the groups of one blocking."""
+    one set of site groups."""
     groups = frozen_terms[0][0]
     return BlockedCp(
-        Blocking(tuple(map(len, groups))),
+        groups,
         [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
          for i in range(len(groups))],
         np.array([w for _, _, w in frozen_terms]),
@@ -281,7 +277,10 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
     per site group of stages[d] (a tuple of tuples), against the frozen
     earlier ones.  The tables of all distinct stages are built, and checked,
     before the first solve.  first_stage(table) gives the first addend's
-    start; cross_factory(table, frozen_terms) the later stages' cross terms."""
+    start; cross_factory(table, frozen_terms) the later stages' cross terms.
+    Refuses fewer than one sweep per stage before any work."""
+    if inner_iters < 1:
+        raise ValueError("need at least one sweep per stage")
     rng = np.random.default_rng(seed)
     trace = []
     frozen_terms = []  # list of (groups, cols, weight)
@@ -354,8 +353,8 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
     matching the simultaneous solver's default starting point.  Returns
     (trace, BlockedCp).  No stage depends on d_final: a rank-r run is the
     rank-R run cut after stage r, entry for entry and addend for addend."""
-    if d_final < 1 or inner_iters < 1:
-        raise ValueError("need d_final >= 1 and inner_iters >= 1")
+    if d_final < 1:
+        raise ValueError("need d_final >= 1")
     if init == "spectral":
         def first(table):
             return [f[:, 0] for f in _spectral_factors(table, 1)]
@@ -405,7 +404,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
         raise ValueError("need rank >= 1 and sweeps >= 1")
     table = regroup(h, blocking)
     if init == "spectral":
-        x = BlockedCp(blocking, _spectral_factors(table, rank))
+        x = BlockedCp(blocking.groups, _spectral_factors(table, rank))
     elif init == "random":
         x = random_cp(blocking, rank, seed)
     else:

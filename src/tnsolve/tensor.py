@@ -16,6 +16,7 @@ label the two tensors share and charges the step to the operation counter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,6 +95,14 @@ def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _product_vector(groups, cols) -> np.ndarray:
+    """The product of `cols` over site groups as a vector: column i on the
+    sites of groups[i], its first site the fastest bit."""
+    sites = [s for g in groups for s in g]
+    tens = functools.reduce(np.multiply.outer, cols).reshape((2,) * len(sites), order="F")
+    return tens.transpose(np.argsort(sites)).reshape(-1, order="F")
+
+
 def _contract_labelled(a: np.ndarray, labels_a, b: np.ndarray, labels_b):
     """Contract `a` and `b` over every label they share (in sorted label
     order), counting the step.  Returns the result and its labels: the
@@ -105,6 +114,14 @@ def _contract_labelled(a: np.ndarray, labels_a, b: np.ndarray, labels_b):
     labels = tuple(l for l in labels_a if l not in shared) + \
         tuple(l for l in labels_b if l not in shared)
     return out, labels
+
+
+def _real_part(value: complex, tols: Tolerances, what: str = "expectation") -> float:
+    """The real part of `value`, refused when its imaginary residue exceeds
+    tols.rayleigh_imag relative to max(1, |real part|)."""
+    if abs(value.imag) > tols.rayleigh_imag * max(1.0, abs(value.real)):
+        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
+    return float(value.real)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,36 @@ def test_reproduce_repeated_rank_is_refused(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["mps-als", "-p", "6", "-D", "0"],
+    ["parafac-als", "-p", "6", "--blocking", "3,3", "--rank", "0"],
+    ["parafac-als", "-p", "6", "--blocking", "3,3", "--sweeps", "0"],
+    ["mixed-als", "-p", "6", "--schedule", "3,3", "--sweeps", "0"],
+    ["peps-contract", "--rows", "2", "--cols", "2", "--d-cut", "0"],
+    ["peps-contract", "--rows", "0", "--cols", "2"],
+    ["peps-contract", "--rows", "2", "--cols", "0"],
+    ["parafac-als", "-p", "8", "--blocking", "3,3"],
+    ["mps-als", "-p", "8", "--blocking", "3,3"],
+    ["mixed-als", "-p", "8", "--schedule", "4,4|3,3"],
+], ids=["mps-D-0", "parafac-rank-0", "parafac-sweeps-0", "mixed-sweeps-0",
+        "peps-d-cut-0", "peps-rows-0", "peps-cols-0", "parafac-short-blocking",
+        "mps-short-blocking", "mixed-short-schedule"])
+def test_parameter_errors_exit_2_before_any_work(tmp_path, args):
+    out = tmp_path / "x"
+    assert main([*args, "--out", str(out)]) == 2
+    # refused before the oracle ran and before any result was written
+    assert not (out / "summary.json").exists()
+    assert not (out / "oracle_cache.json").exists()
+
+
+def test_reproduce_refuses_a_blocking_that_does_not_cover_the_chain(tmp_path):
+    out = tmp_path / "rep"
+    with pytest.raises(ConfigError, match="covers 6 of 10 sites"):
+        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[1],
+                         blockings=["5,5", "3,3"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_reproduce_workers_below_one_exit_code(tmp_path, workers):
     out = tmp_path / "rep"

@@ -343,6 +343,22 @@ def test_blocking_cuts_cached_keeps_equality():
     assert a != Blocking((3, 3)) and len({a, b}) == 1
 
 
+def test_blocking_shifted_groups_wrap_the_seam():
+    b = Blocking((3, 1, 2))
+    assert b.shifted(0) == b.groups
+    assert b.shifted(4) == ((4, 5, 0), (1,), (2, 3))
+    for offset in (-1, 6):
+        with pytest.raises(ValueError, match="offset"):
+            b.shifted(offset)
+
+
+def test_blocking_from_groups_needs_chain_order():
+    assert Blocking.from_groups(((0, 1, 2), (3,), (4, 5))) == Blocking((3, 1, 2))
+    for groups in (((4, 5, 0), (1,), (2, 3)), ((1, 0), (2,)), ((0, 2), (1,))):
+        with pytest.raises(ValueError, match="chain order"):
+            Blocking.from_groups(groups)
+
+
 def test_regroup_single_block_is_full_term():
     h = build_ising(4, 1.0, "open")
     g = regroup(h, Blocking((4,)))
@@ -444,8 +460,8 @@ TABLE_MODELS = {
 
 def _mixed_term_groups():
     b = Blocking((3, 4, 3))
-    term = MixedTerm(b, [np.zeros(2**w) for w in b.widths], offset=8)
-    return term.block_sites_list()
+    term = MixedTerm(b.shifted(8), [np.zeros(2**w) for w in b.widths])
+    return term.groups
 
 
 TABLE_GROUPS = {

@@ -1,5 +1,7 @@
 """Mixed-blocking terms: 1D open/periodic kernels, block chains, 2D patterns."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def random_term(rng, widths, weight=None, offset=0):
     b = Blocking(widths)
     factors = [crandn(rng, 2**w) for w in b.widths]
     w = weight if weight is not None else complex(crandn(rng, 1)[0])
-    return MixedTerm(b, factors, w, offset)
+    return MixedTerm(b.shifted(offset), factors, w)
 
 
 def random_cyclic_partition(rng, p):
@@ -80,11 +82,11 @@ def test_term_to_dense_wrapped_blocking():
 
 def test_term_validation():
     with pytest.raises(ValueError):
-        MixedTerm(Blocking((2, 2)), [np.ones(4)], 1.0)
+        MixedTerm(Blocking((2, 2)).groups, [np.ones(4)], 1.0)
     with pytest.raises(ValueError):
-        MixedTerm(Blocking((2, 2)), [np.ones(4), np.ones(3)], 1.0)
+        MixedTerm(Blocking((2, 2)).groups, [np.ones(4), np.ones(3)], 1.0)
     with pytest.raises(ValueError):
-        MixedTerm(Blocking((2, 2)), [np.ones(4), np.ones(4)], 1.0, offset=4)
+        MixedTerm(Blocking((2, 2)).shifted(4), [np.ones(4), np.ones(4)], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ def test_pbc_per_step_cost_bound():
 
 def test_inner_sum_single_terms_reduce_to_kernel():
     rng = np.random.default_rng(9)
-    x = MixedTermSum(6, [random_term(rng, (3, 3))], "1d-open")
-    y = MixedTermSum(6, [random_term(rng, (2, 4))], "1d-open")
+    x = MixedTermSum(6, [random_term(rng, (3, 3))])
+    y = MixedTermSum(6, [random_term(rng, (2, 4))])
     assert inner_sum(x, y) == pytest.approx(
         inner_mixed_obc(x.terms[0], y.terms[0]), abs=1e-13
     )
@@ -189,22 +191,20 @@ def test_inner_sum_single_terms_reduce_to_kernel():
 def test_inner_sum_three_terms_vs_dense():
     rng = np.random.default_rng(10)
     p = 8
-    x = MixedTermSum(p, [random_term(rng, w) for w in [(4, 4), (2, 3, 3), (8,)]],
-                     "1d-open")
-    y = MixedTermSum(p, [random_term(rng, w) for w in [(3, 5), (4, 4)]], "1d-open")
+    x = MixedTermSum(p, [random_term(rng, w) for w in [(4, 4), (2, 3, 3), (8,)]])
+    y = MixedTermSum(p, [random_term(rng, w) for w in [(3, 5), (4, 4)]])
     expect = np.vdot(sum_to_dense(y).vector, sum_to_dense(x).vector)
     assert inner_sum(x, y) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
 
 
 def test_inner_sum_conjugate_symmetric_and_bilinear():
     rng = np.random.default_rng(11)
-    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))],
-                     "1d-open")
-    y = MixedTermSum(6, [random_term(rng, (6,))], "1d-open")
+    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))])
+    y = MixedTermSum(6, [random_term(rng, (6,))])
     assert inner_sum(x, y) == pytest.approx(np.conj(inner_sum(y, x)), abs=1e-12)
     x2 = MixedTermSum(6, [
-        MixedTerm(t.blocking, t.factors, 2.5j * t.weight) for t in x.terms
-    ], "1d-open")
+        MixedTerm(t.groups, t.factors, 2.5j * t.weight) for t in x.terms
+    ])
     assert inner_sum(x2, y) == pytest.approx(2.5j * inner_sum(x, y), abs=1e-12)
 
 
@@ -216,8 +216,7 @@ def test_expectation_identity_hamiltonian():
     from tnsolve.hamiltonian import KroneckerTerm, OP_I, SpinHamiltonian
 
     h = SpinHamiltonian(6, [KroneckerTerm(1.0, (OP_I,) * 6)])
-    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))],
-                     "1d-open")
+    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))])
     assert expectation_mixed(h, x) == pytest.approx(
         inner_sum(x, x).real, abs=1e-11
     )
@@ -226,8 +225,7 @@ def test_expectation_identity_hamiltonian():
 def test_expectation_matches_dense():
     rng = np.random.default_rng(13)
     h = build_ising(8, 1.0, "open")
-    x = MixedTermSum(8, [random_term(rng, w) for w in [(4, 4), (2, 3, 3)]],
-                     "1d-open")
+    x = MixedTermSum(8, [random_term(rng, w) for w in [(4, 4), (2, 3, 3)]])
     dense = sum_to_dense(x).vector
     expect = np.vdot(dense, materialize_dense(h) @ dense).real
     assert expectation_mixed(h, x) == pytest.approx(
@@ -242,8 +240,7 @@ def test_expectation_honours_caller_tolerances():
     rng = np.random.default_rng(14)
     raising = SiteOperator.custom(np.array([[0.0, 1.0], [0.0, 0.0]]))
     h = SpinHamiltonian(6, [KroneckerTerm(1.0, (OP_I, raising) + (OP_I,) * 4)])
-    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))],
-                     "1d-open")
+    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3))])
     dense = sum_to_dense(x).vector
     numerator = np.vdot(dense, materialize_dense(h) @ dense)
     assert abs(numerator.imag) > 1e-3
@@ -263,7 +260,7 @@ def test_expectation_periodic_geometry():
         for _ in range(2):
             w, o = random_cyclic_partition(rng, 6)
             terms.append(random_term(rng, w, offset=o))
-        x = MixedTermSum(6, terms, "1d-periodic")
+        x = MixedTermSum(6, terms)
         dense = sum_to_dense(x).vector
         expect = np.vdot(dense, materialize_dense(h) @ dense).real
         assert expectation_mixed(h, x) == pytest.approx(
@@ -366,7 +363,7 @@ def test_pattern_pair_order(sb_rows, sb_cols, pattern, pairs):
     # per subblock, subblock ids are chain sites
     t = PatternedTerm2D(sb_rows, sb_cols, 1, pattern, [np.ones(4)] * 4)
     assert t.superblocks() == pairs
-    assert t.block_sites_list() == pairs
+    assert t.groups == pairs
 
 
 def test_pattern_identical_patterns_product_of_dots():
@@ -429,7 +426,7 @@ def test_pattern_expectation_2d_hamiltonian():
     for boundary, patterns in (("open", (1, 3)), ("periodic", (2, 4))):
         h = build_ising_2d(2, 4, 0.9, boundary)  # 2x4 lattice, p = 8
         terms = [random_pattern_term(rng, 2, 2, 2, p) for p in patterns]
-        x = MixedTermSum(8, terms, "2d")
+        x = MixedTermSum(8, terms)
         dense = sum_to_dense(x).vector
         expect = np.vdot(dense, materialize_dense(h) @ dense).real
         assert expectation_mixed(h, x) == pytest.approx(
@@ -563,3 +560,54 @@ def test_mixed_greedy_trace_pinned():
     assert len(trace) == 50
     assert sum(1 for t in trace if t.note) == 0
     assert trace[-1].energy == pytest.approx(-9.800326119841115, abs=1e-12)
+
+
+def test_mixed_greedy_refuses_zero_sweeps_before_any_update(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parafac, "run_sweeps", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="sweep"):
+        ground_state_mixed_greedy(build_ising(6, 1.0), [(3, 3)], 1, sweeps=0)
+    assert calls == []
+
+
+def test_mixed_greedy_returns_addends_on_their_stage_groups():
+    schedule = [Blocking((3, 3)), (2, 2, 2)]
+    _, state = ground_state_mixed_greedy(build_ising(6, 1.0), schedule, 2, sweeps=3)
+    stages = [Blocking((3, 3)).groups] * 2 + [Blocking((2, 2, 2)).groups] * 2
+    assert [t.groups for t in state.terms] == stages
+    assert [f.name for f in fields(MixedTermSum)] == ["p", "terms"]
+
+
+# ---------------------------------------------------------------------------
+# terms and sums over any site groups
+
+@pytest.mark.parametrize("groups", [((0, 1), (1, 2, 3)), ((0, 1), (3,)), ((0, 1), ()),
+                                    ((0, 1), (2, 4))],
+                         ids=["overlap", "missing-site", "empty-group", "outside"])
+def test_product_terms_refuse_groups_that_do_not_partition(groups):
+    factors = [np.ones(2 ** len(g)) for g in groups]
+    with pytest.raises(ValueError, match="partition"):
+        MixedTerm(groups, factors)
+    with pytest.raises(ValueError, match="partition"):
+        parafac.BlockedCp(groups, [f[:, None] for f in factors])
+
+
+def test_sum_of_chain_order_and_wrapping_terms_matches_dense():
+    rng = np.random.default_rng(72)
+    h = build_heisenberg_xy(6, 1.0, 0.6, 0.3, "periodic")
+    x = MixedTermSum(6, [random_term(rng, (2, 4)), random_term(rng, (3, 3), offset=4)])
+    y = MixedTermSum(6, [random_term(rng, (1, 2, 3), offset=5), random_term(rng, (6,))])
+    dx, dy = (sum(t.weight * product_dense(t.groups, t.factors) for t in s.terms)
+              for s in (x, y))
+    expect = np.vdot(dy, dx)
+    assert inner_sum(x, y) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
+    expect = np.vdot(dx, materialize_dense(h) @ dx).real
+    assert expectation_mixed(h, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
+
+
+def test_inner_sum_refuses_a_pattern_against_a_chain_term():
+    # both terms cover p = 8, but only one lies on a subblock lattice
+    rng = np.random.default_rng(73)
+    x = MixedTermSum(8, [random_pattern_term(rng, 2, 2, 2, 1), random_term(rng, (4, 4))])
+    with pytest.raises(ValueError, match="subblock lattice"):
+        inner_sum(x, x)

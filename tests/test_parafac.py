@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tnsolve import flops
+from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
+    BlockTable,
     KroneckerTerm,
     OP_I,
     SpinHamiltonian,
@@ -19,6 +21,7 @@ from tnsolve.oracle import ground_state_dense, rayleigh
 from tnsolve.parafac import (
     BlockedCp,
     _AlignedCrossTerms,
+    _greedy_core,
     _mode_problem,
     _stage_matrix,
     as_diagonal_mps,
@@ -31,7 +34,7 @@ from tnsolve.parafac import (
     spectral_init,
     to_dense,
 )
-from tnsolve.tensor import kron_first_fastest
+from tnsolve.tensor import DenseState, kron_first_fastest
 
 
 def crandn(rng, *shape):
@@ -40,7 +43,7 @@ def crandn(rng, *shape):
 
 def _cp_energy(h, x):
     """Rayleigh quotient of a CP state from its contractions."""
-    num = expectation_form(regroup(h, x.blocking), x, x)
+    num = expectation_form(BlockTable(h, x.groups), x, x)
     return float(num.real / inner(x, x).real)
 
 
@@ -49,14 +52,14 @@ def _cp_energy(h, x):
 
 def test_to_dense_rank_one_ones():
     b = Blocking((2, 2))
-    x = BlockedCp(b, [np.ones((4, 1)), np.ones((4, 1))])
+    x = BlockedCp(b.groups, [np.ones((4, 1)), np.ones((4, 1))])
     assert np.allclose(to_dense(x).vector, np.ones(16))
 
 
 def test_to_dense_rank_two_known_sum():
     b = Blocking((1, 1))
     e0, e1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
-    x = BlockedCp(b, [np.hstack([e0, e1]), np.hstack([e0, e1])])
+    x = BlockedCp(b.groups, [np.hstack([e0, e1]), np.hstack([e0, e1])])
     # e0 (x) e0 + e1 (x) e1 -> entries at indices 0 and 3
     assert np.allclose(to_dense(x).vector, [1.0, 0.0, 0.0, 1.0])
 
@@ -64,7 +67,7 @@ def test_to_dense_rank_two_known_sum():
 def test_to_dense_triple_loop_oracle():
     rng = np.random.default_rng(0)
     b = Blocking((1, 2, 1))
-    x = BlockedCp(b, [crandn(rng, 2, 3), crandn(rng, 4, 3), crandn(rng, 2, 3)],
+    x = BlockedCp(b.groups, [crandn(rng, 2, 3), crandn(rng, 4, 3), crandn(rng, 2, 3)],
                   crandn(rng, 3))
     dense = to_dense(x).vector
     for i0 in range(2):
@@ -95,8 +98,8 @@ def test_normalize_addends_preserves_dense():
 
 def test_inner_orthogonal_first_mode():
     b = Blocking((1, 1))
-    x = BlockedCp(b, [np.eye(2)[:, :1], np.ones((2, 1))])
-    y = BlockedCp(b, [np.eye(2)[:, 1:], np.ones((2, 1))])
+    x = BlockedCp(b.groups, [np.eye(2)[:, :1], np.ones((2, 1))])
+    y = BlockedCp(b.groups, [np.eye(2)[:, 1:], np.ones((2, 1))])
     assert inner(y, x) == pytest.approx(0.0)
 
 
@@ -110,8 +113,8 @@ def test_inner_self_nonnegative():
 def test_inner_matches_dense_conj_dot():
     rng = np.random.default_rng(3)
     b = Blocking((5, 5))
-    x = BlockedCp(b, [crandn(rng, 32, 4), crandn(rng, 32, 4)], crandn(rng, 4))
-    y = BlockedCp(b, [crandn(rng, 32, 4), crandn(rng, 32, 4)], crandn(rng, 4))
+    x = BlockedCp(b.groups, [crandn(rng, 32, 4), crandn(rng, 32, 4)], crandn(rng, 4))
+    y = BlockedCp(b.groups, [crandn(rng, 32, 4), crandn(rng, 32, 4)], crandn(rng, 4))
     expect = np.vdot(to_dense(y).vector, to_dense(x).vector)
     assert inner(y, x) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
 
@@ -147,8 +150,8 @@ def test_expectation_matches_dense():
     rng = np.random.default_rng(8)
     h = build_ising(6, 1.0, "open")
     b = Blocking((3, 3))
-    x = BlockedCp(b, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
-    y = BlockedCp(b, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
+    x = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
+    y = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
     g = regroup(h, b)
     expect = np.vdot(to_dense(y).vector, materialize_dense(h) @ to_dense(x).vector)
     assert expectation_form(g, y, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
@@ -498,3 +501,60 @@ def test_simultaneous_rejects_bad_args():
         simultaneous_als(h, Blocking((2, 2)), 0)
     with pytest.raises(ValueError):
         simultaneous_als(h, Blocking((2, 2)), 1, init="mystery")
+
+
+# ---------------------------------------------------------------------------
+# site groups that are not blocks in chain order
+
+SCATTERED = ((0, 2, 4), (5, 1), (3,))
+
+
+def groups_dense(groups, cols):
+    """The product of `cols` over site groups as a dense vector, column i on
+    groups[i] with its first site the fastest bit."""
+    operands = []
+    for g, c in zip(groups, cols):
+        operands += [np.reshape(c, (2,) * len(g), order="F"), list(g)]
+    p = sum(map(len, groups))
+    return np.einsum(*operands, list(range(p))).reshape(-1, order="F")
+
+
+def cp_dense(x):
+    return sum(w * groups_dense(x.groups, [f[:, l] for f in x.factors])
+               for l, w in enumerate(x.weights))
+
+
+def test_blocked_cp_on_scattered_groups_matches_dense():
+    rng = np.random.default_rng(70)
+    h = build_heisenberg_xy(6, 1.0, 0.6, 0.3, "periodic")
+    x, y = (BlockedCp(SCATTERED, [crandn(rng, 2 ** len(g), 3) for g in SCATTERED],
+                      crandn(rng, 3)) for _ in range(2))
+    dx, dy = cp_dense(x), cp_dense(y)
+    assert np.linalg.norm(to_dense(x).vector - dx) <= 1e-13 * np.linalg.norm(dx)
+    expect = np.vdot(dy, dx)
+    assert inner(y, x) == pytest.approx(expect, abs=1e-12 * abs(expect))
+    expect = np.vdot(dy, materialize_dense(h) @ dx)
+    assert expectation_form(BlockTable(h, SCATTERED), y, x) == pytest.approx(
+        expect, abs=1e-12 * abs(expect))
+    with pytest.raises(ValueError, match="chain order"):
+        as_diagonal_mps(x)
+
+
+def test_greedy_core_runs_aligned_stages_on_scattered_groups():
+    # three stages on the even and the odd sites of a periodic chain; each
+    # later stage stacks the frozen addends on the same scattered groups
+    h = build_ising(6, 1.0, "periodic")
+    groups = ((0, 2, 4), (1, 3, 5))
+    trace, frozen = _greedy_core(h, [groups] * 3, 30, 0, DEFAULT_TOLS,
+                                 _AlignedCrossTerms)
+    assert [g for g, _, _ in frozen] == [groups] * 3
+    y = sum(w * groups_dense(g, cols) for g, cols, w in frozen)
+    e0, _ = ground_state_dense(h)
+    energies = [t.energy for t in trace if np.isfinite(t.energy)]
+    assert trace[-1].energy == pytest.approx(rayleigh(h, DenseState(6, y)), abs=1e-10)
+    assert min(energies) >= e0
+
+
+def test_greedy_refuses_zero_sweeps():
+    with pytest.raises(ValueError, match="sweep"):
+        greedy_als(build_ising(4, 1.0), Blocking((2, 2)), 1, inner_iters=0)
