@@ -143,8 +143,8 @@ def check_pattern_2d(instances: int = 200, seed: int = 5) -> list:
         sb_rows, sb_cols, r_sites = (2, 2, int(rng.integers(1, 3)))
         pa, pb = rng.integers(1, 5, size=2)
         n_pairs = sb_rows * sb_cols // 2
-        x, y = (mixed.PatternedTerm2D(
-            sb_rows, sb_cols, r_sites, int(pattern),
+        x, y = (mixed.MixedTerm(
+            mixed.pattern_groups(sb_rows, sb_cols, r_sites, int(pattern)),
             [_crandn(rng, 4**r_sites) for _ in range(n_pairs)],
             complex(_crandn(rng, 1)[0])) for pattern in (pa, pb))
         return x, y, mixed.inner_terms, 2 ** (3 * r_sites)

@@ -205,9 +205,15 @@ def _parse_blocking(text: str, p: int) -> Blocking:
 def _solver_blocks(m: MethodSpec, p: int):
     """The parsed blocking of an mps-als (None if unset) or parafac-als run,
     or the list of scheduled blockings of a mixed-als run; refuses a rank
-    or sweep count below 1 as well."""
+    or sweep count below 1, and a parafac-als init or mode it does not know,
+    as well."""
     if m.rank < 1 or m.sweeps < 1:
         raise ConfigError(f"need rank and sweeps >= 1, got {m.rank} and {m.sweeps}")
+    if m.name == "parafac-als":
+        if m.init not in ("random", "spectral"):
+            raise ConfigError(f"method.init must be random|spectral, got {m.init!r}")
+        if m.mode not in ("greedy", "simultaneous"):
+            raise ConfigError(f"method.mode must be greedy|simultaneous, got {m.mode!r}")
     if m.name == "mixed-als":
         if not m.schedule:
             raise ConfigError("mixed-als requires method.schedule")
@@ -321,13 +327,9 @@ def _cp_als(h: SpinHamiltonian, blocking: Blocking, rank: int, sweeps: int,
             seed: int, init: str, mode: str,
             tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """(trace, state) of greedy or simultaneous blocked-CP ALS."""
-    if init not in ("random", "spectral"):
-        raise ConfigError(f"method.init must be random|spectral, got {init!r}")
     if mode == "greedy":
         return parafac.greedy_als(h, blocking, rank, sweeps, seed, tols, init=init)
-    if mode == "simultaneous":
-        return parafac.simultaneous_als(h, blocking, rank, sweeps, seed, init, tols)
-    raise ConfigError(f"method.mode must be greedy|simultaneous, got {mode!r}")
+    return parafac.simultaneous_als(h, blocking, rank, sweeps, seed, init, tols)
 
 
 def run(cfg: ExperimentConfig) -> int:

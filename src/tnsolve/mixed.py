@@ -1,12 +1,13 @@
 """Sums of tensor-product terms, each over its own partition of the sites.
 
-A term's factor i lives on the sites of groups[i], the group's first site
-its fastest bit.  A MixedTerm takes any partition: a :class:`Blocking`'s
-blocks, a cyclic blocking's groups (:meth:`Blocking.shifted`) or scattered
-sites; a PatternedTerm2D derives its groups from one of four tilings of a
-subblock lattice by superblock pairs.  A sum reads nothing but its terms.
-All kernels contract without materializing 2^p vectors and count their
-operations.
+Every term is a :class:`MixedTerm` (defined beside `parafac.BlockedCp`,
+re-exported here): factor i lives on the sites of groups[i], the group's
+first site its fastest bit, and the groups are any partition: a
+:class:`Blocking`'s blocks, a cyclic blocking's groups
+(:meth:`Blocking.shifted`), a 2D pattern's pairs of subblocks
+(:func:`pattern_groups`) or scattered sites.  A sum reads nothing but its
+terms.  All kernels contract without materializing 2^p vectors and count
+their operations.
 
 Every inner product is one labelled network (:func:`_contract_network`) over
 bit-level pieces: a block tensor carries one label per chain site and, for
@@ -20,8 +21,8 @@ of unit bonds and its image under H a chain of the MPO's bonds, so
 <y, H x> is one network per (image, bra) pair.  The greedy solver runs the
 CP greedy loop (`parafac._greedy_core`) with the blocks of each scheduled
 blocking as the site groups of its stages, takes its cross terms against
-frozen addends on other groups from the same images, and returns each
-frozen (groups, cols, weight) addend as a MixedTerm.
+frozen addends on other groups from the same images, and returns the
+frozen MixedTerm addends as they are.
 """
 
 from __future__ import annotations
@@ -32,90 +33,40 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, mpo
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, mpo
 from .mps import MpsState, _apply_mpo
-from .parafac import _AlignedCrossTerms, _greedy_core
+from .parafac import MixedTerm, _AlignedCrossTerms, _greedy_core
 from .tensor import DenseState, _contract_labelled, _product_vector, _real_part
 
 
-@dataclass
-class MixedTerm:
-    """weight * (x_1 (x) ... (x) x_q), x_i on the sites of groups[i] (in
-    factor bit order), the groups any partition of the sites."""
-
-    groups: tuple
-    factors: list
-    weight: complex = 1.0
-
-    def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
-        self.groups = _partition(self.groups, lengths=[f.size for f in self.factors])
-
-    @property
-    def p(self) -> int:
-        return sum(map(len, self.groups))
-
-
-@dataclass
-class PatternedTerm2D:
-    """One Kronecker product of superblock vectors on a subblock lattice.
+def pattern_groups(sb_rows: int, sb_cols: int, r_sites: int, pattern: int) -> tuple:
+    """Site groups of one of four tilings of a subblock lattice by pairs of
+    subblocks, one group per pair, the first subblock its fast half.
 
     The lattice has sb_rows x sb_cols subblocks of r_sites chain sites each
     (a subblock is a horizontal run of r_sites lattice columns; the physical
-    lattice is sb_rows x (sb_cols * r_sites), numbered row-major).  The four
-    patterns pair subblocks into superblocks: (1) horizontal pairs, (2)
-    horizontal pairs shifted by one column with wrap, (3) vertical pairs,
-    (4) vertical pairs shifted by one row with wrap.  Patterns tile only
-    even x even subblock lattices.
+    lattice is sb_rows x (sb_cols * r_sites), numbered row-major, so
+    subblock k holds sites k*r_sites, ..., (k+1)*r_sites - 1).  The four
+    patterns pair subblocks (1) horizontally, (2) horizontally shifted by one
+    column with wrap, (3) vertically, (4) vertically shifted by one row with
+    wrap; patterns 3 and 4 are patterns 1 and 2 on the transposed subblock
+    lattice.  Patterns tile only even x even subblock lattices.
     """
-
-    sb_rows: int
-    sb_cols: int
-    r_sites: int
-    pattern: int
-    factors: list
-    weight: complex = 1.0
-
-    def __post_init__(self):
-        if self.sb_rows % 2 or self.sb_cols % 2:
-            raise ValueError("patterns tile only even x even subblock lattices")
-        if self.pattern not in (1, 2, 3, 4):
-            raise ValueError("pattern must be 1..4")
-        self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
-        _partition(self.groups, lengths=[f.size for f in self.factors])
-
-    @property
-    def p(self) -> int:
-        return self.sb_rows * self.sb_cols * self.r_sites
-
-    @property
-    def lattice(self) -> tuple:
-        return (self.sb_rows, self.sb_cols, self.r_sites)
-
-    def superblocks(self) -> list:
-        """Ordered subblock pairs of this pattern; factor k belongs to pair k
-        with the first subblock as the fast index half.  Patterns 3 and 4
-        are patterns 1 and 2 on the transposed subblock lattice."""
-        vertical = self.pattern > 2
-        shift = 1 - self.pattern % 2
-        lines, extent = self.sb_rows, self.sb_cols
-        if vertical:
-            lines, extent = extent, lines
-        out = []
-        for line in range(lines):
-            for c in range(shift, extent + shift, 2):
-                pair = ((line, c % extent), (line, (c + 1) % extent))
-                out.append(tuple(row * self.sb_cols + col for row, col in
-                                 (rc[::-1] if vertical else rc for rc in pair)))
-        return out
-
-    @property
-    def groups(self) -> list:
-        """Per factor: the chain sites it covers, in factor bit order;
-        subblock k (row-major) holds sites k*r_sites, ..., (k+1)*r_sites - 1."""
-        r = self.r_sites
-        return [tuple(range(a * r, a * r + r)) + tuple(range(b * r, b * r + r))
-                for a, b in self.superblocks()]
+    if sb_rows % 2 or sb_cols % 2:
+        raise ValueError("patterns tile only even x even subblock lattices")
+    if pattern not in (1, 2, 3, 4):
+        raise ValueError("pattern must be 1..4")
+    vertical = pattern > 2
+    shift = 1 - pattern % 2
+    lines, extent = (sb_cols, sb_rows) if vertical else (sb_rows, sb_cols)
+    groups = []
+    for line in range(lines):
+        for c in range(shift, extent + shift, 2):
+            pair = ((line, c % extent), (line, (c + 1) % extent))
+            subblocks = [row * sb_cols + col for row, col in
+                         (rc[::-1] if vertical else rc for rc in pair)]
+            groups.append(tuple(k * r_sites + s for k in subblocks for s in range(r_sites)))
+    return tuple(groups)
 
 
 @dataclass
@@ -266,15 +217,12 @@ def inner_mixed_obc(x: MixedTerm, y: MixedTerm) -> complex:
             end[s] = cuts[s][idx[s] + 1]
 
 
-def inner_terms(x, y) -> complex:
+def inner_terms(x: MixedTerm, y: MixedTerm) -> complex:
     """<y, x> for terms on any site groups, 2D patterns included: one
     network over the bit-level pieces of both terms, each step contracting
     the pair whose summed indices outweigh the leftover ones.  Keeps each
-    step below 2^{3r/2} operations on a cyclic blocking and (2^r)^3 on a
-    subblock lattice.  Refuses a patterned term against a term that is not
-    on its subblock lattice."""
-    if getattr(x, "lattice", None) != getattr(y, "lattice", None):
-        raise ValueError("patterned terms must share the subblock lattice")
+    step below 2^{3r/2} operations on a cyclic blocking and (2^r)^3 on two
+    patterns of one subblock lattice."""
     if x.p != y.p:
         raise ValueError("terms must cover the same chain")
     pieces = _product_pieces(x.groups, x.factors) + [
@@ -337,21 +285,21 @@ def _group_mpos(h: SpinHamiltonian, group_tuples, table: BlockTable | None = Non
     """The MPO of `h` over each distinct tuple of site groups, compiled once;
     `table`, if given, serves its own groups."""
     return {g: mpo(table if table is not None and g == table.groups else BlockTable(h, g))
-            for g in dict.fromkeys(map(tuple, group_tuples))}
+            for g in dict.fromkeys(group_tuples)}
 
 
-def _term_chains(ws: list, groups, cols, weight, tag) -> tuple:
-    """(ket, image, bra) pieces of the product term weight * (c_1 (x) ...
-    (x) c_q) over any site groups, c_i on groups[i] and the weight on c_1:
-    the term as an open chain of unit bonds, its image under H (that chain
-    through the MPO sites `ws` of H over the same groups,
-    :func:`mps._apply_mpo`, so image bond j is the MPO's w_j), both with
-    bond tag `tag`, and the conjugate term as product pieces."""
-    chain = [np.reshape(c, (1, -1, 1)) for c in cols]
-    chain[0] = weight * chain[0]
+def _term_chains(ws: list, term: MixedTerm, tag) -> tuple:
+    """(ket, image, bra) pieces of a product term over any site groups, its
+    weight on the first factor: the term as an open chain of unit bonds, its
+    image under H (that chain through the MPO sites `ws` of H over the
+    term's groups, :func:`mps._apply_mpo`, so image bond j is the MPO's
+    w_j), both with bond tag `tag`, and the conjugate term as product
+    pieces."""
+    chain = [np.reshape(c, (1, -1, 1)) for c in term.factors]
+    chain[0] = term.weight * chain[0]
     image = _apply_mpo(ws, chain)
-    return (_chain_pieces(groups, chain, tag), _chain_pieces(groups, image, tag),
-            _product_pieces(groups, [np.conj(c) for c in chain]))
+    return (_chain_pieces(term.groups, chain, tag), _chain_pieces(term.groups, image, tag),
+            _product_pieces(term.groups, [np.conj(c) for c in chain]))
 
 
 def _closed_sum(kets, bras) -> complex:
@@ -367,10 +315,8 @@ def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
     an imaginary residue above tols.rayleigh_imag (relative)."""
     if h.p != x.p:
         raise ValueError("Hamiltonian and state sizes differ")
-    groups = [tuple(t.groups) for t in x.terms]
-    mpos = _group_mpos(h, groups)
-    chains = [_term_chains(mpos[g], g, t.factors, t.weight, n)
-              for n, (g, t) in enumerate(zip(groups, x.terms))]
+    mpos = _group_mpos(h, [t.groups for t in x.terms])
+    chains = [_term_chains(mpos[t.groups], t, n) for n, t in enumerate(x.terms)]
     return _real_part(_closed_sum([c[1] for c in chains], [c[2] for c in chains]), tols)
 
 
@@ -378,9 +324,9 @@ def expectation_mixed(h: SpinHamiltonian, x: MixedTermSum,
 # greedy ground-state search over a schedule of blockings
 
 class _MixedCrossTerms:
-    """Cross contractions of the working addend against frozen (groups,
-    cols, weight) addends on any site groups, via labelled piece networks
-    with the sites of the working group left open.
+    """Cross contractions of the working addend against frozen MixedTerm
+    addends on any site groups, via labelled piece networks with the sites
+    of the working group left open.
 
     Each frozen addend y and its image H y are built once per stage
     (:func:`_term_chains`, one MPO per distinct group tuple, the working
@@ -391,8 +337,8 @@ class _MixedCrossTerms:
     def __init__(self, h: SpinHamiltonian, table: BlockTable, frozen: list,
                  tols: Tolerances):
         self.groups = table.groups
-        mpos = _group_mpos(h, [g for g, _, _ in frozen], table)
-        self.kets, self.images, bras = zip(*(_term_chains(mpos[y[0]], *y, n)
+        mpos = _group_mpos(h, [y.groups for y in frozen], table)
+        self.kets, self.images, bras = zip(*(_term_chains(mpos[y.groups], y, n)
                                              for n, y in enumerate(frozen)))
         self.beta = _real_part(_closed_sum(self.images, bras), tols)
         self.rho = float(_closed_sum(self.kets, bras).real)
@@ -428,11 +374,11 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     stages = [(b if isinstance(b, Blocking) else Blocking(tuple(b))).groups
               for b in schedule for _ in range(d_per_blocking)]
 
-    def factory(table, frozen_terms):
-        if all(groups == table.groups for groups, _, _ in frozen_terms):
-            return _AlignedCrossTerms(table, frozen_terms)
-        return _MixedCrossTerms(h, table, frozen_terms, tols)
+    def factory(table, frozen):
+        if all(y.groups == table.groups for y in frozen):
+            return _AlignedCrossTerms(table, frozen)
+        return _MixedCrossTerms(h, table, frozen, tols)
 
-    trace, frozen_terms = _greedy_core(h, stages, sweeps, seed, tols, factory)
-    return trace, MixedTermSum(h.p, [MixedTerm(*t) for t in frozen_terms])
+    trace, frozen = _greedy_core(h, stages, sweeps, seed, tols, factory)
+    return trace, MixedTermSum(h.p, frozen)
 

@@ -7,9 +7,13 @@ factors[i][:, l], scaled by weights[l].  Contractions reduce to per-mode
 Gram matrices, so an inner product costs q block dots per addend pair.
 Only :func:`as_diagonal_mps` needs the groups to be blocks in chain order.
 
+A :class:`MixedTerm` is one product term over its own site groups: the
+one product-term type, whether its groups are a blocking's blocks, a cyclic
+blocking's, a 2D pattern's (`mixed.pattern_groups`) or any other partition.
+
 The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
 site groups.  A greedy stage is such a tuple of site groups, and the
-addend it adds has one factor per group (:func:`_greedy_core`).
+addend it adds is a MixedTerm with one factor per group (:func:`_greedy_core`).
 """
 
 from __future__ import annotations
@@ -88,6 +92,24 @@ class BlockedCp:
             out.factors[i] = f / safe
             out.weights = out.weights * norms.astype(complex)
         return out
+
+
+@dataclass
+class MixedTerm:
+    """weight * (x_1 (x) ... (x) x_q), x_i on the sites of groups[i] (in
+    factor bit order), the groups any partition of the sites."""
+
+    groups: tuple
+    factors: list
+    weight: complex = 1.0
+
+    def __post_init__(self):
+        self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
+        self.groups = _partition(self.groups, lengths=[f.size for f in self.factors])
+
+    @property
+    def p(self) -> int:
+        return sum(map(len, self.groups))
 
 
 def random_cp(blocking: Blocking, rank: int, seed: int = 0) -> BlockedCp:
@@ -220,16 +242,12 @@ def _stage_matrix(table: BlockTable, x_cols, i):
     return h_i, gamma
 
 
-def _stack_addends(frozen_terms) -> BlockedCp:
-    """BlockedCp holding frozen (groups, cols, weight) addends that share
-    one set of site groups."""
-    groups = frozen_terms[0][0]
-    return BlockedCp(
-        groups,
-        [np.stack([cols[i] for _, cols, _ in frozen_terms], axis=1)
-         for i in range(len(groups))],
-        np.array([w for _, _, w in frozen_terms]),
-    )
+def _stack_addends(terms) -> BlockedCp:
+    """BlockedCp holding frozen MixedTerm addends that share one set of
+    site groups."""
+    return BlockedCp(terms[0].groups,
+                     [np.stack(cols, axis=1) for cols in zip(*(t.factors for t in terms))],
+                     np.array([t.weight for t in terms]))
 
 
 class _AlignedCrossTerms:
@@ -243,9 +261,9 @@ class _AlignedCrossTerms:
         v_i = sum_l w_l (prod_{j != i} x_j^H y_j^(l)) * y_i^(l).
     """
 
-    def __init__(self, table: BlockTable, frozen_terms):
+    def __init__(self, table: BlockTable, frozen: list):
         self.table = table
-        self.frozen = _stack_addends(frozen_terms)
+        self.frozen = _stack_addends(frozen)
         # O_{j,u} Y_j for every block and distinct operator; the frozen
         # addends do not change within a stage
         self.applied = [flops.matmul(ops, f) for ops, f in
@@ -277,13 +295,14 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
     per site group of stages[d] (a tuple of tuples), against the frozen
     earlier ones.  The tables of all distinct stages are built, and checked,
     before the first solve.  first_stage(table) gives the first addend's
-    start; cross_factory(table, frozen_terms) the later stages' cross terms.
-    Refuses fewer than one sweep per stage before any work."""
+    start; cross_factory(table, frozen) the later stages' cross terms.
+    Refuses fewer than one sweep per stage before any work.  Returns (trace,
+    frozen), each frozen addend a MixedTerm on its stage's groups."""
     if inner_iters < 1:
         raise ValueError("need at least one sweep per stage")
     rng = np.random.default_rng(seed)
     trace = []
-    frozen_terms = []  # list of (groups, cols, weight)
+    frozen = []
     max_restarts = 10
     tables = {groups: BlockTable(h, groups) for groups in dict.fromkeys(stages)}
 
@@ -298,7 +317,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
             return cols
 
         x_cols = first_stage(table) if stage == 0 and first_stage else fresh_cols()
-        cross = cross_factory(table, frozen_terms) if frozen_terms else None
+        cross = cross_factory(table, frozen) if frozen else None
 
         def update(it, i):
             h_i, gamma = _stage_matrix(table, x_cols, i)
@@ -335,9 +354,9 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
         norms = [np.linalg.norm(c) for c in x_cols]
         weight = 0.0j if degenerate else complex(np.prod(norms))
         cols = [c / n if n > 0 else c for c, n in zip(x_cols, norms)]
-        frozen_terms.append((groups, cols, weight))
+        frozen.append(MixedTerm(groups, cols, weight))
 
-    return trace, frozen_terms
+    return trace, frozen
 
 
 def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
@@ -362,9 +381,9 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
         first = None
     else:
         raise ValueError(f"unknown init {init!r}")
-    trace, frozen_terms = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
-                                       seed, tols, _AlignedCrossTerms, first)
-    return trace, _stack_addends(frozen_terms)
+    trace, frozen = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
+                                 seed, tols, _AlignedCrossTerms, first)
+    return trace, _stack_addends(frozen)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,26 @@ def test_criterion_7_cost_bounds():
               f"grid-contraction cost slope {slope:.2f} in 10 +/- 1")
 
 
+def test_contract_check_counts_pinned():
+    # the count fields of a small contract-check report: instances, the
+    # worst measured cost and its bound per family, and the grid-contraction
+    # counts behind the slope; any change in a kernel's contraction order
+    # shows here
+    reports = checks.run_all(instances=20, seed=0)
+    assert {r["check"]: (r["instances"], r["cost_measured"], r["cost_bound"])
+            for r in reports if "instances" in r} == {
+        "mps-inner-open": (20, 17, 16),
+        "mps-inner-periodic": (20, 1028, 1028),
+        "cp-inner": (20, 12.5, 20),
+        "mixed-inner-obc": (20, 14, 20),
+        "mixed-inner-pbc": (20, 8, 32),
+        "block-mps-mixed-inner": (20, None, None),
+        "pattern-2d-inner": (20, 64, 64),
+        "peps-inner-lossless": (20, None, None),
+    }
+    assert reports[-1]["counts"] == [68, 32015, 3104278]
+
+
 def test_criterion_8_structural_identities():
     rng = np.random.default_rng(8)
     # sum-of-chains additivity

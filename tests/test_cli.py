@@ -514,14 +514,23 @@ def test_reproduce_repeated_rank_is_refused(tmp_path):
     ["parafac-als", "-p", "8", "--blocking", "3,3"],
     ["mps-als", "-p", "8", "--blocking", "3,3"],
     ["mixed-als", "-p", "8", "--schedule", "4,4|3,3"],
+    ["parafac-als", "-p", "6", "--blocking", "3,3", "--init", "bogus"],
 ], ids=["mps-D-0", "parafac-rank-0", "parafac-sweeps-0", "mixed-sweeps-0",
         "peps-d-cut-0", "peps-rows-0", "peps-cols-0", "parafac-short-blocking",
-        "mps-short-blocking", "mixed-short-schedule"])
+        "mps-short-blocking", "mixed-short-schedule", "parafac-init-bogus"])
 def test_parameter_errors_exit_2_before_any_work(tmp_path, args):
     out = tmp_path / "x"
     assert main([*args, "--out", str(out)]) == 2
     # refused before the oracle ran and before any result was written
     assert not (out / "summary.json").exists()
+    assert not (out / "oracle_cache.json").exists()
+
+
+def test_config_mode_error_exits_2_before_any_work(tmp_path):
+    # only a config file can set method.mode to a value --mode refuses
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "x"
+    cfg.write_text("[method]\nblocking = 3,3\nmode = bogus\n[model]\np = 6\n")
+    assert main(["parafac-als", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "oracle_cache.json").exists()
 
 

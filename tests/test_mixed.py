@@ -18,7 +18,6 @@ from tnsolve.hamiltonian import (
 from tnsolve.mixed import (
     MixedTerm,
     MixedTermSum,
-    PatternedTerm2D,
     _MixedCrossTerms,
     expectation_mixed,
     ground_state_mixed_greedy,
@@ -26,12 +25,13 @@ from tnsolve.mixed import (
     inner_mixed_obc,
     inner_sum,
     inner_terms,
+    pattern_groups,
     sum_to_dense,
     term_to_dense,
 )
 from tnsolve.mps import from_unit_vector, inner as mps_inner, random_mps, to_dense
 from tnsolve.oracle import rayleigh
-from tnsolve.parafac import greedy_als
+from tnsolve.parafac import _AlignedCrossTerms, _greedy_core, greedy_als
 from tnsolve.tensor import DenseState
 
 
@@ -324,8 +324,8 @@ def test_block_mps_mixed_unit_vectors():
 def random_pattern_term(rng, sb_rows, sb_cols, r_sites, pattern):
     n_pairs = sb_rows * sb_cols // 2
     factors = [crandn(rng, 4**r_sites) for _ in range(n_pairs)]
-    return PatternedTerm2D(sb_rows, sb_cols, r_sites, pattern, factors,
-                           complex(crandn(rng, 1)[0]))
+    return MixedTerm(pattern_groups(sb_rows, sb_cols, r_sites, pattern), factors,
+                     complex(crandn(rng, 1)[0]))
 
 
 def test_pattern_validation():
@@ -337,14 +337,13 @@ def test_pattern_validation():
     t = random_pattern_term(rng, 2, 2, 1, 1)
     assert t.p == 4
     # every subblock appears in exactly one superblock
-    seen = [sb for pair in t.superblocks() for sb in pair]
+    seen = [sb for pair in pattern_groups(2, 2, 1, 1) for sb in pair]
     assert sorted(seen) == list(range(4))
 
 
 @pytest.mark.parametrize("pattern", [1, 2, 3, 4])
 def test_pattern_tiles_lattice(pattern):
-    t = PatternedTerm2D(4, 4, 1, pattern, [np.ones(4)] * 8)
-    seen = [sb for pair in t.superblocks() for sb in pair]
+    seen = [sb for pair in pattern_groups(4, 4, 1, pattern) for sb in pair]
     assert sorted(seen) == list(range(16))
 
 
@@ -361,9 +360,9 @@ def test_pattern_tiles_lattice(pattern):
 def test_pattern_pair_order(sb_rows, sb_cols, pattern, pairs):
     # factor k covers pair k, first subblock as the fast half; with one site
     # per subblock, subblock ids are chain sites
-    t = PatternedTerm2D(sb_rows, sb_cols, 1, pattern, [np.ones(4)] * 4)
-    assert t.superblocks() == pairs
-    assert t.groups == pairs
+    assert list(pattern_groups(sb_rows, sb_cols, 1, pattern)) == pairs
+    assert MixedTerm(pattern_groups(sb_rows, sb_cols, 1, pattern),
+                     [np.ones(4)] * 4).groups == tuple(pairs)
 
 
 def test_pattern_identical_patterns_product_of_dots():
@@ -414,11 +413,13 @@ def test_pattern_lattice_mismatch():
     y = random_pattern_term(rng, 2, 2, 2, 1)
     with pytest.raises(ValueError):
         inner_terms(x, y)
-    # equal p = 8 on transposed subblock lattices is refused as well
+    # equal p = 8 on transposed subblock lattices is contracted to the dense value
     x = random_pattern_term(rng, 2, 4, 1, 1)
     y = random_pattern_term(rng, 4, 2, 1, 3)
-    with pytest.raises(ValueError, match="subblock lattice"):
-        inner_terms(x, y)
+    expect = np.vdot(term_to_dense(y).vector, term_to_dense(x).vector)
+    assert inner_terms(x, y) == pytest.approx(
+        expect, abs=1e-12 * max(1.0, abs(expect))
+    )
 
 
 def test_pattern_expectation_2d_hamiltonian():
@@ -438,8 +439,9 @@ def test_pattern_expectation_2d_hamiltonian():
 # greedy solver over blocking schedules
 
 def random_addend(rng, groups):
-    """A frozen (groups, cols, weight) addend as the greedy solver keeps it."""
-    return groups, [crandn(rng, 2 ** len(g)) for g in groups], complex(crandn(rng, 1)[0])
+    """A frozen addend as the greedy solver keeps it."""
+    return MixedTerm(groups, [crandn(rng, 2 ** len(g)) for g in groups],
+                     complex(crandn(rng, 1)[0]))
 
 
 def product_dense(groups, cols):
@@ -467,7 +469,7 @@ def check_cross_terms(h, working, frozen, rng):
     # group left open; beta and rho are <Y, H Y> and <Y, Y>
     addends = [random_addend(rng, g) for g in frozen]
     cross = _MixedCrossTerms(h, BlockTable(h, working), addends, DEFAULT_TOLS)
-    y = sum(w * product_dense(g, cols) for g, cols, w in addends)
+    y = sum(t.weight * product_dense(t.groups, t.factors) for t in addends)
     hy = materialize_dense(h) @ y
     x_cols = [crandn(rng, 2 ** len(g)) for g in working]
     for i in range(len(working)):
@@ -605,9 +607,35 @@ def test_sum_of_chain_order_and_wrapping_terms_matches_dense():
     assert expectation_mixed(h, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
 
 
-def test_inner_sum_refuses_a_pattern_against_a_chain_term():
-    # both terms cover p = 8, but only one lies on a subblock lattice
+def test_sum_of_a_pattern_and_a_chain_term_matches_dense():
+    # both terms cover p = 8; one is on pattern-1 groups of the 2 x 2
+    # subblock lattice of a 2 x 4 lattice, the other on the blocks 4,4
     rng = np.random.default_rng(73)
+    h = build_ising_2d(2, 4, 0.9, "periodic")
     x = MixedTermSum(8, [random_pattern_term(rng, 2, 2, 2, 1), random_term(rng, (4, 4))])
-    with pytest.raises(ValueError, match="subblock lattice"):
-        inner_sum(x, x)
+    dense = sum_to_dense(x).vector
+    expect = np.vdot(dense, dense)
+    assert inner_sum(x, x) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(expect)))
+    expect = np.vdot(dense, materialize_dense(h) @ dense).real
+    assert expectation_mixed(h, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
+
+
+def test_greedy_stages_on_pattern_groups():
+    # stages on pattern 1, pattern 3 and the blocks 4,4 of a 2 x 4 lattice
+    # (2 x 2 subblocks of two sites): every later stage crosses frozen
+    # addends on other groups
+    h = build_ising_2d(2, 4, 3.0)
+    stages = [pattern_groups(2, 2, 2, 1), pattern_groups(2, 2, 2, 3), Blocking((4, 4)).groups]
+
+    def factory(table, frozen):
+        if all(y.groups == table.groups for y in frozen):
+            return _AlignedCrossTerms(table, frozen)
+        return _MixedCrossTerms(h, table, frozen, DEFAULT_TOLS)
+
+    trace, frozen = _greedy_core(h, stages, 5, 0, DEFAULT_TOLS, factory)
+    assert all(isinstance(t, MixedTerm) for t in frozen)
+    assert [t.groups for t in frozen] == stages
+    dense = sum_to_dense(MixedTermSum(8, frozen))
+    assert trace[-1].energy == pytest.approx(rayleigh(h, dense), abs=1e-10)
+    energies = [t.energy for t in trace if np.isfinite(t.energy)]
+    assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))

@@ -20,6 +20,7 @@ from tnsolve.mps import to_dense as mps_to_dense
 from tnsolve.oracle import ground_state_dense, rayleigh
 from tnsolve.parafac import (
     BlockedCp,
+    MixedTerm,
     _AlignedCrossTerms,
     _greedy_core,
     _mode_problem,
@@ -425,17 +426,17 @@ def test_aligned_numerator_vector_matches_term_loop(model):
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
     rng = np.random.default_rng(51)
-    frozen = [(b.groups, [crandn(rng, 2**w) for w in b.widths], complex(crandn(rng, 1)[0]))
-              for _ in range(3)]
+    frozen = [MixedTerm(b.groups, [crandn(rng, 2**w) for w in b.widths],
+                        complex(crandn(rng, 1)[0])) for _ in range(3)]
     cross = _AlignedCrossTerms(regroup(h, b), frozen)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
     for i in range(b.q):
         ref = np.zeros(2 ** b.widths[i], dtype=complex)
         for k, t in enumerate(h.terms):
-            for _, ys, w in frozen:
-                scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ ys[j])
+            for y in frozen:
+                scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ y.factors[j])
                                  for j in range(b.q) if j != i])
-                ref += t.coefficient * w * scale * (ops[k][i] @ ys[i])
+                ref += t.coefficient * y.weight * scale * (ops[k][i] @ y.factors[i])
         assert close(cross.numerator_vector(x_cols, i), ref), i
 
 
@@ -547,8 +548,8 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
     groups = ((0, 2, 4), (1, 3, 5))
     trace, frozen = _greedy_core(h, [groups] * 3, 30, 0, DEFAULT_TOLS,
                                  _AlignedCrossTerms)
-    assert [g for g, _, _ in frozen] == [groups] * 3
-    y = sum(w * groups_dense(g, cols) for g, cols, w in frozen)
+    assert [t.groups for t in frozen] == [groups] * 3
+    y = sum(t.weight * groups_dense(t.groups, t.factors) for t in frozen)
     e0, _ = ground_state_dense(h)
     energies = [t.energy for t in trace if np.isfinite(t.energy)]
     assert trace[-1].energy == pytest.approx(rayleigh(h, DenseState(6, y)), abs=1e-10)
