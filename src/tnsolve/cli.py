@@ -8,10 +8,12 @@ and seed the bytes are identical across runs.  Timing fields are zero
 unless --timing is given, since wall time is not reproducible; with it, a
 trace row's elapsed_s is the time from the run's start to its update.
 
---validate checks the final energy against the Rayleigh quotient of the
-solver's state made dense, under tolerances.dense_site_cap; above that cap
-it records `validate_skipped` in summary.json instead.  --init takes
-random|spectral.
+The final energy is the last finite trace energy.  Every solver run also
+recomputes it by its state's own format's contractions, at any p
+(`recheck_energy`, `recheck_diff`); --validate also compares it with the
+Rayleigh quotient of the state made dense, under tolerances.dense_site_cap
+(above that cap it records `validate_skipped` instead), and fails on either
+gap above VALIDATE_BOUND or not finite.  --init takes random|spectral.
 
 Exit codes: 0 success, 2 configuration error, 3 dense cap exceeded by a
 method that needs the oracle (exact; never after a successful solve),
@@ -322,6 +324,28 @@ _DENSE_FORMS = {
     "mixed-als": lambda x, cap: mixed.sum_to_dense(x),
 }
 
+#: The largest gap --validate accepts between the final energy and the
+#: state's energy recomputed, densely or by its own format's contractions
+VALIDATE_BOUND = 1e-8
+
+
+def _final_energy(trace) -> float | None:
+    """The last finite trace energy: restart and degenerate-stage markers
+    carry NaN, and a greedy run may end on one."""
+    return next((t.energy for t in reversed(trace) if np.isfinite(t.energy)), None)
+
+
+def _recheck_energy(h: SpinHamiltonian, method: str, x, tols: Tolerances) -> float:
+    """The Rayleigh quotient of a solver's state from its own format's
+    contractions, at any p: a chain's environments, or the mixed networks
+    of its product terms (a BlockedCp's columns taken as MixedTerms)."""
+    if method == "mps-als":
+        return mps.mps_energy(h, x, tols)
+    if method == "parafac-als":
+        x = mixed.MixedTermSum(h.p, [mixed.MixedTerm(x.groups, [f[:, l] for f in x.factors],
+                                                     w) for l, w in enumerate(x.weights)])
+    return mixed.expectation_mixed(h, x, tols) / mixed.inner_sum(x, x).real
+
 
 def _cp_als(h: SpinHamiltonian, blocking: Blocking, rank: int, sweeps: int,
             seed: int, init: str, mode: str,
@@ -402,21 +426,24 @@ def run(cfg: ExperimentConfig) -> int:
                 elif method == "mixed-als":
                     trace, state = mixed.ground_state_mixed_greedy(
                         h, blocks, m.rank, m.sweeps, cfg.seed, tols)
-        final_energy = trace[-1].energy if trace else None
+        final_energy = _final_energy(trace)
         elapsed = time.perf_counter() - started if cfg.timing else 0.0
 
-        if cfg.validate and method in _DENSE_FORMS:
+        if method in _DENSE_FORMS:
+            extras["recheck_energy"] = _recheck_energy(h, method, state, tols)
+            extras["recheck_diff"] = abs(extras["recheck_energy"] - final_energy)
             # the one cap decision: nothing is made dense above it
-            if h.p > cap:
+            if cfg.validate and h.p > cap:
                 extras["validate_skipped"] = f"p={h.p} exceeds the dense cap {cap}"
-            else:
-                check = rayleigh(h, _DENSE_FORMS[method](state, cap), tols)
-                extras["validate_rayleigh"] = check
-                extras["validate_diff"] = abs(check - final_energy)
-                if extras["validate_diff"] > 1e-8:
-                    raise RuntimeError(
-                        f"validation failed: trace energy {final_energy!r}"
-                        f" vs rayleigh {check!r}")
+            elif cfg.validate:
+                dense = _DENSE_FORMS[method](state, cap)
+                extras["validate_rayleigh"] = rayleigh(h, dense, tols)
+                extras["validate_diff"] = abs(extras["validate_rayleigh"] - final_energy)
+            for key in ("recheck_diff", "validate_diff"):
+                # a NaN gap fails too
+                if cfg.validate and not extras.get(key, 0.0) <= VALIDATE_BOUND:
+                    raise RuntimeError(f"validation failed: {key} = {extras[key]!r}"
+                                       f" for trace energy {final_energy!r}")
 
         summary = {
             "schema": "tnsolve-summary-v1",
@@ -487,7 +514,7 @@ def _run_job(args):
         tag = f"{figure}_{mode}_b{blocking.replace(',', '-')}_D{rank}"
         _atomic_write(os.path.join(out_dir, tag + ".csv"),
                       _csv_rows(f"parafac-als-{mode}", cut, e0, None))
-        final = cut[-1].energy
+        final = _final_energy(cut)
         cells.append({
             "figure": figure, "mode": mode, "blocking": blocking, "rank": rank,
             "file": tag + ".csv", "final_energy": final,

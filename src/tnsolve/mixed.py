@@ -18,11 +18,12 @@ the paper's dedicated left-to-right sweep.
 H enters as its matrix product operator over the site groups of one product
 term, whatever they are (:func:`_term_chains`): the term becomes a chain
 of unit bonds and its image under H a chain of the MPO's bonds, so
-<y, H x> is one network per (image, bra) pair.  The greedy solver runs the
-CP greedy loop (`parafac._greedy_core`) with the blocks of each scheduled
-blocking as the site groups of its stages, takes its cross terms against
-frozen addends on other groups from the same images, and returns the
-frozen MixedTerm addends as they are.
+<y, H x> is one network per (image, bra) pair.  The greedy solver hands the
+one greedy loop (`parafac._greedy_core`) the blocks of each scheduled
+blocking as the site groups of its stages; the loop builds the cross
+terms against frozen addends on other groups (:class:`_MixedCrossTerms`)
+from the frozen addends' images, and the solver returns the frozen
+MixedTerm addends as they are.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, mpo
 from .mps import MpsState, _apply_mpo
-from .parafac import MixedTerm, _AlignedCrossTerms, _greedy_core
+from .parafac import MixedTerm, _greedy_core
 from .tensor import DenseState, _contract_labelled, _product_vector, _real_part
 
 
@@ -363,22 +364,15 @@ class _MixedCrossTerms:
 def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
                               sweeps: int = 30, seed: int = 0,
                               tols: Tolerances = DEFAULT_TOLS) -> tuple:
-    """Greedy addend-by-addend minimization where the n-th run of
-    d_per_blocking stages takes the blocks of schedule[n] as its site
-    groups.  Cross terms against frozen addends on other groups run through
-    the mixed kernels.  A blocking that does not cover the chain is refused
+    """Greedy addend-by-addend minimization (`parafac._greedy_core`) where
+    the n-th run of d_per_blocking stages takes the blocks of schedule[n] as
+    its site groups.  A blocking that does not cover the chain is refused
     before the first solve.  Returns (trace, MixedTermSum), the sum's terms
     the frozen addends on their stages' groups."""
     if d_per_blocking < 1:
         raise ValueError("need a positive addend count per scheduled blocking")
     stages = [(b if isinstance(b, Blocking) else Blocking(tuple(b))).groups
               for b in schedule for _ in range(d_per_blocking)]
-
-    def factory(table, frozen):
-        if all(y.groups == table.groups for y in frozen):
-            return _AlignedCrossTerms(table, frozen)
-        return _MixedCrossTerms(h, table, frozen, tols)
-
-    trace, frozen = _greedy_core(h, stages, sweeps, seed, tols, factory)
+    trace, frozen = _greedy_core(h, stages, sweeps, seed, tols)
     return trace, MixedTermSum(h.p, frozen)
 

@@ -13,7 +13,10 @@ blocking's, a 2D pattern's (`mixed.pattern_groups`) or any other partition.
 
 The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
 site groups.  A greedy stage is such a tuple of site groups, and the
-addend it adds is a MixedTerm with one factor per group (:func:`_greedy_core`).
+addend it adds is a MixedTerm with one factor per group.  One loop,
+:func:`_greedy_core`, runs every list of stages and picks the first start
+and each stage's cross terms itself; :func:`greedy_als` and
+`mixed.ground_state_mixed_greedy` only build the list and wrap the addends.
 """
 
 from __future__ import annotations
@@ -288,18 +291,23 @@ class _AlignedCrossTerms:
         return self._cross(x_cols, i, np.ones(1), np.zeros((1, len(x_cols)), int))
 
 
-def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
-                 seed: int, tols: Tolerances, cross_factory,
-                 first_stage=None) -> tuple:
-    """Shared greedy loop: stage d optimizes one new addend, one factor
-    per site group of stages[d] (a tuple of tuples), against the frozen
-    earlier ones.  The tables of all distinct stages are built, and checked,
-    before the first solve.  first_stage(table) gives the first addend's
-    start; cross_factory(table, frozen) the later stages' cross terms.
-    Refuses fewer than one sweep per stage before any work.  Returns (trace,
-    frozen), each frozen addend a MixedTerm on its stage's groups."""
-    if inner_iters < 1:
+def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
+                 tols: Tolerances, init: str = "random") -> tuple:
+    """The one greedy loop: stage d optimizes one new addend, one factor per
+    site group of stages[d] (a tuple of tuples), against the frozen earlier
+    ones.  Stage 1 starts from the block-local ground states with
+    init='spectral' (:func:`_spectral_factors`), every other stage from a
+    random draw.  Cross terms come from the stacked factors
+    (:class:`_AlignedCrossTerms`) when every frozen addend shares the
+    stage's groups, else from `mixed._MixedCrossTerms`.  An unknown init and
+    fewer than one sweep are refused, and the tables of all distinct stages
+    built and checked, before the first solve.  Returns (trace, frozen),
+    each frozen addend a MixedTerm on its stage's groups."""
+    if sweeps < 1:
         raise ValueError("need at least one sweep per stage")
+    if init not in ("random", "spectral"):
+        raise ValueError(f"unknown init {init!r}")
+    from .mixed import _MixedCrossTerms  # mixed imports this module
     rng = np.random.default_rng(seed)
     trace = []
     frozen = []
@@ -316,8 +324,14 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
                 cols.append(v / np.linalg.norm(v))
             return cols
 
-        x_cols = first_stage(table) if stage == 0 and first_stage else fresh_cols()
-        cross = cross_factory(table, frozen) if frozen else None
+        x_cols = ([f[:, 0] for f in _spectral_factors(table, 1)]
+                  if stage == 0 and init == "spectral" else fresh_cols())
+        if not frozen:
+            cross = None
+        elif all(y.groups == table.groups for y in frozen):
+            cross = _AlignedCrossTerms(table, frozen)
+        else:
+            cross = _MixedCrossTerms(h, table, frozen, tols)
 
         def update(it, i):
             h_i, gamma = _stage_matrix(table, x_cols, i)
@@ -338,7 +352,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
             return lam
 
         restarts, degenerate = 0, False
-        while (stop := run_sweeps(update, [range(len(groups))], inner_iters, tols,
+        while (stop := run_sweeps(update, [range(len(groups))], sweeps, tols,
                                   trace, stage + 1)) is not None:
             restarts += 1
             degenerate = restarts > max_restarts
@@ -362,27 +376,19 @@ def _greedy_core(h: SpinHamiltonian, stages: list, inner_iters: int,
 def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
                inner_iters: int = 30, seed: int = 0,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
-    """Grow the rank one addend at a time: a pure rank-one stage first, then
-    each new addend solved from the bordered generalized eigenproblem with
-    all earlier addends frozen.  :func:`generalized_eig_min` drops the
+    """Grow the rank one addend at a time on the groups of `blocking`
+    (:func:`_greedy_core`): a pure rank-one stage first, then each new
+    addend solved from the bordered generalized eigenproblem with all
+    earlier addends frozen.  :func:`generalized_eig_min` drops the
     denominator directions below its floor, which appear when the frozen sum
     already spans the working addend; a solution that then leaves the pinned
-    coordinate at 0 restarts the stage.  init='spectral' starts the first
-    stage from the block-local ground states instead of a random draw,
-    matching the simultaneous solver's default starting point.  Returns
-    (trace, BlockedCp).  No stage depends on d_final: a rank-r run is the
-    rank-R run cut after stage r, entry for entry and addend for addend."""
+    coordinate at 0 restarts the stage.  Returns (trace, BlockedCp).  No
+    stage depends on d_final: a rank-r run is the rank-R run cut after stage
+    r, entry for entry and addend for addend."""
     if d_final < 1:
         raise ValueError("need d_final >= 1")
-    if init == "spectral":
-        def first(table):
-            return [f[:, 0] for f in _spectral_factors(table, 1)]
-    elif init == "random":
-        first = None
-    else:
-        raise ValueError(f"unknown init {init!r}")
     trace, frozen = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
-                                 seed, tols, _AlignedCrossTerms, first)
+                                 seed, tols, init)
     return trace, _stack_addends(frozen)
 
 

@@ -42,6 +42,22 @@ def read(path):
         return fh.read()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}, which strict JSON has no word for")
+
+
+def read_summary(path):
+    """summary.json parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads(read(path), parse_constant=_refuse_constant)
+
+
+@pytest.fixture(autouse=True)
+def every_summary_is_strict_json(tmp_path):
+    yield
+    for path in tmp_path.rglob("summary.json"):
+        read_summary(path)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -164,7 +180,7 @@ def test_exact_run_matches_library(tmp_path):
     rc = main(["exact", "--model", "ising", "-p", "4", "--lam", "1.0",
                "--boundary", "open", "--out", out])
     assert rc == 0
-    summary = json.loads(read(os.path.join(out, "summary.json")))
+    summary = read_summary(os.path.join(out, "summary.json"))
     e0, _ = ground_state_dense(build_ising(4, 1.0, "open"))
     assert summary["final_energy"] == pytest.approx(e0, abs=1e-12)
     assert summary["oracle_energy"] == pytest.approx(e0, abs=1e-12)
@@ -195,7 +211,7 @@ def test_exact_run_solves_once_and_reruns_identically(tmp_path, monkeypatch):
     assert main(args + ["--out", fresh]) == 0
     assert solves == [6, 6]
     assert read(os.path.join(fresh, "trace.csv")) == first[0]
-    summary = json.loads(read(os.path.join(fresh, "summary.json")))
+    summary = read_summary(os.path.join(fresh, "summary.json"))
     assert summary["final_energy"] == summary["oracle_energy"]
 
 
@@ -221,7 +237,7 @@ def test_mps_run_with_validation(tmp_path):
     rc = main(["mps-als", "--model", "ising", "-p", "6", "--lam", "1.0",
                "--rank", "8", "--sweeps", "6", "--out", out, "--validate"])
     assert rc == 0
-    summary = json.loads(read(os.path.join(out, "summary.json")))
+    summary = read_summary(os.path.join(out, "summary.json"))
     assert summary["abs_error"] <= 1e-8
     assert summary["validate_diff"] <= 1e-9
     lines = read(os.path.join(out, "trace.csv")).decode().strip().splitlines()
@@ -245,7 +261,7 @@ def test_timing_gives_each_row_its_own_elapsed_time(tmp_path, args):
     assert set(elapsed(untimed)) == {0.0}
     assert main(args + ["--out", timed, "--timing"]) == 0
     times = elapsed(timed)
-    summary = json.loads(read(os.path.join(timed, "summary.json")))
+    summary = read_summary(os.path.join(timed, "summary.json"))
     assert 0.0 < times[0] and all(a <= b for a, b in zip(times, times[1:]))
     assert times[-1] <= summary["wall_time_s"]
 
@@ -256,7 +272,7 @@ def test_mixed_run(tmp_path):
                "--schedule", "3,3|2,2,2", "--rank", "1", "--sweeps", "6",
                "--out", out])
     assert rc == 0
-    summary = json.loads(read(os.path.join(out, "summary.json")))
+    summary = read_summary(os.path.join(out, "summary.json"))
     assert summary["final_energy"] is not None
     assert summary["abs_error"] >= 0.0
 
@@ -266,7 +282,7 @@ def test_peps_contract_run(tmp_path):
     rc = main(["peps-contract", "--rows", "3", "--cols", "3", "--rank", "2",
                "--d-cut", "4", "--seed", "3", "--out", out])
     assert rc == 0
-    summary = json.loads(read(os.path.join(out, "summary.json")))
+    summary = read_summary(os.path.join(out, "summary.json"))
     assert summary["abs_deviation"] <= 1e-10 * max(
         1.0, abs(summary["dense_re"]))
     assert summary["flops"] > 0
@@ -277,13 +293,13 @@ def test_peps_contract_dense_check_follows_the_configured_cap(tmp_path):
             "--d-cut", "1"]
     out = tmp_path / "default"
     assert main(args + ["--out", str(out)]) == 0
-    summary = json.loads(read(out / "summary.json"))
+    summary = read_summary(out / "summary.json")
     assert summary["abs_deviation"] <= 1e-10 * max(1.0, abs(summary["dense_re"]))
     path = tmp_path / "cfg.ini"
     path.write_text("[tolerances]\ndense_site_cap = 12\n")
     out = tmp_path / "capped"
     assert main(args + ["--config", str(path), "--out", str(out)]) == 0
-    summary = json.loads(read(out / "summary.json"))
+    summary = read_summary(out / "summary.json")
     assert "dense_re" not in summary and "abs_deviation" not in summary
 
 
@@ -317,11 +333,55 @@ def test_validate_above_cap_skips_after_solve(tmp_path):
     rc = main(["mps-als", "-p", "16", "-D", "4", "--sweeps", "2", "--validate",
                "--out", str(out)])
     assert rc == 0
-    summary = json.loads(read(out / "summary.json"))
+    summary = read_summary(out / "summary.json")
     assert summary["validate_skipped"] == "p=16 exceeds the dense cap 14"
     assert summary["oracle_energy"] is None
     assert summary["final_energy"] is not None
     assert "validate_diff" not in summary
+
+
+def test_greedy_run_ending_on_a_marker_reports_its_last_energy(tmp_path):
+    # one two-site block at lam = 0: the rank-one stage is exact, so stage 2
+    # restarts until it freezes a weight-zero addend and the trace ends on a
+    # NaN marker
+    out = tmp_path / "x"
+    rc = main(["parafac-als", "-p", "2", "--lam", "0", "--blocking", "2", "-D", "2",
+               "--mode", "greedy", "--sweeps", "20", "--validate", "--out", str(out)])
+    assert rc == 0
+    summary = read_summary(out / "summary.json")
+    assert summary["final_energy"] == pytest.approx(-1.0, abs=1e-12)
+    assert summary["abs_error"] <= 1e-12
+    assert summary["validate_diff"] <= 1e-12 and summary["recheck_diff"] <= 1e-12
+
+
+def test_validate_fails_on_a_gap_that_is_not_finite(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "rayleigh", lambda *args: float("nan"))
+    out = tmp_path / "x"
+    rc = main(["parafac-als", "-p", "6", "--blocking", "3,3", "--sweeps", "2",
+               "--validate", "--out", str(out)])
+    assert rc == 4
+    assert not (out / "summary.json").exists()
+
+
+def test_recheck_gap_fails_only_under_validate(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_recheck_energy", lambda *args: 0.0)
+    args = ["mps-als", "-p", "6", "-D", "2", "--sweeps", "2"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    summary = read_summary(tmp_path / "plain" / "summary.json")
+    assert summary["recheck_energy"] == 0.0
+    assert summary["recheck_diff"] == abs(summary["final_energy"])
+    assert main(args + ["--validate", "--out", str(tmp_path / "checked")]) == 4
+    assert not (tmp_path / "checked" / "summary.json").exists()
+
+
+def test_mixed_run_above_the_cap_is_rechecked(tmp_path):
+    out = tmp_path / "x"
+    rc = main(["mixed-als", "-p", "16", "--schedule", "8,8|4,4,4,4", "-D", "1",
+               "--sweeps", "3", "--validate", "--out", str(out)])
+    assert rc == 0
+    summary = read_summary(out / "summary.json")
+    assert summary["validate_skipped"] == "p=16 exceeds the dense cap 14"
+    assert summary["recheck_diff"] < 1e-10
 
 
 def test_validate_runs_at_the_configured_cap(tmp_path):
@@ -331,7 +391,7 @@ def test_validate_runs_at_the_configured_cap(tmp_path):
     rc = main(["mps-als", "--config", str(path), "-p", "15", "-D", "4",
                "--sweeps", "2", "--validate", "--out", str(out)])
     assert rc == 0
-    summary = json.loads(read(out / "summary.json"))
+    summary = read_summary(out / "summary.json")
     assert "validate_skipped" not in summary
     assert summary["validate_diff"] <= 1e-8
 
@@ -344,7 +404,7 @@ def test_validate_above_cap_never_densifies(tmp_path, monkeypatch):
                "--sweeps", "2", "--validate", "--out", str(out)])
     assert rc == 0
     assert calls == []
-    summary = json.loads(read(out / "summary.json"))
+    summary = read_summary(out / "summary.json")
     assert summary["validate_skipped"] == "p=16 exceeds the dense cap 14"
 
 

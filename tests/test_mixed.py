@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tnsolve import flops, parafac
+from tnsolve import flops, mixed, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
@@ -31,7 +31,7 @@ from tnsolve.mixed import (
 )
 from tnsolve.mps import from_unit_vector, inner as mps_inner, random_mps, to_dense
 from tnsolve.oracle import rayleigh
-from tnsolve.parafac import _AlignedCrossTerms, _greedy_core, greedy_als
+from tnsolve.parafac import _greedy_core, greedy_als
 from tnsolve.tensor import DenseState
 
 
@@ -572,6 +572,23 @@ def test_mixed_greedy_refuses_zero_sweeps_before_any_update(monkeypatch):
     assert calls == []
 
 
+def test_cp_greedy_never_builds_mixed_cross_terms(monkeypatch):
+    # the aligned cross terms are the fast path of every CP greedy stage; a
+    # schedule of two blockings on the same chain shows the spy sees both kinds
+    built = []
+    for module, name in ((parafac, "_AlignedCrossTerms"), (mixed, "_MixedCrossTerms")):
+        cls = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, cls=cls: built.append(cls.__name__) or cls(*args))
+    h = build_ising(6, 1.0)
+    for init in ("random", "spectral"):
+        greedy_als(h, Blocking((3, 3)), 3, inner_iters=5, init=init)
+    assert built == ["_AlignedCrossTerms"] * 4
+    built.clear()
+    ground_state_mixed_greedy(h, [(3, 3), (2, 4)], 2, sweeps=5)
+    assert built == ["_AlignedCrossTerms", "_MixedCrossTerms", "_MixedCrossTerms"]
+
+
 def test_mixed_greedy_returns_addends_on_their_stage_groups():
     schedule = [Blocking((3, 3)), (2, 2, 2)]
     _, state = ground_state_mixed_greedy(build_ising(6, 1.0), schedule, 2, sweeps=3)
@@ -626,13 +643,7 @@ def test_greedy_stages_on_pattern_groups():
     # addends on other groups
     h = build_ising_2d(2, 4, 3.0)
     stages = [pattern_groups(2, 2, 2, 1), pattern_groups(2, 2, 2, 3), Blocking((4, 4)).groups]
-
-    def factory(table, frozen):
-        if all(y.groups == table.groups for y in frozen):
-            return _AlignedCrossTerms(table, frozen)
-        return _MixedCrossTerms(h, table, frozen, DEFAULT_TOLS)
-
-    trace, frozen = _greedy_core(h, stages, 5, 0, DEFAULT_TOLS, factory)
+    trace, frozen = _greedy_core(h, stages, 5, 0, DEFAULT_TOLS)
     assert all(isinstance(t, MixedTerm) for t in frozen)
     assert [t.groups for t in frozen] == stages
     dense = sum_to_dense(MixedTermSum(8, frozen))

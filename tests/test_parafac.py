@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops
+from tnsolve import flops, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
@@ -290,7 +290,7 @@ def test_greedy_error_weakly_decreasing_in_rank():
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(errs, errs[1:]))
 
 
-def test_greedy_spectral_first_stage():
+def test_greedy_spectral_start_matches_simultaneous():
     h = build_ising(8, 1.0, "open")
     t1, _ = greedy_als(h, Blocking((4, 4)), 1, inner_iters=20, seed=0,
                        init="spectral")
@@ -546,8 +546,7 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
     # later stage stacks the frozen addends on the same scattered groups
     h = build_ising(6, 1.0, "periodic")
     groups = ((0, 2, 4), (1, 3, 5))
-    trace, frozen = _greedy_core(h, [groups] * 3, 30, 0, DEFAULT_TOLS,
-                                 _AlignedCrossTerms)
+    trace, frozen = _greedy_core(h, [groups] * 3, 30, 0, DEFAULT_TOLS)
     assert [t.groups for t in frozen] == [groups] * 3
     y = sum(t.weight * groups_dense(t.groups, t.factors) for t in frozen)
     e0, _ = ground_state_dense(h)
@@ -559,3 +558,12 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
 def test_greedy_refuses_zero_sweeps():
     with pytest.raises(ValueError, match="sweep"):
         greedy_als(build_ising(4, 1.0), Blocking((2, 2)), 1, inner_iters=0)
+
+
+def test_greedy_core_refuses_unknown_init_before_any_update(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parafac, "run_sweeps", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown init 'bogus'"):
+        _greedy_core(build_ising(6, 1.0), [((0, 1, 2), (3, 4, 5))], 5, 0, DEFAULT_TOLS,
+                     init="bogus")
+    assert calls == []
