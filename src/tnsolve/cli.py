@@ -15,9 +15,10 @@ Rayleigh quotient of the state made dense, under tolerances.dense_site_cap
 (above that cap it records `validate_skipped` instead), and fails on either
 gap above VALIDATE_BOUND or not finite.  --init takes random|spectral.
 
-Exit codes: 0 success, 2 configuration error, 3 dense cap exceeded by a
-method that needs the oracle (exact; never after a successful solve),
-4 solver or validation failure.
+Exit codes, of a run and of `reproduce` alike (`_exit_code`): 0 success,
+2 configuration error, 3 dense cap exceeded by a method that needs the
+oracle (exact; never after a successful solve), 4 solver or validation
+failure, or results that cannot be written.
 """
 
 from __future__ import annotations
@@ -224,15 +225,22 @@ def _solver_blocks(m: MethodSpec, p: int):
 
 
 def build_model(spec: ModelSpec) -> SpinHamiltonian:
-    if spec.name == "ising":
-        return build_ising(spec.site_count(), spec.lam, spec.boundary)
-    if spec.name == "heisenberg-xy":
-        return build_heisenberg_xy(spec.site_count(), spec.jx, spec.jy,
-                                   spec.lam, spec.boundary)
-    if spec.name == "ising-2d":
-        spec.site_count()
+    """The configured model.  An unknown name, a missing or too small size,
+    a bad boundary and a coupling that is not finite are ConfigErrors."""
+    if spec.name not in ("ising", "heisenberg-xy", "ising-2d"):
+        raise ConfigError(f"unknown model {spec.name!r}")
+    p = spec.site_count()
+    for key in ("lam", "jx", "jy"):
+        if not np.isfinite(getattr(spec, key)):
+            raise ConfigError(f"model.{key} must be finite, got {getattr(spec, key)!r}")
+    try:
+        if spec.name == "ising":
+            return build_ising(p, spec.lam, spec.boundary)
+        if spec.name == "heisenberg-xy":
+            return build_heisenberg_xy(p, spec.jx, spec.jy, spec.lam, spec.boundary)
         return build_ising_2d(spec.rows, spec.cols, spec.lam, spec.boundary)
-    raise ConfigError(f"unknown model {spec.name!r}")
+    except ValueError as err:
+        raise ConfigError(f"model {spec.name!r}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +474,22 @@ def run(cfg: ExperimentConfig) -> int:
             gap = "" if e0 is None else f"  |E - E0| = {abs(final_energy - e0):.3e}"
             print(f"{method}: E = {final_energy!r}{gap}")
         return 0
-    except ConfigError as err:
+    except Exception as err:
+        return _exit_code(err)
+
+
+def _exit_code(err: Exception) -> int:
+    """The documented exit code of a failed run or reproduction, with the
+    error on stderr: 2 configuration error, 3 dense cap exceeded, 4 any
+    other failure (solver, validation, or writing the results)."""
+    if isinstance(err, ConfigError):
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except DimensionCapError as err:
+    if isinstance(err, DimensionCapError):
         print(f"cap exceeded: {err}", file=sys.stderr)
         return 3
-    except Exception as err:  # solver and validation failures
-        print(f"run failed ({type(err).__name__}): {err}", file=sys.stderr)
-        return 4
+    print(f"run failed ({type(err).__name__}): {err}", file=sys.stderr)
+    return 4
 
 
 def _jsonable(obj):
@@ -671,9 +686,8 @@ def main(argv=None) -> int:
         cfg.method.name = ns.command
         _apply_overrides(cfg, ns)
         return run(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    except Exception as err:
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

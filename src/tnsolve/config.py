@@ -14,8 +14,9 @@ class Tolerances:
     #: a generalized eigensolve drops the directions of its denominator b whose
     #: eigenvalue is at or below pd_floor_scale * trace(b)/dim(b)
     pd_floor_scale: float = 1e-12
-    #: singular values below zero_singular * sigma_max are dropped by the SVD
-    #: gauge steps; the QR gauge steps keep every direction
+    #: singular values at or below zero_singular * sigma_max are dropped only
+    #: where a chain's bond is cut (the grid contraction's SVD pass); the QR
+    #: steps that move a chain's orthogonality center keep every direction
     zero_singular: float = 1e-14
     #: imaginary residue allowed when a quotient is asserted real
     rayleigh_imag: float = 1e-10

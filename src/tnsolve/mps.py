@@ -177,39 +177,6 @@ def _split_rows(u: np.ndarray, dl: int, d: int) -> np.ndarray:
     return u.reshape(d, dl, -1).transpose(1, 0, 2)
 
 
-def _trimmed_svd(m: np.ndarray, d_max: int | None = None,
-                 tols: Tolerances = DEFAULT_TOLS):
-    """SVD dropping exact-zero singular values (and capping at d_max)."""
-    u, s, v = svd(m)
-    rank = int(np.sum(s > tols.zero_singular * s[0])) if s.size and s[0] > 0.0 else 0
-    rank = max(rank, 1) if d_max is None else min(max(rank, 1), int(d_max))
-    return u[:, :rank], s[:rank], v[:rank, :]
-
-
-def _shift_center_right(sites: list, c: int, tols: Tolerances,
-                        d_max: int | None = None) -> None:
-    """Left-gauge sites[c] by SVD, keeping at most d_max singular values,
-    and push the remaining factor s v into sites[c + 1]."""
-    dl, d, _ = sites[c].shape
-    u, s, v = _trimmed_svd(_merge_rows(sites[c]), d_max, tols)
-    sites[c] = _split_rows(u, dl, d)
-    sites[c + 1] = flops.tdot(s[:, None] * v, sites[c + 1], axes=(1, 0))
-
-
-def _mirrored(shift, sites: list, c: int, *args) -> None:
-    """The rightward step `shift` at sites[c] of the mirrored chain: it
-    right-gauges sites[c] and pushes the remaining factor into sites[c - 1]."""
-    pair = [sites[c].transpose(2, 1, 0), sites[c - 1].transpose(2, 1, 0)]
-    shift(pair, 0, *args)
-    sites[c], sites[c - 1] = (t.transpose(2, 1, 0) for t in pair)
-
-
-def _shift_center_left(sites: list, c: int, tols: Tolerances) -> None:
-    """Right-gauge sites[c] and push the remaining factor into sites[c - 1]:
-    :func:`_shift_center_right` on the two sites mirrored."""
-    _mirrored(_shift_center_right, sites, c, tols)
-
-
 def _qr_shift_right(sites: list, c: int) -> None:
     """Left-gauge sites[c] by reduced QR, keeping every direction, and push
     R into sites[c + 1]."""
@@ -219,40 +186,56 @@ def _qr_shift_right(sites: list, c: int) -> None:
     sites[c + 1] = flops.tdot(r, sites[c + 1], axes=(1, 0))
 
 
+def _move_center(sites: list, a: int, b: int) -> None:
+    """Move the orthogonality center from sites[a] to sites[b], in place, by
+    :func:`_qr_shift_right` steps.  Going right, each site passed is
+    left-gauged; going left, each is right-gauged by the same step on the
+    mirrored pair.  The represented vector is unchanged, and a bond shrinks
+    only where its site cannot carry it."""
+    for c in range(a, b):
+        _qr_shift_right(sites, c)
+    for c in range(a, b, -1):
+        pair = [sites[c].transpose(2, 1, 0), sites[c - 1].transpose(2, 1, 0)]
+        _qr_shift_right(pair, 0)
+        sites[c], sites[c - 1] = (t.transpose(2, 1, 0) for t in pair)
+
+
 def _truncate_bonds(sites: list, d_max: int, tols: Tolerances) -> None:
     """Cap every bond of an open chain at d_max, in place.  One exact QR
     step at the top clamps bond 1 to what site 0 carries (a chain that just
     absorbed an MPO can hold far more there), a QR pass from the bottom
-    right-gauges the chain without truncation, and the top-down SVD pass of
-    :func:`_shift_center_right` then truncates each cut against its true
-    spectrum, so a cap at or above the exact bond rank loses nothing."""
+    right-gauges the chain without truncation, and a top-down SVD pass then
+    left-gauges each site and cuts its bond against the true spectrum,
+    keeping at most d_max singular values above tols.zero_singular times
+    the largest (and at least one), so a cap at or above the exact bond rank
+    loses nothing."""
     if len(sites) < 2:
         return
     _qr_shift_right(sites, 0)
-    for c in range(len(sites) - 1, 0, -1):
-        _mirrored(_qr_shift_right, sites, c)
+    _move_center(sites, len(sites) - 1, 0)
     for c in range(len(sites) - 1):
-        _shift_center_right(sites, c, tols, d_max=d_max)
+        dl, d, _ = sites[c].shape
+        u, s, v = svd(_merge_rows(sites[c]))
+        rank = max(1, min(int(np.sum(s > tols.zero_singular * s[0])), d_max))
+        sites[c] = _split_rows(u[:, :rank], dl, d)
+        sites[c + 1] = flops.tdot(s[:rank, None] * v[:rank], sites[c + 1], axes=(1, 0))
 
 
-def normalize_left_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
-    """Left-gauge sites 1..q-1 by successive SVDs, pushing the remaining
-    factor to the right.  The represented vector is unchanged; for open
-    chains the returned status carries gamma = squared norm."""
+def normalize_left_sweep(x: MpsState):
+    """Left-gauge sites 1..q-1 by successive QR steps, pushing the remaining
+    factor to the right (:func:`_move_center`).  The represented vector is
+    unchanged; for open chains the returned status carries gamma = squared
+    norm."""
     out = x.copy()
-    q = out.q
-    for j in range(q - 1):
-        _shift_center_right(out.sites, j, tols)
+    _move_center(out.sites, 0, out.q - 1)
     gamma = float(np.sum(np.abs(out.sites[-1]) ** 2))
     return out, GaugeStatus(gamma if out.boundary == "open" else None)
 
 
-def normalize_right_sweep(x: MpsState, tols: Tolerances = DEFAULT_TOLS):
+def normalize_right_sweep(x: MpsState):
     """Mirror image of :func:`normalize_left_sweep`: gauges sites q..2."""
     out = x.copy()
-    q = out.q
-    for j in range(q - 1, 0, -1):
-        _shift_center_left(out.sites, j, tols)
+    _move_center(out.sites, out.q - 1, 0)
     gamma = float(np.sum(np.abs(out.sites[0]) ** 2))
     return out, GaugeStatus(gamma if out.boundary == "open" else None)
 
@@ -417,9 +400,10 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
     below its floor.
 
     update(sweep, c) moves the center to c: it re-gauges the site left
-    behind by SVD and grows the environments over it (even sweeps go right,
-    odd ones left), then replaces site c by the lowest local eigenvector and
-    returns its energy.
+    behind by one QR step (:func:`_move_center`), which keeps its bonds, and
+    grows the environments over it (even sweeps go right, odd ones left),
+    then replaces site c by the lowest local eigenvector and returns its
+    energy.
     """
     q = state.q
     ws = mpo(table)
@@ -440,9 +424,8 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
         step = 1 if sweep % 2 == 0 else -1
         behind = c - step
         if 0 <= behind < q:
-            shift, envs = ((_shift_center_right, lenv) if step > 0
-                           else (_shift_center_left, renv))
-            shift(state.sites, behind, tols)
+            _move_center(state.sites, behind, c)
+            envs = lenv if step > 0 else renv
             envs[c] = grown(envs[behind], behind, step)
         site = state.sites[c]
         if periodic:
@@ -478,7 +461,7 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     environments into the numerator and denominator of a generalized pencil,
     solved on the eigenspace of the denominator above its floor.
     One sweep is one directional pass; direction alternates, re-gauging by
-    SVD after every update, and two consecutive sweeps that move the energy
+    QR after every update, and two consecutive sweeps that move the energy
     by less than tols.convergence stop the search.  Returns (trace, state)
     with a nonincreasing energy trace.
     """
@@ -489,9 +472,9 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     state = random_mps(p, d_bond, boundary, blocking, seed)
     table = regroup(h, state.blocking)
     if boundary == "open":
-        state, _ = normalize_right_sweep(state, tols)
+        state, _ = normalize_right_sweep(state)
     else:
-        state, _ = normalize_left_sweep(state, tols)
+        state, _ = normalize_left_sweep(state)
     trace = []
     run_sweeps(_chain_local(table, state, tols),
                (range(state.q), range(state.q - 1, -1, -1)), sweeps, tols, trace,

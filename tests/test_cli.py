@@ -575,9 +575,17 @@ def test_reproduce_repeated_rank_is_refused(tmp_path):
     ["mps-als", "-p", "8", "--blocking", "3,3"],
     ["mixed-als", "-p", "8", "--schedule", "4,4|3,3"],
     ["parafac-als", "-p", "6", "--blocking", "3,3", "--init", "bogus"],
+    ["exact", "-p", "1"],
+    ["mps-als", "-p", "1"],
+    ["exact", "--model", "ising-2d", "--rows", "1", "--cols", "1"],
+    ["exact", "-p", "4", "--lam", "nan"],
+    ["exact", "-p", "4", "--lam", "inf"],
+    ["exact", "--model", "heisenberg-xy", "-p", "4", "--jy=-inf"],
 ], ids=["mps-D-0", "parafac-rank-0", "parafac-sweeps-0", "mixed-sweeps-0",
         "peps-d-cut-0", "peps-rows-0", "peps-cols-0", "parafac-short-blocking",
-        "mps-short-blocking", "mixed-short-schedule", "parafac-init-bogus"])
+        "mps-short-blocking", "mixed-short-schedule", "parafac-init-bogus",
+        "exact-p-1", "mps-p-1", "ising-2d-one-site", "lam-nan", "lam-inf",
+        "xy-jy-inf"])
 def test_parameter_errors_exit_2_before_any_work(tmp_path, args):
     out = tmp_path / "x"
     assert main([*args, "--out", str(out)]) == 2
@@ -600,6 +608,21 @@ def test_reproduce_refuses_a_blocking_that_does_not_cover_the_chain(tmp_path):
         reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[1],
                          blockings=["5,5", "3,3"])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["reproduce", "--figure", "p10", "--ranks", "1", "--sweeps", "1"],
+    ["exact", "-p", "4"],
+], ids=["reproduce", "exact"])
+def test_unwritable_out_exits_4_without_a_traceback(tmp_path, capsys, command):
+    # an out dir under a regular file fails the same way for a run and for
+    # reproduce: a run failure, reported on one line
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    assert main([*command, "--out", str(blocker / "x")]) == 4
+    err = capsys.readouterr().err
+    assert "run failed (NotADirectoryError)" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -36,6 +36,7 @@ from tnsolve.mps import (
     to_dense,
 )
 from tnsolve.oracle import ground_state_dense, rayleigh
+from tnsolve.peps import inner_peps, random_peps
 
 
 def crandn(rng, *shape):
@@ -419,6 +420,49 @@ def test_als_blocked_periodic_near_singular_denominator(blocking, seed):
     assert abs(energies[-1] - e0) <= 1e-8
 
 
+def spy_svd(monkeypatch):
+    """Shapes of every matrix handed to np.linalg.svd from now on."""
+    shapes, svd = [], np.linalg.svd
+
+    def wrapped(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", wrapped)
+    return shapes
+
+
+@pytest.mark.parametrize("boundary,blocking", [
+    ("open", None), ("periodic", None), ("periodic", "2,1,3"),
+], ids=["open", "periodic", "blocked-periodic"])
+def test_center_moves_take_no_svd(monkeypatch, boundary, blocking):
+    # QR moves every orthogonality center, in ALS and in both sweeps
+    shapes = spy_svd(monkeypatch)
+    blocks = Blocking.from_string(blocking) if blocking else None
+    als_ground_state(build_ising(6, 1.0, boundary), 6, 4, boundary, sweeps=2,
+                     seed=0, blocking=blocks)
+    x = random_mps(6, 3, boundary, blocking=blocks, seed=10)
+    normalize_left_sweep(x)
+    normalize_right_sweep(x)
+    assert shapes == []
+
+
+def test_only_a_bond_cut_takes_an_svd(monkeypatch):
+    # the grid contraction cuts its grown bonds to d_cut by SVD
+    shapes = spy_svd(monkeypatch)
+    inner_peps(random_peps(3, 3, 2, seed=9), random_peps(3, 3, 2, seed=109), d_cut=2)
+    assert shapes
+
+
+def test_als_keeps_its_bonds_at_zero_singular_values():
+    # at lam = 0 the ground state is a product state, so the gauge steps meet
+    # singular values that are exactly zero; a QR step keeps every bond,
+    # which single-site ALS could never regrow
+    trace, state = als_ground_state(build_ising(8, 0.0), 8, 4, "open", sweeps=6, seed=1)
+    assert bond_dims(state) == (1, 2, 4, 4, 4, 4, 4, 2, 1)
+    assert trace[-1].energy == pytest.approx(-7.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("boundary,p,d_bond,entries,energy", [
     ("open", 8, 4, 40, -9.837949818606878),
     ("periodic", 6, 2, 60, -7.726522065342363),
@@ -491,8 +535,8 @@ def test_periodic_pencil_from_cached_environments(monkeypatch):
     blocked = regroup(h, Blocking.single_sites(p))
     states, pencils, snapshots = [], [], []
 
-    def gauged(x, tols):
-        out, status = normalize_left_sweep(x, tols)
+    def gauged(x):
+        out, status = normalize_left_sweep(x)
         states.append(out)  # the chain the sweeps update in place
         return out, status
 

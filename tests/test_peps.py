@@ -9,8 +9,6 @@ from tnsolve import flops, mps
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.mps import (
     _apply_mpo,
-    _shift_center_left,
-    _shift_center_right,
     inner as mps_inner,
     random_mps,
     to_dense as mps_to_dense,
@@ -97,6 +95,19 @@ def test_inner_truncation_sweep_reports_deviation():
         warnings.warn(f"deviation not monotone in the cap: {devs}")
 
 
+def svd_step(chain, r, tols, d_max=None):
+    """Left-gauge chain[r] by a numpy SVD that drops the singular values at
+    or below zero_singular * sigma_max (and keeps at most d_max), and push
+    s v into chain[r + 1]."""
+    dl, d, dr = chain[r].shape
+    u, s, v = np.linalg.svd(chain[r].transpose(1, 0, 2).reshape(d * dl, dr),
+                            full_matrices=False)
+    rank = max(1, int(np.sum(s > tols.zero_singular * s[0])))
+    rank = rank if d_max is None else min(rank, d_max)
+    chain[r] = u[:, :rank].reshape(d, dl, rank).transpose(1, 0, 2)
+    chain[r + 1] = np.tensordot(s[:rank, None] * v[:rank], chain[r + 1], axes=(1, 0))
+
+
 def svd_gauge_inner(x, y, d_cut, tols=DEFAULT_TOLS):
     """The column scheme with the earlier SVD passes after every absorption:
     an uncapped bottom-up right-gauge, then the capped top-down sweep."""
@@ -105,9 +116,12 @@ def svd_gauge_inner(x, y, d_cut, tols=DEFAULT_TOLS):
     for c in range(1, x.cols):
         chain = _apply_mpo(_merge_pair_column(x, y, c), chain)
         for r in range(rows - 1, 0, -1):
-            _shift_center_left(chain, r, tols)
+            # the rightward step on the mirrored pair right-gauges chain[r]
+            pair = [chain[r].transpose(2, 1, 0), chain[r - 1].transpose(2, 1, 0)]
+            svd_step(pair, 0, tols)
+            chain[r], chain[r - 1] = (t.transpose(2, 1, 0) for t in pair)
         for r in range(rows - 1):
-            _shift_center_right(chain, r, tols, d_max=d_cut)
+            svd_step(chain, r, tols, d_max=d_cut)
     env = chain[rows - 1][:, 0, 0]
     for r in range(rows - 2, -1, -1):
         env = chain[r][:, 0, :] @ env
