@@ -355,6 +355,13 @@ def _recheck_energy(h: SpinHamiltonian, method: str, x, tols: Tolerances) -> flo
     return mixed.expectation_mixed(h, x, tols) / mixed.inner_sum(x, x).real
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed, which the random generators reject only
+    once a solver starts."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _cp_als(h: SpinHamiltonian, blocking: Blocking, rank: int, sweeps: int,
             seed: int, init: str, mode: str,
             tols: Tolerances = DEFAULT_TOLS) -> tuple:
@@ -374,6 +381,7 @@ def run(cfg: ExperimentConfig) -> int:
         method = cfg.method.name
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
+        _check_seed(cfg.seed)
 
         extras: dict = {}
         trace, state, e0 = [], None, None
@@ -555,6 +563,7 @@ def reproduce_figure(figure: str, mode: str, out_dir: str, sweeps: int = 50,
     if min(use_ranks) < 1 or sweeps < 1 or workers < 1:
         raise ConfigError("need ranks, sweeps and workers >= 1, got "
                           f"{use_ranks}, {sweeps}, {workers}")
+    _check_seed(seed)
     for name, values in (("ranks", use_ranks), ("blockings", use_blockings)):
         if len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat, got {values}")

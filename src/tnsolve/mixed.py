@@ -354,11 +354,11 @@ class _MixedCrossTerms:
             total += scalar * tens.reshape(-1, order="F")
         return total
 
-    def numerator_vector(self, x_cols, i):
-        return self._open_contract(x_cols, i, self.images)
-
-    def denominator_vector(self, x_cols, i):
-        return self._open_contract(x_cols, i, self.kets)
+    def vectors(self, x_cols, i) -> tuple:
+        """(u_i, v_i): the working group left open against the frozen
+        images H y and the frozen addends y."""
+        return (self._open_contract(x_cols, i, self.images),
+                self._open_contract(x_cols, i, self.kets))
 
 
 def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,

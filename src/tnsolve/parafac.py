@@ -12,8 +12,10 @@ one product-term type, whether its groups are a blocking's blocks, a cyclic
 blocking's, a 2D pattern's (`mixed.pattern_groups`) or any other partition.
 
 The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
-site groups.  A greedy stage is such a tuple of site groups, and the
-addend it adds is a MixedTerm with one factor per group.  One loop,
+site groups, and sweep over environments cached against its MPO
+(:class:`_Environments`), so a sweep costs O(q) block contractions.  A
+greedy stage is such a tuple of site groups, and the addend it adds is a
+MixedTerm with one factor per group.  One loop,
 :func:`_greedy_core`, runs every list of stages and picks the first start
 and each stage's cross terms itself; :func:`greedy_als` and
 `mixed.ground_state_mixed_greedy` only build the list and wrap the addends.
@@ -28,12 +30,14 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, regroup
+from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, mpo, regroup
 from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
     DenseState,
+    _phase_normalize_columns,
     _product_vector,
+    _whitening,
     generalized_eig_min,
     hermitian_eig,
 )
@@ -41,11 +45,15 @@ from .tensor import (
 
 def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
                      gamma: float, v_i: np.ndarray, rho: float) -> tuple:
-    """Greedy-stage pencil (numerator, denominator) over (x_i, 1): self
-    block, cross vectors against the frozen addends, and the frozen addends'
-    own scalars.  The numerator is Hermitian and the denominator Hermitian
-    positive semidefinite; :func:`generalized_eig_min` solves it whether or
-    not the denominator is singular."""
+    """Greedy-stage pencil (numerator, denominator) over (x_i, 1): the self
+    block h_i and gamma (:func:`_stage_matrix`), the cross vectors u_i and
+    v_i against the frozen addends (from MPO environments or piece networks,
+    `vectors` of the cross-term classes), and the frozen addends' own
+    scalars.  The numerator is Hermitian and the denominator Hermitian
+    positive semidefinite.  The border keeps the denominator from being a
+    Kronecker product, so unlike the simultaneous pencil
+    (:func:`_mode_solve`) it is not whitened at a smaller Gram matrix:
+    :func:`generalized_eig_min` solves it whole, singular or not."""
     def border(mat, vec, corner):
         out = np.empty((dim + 1, dim + 1), dtype=complex)
         out[:dim, :dim], out[:dim, dim], out[dim, :dim], out[dim, dim] = \
@@ -225,20 +233,85 @@ def _spectral_factors(table: BlockTable, rank: int, seed: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
+# environments over the Hamiltonian's MPO
+
+def _transfer(bra: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """bra^H W[a, b] ket for every channel pair (a, b) of an MPO site W of
+    shape (w_i, w_{i+1}, n, n): (w_i, w_{i+1}, m, m') from the (n, m) bra
+    column stack of one block and the image W ket (w_i, w_{i+1}, n, m') of
+    its ket stack."""
+    return flops.matmul(bra.conj().T, image)
+
+
+class _Environments:
+    """Cached environments of a CP sweep, bra stacks against ket stacks,
+    over the Hamiltonian's MPO (sites W_j), as `mps._chain_local` keeps
+    them for a chain.  left[i][a] (m, m') sums, over the automaton paths
+    that reach channel a at cut i, the Hadamard products over blocks j < i
+    of the transfers bra_j^H W_j[a_j, a_{j+1}] ket_j (:func:`_transfer`);
+    right[i][b] does the same over blocks j > i from channel b at cut
+    i + 1.  The "start" (first) and "done" (last) channels carry only
+    identities, so left[i][0] * right[i][-1] is the product over j != i of
+    the overlaps bra_j^H ket_j.
+
+    :meth:`blocks` serves the modes of a sweep in the order 0, ..., q - 1,
+    as :func:`run_sweeps` visits them: mode 0 rebuilds every right
+    environment from the current stacks, and mode i > 0 grows left[i] over
+    block i - 1, the one just solved: 2(q - 1) transfers a sweep.  Each
+    transfer applies W_j to its ket stack, unless `fixed_kets` gave stacks
+    that never change, whose images W_j ket_j are then formed once."""
+
+    def __init__(self, ws: list, shape: tuple, fixed_kets: list | None = None):
+        edge = np.ones((1,) + shape, dtype=complex)
+        self.ws = ws
+        self.left = [edge] + [None] * (len(ws) - 1)
+        self.right = [None] * (len(ws) - 1) + [edge]
+        self.images = (None if fixed_kets is None else
+                       [flops.matmul(w, k) for w, k in zip(ws, fixed_kets)])
+
+    def image(self, kets: list, j: int) -> np.ndarray:
+        """W_j kets[j], shape (w_j, w_{j+1}, n, m')."""
+        if self.images is not None:
+            return self.images[j]
+        return flops.matmul(self.ws[j], kets[j])
+
+    def blocks(self, bras: list, kets: list, i: int, scale) -> np.ndarray:
+        """scale * left[i][a] * right[i][b] for every channel pair (a, b) of
+        block i, shape (w_i, w_{i+1}, m, m'): the coefficient of W_i[a, b] in
+        the local problem of mode i."""
+        if i == 0:
+            for j in range(len(self.ws) - 1, 0, -1):
+                t = _transfer(bras[j], self.image(kets, j))
+                flops.add(t.size)
+                self.right[j - 1] = (t * self.right[j][None]).sum(axis=1)
+        else:
+            t = _transfer(bras[i - 1], self.image(kets, i - 1))
+            flops.add(t.size)
+            self.left[i] = (self.left[i - 1][:, None] * t).sum(axis=0)
+        out = scale * self.left[i][:, None] * self.right[i][None]
+        flops.add(2 * out.size)
+        return out
+
+
+# ---------------------------------------------------------------------------
 # greedy one-addend-at-a-time ALS
 
-def _stage_matrix(table: BlockTable, x_cols, i):
+def _block_scalars(table: BlockTable, j: int, x: np.ndarray) -> np.ndarray:
+    """s_j[u] = x^H O_{j,u} x for every distinct operator u of group j, one
+    batched product (s_j[0] = |x|^2)."""
+    col = x[:, None]
+    return table.grams(j, col, col)[:, 0, 0].real
+
+
+def _stage_matrix(table: BlockTable, scalars: list, i: int):
     """Self block of the working addend at mode i: gamma = prod_{j != i}
-    x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k).
-    Returns (h_i, gamma).  The scalars come from s_j[u] = x_j^H O_{j,u} x_j,
-    one batched product per mode (s_j[0] = |x_j|^2).
-    """
+    x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k),
+    from the per-block scalars scalars[j] = :func:`_block_scalars` of x_j.
+    Returns (h_i, gamma)."""
     gamma = 1.0
     b = table.alpha
-    for j, x in enumerate(x_cols):
+    for j, s in enumerate(scalars):
         if j != i:
-            col = x[:, None]
-            s = table.grams(j, col, col)[:, 0, 0].real
             gamma *= float(s[0])
             b = b * s[table.idx[:, j]]
     h_i = flops.tdot(table.collect(i, b), table.ops[i], axes=1)
@@ -259,36 +332,31 @@ class _AlignedCrossTerms:
     the numerator and x_i^H v_i + v_i^H x_i to the denominator; the frozen
     sum y fills the corners with `beta` = <y, H y> and `rho` = <y, y>.  Here
 
-        u_i = sum_k alpha_k sum_l w_l (prod_{j != i} x_j^H H_j^(k) y_j^(l))
-                  * H_i^(k) y_i^(l)
-        v_i = sum_l w_l (prod_{j != i} x_j^H y_j^(l)) * y_i^(l).
-    """
+        u_i = sum_l w_l sum_{a,b} L_i[a, l] R_i[b, l] W_i[a, b] y_i^(l)
+        v_i = sum_l w_l L_i[0, l] R_i[-1, l] y_i^(l),
 
-    def __init__(self, table: BlockTable, frozen: list):
-        self.table = table
+    with W = ws the MPO of `table` and L_i, R_i the mixed
+    environments of the working columns x_j against the frozen stacks Y_j
+    (:class:`_Environments`, transfers x_j^H W_j[a, b] Y_j).  The frozen
+    stacks do not change within a stage, so their images W_j Y_j are formed
+    once.  One environment serves both vectors: the denominator reads its
+    identity channels.
+    :meth:`vectors` must visit the modes of a sweep in order, as the greedy
+    loop does."""
+
+    def __init__(self, table: BlockTable, ws: list, frozen: list):
         self.frozen = _stack_addends(frozen)
-        # O_{j,u} Y_j for every block and distinct operator; the frozen
-        # addends do not change within a stage
-        self.applied = [flops.matmul(ops, f) for ops, f in
-                        zip(table.ops, self.frozen.factors)]
+        self.envs = _Environments(ws, (1, self.frozen.rank), self.frozen.factors)
         self.beta = float(expectation_form(table, self.frozen, self.frozen).real)
         self.rho = float(inner(self.frozen, self.frozen).real)
 
-    def _cross(self, x_cols, i, alpha, idx):
-        """sum_k alpha_k sum_l w_l (prod_{j != i} x_j^H O_{j,idx[k,j]} y_j^(l))
-        * O_{i,idx[k,i]} y_i^(l)."""
-        coeffs = alpha[:, None] * self.frozen.weights
-        for j, (x, oy) in enumerate(zip(x_cols, self.applied)):
-            if j != i:
-                coeffs = coeffs * flops.matmul(x.conj(), oy)[idx[:, j]]
-        return flops.tdot(self.applied[i][idx[:, i]], coeffs, axes=([0, 2], [0, 1]))
-
-    def numerator_vector(self, x_cols, i):
-        return self._cross(x_cols, i, self.table.alpha, self.table.idx)
-
-    def denominator_vector(self, x_cols, i):
-        # one term that is the identity (entry 0) on every block
-        return self._cross(x_cols, i, np.ones(1), np.zeros((1, len(x_cols)), int))
+    def vectors(self, x_cols, i) -> tuple:
+        """(u_i, v_i) of mode i for the working columns x_cols."""
+        y = self.frozen
+        coeff = self.envs.blocks([x[:, None] for x in x_cols], y.factors, i,
+                                 y.weights)[:, :, 0]   # (w_i, w_{i+1}, R)
+        u_i = flops.tdot(self.envs.images[i], coeff, axes=((0, 1, 3), (0, 1, 2)))
+        return u_i, flops.matmul(y.factors[i], coeff[0, -1])
 
 
 def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
@@ -297,11 +365,14 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     site group of stages[d] (a tuple of tuples), against the frozen earlier
     ones.  Stage 1 starts from the block-local ground states with
     init='spectral' (:func:`_spectral_factors`), every other stage from a
-    random draw.  Cross terms come from the stacked factors
-    (:class:`_AlignedCrossTerms`) when every frozen addend shares the
-    stage's groups, else from `mixed._MixedCrossTerms`.  An unknown init and
-    fewer than one sweep are refused, and the tables of all distinct stages
-    built and checked, before the first solve.  Returns (trace, frozen),
+    random draw.  The self block's per-block scalars
+    (:func:`_block_scalars`) are refreshed only for the block just updated.
+    Cross terms come from the stacked factors (:class:`_AlignedCrossTerms`)
+    when every frozen addend shares the stage's groups, else from
+    `mixed._MixedCrossTerms`; either gives (u_i, v_i) by
+    `vectors(x_cols, i)`, the modes visited in order.  An unknown init and
+    fewer than one sweep are refused, and the tables and MPOs of all
+    distinct stages built and checked, before the first solve.  Returns (trace, frozen),
     each frozen addend a MixedTerm on its stage's groups."""
     if sweeps < 1:
         raise ValueError("need at least one sweep per stage")
@@ -313,6 +384,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     frozen = []
     max_restarts = 10
     tables = {groups: BlockTable(h, groups) for groups in dict.fromkeys(stages)}
+    mpos = {groups: mpo(table) for groups, table in tables.items()}
 
     for stage, groups in enumerate(stages):
         table = tables[groups]
@@ -324,31 +396,37 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
                 cols.append(v / np.linalg.norm(v))
             return cols
 
-        x_cols = ([f[:, 0] for f in _spectral_factors(table, 1)]
-                  if stage == 0 and init == "spectral" else fresh_cols())
+        def start(cols):
+            # the per-block scalars are refreshed only where a column changes
+            x_cols[:] = cols
+            scalars[:] = [_block_scalars(table, j, c) for j, c in enumerate(cols)]
+
+        x_cols, scalars = [], []
+        start([f[:, 0] for f in _spectral_factors(table, 1)]
+              if stage == 0 and init == "spectral" else fresh_cols())
         if not frozen:
             cross = None
         elif all(y.groups == table.groups for y in frozen):
-            cross = _AlignedCrossTerms(table, frozen)
+            cross = _AlignedCrossTerms(table, mpos[groups], frozen)
         else:
             cross = _MixedCrossTerms(h, table, frozen, tols)
 
         def update(it, i):
-            h_i, gamma = _stage_matrix(table, x_cols, i)
+            h_i, gamma = _stage_matrix(table, scalars, i)
             if cross is None:
                 # pure rank-one stage: the quotient's denominator is gamma
                 w, v = hermitian_eig(h_i, tols)
-                x_cols[i] = v[:, 0]
-                return float(w[0]) / gamma
-            dim = x_cols[i].shape[0]
-            u_i = cross.numerator_vector(x_cols, i)
-            v_i = cross.denominator_vector(x_cols, i)
-            lam, vec = generalized_eig_min(
-                *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho), tols)
-            pin = vec[dim]
-            if abs(pin) < 1e-12 * np.linalg.norm(vec):
-                return None  # the pinned coordinate vanished: restart the stage
-            x_cols[i] = vec[:dim] / pin
+                x_cols[i], lam = v[:, 0], float(w[0]) / gamma
+            else:
+                dim = x_cols[i].shape[0]
+                u_i, v_i = cross.vectors(x_cols, i)
+                lam, vec = generalized_eig_min(
+                    *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho), tols)
+                pin = vec[dim]
+                if abs(pin) < 1e-12 * np.linalg.norm(vec):
+                    return None  # the pinned coordinate vanished: restart the stage
+                x_cols[i] = vec[:dim] / pin
+            scalars[i] = _block_scalars(table, i, x_cols[i])
             return lam
 
         restarts, degenerate = 0, False
@@ -363,7 +441,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
                 # the frozen sum is already optimal within this dictionary:
                 # freeze a weight-zero addend
                 break
-            x_cols[:] = fresh_cols()
+            start(fresh_cols())
         # freeze the finished addend in normalized form
         norms = [np.linalg.norm(c) for c in x_cols]
         weight = 0.0j if degenerate else complex(np.prod(norms))
@@ -395,27 +473,29 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
 # ---------------------------------------------------------------------------
 # simultaneous ALS (all addends of one mode at once)
 
-def _mode_problem(table: BlockTable, x: BlockedCp, i: int) -> tuple:
-    """The rank*2^{t_i} pencil (a_mat, b_mat) of mode i over the stacked
-    addend vectors: a_mat = sum_u kron(C_u, O_{i,u}) with C_u =
-    sum_{k : idx[k, i] = u} alpha_k (ww * prod_{j != i} G_j[idx[k, j]]),
-    b_mat = kron(ww * prod_{j != i} G_j[0], I), where ww = conj(w) w^T and
-    G_j[u] = X_j^H O_{j,u} X_j.  b_mat is singular when the addends' other
-    modes are linearly dependent; :func:`generalized_eig_min` then drops the
-    directions it cannot resolve."""
-    ww = np.outer(x.weights.conj(), x.weights)
-    coeff = table.alpha[:, None, None] * ww
-    gram = ww
-    for j, f in enumerate(x.factors):
-        if j != i:
-            g = table.grams(j, f, f)
-            coeff = coeff * g[table.idx[:, j]]
-            gram = gram * g[0]
-    ops = table.ops[i]
-    dim, rank = ops.shape[1], x.rank
-    a_mat = flops.tdot(table.collect(i, coeff), ops, axes=(0, 0))
-    a_mat = a_mat.transpose(0, 2, 1, 3).reshape(rank * dim, rank * dim)
-    return a_mat, np.kron(gram, np.eye(dim))
+def _kron_sum(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{a,b} kron(coeff[a, b], W[a, b]) from (w_i, w_{i+1}, k, k')
+    coefficient blocks and an MPO site W of shape (w_i, w_{i+1}, n, n): the
+    (k n, k' n) matrix over addend-major stacks of block vectors."""
+    k, k2, n = coeff.shape[2], coeff.shape[3], w.shape[-1]
+    mat = flops.tdot(coeff, w, axes=((0, 1), (0, 1)))  # (k, k', n, n)
+    return mat.transpose(0, 2, 1, 3).reshape(k * n, k2 * n)
+
+
+def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
+    """Lowest eigenpair of the mode pencil (sum_{a,b} kron(coeff[a, b],
+    W[a, b]), kron(G, I_n)), G = coeff[0, -1] the addends' Gram matrix,
+    whitened at the r x r level: :func:`tensor._whitening` gives S_G (r, k)
+    from G alone, the blocks become S_G^H coeff[a, b] S_G before the
+    Kronecker products, and the lowest eigenvector y of that (k n)^2 matrix
+    (:func:`hermitian_eig`) maps back to x = (S_G (x) I_n) y.  Returns
+    (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention."""
+    s = _whitening(coeff[0, -1], tols)
+    reduced = flops.matmul(flops.matmul(s.conj().T, coeff), s)
+    lam, y = hermitian_eig(_kron_sum(reduced, w), tols)
+    x = flops.matmul(s, y[:, 0].reshape(s.shape[1], -1)).reshape(-1, 1)
+    x, _ = _phase_normalize_columns(x)
+    return float(lam[0]), x[:, 0]
 
 
 def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
@@ -424,7 +504,17 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     """Per mode, replace the whole slab of addend vectors by the minimizer of
     the rank*2^{t_i} generalized eigenproblem; addends are renormalized at
     the end of every sweep, and a sweep that moves the energy by less than
-    tols.convergence stops the search.  Returns (trace, BlockedCp)."""
+    tols.convergence stops the search.  Returns (trace, BlockedCp).
+
+    The Hamiltonian enters as its MPO, built once, and the local problems
+    come from cached environments indexed by (addend l, addend l', channel
+    a) (:class:`_Environments`): the right ones are rebuilt at mode 0 of
+    every sweep, after the renormalization, and the left one grows by the
+    transfer X_i^H W_i[a, b] X_i of each block just solved, so a sweep costs
+    O(q) transfers.  With ww = conj(w) w^T the numerator of mode i is
+    sum_{a,b} kron(ww * L_i[a] * R_i[b], W_i[a, b]) and the addends' Gram
+    matrix is ww * L_i[start] * R_i[done]; :func:`_mode_solve` whitens the
+    pencil at that r x r Gram, never forming kron(G, I)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
     table = regroup(h, blocking)
@@ -435,9 +525,13 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     else:
         raise ValueError(f"unknown init {init!r}")
 
+    ws = mpo(table)
+    envs = _Environments(ws, (rank, rank))
+
     def update(sweep, i):
         nonlocal x
-        lam, vec = generalized_eig_min(*_mode_problem(table, x, i), tols)
+        ww = np.outer(x.weights.conj(), x.weights)
+        lam, vec = _mode_solve(envs.blocks(x.factors, x.factors, i, ww), ws[i], tols)
         x.factors[i] = vec.reshape(rank, -1).T
         x.weights = np.ones(rank, dtype=complex)
         if i == blocking.q - 1:

@@ -266,25 +266,34 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return theta, x[:, 0]
 
 
-def generalized_eig_min(a: np.ndarray, b: np.ndarray,
-                        tols: Tolerances = DEFAULT_TOLS):
-    """Smallest eigenpair of the Hermitian pencil (a, b), b positive
-    semidefinite, as (lambda_min, x) with x^H b x = 1 and the usual phase
-    convention.  b is eigendecomposed once; its eigenvalues at or below the
-    floor tols.pd_floor_scale * trace(b) / dim(b) are dropped, and the lowest
-    eigenpair (lambda, y) of S^H a S, S = Q_k W_k^{-1/2} whitening the kept
-    eigenspace, gives x = S y.  So one path serves a regular b and a singular
-    one.  Raises ValueError when a or b is not Hermitian or no eigenvalue of
-    b lies above the floor.
-    """
-    a = _hermitian_part(a, tols)
+def _whitening(b: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """S = Q_k W_k^{-1/2} for the Hermitian positive semidefinite b: its
+    eigenvalues at or below the floor tols.pd_floor_scale * trace(b) /
+    dim(b) are dropped, and S whitens the kept eigenspace (S^H b S = I).
+    kron(b, I_n) has the same floor and the same kept eigenvalues, each n
+    times, so S (x) I_n whitens it.  Raises ValueError when b is not
+    Hermitian or no eigenvalue lies above the floor."""
     b = _hermitian_part(b, tols)
     w, q = np.linalg.eigh(b)
     floor = tols.pd_floor_scale * float(np.trace(b).real) / b.shape[0]
     keep = w > max(floor, 0.0)
     if not keep.any():
         raise ValueError(f"denominator has no eigenvalue above the floor {floor:.3e}")
-    s = q[:, keep] / np.sqrt(w[keep])
+    return q[:, keep] / np.sqrt(w[keep])
+
+
+def generalized_eig_min(a: np.ndarray, b: np.ndarray,
+                        tols: Tolerances = DEFAULT_TOLS):
+    """Smallest eigenpair of the Hermitian pencil (a, b), b positive
+    semidefinite, as (lambda_min, x) with x^H b x = 1 and the usual phase
+    convention.  b is eigendecomposed once by :func:`_whitening`, which
+    drops its eigenvalues at or below the floor, and the lowest eigenpair
+    (lambda, y) of S^H a S gives x = S y.  So one path serves a regular b
+    and a singular one.  Raises ValueError when a or b is not Hermitian or
+    no eigenvalue of b lies above the floor.
+    """
+    a = _hermitian_part(a, tols)
+    s = _whitening(b, tols)
     reduced = s.conj().T @ a @ s
     lam, y = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
     x, _ = _phase_normalize_columns(s @ y[:, :1])

@@ -602,6 +602,17 @@ def test_config_mode_error_exits_2_before_any_work(tmp_path):
     assert not (out / "oracle_cache.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["mps-als", "-p", "4", "-D", "2"],
+    ["parafac-als", "-p", "6", "--blocking", "3,3"],
+    ["reproduce", "--figure", "p10", "--ranks", "1", "--sweeps", "1"],
+], ids=["mps-als", "parafac-als", "reproduce"])
+def test_negative_seed_exits_2_before_the_oracle(tmp_path, args):
+    out = tmp_path / "x"
+    assert main([*args, "--seed=-1", "--out", str(out)]) == 2
+    assert not (out / "oracle_cache.json").exists()
+
+
 def test_reproduce_refuses_a_blocking_that_does_not_cover_the_chain(tmp_path):
     out = tmp_path / "rep"
     with pytest.raises(ConfigError, match="covers 6 of 10 sites"):

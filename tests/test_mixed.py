@@ -473,10 +473,9 @@ def check_cross_terms(h, working, frozen, rng):
     hy = materialize_dense(h) @ y
     x_cols = [crandn(rng, 2 ** len(g)) for g in working]
     for i in range(len(working)):
-        for got, want in ((cross.numerator_vector(x_cols, i),
-                           open_contract_dense(hy, working, x_cols, i)),
-                          (cross.denominator_vector(x_cols, i),
-                           open_contract_dense(y, working, x_cols, i))):
+        u_i, v_i = cross.vectors(x_cols, i)
+        for got, want in ((u_i, open_contract_dense(hy, working, x_cols, i)),
+                          (v_i, open_contract_dense(y, working, x_cols, i))):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), i
     beta, rho = np.vdot(y, hy).real, np.vdot(y, y).real
     assert cross.beta == pytest.approx(beta, abs=1e-12 * max(1.0, abs(beta)))

@@ -9,6 +9,7 @@ from tnsolve.hamiltonian import (
     Blocking,
     BlockTable,
     KroneckerTerm,
+    mpo,
     OP_I,
     SpinHamiltonian,
     build_heisenberg_xy,
@@ -22,8 +23,11 @@ from tnsolve.parafac import (
     BlockedCp,
     MixedTerm,
     _AlignedCrossTerms,
+    _block_scalars,
+    _Environments,
     _greedy_core,
-    _mode_problem,
+    _kron_sum,
+    _mode_solve,
     _stage_matrix,
     as_diagonal_mps,
     apply_hamiltonian,
@@ -35,7 +39,7 @@ from tnsolve.parafac import (
     spectral_init,
     to_dense,
 )
-from tnsolve.tensor import DenseState, kron_first_fastest
+from tnsolve.tensor import DenseState, generalized_eig_min, kron_first_fastest
 
 
 def crandn(rng, *shape):
@@ -411,7 +415,9 @@ def test_stage_matrix_matches_term_loop(model):
     rng = np.random.default_rng(50)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
     for i in range(b.q):
-        h_i, gamma = _stage_matrix(regroup(h, b), x_cols, i)
+        table = regroup(h, b)
+        scalars = [_block_scalars(table, j, x) for j, x in enumerate(x_cols)]
+        h_i, gamma = _stage_matrix(table, scalars, i)
         others = [j for j in range(b.q) if j != i]
         gamma_ref = np.prod([np.vdot(x_cols[j], x_cols[j]).real for j in others])
         ref = sum(t.coefficient * ops[k][i] * np.prod(
@@ -428,7 +434,8 @@ def test_aligned_numerator_vector_matches_term_loop(model):
     rng = np.random.default_rng(51)
     frozen = [MixedTerm(b.groups, [crandn(rng, 2**w) for w in b.widths],
                         complex(crandn(rng, 1)[0])) for _ in range(3)]
-    cross = _AlignedCrossTerms(regroup(h, b), frozen)
+    table = regroup(h, b)
+    cross = _AlignedCrossTerms(table, mpo(table), frozen)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
     for i in range(b.q):
         ref = np.zeros(2 ** b.widths[i], dtype=complex)
@@ -437,7 +444,7 @@ def test_aligned_numerator_vector_matches_term_loop(model):
                 scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ y.factors[j])
                                  for j in range(b.q) if j != i])
                 ref += t.coefficient * y.weight * scale * (ops[k][i] @ y.factors[i])
-        assert close(cross.numerator_vector(x_cols, i), ref), i
+        assert close(cross.vectors(x_cols, i)[0], ref), i
 
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
@@ -447,6 +454,8 @@ def test_mode_problem_matches_term_loop(model):
     x = random_cp(b, 3, seed=52)
     x.weights = np.array([0.7 + 0.2j, -1.1, 0.4j])
     ww = np.outer(x.weights.conj(), x.weights)
+    ws = mpo(regroup(h, b))
+    envs = _Environments(ws, (3, 3))
     for i in range(b.q):
         others = [j for j in range(b.q) if j != i]
         a_ref = 0
@@ -458,9 +467,83 @@ def test_mode_problem_matches_term_loop(model):
         gram = ww.copy()
         for j in others:
             gram = gram * (x.factors[j].conj().T @ x.factors[j])
-        numerator, denominator = _mode_problem(regroup(h, b), x, i)
+        coeff = envs.blocks(x.factors, x.factors, i, ww)
+        numerator = _kron_sum(coeff, ws[i])
+        denominator = np.kron(coeff[0, -1], np.eye(2 ** b.widths[i]))
         assert close(numerator, a_ref), i
         assert close(denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
+
+
+def hermitian_blocks(rng, *shape):
+    m = crandn(rng, *shape)
+    return m + np.swapaxes(m, -1, -2).conj()
+
+
+def check_mode_solve_matches_dense_pencil(coeff, w):
+    # the Gram-level whitening against generalized_eig_min on the dense
+    # pencil (sum_{a,b} kron(coeff[a, b], W[a, b]), kron(G, I)), G = coeff[0, -1]
+    n = w.shape[-1]
+    a = sum(np.kron(coeff[j, k], w[j, k])
+            for j in range(w.shape[0]) for k in range(w.shape[1]))
+    b = np.kron(coeff[0, -1], np.eye(n))
+    lam_ref, x_ref = generalized_eig_min(a, b)
+    lam, x = _mode_solve(coeff, w, DEFAULT_TOLS)
+    assert lam == pytest.approx(lam_ref, rel=1e-12, abs=1e-12)
+    assert np.vdot(x, b @ x).real == pytest.approx(1.0, abs=1e-12)
+    overlap = np.vdot(x_ref, x)
+    assert np.linalg.norm(x - overlap / abs(overlap) * x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("gram_rank", [3, 2, 1], ids=["full", "rank-2", "rank-1"])
+def test_mode_solve_matches_dense_pencil_on_random_grams(gram_rank):
+    rng = np.random.default_rng(80 + gram_rank)
+    coeff = hermitian_blocks(rng, 2, 3, 3, 3)
+    v = crandn(rng, 3, gram_rank)
+    coeff[0, -1] = v @ v.conj().T
+    check_mode_solve_matches_dense_pencil(coeff, hermitian_blocks(rng, 2, 3, 4, 4))
+
+
+@pytest.mark.parametrize("case", ["dependent-addends", "one-group"])
+def test_mode_solve_matches_dense_pencil_on_rank_deficient_grams(case):
+    # linearly dependent addends (addend 2 repeats addend 0 on every block),
+    # and a single group at rank 2, where ww = conj(w) w^T has rank one
+    rng = np.random.default_rng(82)
+    if case == "dependent-addends":
+        h, b = build_heisenberg_xy(10, 1.0, 0.6, 0.3, "open"), Blocking((2, 3, 5))
+        x = random_cp(b, 3, seed=83)
+        for f in x.factors:
+            f[:, 2] = f[:, 0]
+    else:
+        h, b = build_ising(4, 0.7, "open"), Blocking((4,))
+        x = random_cp(b, 2, seed=84)
+    x.weights = crandn(rng, x.rank)
+    ww = np.outer(x.weights.conj(), x.weights)
+    ws = mpo(regroup(h, b))
+    envs = _Environments(ws, (x.rank, x.rank))
+    for i in range(b.q):
+        coeff = envs.blocks(x.factors, x.factors, i, ww)
+        assert np.linalg.matrix_rank(coeff[0, -1], tol=1e-10) < x.rank
+        check_mode_solve_matches_dense_pencil(coeff, ws[i])
+
+
+def test_simultaneous_sweep_costs_order_q(monkeypatch):
+    # single sites, p = 10, rank 4: at most 2q block transfers a sweep, no
+    # generalized solve, and no local matrix beyond rank * 2^(max width)
+    b, rank = Blocking.single_sites(10), 4
+    transfers, eig_dims, generalized = [], [], []
+    transfer, eig = parafac._transfer, parafac.hermitian_eig
+    monkeypatch.setattr(parafac, "_transfer",
+                        lambda *args: transfers.append(1) or transfer(*args))
+    monkeypatch.setattr(parafac, "hermitian_eig",
+                        lambda m, *args: eig_dims.append(len(m)) or eig(m, *args))
+    monkeypatch.setattr(parafac, "generalized_eig_min",
+                        lambda *args: generalized.append(1) or generalized_eig_min(*args))
+    trace, _ = simultaneous_als(build_ising(10, 1.0, "open"), b, rank, sweeps=4)
+    sweeps = trace[-1].sweep + 1
+    assert len(trace) == b.q * sweeps
+    assert 0 < len(transfers) <= 2 * b.q * sweeps
+    assert generalized == []
+    assert max(eig_dims) <= rank * 2 ** max(b.widths)
 
 
 @pytest.mark.parametrize("mode,rank,entries,energy", [
