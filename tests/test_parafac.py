@@ -9,12 +9,12 @@ from tnsolve.hamiltonian import (
     Blocking,
     BlockTable,
     KroneckerTerm,
-    mpo,
     OP_I,
     SpinHamiltonian,
     build_heisenberg_xy,
     build_ising,
     materialize_dense,
+    mpo,
     regroup,
 )
 from tnsolve.mps import to_dense as mps_to_dense
@@ -23,8 +23,8 @@ from tnsolve.parafac import (
     BlockedCp,
     MixedTerm,
     _AlignedCrossTerms,
-    _block_scalars,
     _Environments,
+    _block_scalars,
     _greedy_core,
     _kron_sum,
     _mode_solve,
@@ -414,9 +414,9 @@ def test_stage_matrix_matches_term_loop(model):
     ops = term_blocks(h, b)
     rng = np.random.default_rng(50)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
+    table = regroup(h, b)
+    scalars = [_block_scalars(table, j, x) for j, x in enumerate(x_cols)]
     for i in range(b.q):
-        table = regroup(h, b)
-        scalars = [_block_scalars(table, j, x) for j, x in enumerate(x_cols)]
         h_i, gamma = _stage_matrix(table, scalars, i)
         others = [j for j in range(b.q) if j != i]
         gamma_ref = np.prod([np.vdot(x_cols[j], x_cols[j]).real for j in others])
