@@ -8,10 +8,10 @@ A :class:`BlockTable` compiles the terms against any partition of the sites
 into groups (the blocks of a :class:`Blocking`, the factors of a mixed term,
 or one stage of a greedy solver, which is a tuple of site groups): per group
 a stack of the distinct block operators, identity first, and an integer
-incidence saying which entry each term uses there.  It is the one table the
-solvers read: blocked solvers work on gathers and batched products instead
-of per-term loops, and :func:`mpo` compiles a table into the matrix product
-operator that the chain solvers contract.
+incidence saying which entry each term uses there.  :func:`mpo` compiles a
+table into the matrix product operator, the one form of H that the chain,
+CP and mixed solvers contract; apart from that the table serves only the
+CP `apply_hamiltonian` and the per-term views of :class:`BlockedHamiltonian`.
 """
 
 from __future__ import annotations
@@ -382,6 +382,7 @@ class BlockTable:
     as (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts
     to ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
     first site is its fastest bit (:func:`kron_first_fastest`, ``order="F"``).
+    Its one use in the solvers is as the input of :func:`mpo`.
     """
 
     def __init__(self, h: SpinHamiltonian, groups):
@@ -403,21 +404,12 @@ class BlockTable:
         self.ops = tuple(ops)
         self.alpha = np.array([t.coefficient for t in h.terms])
 
-    def grams(self, i: int, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        """bra^H O_{i,u} ket for every distinct operator u of group i:
-        (U_i, m, m') from (n_i, m) and (n_i, m') column stacks."""
-        return flops.matmul(bra.conj().T, flops.matmul(self.ops[i], ket))
-
-    def collect(self, i: int, per_term: np.ndarray) -> np.ndarray:
-        """sum_{k : idx[k, i] = u} per_term[k] for every u: (U_i, ...)."""
-        onehot = np.eye(len(self.ops[i]))[self.idx[:, i]]
-        return np.tensordot(onehot, per_term, axes=(0, 0))
 
 
 class BlockedHamiltonian(BlockTable):
     """Per-term views of a block table: whether H_i^(k), group i of term k,
     is the identity, its matrix, and its action.  The solvers read the
-    table's arrays instead; the benchmark tracer wraps these views."""
+    table's MPO instead; the benchmark tracer wraps these views."""
 
     def is_identity_block(self, k: int, i: int) -> bool:
         return bool(self.idx[k, i] == 0)

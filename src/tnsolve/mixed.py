@@ -22,8 +22,8 @@ of unit bonds and its image under H a chain of the MPO's bonds, so
 one greedy loop (`parafac._greedy_core`) the blocks of each scheduled
 blocking as the site groups of its stages; the loop builds the cross
 terms against frozen addends on other groups (:class:`_MixedCrossTerms`)
-from the frozen addends' images, and the solver returns the frozen
-MixedTerm addends as they are.
+from the frozen addends' images through the MPOs it compiled for its
+stages, and the solver returns the frozen MixedTerm addends as they are.
 """
 
 from __future__ import annotations
@@ -282,11 +282,9 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
 # ---------------------------------------------------------------------------
 # Hamiltonian images of product terms
 
-def _group_mpos(h: SpinHamiltonian, group_tuples, table: BlockTable | None = None) -> dict:
-    """The MPO of `h` over each distinct tuple of site groups, compiled once;
-    `table`, if given, serves its own groups."""
-    return {g: mpo(table if table is not None and g == table.groups else BlockTable(h, g))
-            for g in dict.fromkeys(group_tuples)}
+def _group_mpos(h: SpinHamiltonian, group_tuples) -> dict:
+    """The MPO of `h` over each distinct tuple of site groups, compiled once."""
+    return {g: mpo(BlockTable(h, g)) for g in dict.fromkeys(group_tuples)}
 
 
 def _term_chains(ws: list, term: MixedTerm, tag) -> tuple:
@@ -330,15 +328,13 @@ class _MixedCrossTerms:
     of the working group left open.
 
     Each frozen addend y and its image H y are built once per stage
-    (:func:`_term_chains`, one MPO per distinct group tuple, the working
-    table serving its own groups): one network per frozen addend.  `beta`
-    and `rho` are the frozen sum's <y, H y> and <y, y> over the same
-    pieces."""
+    (:func:`_term_chains`) through the MPO of its groups in `mpos`, the
+    MPOs the greedy loop compiled once for all its stages: one network per
+    frozen addend.  `beta` and `rho` are the frozen sum's <y, H y> and
+    <y, y> over the same pieces."""
 
-    def __init__(self, h: SpinHamiltonian, table: BlockTable, frozen: list,
-                 tols: Tolerances):
-        self.groups = table.groups
-        mpos = _group_mpos(h, [y.groups for y in frozen], table)
+    def __init__(self, groups: tuple, mpos: dict, frozen: list, tols: Tolerances):
+        self.groups = groups
         self.kets, self.images, bras = zip(*(_term_chains(mpos[y.groups], y, n)
                                              for n, y in enumerate(frozen)))
         self.beta = _real_part(_closed_sum(self.images, bras), tols)

@@ -11,11 +11,11 @@ A :class:`MixedTerm` is one product term over its own site groups: the
 one product-term type, whether its groups are a blocking's blocks, a cyclic
 blocking's, a 2D pattern's (`mixed.pattern_groups`) or any other partition.
 
-The solvers read the Hamiltonian as a :class:`BlockTable` over the modes'
-site groups, and sweep over environments cached against its MPO
-(:class:`_Environments`), so a sweep costs O(q) block contractions.  A
-greedy stage is such a tuple of site groups, and the addend it adds is a
-MixedTerm with one factor per group.  One loop,
+The solvers read the Hamiltonian only as its MPO over the modes' site
+groups, and every local problem, greedy or simultaneous, comes from
+environments cached against it (:class:`_Environments`), so a sweep costs
+O(q) block contractions.  A greedy stage is such a tuple of site groups,
+and the addend it adds is a MixedTerm with one factor per group.  One loop,
 :func:`_greedy_core`, runs every list of stages and picks the first start
 and each stage's cross terms itself; :func:`greedy_als` and
 `mixed.ground_state_mixed_greedy` only build the list and wrap the addends.
@@ -35,6 +35,7 @@ from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
     DenseState,
+    _hermitian_part,
     _phase_normalize_columns,
     _product_vector,
     _whitening,
@@ -46,14 +47,15 @@ from .tensor import (
 def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
                      gamma: float, v_i: np.ndarray, rho: float) -> tuple:
     """Greedy-stage pencil (numerator, denominator) over (x_i, 1): the self
-    block h_i and gamma (:func:`_stage_matrix`), the cross vectors u_i and
-    v_i against the frozen addends (from MPO environments or piece networks,
-    `vectors` of the cross-term classes), and the frozen addends' own
-    scalars.  The numerator is Hermitian and the denominator Hermitian
-    positive semidefinite.  The border keeps the denominator from being a
-    Kronecker product, so unlike the simultaneous pencil
-    (:func:`_mode_solve`) it is not whitened at a smaller Gram matrix:
-    :func:`generalized_eig_min` solves it whole, singular or not."""
+    block h_i and gamma (the working columns' rank-one mode problem in
+    :func:`_greedy_core`), the cross vectors u_i and v_i against the frozen
+    addends (from MPO environments or piece networks, `vectors` of the
+    cross-term classes), and the frozen addends' own scalars.  The
+    numerator is Hermitian and the denominator Hermitian positive
+    semidefinite.  The border keeps the denominator from being a Kronecker
+    product, so unlike the simultaneous pencil (:func:`_mode_solve`) it is
+    not whitened at a smaller Gram matrix: :func:`generalized_eig_min`
+    solves it whole, singular or not."""
     def border(mat, vec, corner):
         out = np.empty((dim + 1, dim + 1), dtype=complex)
         out[:dim, :dim], out[:dim, dim], out[dim, :dim], out[dim, dim] = \
@@ -157,18 +159,20 @@ def inner(y: BlockedCp, x: BlockedCp) -> complex:
     return complex(y.weights.conj() @ prod @ x.weights)
 
 
-def expectation_form(table: BlockTable, y: BlockedCp, x: BlockedCp) -> complex:
-    """<y, H x> = sum_k alpha_k w_y^H (Hadamard product over modes of
-    Y_i^H H_i^(k) X_i) w_x, the per-mode Gram matrices gathered from one
-    batched product over the block's distinct operators."""
-    if not y.groups == x.groups == table.groups:
+def expectation_form(ws: list, y: BlockedCp, x: BlockedCp) -> complex:
+    """<y, H x> = w_y^H E w_x, E the (m, m') environment of the addend
+    pairs chained left to right over the MPO sites `ws` of H on the common
+    site groups of y and x: E_{i+1}[b] = sum_a E_i[a] * (Y_i^H W_i[a, b]
+    X_i) (:func:`_transfer`), from E_0 = 1 at the one "start" channel."""
+    if y.groups != x.groups or len(ws) != len(x.groups):
         raise ValueError("expectation requires one common set of site groups")
-    prod = table.alpha[:, None, None]
-    for i, (fy, fx) in enumerate(zip(y.factors, x.factors)):
-        prod = prod * table.grams(i, fy, fx)[table.idx[:, i]]
-        flops.add(prod.size)
-    flops.add(prod.size + prod.shape[1])
-    return complex(y.weights.conj() @ prod.sum(axis=0) @ x.weights)
+    env = np.ones((1, y.rank, x.rank), dtype=complex)
+    for w, fy, fx in zip(ws, y.factors, x.factors):
+        t = _transfer(fy, flops.matmul(w, fx))
+        flops.add(t.size)
+        env = (env[:, None] * t).sum(axis=0)
+    flops.add(env.size + env.shape[1])
+    return complex(y.weights.conj() @ env[0] @ x.weights)
 
 
 def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
@@ -208,22 +212,19 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
     """Mode-i factors from the lowest eigenvectors of the block-local part of
     the Hamiltonian: a term contributes to a block only if its whole support
     lies inside that block, and it enters with its coefficient."""
-    return BlockedCp(blocking.groups, _spectral_factors(regroup(h, blocking), rank, seed))
+    return BlockedCp(blocking.groups, _spectral_factors(mpo(regroup(h, blocking)), rank, seed))
 
 
-def _spectral_factors(table: BlockTable, rank: int, seed: int = 0) -> list:
-    """The factor matrices of :func:`spectral_init`, one per group of `table`;
-    columns beyond a group's dimension are random unit vectors."""
+def _spectral_factors(ws: list, rank: int, seed: int = 0) -> list:
+    """The factor matrices of :func:`spectral_init`, one per site of the MPO
+    `ws`; columns beyond a group's dimension are random unit vectors."""
     rng = np.random.default_rng(seed)
     factors = []
-    for i, ops in enumerate(table.ops):
-        dim = ops.shape[1]
-        # a term is block-local when it is the identity on every other block;
-        # skipping fully-elsewhere terms drops only an identity shift
-        others = np.delete(table.idx, i, axis=1)
-        local_alpha = np.where((others == 0).all(axis=1), table.alpha, 0.0)
-        local = np.tensordot(table.collect(i, local_alpha), ops, axes=1)
-        _, vecs = hermitian_eig(local)
+    for w in ws:
+        dim = w.shape[-1]
+        # the start -> done entry holds the terms inside this group (a term
+        # with empty support only shifts the first group's by the identity)
+        _, vecs = hermitian_eig(w[0, -1])
         cols = list(vecs[:, :rank].T)
         while len(cols) < rank:
             extra = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -296,28 +297,6 @@ class _Environments:
 # ---------------------------------------------------------------------------
 # greedy one-addend-at-a-time ALS
 
-def _block_scalars(table: BlockTable, j: int, x: np.ndarray) -> np.ndarray:
-    """s_j[u] = x^H O_{j,u} x for every distinct operator u of group j, one
-    batched product (s_j[0] = |x|^2)."""
-    col = x[:, None]
-    return table.grams(j, col, col)[:, 0, 0].real
-
-
-def _stage_matrix(table: BlockTable, scalars: list, i: int):
-    """Self block of the working addend at mode i: gamma = prod_{j != i}
-    x_j^H x_j and h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k),
-    from the per-block scalars scalars[j] = :func:`_block_scalars` of x_j.
-    Returns (h_i, gamma)."""
-    gamma = 1.0
-    b = table.alpha
-    for j, s in enumerate(scalars):
-        if j != i:
-            gamma *= float(s[0])
-            b = b * s[table.idx[:, j]]
-    h_i = flops.tdot(table.collect(i, b), table.ops[i], axes=1)
-    return h_i, gamma
-
-
 def _stack_addends(terms) -> BlockedCp:
     """BlockedCp holding frozen MixedTerm addends that share one set of
     site groups."""
@@ -335,7 +314,7 @@ class _AlignedCrossTerms:
         u_i = sum_l w_l sum_{a,b} L_i[a, l] R_i[b, l] W_i[a, b] y_i^(l)
         v_i = sum_l w_l L_i[0, l] R_i[-1, l] y_i^(l),
 
-    with W = ws the MPO of `table` and L_i, R_i the mixed
+    with W = ws the MPO of H on the shared groups and L_i, R_i the mixed
     environments of the working columns x_j against the frozen stacks Y_j
     (:class:`_Environments`, transfers x_j^H W_j[a, b] Y_j).  The frozen
     stacks do not change within a stage, so their images W_j Y_j are formed
@@ -344,10 +323,10 @@ class _AlignedCrossTerms:
     :meth:`vectors` must visit the modes of a sweep in order, as the greedy
     loop does."""
 
-    def __init__(self, table: BlockTable, ws: list, frozen: list):
+    def __init__(self, ws: list, frozen: list):
         self.frozen = _stack_addends(frozen)
         self.envs = _Environments(ws, (1, self.frozen.rank), self.frozen.factors)
-        self.beta = float(expectation_form(table, self.frozen, self.frozen).real)
+        self.beta = float(expectation_form(ws, self.frozen, self.frozen).real)
         self.rho = float(inner(self.frozen, self.frozen).real)
 
     def vectors(self, x_cols, i) -> tuple:
@@ -365,29 +344,30 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     site group of stages[d] (a tuple of tuples), against the frozen earlier
     ones.  Stage 1 starts from the block-local ground states with
     init='spectral' (:func:`_spectral_factors`), every other stage from a
-    random draw.  The self block's per-block scalars
-    (:func:`_block_scalars`) are refreshed only for the block just updated.
-    Cross terms come from the stacked factors (:class:`_AlignedCrossTerms`)
-    when every frozen addend shares the stage's groups, else from
-    `mixed._MixedCrossTerms`; either gives (u_i, v_i) by
-    `vectors(x_cols, i)`, the modes visited in order.  An unknown init and
-    fewer than one sweep are refused, and the tables and MPOs of all
-    distinct stages built and checked, before the first solve.  Returns (trace, frozen),
-    each frozen addend a MixedTerm on its stage's groups."""
+    random draw.  The self block is the rank-one mode problem of the working
+    columns over environments cached against the stage's MPO
+    (:class:`_Environments`): h_i = sum_{a,b} C[a, b] W_i[a, b] and gamma =
+    C[start, done], so a pure rank-one stage is solved as a simultaneous
+    mode is (:func:`_mode_solve`).  Cross terms come from the stacked
+    factors (:class:`_AlignedCrossTerms`) when every frozen addend shares
+    the stage's groups, else from `mixed._MixedCrossTerms`; either gives
+    (u_i, v_i) by `vectors(x_cols, i)`, the modes visited in order.  An
+    unknown init and fewer than one sweep are refused, and the MPOs of all
+    distinct stages built and checked, before the first solve.  Returns
+    (trace, frozen), each frozen addend a MixedTerm on its stage's groups."""
     if sweeps < 1:
         raise ValueError("need at least one sweep per stage")
     if init not in ("random", "spectral"):
         raise ValueError(f"unknown init {init!r}")
-    from .mixed import _MixedCrossTerms  # mixed imports this module
+    from .mixed import _MixedCrossTerms, _group_mpos  # mixed imports this module
     rng = np.random.default_rng(seed)
     trace = []
     frozen = []
     max_restarts = 10
-    tables = {groups: BlockTable(h, groups) for groups in dict.fromkeys(stages)}
-    mpos = {groups: mpo(table) for groups, table in tables.items()}
+    mpos = _group_mpos(h, stages)
 
     for stage, groups in enumerate(stages):
-        table = tables[groups]
+        ws = mpos[groups]
 
         def fresh_cols():
             cols = []
@@ -396,37 +376,31 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
                 cols.append(v / np.linalg.norm(v))
             return cols
 
-        def start(cols):
-            # the per-block scalars are refreshed only where a column changes
-            x_cols[:] = cols
-            scalars[:] = [_block_scalars(table, j, c) for j, c in enumerate(cols)]
-
-        x_cols, scalars = [], []
-        start([f[:, 0] for f in _spectral_factors(table, 1)]
-              if stage == 0 and init == "spectral" else fresh_cols())
+        x_cols = ([f[:, 0] for f in _spectral_factors(ws, 1)]
+                  if stage == 0 and init == "spectral" else fresh_cols())
         if not frozen:
             cross = None
-        elif all(y.groups == table.groups for y in frozen):
-            cross = _AlignedCrossTerms(table, mpos[groups], frozen)
+        elif all(y.groups == groups for y in frozen):
+            cross = _AlignedCrossTerms(ws, frozen)
         else:
-            cross = _MixedCrossTerms(h, table, frozen, tols)
+            cross = _MixedCrossTerms(groups, mpos, frozen, tols)
+        envs = _Environments(ws, (1, 1))
 
         def update(it, i):
-            h_i, gamma = _stage_matrix(table, scalars, i)
+            cols = [x[:, None] for x in x_cols]
+            coeff = envs.blocks(cols, cols, i, 1.0)
             if cross is None:
-                # pure rank-one stage: the quotient's denominator is gamma
-                w, v = hermitian_eig(h_i, tols)
-                x_cols[i], lam = v[:, 0], float(w[0]) / gamma
-            else:
-                dim = x_cols[i].shape[0]
-                u_i, v_i = cross.vectors(x_cols, i)
-                lam, vec = generalized_eig_min(
-                    *bordered_problem(h_i, u_i, cross.beta, gamma, v_i, cross.rho), tols)
-                pin = vec[dim]
-                if abs(pin) < 1e-12 * np.linalg.norm(vec):
-                    return None  # the pinned coordinate vanished: restart the stage
-                x_cols[i] = vec[:dim] / pin
-            scalars[i] = _block_scalars(table, i, x_cols[i])
+                lam, x_cols[i] = _mode_solve(coeff, ws[i], tols)
+                return lam
+            dim = x_cols[i].shape[0]
+            u_i, v_i = cross.vectors(x_cols, i)
+            lam, vec = generalized_eig_min(*bordered_problem(
+                _kron_sum(coeff, ws[i]), u_i, cross.beta, float(coeff[0, -1, 0, 0].real),
+                v_i, cross.rho), tols)
+            pin = vec[dim]
+            if abs(pin) < 1e-12 * np.linalg.norm(vec):
+                return None  # the pinned coordinate vanished: restart the stage
+            x_cols[i] = vec[:dim] / pin
             return lam
 
         restarts, degenerate = 0, False
@@ -441,7 +415,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
                 # the frozen sum is already optimal within this dictionary:
                 # freeze a weight-zero addend
                 break
-            start(fresh_cols())
+            x_cols = fresh_cols()
         # freeze the finished addend in normalized form
         norms = [np.linalg.norm(c) for c in x_cols]
         weight = 0.0j if degenerate else complex(np.prod(norms))
@@ -455,14 +429,14 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
                inner_iters: int = 30, seed: int = 0,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
     """Grow the rank one addend at a time on the groups of `blocking`
-    (:func:`_greedy_core`): a pure rank-one stage first, then each new
-    addend solved from the bordered generalized eigenproblem with all
-    earlier addends frozen.  :func:`generalized_eig_min` drops the
-    denominator directions below its floor, which appear when the frozen sum
-    already spans the working addend; a solution that then leaves the pinned
-    coordinate at 0 restarts the stage.  Returns (trace, BlockedCp).  No
-    stage depends on d_final: a rank-r run is the rank-R run cut after stage
-    r, entry for entry and addend for addend."""
+    (:func:`_greedy_core`): a pure rank-one stage first, solved as a
+    simultaneous mode at rank one, then each new addend from the bordered
+    problem with all earlier addends frozen.  :func:`generalized_eig_min`
+    drops the denominator directions below its floor, which appear when the
+    frozen sum already spans the working addend; a solution that then
+    leaves the pinned coordinate at 0 restarts the stage.  Returns (trace,
+    BlockedCp).  No stage depends on d_final: a rank-r run is the rank-R
+    run cut after stage r, entry for entry and addend for addend."""
     if d_final < 1:
         raise ValueError("need d_final >= 1")
     trace, frozen = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
@@ -489,10 +463,13 @@ def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
     from G alone, the blocks become S_G^H coeff[a, b] S_G before the
     Kronecker products, and the lowest eigenvector y of that (k n)^2 matrix
     (:func:`hermitian_eig`) maps back to x = (S_G (x) I_n) y.  Returns
-    (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention."""
+    (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention.
+    The Hermiticity check runs before the whitening, which scales rounding
+    by up to 1/lambda_min(G); the whitened matrix is only symmetrized."""
+    _hermitian_part(_kron_sum(coeff, w), tols)
     s = _whitening(coeff[0, -1], tols)
-    reduced = flops.matmul(flops.matmul(s.conj().T, coeff), s)
-    lam, y = hermitian_eig(_kron_sum(reduced, w), tols)
+    reduced = _kron_sum(flops.matmul(flops.matmul(s.conj().T, coeff), s), w)
+    lam, y = hermitian_eig(0.5 * (reduced + reduced.conj().T), tols)
     x = flops.matmul(s, y[:, 0].reshape(s.shape[1], -1)).reshape(-1, 1)
     x, _ = _phase_normalize_columns(x)
     return float(lam[0]), x[:, 0]
@@ -517,15 +494,14 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     pencil at that r x r Gram, never forming kron(G, I)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
-    table = regroup(h, blocking)
+    ws = mpo(regroup(h, blocking))
     if init == "spectral":
-        x = BlockedCp(blocking.groups, _spectral_factors(table, rank))
+        x = BlockedCp(blocking.groups, _spectral_factors(ws, rank))
     elif init == "random":
         x = random_cp(blocking, rank, seed)
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    ws = mpo(table)
     envs = _Environments(ws, (rank, rank))
 
     def update(sweep, i):

@@ -315,6 +315,17 @@ def test_parafac_cli_reaches_reproduction_tolerance(tmp_path):
     assert float(last[5]) <= 1e-3 * abs(e0)
 
 
+def test_parafac_cli_random_start_two_blocks_rank_four(tmp_path):
+    # the default random start drifts towards nearly dependent addends on two
+    # blocks; whitening at their Gram matrix must not fail the Hermiticity check
+    out = tmp_path / "p10"
+    rc = main(["parafac-als", "-p", "10", "--blocking", "5,5", "-D", "4",
+               "--mode", "simultaneous", "--out", str(out)])
+    assert rc == 0
+    summary = read_summary(out / "summary.json")
+    assert summary["final_energy"] == pytest.approx(-12.381487107494, abs=1e-9)
+
+
 def test_config_error_exit_code(tmp_path):
     rc = main(["parafac-als", "--model", "ising", "-p", "6",
                "--mode", "greedy", "--blocking", "3,x",

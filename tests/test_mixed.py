@@ -9,7 +9,6 @@ from tnsolve import flops, mixed, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
-    BlockTable,
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
@@ -19,6 +18,7 @@ from tnsolve.mixed import (
     MixedTerm,
     MixedTermSum,
     _MixedCrossTerms,
+    _group_mpos,
     expectation_mixed,
     ground_state_mixed_greedy,
     inner_block_mps_mixed,
@@ -468,7 +468,8 @@ def check_cross_terms(h, working, frozen, rng):
     # u_i and v_i are <x_{j != i}| H Y> and <x_{j != i}| Y> with the working
     # group left open; beta and rho are <Y, H Y> and <Y, Y>
     addends = [random_addend(rng, g) for g in frozen]
-    cross = _MixedCrossTerms(h, BlockTable(h, working), addends, DEFAULT_TOLS)
+    cross = _MixedCrossTerms(working, _group_mpos(h, [a.groups for a in addends]),
+                             addends, DEFAULT_TOLS)
     y = sum(t.weight * product_dense(t.groups, t.factors) for t in addends)
     hy = materialize_dense(h) @ y
     x_cols = [crandn(rng, 2 ** len(g)) for g in working]

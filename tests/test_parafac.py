@@ -24,11 +24,9 @@ from tnsolve.parafac import (
     MixedTerm,
     _AlignedCrossTerms,
     _Environments,
-    _block_scalars,
     _greedy_core,
     _kron_sum,
     _mode_solve,
-    _stage_matrix,
     as_diagonal_mps,
     apply_hamiltonian,
     expectation_form,
@@ -48,7 +46,7 @@ def crandn(rng, *shape):
 
 def _cp_energy(h, x):
     """Rayleigh quotient of a CP state from its contractions."""
-    num = expectation_form(BlockTable(h, x.groups), x, x)
+    num = expectation_form(mpo(BlockTable(h, x.groups)), x, x)
     return float(num.real / inner(x, x).real)
 
 
@@ -147,7 +145,7 @@ def test_expectation_identity_hamiltonian_reduces_to_inner():
     b = Blocking((2, 2))
     x = random_cp(b, 2, seed=6)
     y = random_cp(b, 2, seed=7)
-    g = regroup(h, b)
+    g = mpo(regroup(h, b))
     assert expectation_form(g, y, x) == pytest.approx(inner(y, x), abs=1e-13)
 
 
@@ -157,7 +155,7 @@ def test_expectation_matches_dense():
     b = Blocking((3, 3))
     x = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
     y = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
-    g = regroup(h, b)
+    g = mpo(regroup(h, b))
     expect = np.vdot(to_dense(y).vector, materialize_dense(h) @ to_dense(x).vector)
     assert expectation_form(g, y, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
 
@@ -166,7 +164,7 @@ def test_expectation_self_real():
     h = build_ising(6, 0.8, "open")
     b = Blocking((2, 2, 2))
     x = random_cp(b, 3, seed=9)
-    g = regroup(h, b)
+    g = mpo(regroup(h, b))
     assert expectation_form(g, x, x).imag == pytest.approx(0.0, abs=1e-11)
 
 
@@ -174,7 +172,7 @@ def test_expectation_cost_bound():
     p, q, rank = 10, 2, 3
     h = build_ising(p, 1.0, "open")
     b = Blocking((5, 5))
-    g = regroup(h, b)
+    g = mpo(regroup(h, b))
     x = random_cp(b, rank, seed=10)
     with flops.tally() as fc:
         expectation_form(g, x, x)
@@ -215,19 +213,22 @@ def test_cp_as_diagonal_mps_dense_equal():
 # spectral initialization
 
 def test_spectral_init_rank_one_block_ground_states():
-    h = build_ising(6, 1.0, "open")
-    b = Blocking((3, 3))
-    x = spectral_init(h, b, 1)
-    g = regroup(h, b)
-    for i in range(2):
-        local = np.zeros((8, 8), dtype=complex)
-        for k, term in enumerate(h.terms):
-            sup = term.support()
-            if sup and all(3 * i <= s < 3 * (i + 1) for s in sup):
-                local += term.coefficient * g.ops[i][g.idx[k, i]]
-        w = np.linalg.eigvalsh(local)
-        val = np.vdot(x.factors[i][:, 0], local @ x.factors[i][:, 0]).real
-        assert val == pytest.approx(w[0], abs=1e-10)
+    # XY on 2,3,5 has an interior block, whose local terms sit in the MPO
+    # site beside the channels of the terms that cross its edges
+    for h, b in [(build_ising(6, 1.0, "open"), Blocking((3, 3))),
+                 (build_heisenberg_xy(10, 1.0, 0.6, 0.3, "open"), Blocking((2, 3, 5)))]:
+        x = spectral_init(h, b, 1)
+        g = regroup(h, b)
+        for i, sites in enumerate(b.groups):
+            n = 2 ** len(sites)
+            local = np.zeros((n, n), dtype=complex)
+            for k, term in enumerate(h.terms):
+                sup = term.support()
+                if sup and all(s in sites for s in sup):
+                    local += term.coefficient * g.ops[i][g.idx[k, i]]
+            w = np.linalg.eigvalsh(local)
+            val = np.vdot(x.factors[i][:, 0], local @ x.factors[i][:, 0]).real
+            assert val == pytest.approx(w[0], abs=1e-10)
 
 
 def test_spectral_init_full_rank():
@@ -409,25 +410,6 @@ def close(got, want):
 
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
-def test_stage_matrix_matches_term_loop(model):
-    h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
-    ops = term_blocks(h, b)
-    rng = np.random.default_rng(50)
-    x_cols = [crandn(rng, 2**w) for w in b.widths]
-    table = regroup(h, b)
-    scalars = [_block_scalars(table, j, x) for j, x in enumerate(x_cols)]
-    for i in range(b.q):
-        h_i, gamma = _stage_matrix(table, scalars, i)
-        others = [j for j in range(b.q) if j != i]
-        gamma_ref = np.prod([np.vdot(x_cols[j], x_cols[j]).real for j in others])
-        ref = sum(t.coefficient * ops[k][i] * np.prod(
-            [np.vdot(x_cols[j], ops[k][j] @ x_cols[j]).real for j in others])
-            for k, t in enumerate(h.terms))
-        assert gamma == pytest.approx(gamma_ref, rel=1e-12)
-        assert close(h_i, ref), (i, np.linalg.norm(h_i - ref))
-
-
-@pytest.mark.parametrize("model", LOCAL_MODELS)
 def test_aligned_numerator_vector_matches_term_loop(model):
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
@@ -435,7 +417,7 @@ def test_aligned_numerator_vector_matches_term_loop(model):
     frozen = [MixedTerm(b.groups, [crandn(rng, 2**w) for w in b.widths],
                         complex(crandn(rng, 1)[0])) for _ in range(3)]
     table = regroup(h, b)
-    cross = _AlignedCrossTerms(table, mpo(table), frozen)
+    cross = _AlignedCrossTerms(mpo(table), frozen)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
     for i in range(b.q):
         ref = np.zeros(2 ** b.widths[i], dtype=complex)
@@ -449,29 +431,38 @@ def test_aligned_numerator_vector_matches_term_loop(model):
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
 def test_mode_problem_matches_term_loop(model):
+    # a simultaneous mode at rank 3, and the rank-one problem of unnormalized
+    # working columns at scale 1, which is a greedy stage's self block:
+    # h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k) and
+    # gamma = prod_{j != i} x_j^H x_j
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
     x = random_cp(b, 3, seed=52)
     x.weights = np.array([0.7 + 0.2j, -1.1, 0.4j])
-    ww = np.outer(x.weights.conj(), x.weights)
+    rng = np.random.default_rng(50)
+    working = BlockedCp(b.groups, [crandn(rng, 2**w, 1) for w in b.widths])
     ws = mpo(regroup(h, b))
-    envs = _Environments(ws, (3, 3))
-    for i in range(b.q):
-        others = [j for j in range(b.q) if j != i]
-        a_ref = 0
-        for k, t in enumerate(h.terms):
-            coeff = ww.copy()
+    for x, scale in ((x, np.outer(x.weights.conj(), x.weights)), (working, 1.0)):
+        ww = scale * np.ones((x.rank, x.rank))
+        envs = _Environments(ws, (x.rank, x.rank))
+        for i in range(b.q):
+            others = [j for j in range(b.q) if j != i]
+            a_ref = 0
+            for k, t in enumerate(h.terms):
+                coeff = ww.copy()
+                for j in others:
+                    coeff = coeff * (x.factors[j].conj().T @ ops[k][j] @ x.factors[j])
+                a_ref = a_ref + t.coefficient * np.kron(coeff, ops[k][i])
+            gram = ww.copy()
             for j in others:
-                coeff = coeff * (x.factors[j].conj().T @ ops[k][j] @ x.factors[j])
-            a_ref = a_ref + t.coefficient * np.kron(coeff, ops[k][i])
-        gram = ww.copy()
-        for j in others:
-            gram = gram * (x.factors[j].conj().T @ x.factors[j])
-        coeff = envs.blocks(x.factors, x.factors, i, ww)
-        numerator = _kron_sum(coeff, ws[i])
-        denominator = np.kron(coeff[0, -1], np.eye(2 ** b.widths[i]))
-        assert close(numerator, a_ref), i
-        assert close(denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
+                gram = gram * (x.factors[j].conj().T @ x.factors[j])
+            coeff = envs.blocks(x.factors, x.factors, i, scale)
+            numerator = _kron_sum(coeff, ws[i])
+            denominator = np.kron(coeff[0, -1], np.eye(2 ** b.widths[i]))
+            assert close(numerator, a_ref), i
+            assert close(denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
+            if x.rank == 1:
+                assert coeff[0, -1, 0, 0] == pytest.approx(gram[0, 0], rel=1e-12), i
 
 
 def hermitian_blocks(rng, *shape):
@@ -618,7 +609,7 @@ def test_blocked_cp_on_scattered_groups_matches_dense():
     expect = np.vdot(dy, dx)
     assert inner(y, x) == pytest.approx(expect, abs=1e-12 * abs(expect))
     expect = np.vdot(dy, materialize_dense(h) @ dx)
-    assert expectation_form(BlockTable(h, SCATTERED), y, x) == pytest.approx(
+    assert expectation_form(mpo(BlockTable(h, SCATTERED)), y, x) == pytest.approx(
         expect, abs=1e-12 * abs(expect))
     with pytest.raises(ValueError, match="chain order"):
         as_diagonal_mps(x)
