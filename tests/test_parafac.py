@@ -430,39 +430,55 @@ def test_aligned_numerator_vector_matches_term_loop(model):
 
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
-def test_mode_problem_matches_term_loop(model):
-    # a simultaneous mode at rank 3, and the rank-one problem of unnormalized
-    # working columns at scale 1, which is a greedy stage's self block:
+def test_stage_matrix_matches_term_loop(model):
+    # a greedy stage's self block is the rank-one mode problem of its
+    # unnormalized working columns at scale 1:
     # h_i = sum_k alpha_k (prod_{j != i} x_j^H H_j^(k) x_j) H_i^(k) and
     # gamma = prod_{j != i} x_j^H x_j
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
+    rng = np.random.default_rng(50)
+    x_cols = [crandn(rng, 2**w) for w in b.widths]
+    factors = [x[:, None] for x in x_cols]
+    ws = mpo(regroup(h, b))
+    envs = _Environments(ws, (1, 1))
+    for i in range(b.q):
+        coeff = envs.blocks(factors, factors, i, 1.0)
+        h_i, gamma = _kron_sum(coeff, ws[i]), coeff[0, -1, 0, 0]
+        others = [j for j in range(b.q) if j != i]
+        gamma_ref = np.prod([np.vdot(x_cols[j], x_cols[j]).real for j in others])
+        ref = sum(t.coefficient * ops[k][i] * np.prod(
+            [np.vdot(x_cols[j], ops[k][j] @ x_cols[j]).real for j in others])
+            for k, t in enumerate(h.terms))
+        assert gamma == pytest.approx(gamma_ref, rel=1e-12)
+        assert close(h_i, ref), (i, np.linalg.norm(h_i - ref))
+
+
+@pytest.mark.parametrize("model", LOCAL_MODELS)
+def test_mode_problem_matches_term_loop(model):
+    h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
+    ops = term_blocks(h, b)
     x = random_cp(b, 3, seed=52)
     x.weights = np.array([0.7 + 0.2j, -1.1, 0.4j])
-    rng = np.random.default_rng(50)
-    working = BlockedCp(b.groups, [crandn(rng, 2**w, 1) for w in b.widths])
+    ww = np.outer(x.weights.conj(), x.weights)
     ws = mpo(regroup(h, b))
-    for x, scale in ((x, np.outer(x.weights.conj(), x.weights)), (working, 1.0)):
-        ww = scale * np.ones((x.rank, x.rank))
-        envs = _Environments(ws, (x.rank, x.rank))
-        for i in range(b.q):
-            others = [j for j in range(b.q) if j != i]
-            a_ref = 0
-            for k, t in enumerate(h.terms):
-                coeff = ww.copy()
-                for j in others:
-                    coeff = coeff * (x.factors[j].conj().T @ ops[k][j] @ x.factors[j])
-                a_ref = a_ref + t.coefficient * np.kron(coeff, ops[k][i])
-            gram = ww.copy()
+    envs = _Environments(ws, (3, 3))
+    for i in range(b.q):
+        others = [j for j in range(b.q) if j != i]
+        a_ref = 0
+        for k, t in enumerate(h.terms):
+            coeff = ww.copy()
             for j in others:
-                gram = gram * (x.factors[j].conj().T @ x.factors[j])
-            coeff = envs.blocks(x.factors, x.factors, i, scale)
-            numerator = _kron_sum(coeff, ws[i])
-            denominator = np.kron(coeff[0, -1], np.eye(2 ** b.widths[i]))
-            assert close(numerator, a_ref), i
-            assert close(denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
-            if x.rank == 1:
-                assert coeff[0, -1, 0, 0] == pytest.approx(gram[0, 0], rel=1e-12), i
+                coeff = coeff * (x.factors[j].conj().T @ ops[k][j] @ x.factors[j])
+            a_ref = a_ref + t.coefficient * np.kron(coeff, ops[k][i])
+        gram = ww.copy()
+        for j in others:
+            gram = gram * (x.factors[j].conj().T @ x.factors[j])
+        coeff = envs.blocks(x.factors, x.factors, i, ww)
+        numerator = _kron_sum(coeff, ws[i])
+        denominator = np.kron(coeff[0, -1], np.eye(2 ** b.widths[i]))
+        assert close(numerator, a_ref), i
+        assert close(denominator, np.kron(gram, np.eye(2 ** b.widths[i]))), i
 
 
 def hermitian_blocks(rng, *shape):
