@@ -391,9 +391,9 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
     An open chain is kept in mixed-canonical gauge, so the update is a
     Hermitian eigenproblem: :func:`_heff_apply` applies the operator
     matrix-free and :func:`krylov_min` (a Lanczos recurrence with full
-    reorthogonalization; real tridiagonal projected matrix) finds its lowest
-    eigenpair from a Krylov space started at the current center tensor, so
-    no update raises the energy.  A periodic gauge is not orthonormal: the
+    reorthogonalization whose real tridiagonal projected matrix is solved
+    every third step) finds its lowest eigenpair from a Krylov space started
+    at the current center tensor, so no update raises the energy.  A periodic gauge is not orthonormal: the
     norm environments are L in the automaton's "start" state and R in its
     "done" state, and the numerator and denominator pencils go to
     :func:`generalized_eig_min`, which drops the denominator directions
@@ -455,9 +455,10 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     Hamiltonian's MPO, carrying the wrap legs of a periodic chain, and grow
     it by one site after every update.  Open chains stay in mixed-canonical
     gauge, so every update is a standard Hermitian eigenproblem, solved
-    matrix-free by a Lanczos recurrence with full reorthogonalization; real
-    tridiagonal projected matrix. It starts at the current site tensor, and
-    the effective matrix is never formed. Periodic chains close the
+    matrix-free by a Lanczos recurrence with full reorthogonalization whose
+    real tridiagonal projected matrix is solved every third step (so a
+    converged pair costs at most 2 extra matvecs). It starts at the current
+    site tensor, and the effective matrix is never formed. Periodic chains close the
     environments into the numerator and denominator of a generalized pencil,
     solved on the eigenspace of the denominator above its floor.
     One sweep is one directional pass; direction alternates, re-gauging by

@@ -165,13 +165,14 @@ def svd(m: np.ndarray):
 
 def _hermitian_part(m: np.ndarray, tols: Tolerances) -> np.ndarray:
     """(m + m^H) / 2, refusing an `m` that is not Hermitian within
-    `tols.hermitian` relative to max(1, ||m||).  A real `m` stays real (a
-    real symmetric matrix), any other is made complex."""
+    `tols.hermitian` relative to max(1, ||m||), or whose defect is NaN.  A
+    real `m` stays real (a real symmetric matrix), any other is made
+    complex."""
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     scale = max(1.0, np.linalg.norm(m))
     defect = np.linalg.norm(m - m.conj().T)
-    if defect > tols.hermitian * scale:
+    if not defect <= tols.hermitian * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     return 0.5 * (m + m.conj().T)
 
@@ -196,6 +197,11 @@ def _padded(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+# steps between krylov_min's solves of its projected T: a longer stride saves
+# eigh calls but can run more matvecs past convergence
+_RITZ_STRIDE = 3
+
+
 def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Lowest eigenpair of a Hermitian operator given only as `matvec`.
 
@@ -210,12 +216,18 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     from Im alpha_k, h_{k-1} - beta_{k-1} and the h_j, j < k - 1, which all
     vanish for a Hermitian operator.  So an operator that is not Hermitian
     is refused.  The real symmetric tridiagonal T of the alphas and betas
-    goes through :func:`hermitian_eig`; its lowest Ritz pair (theta, y) has
-    the residual ||A x - theta x|| = beta_k |y_k|, and the recurrence stops
-    once that is <= tols.convergence * max(1, |theta|) (an invariant space
-    has beta_k below that bound) or the basis spans the whole vector space.
-    Since `v0` lies in the space, theta never exceeds its Rayleigh quotient.
-    Returns (theta, x) with x of unit norm and the usual phase convention.
+    goes through :func:`hermitian_eig`, but only at every third step
+    (k % _RITZ_STRIDE == 0), at k = n, and whenever beta_k <=
+    tols.convergence * max(1, ||T||_F), which holds at an invariant space.
+    The lowest Ritz pair (theta, y) of a solve has the residual
+    ||A x - theta x|| = beta_k |y_k|, and the recurrence stops once that is
+    <= tols.convergence * max(1, |theta|) or the basis spans the whole
+    vector space.  So it stops at most 2 matvecs after the step at which
+    the residual first met that bound.  The Hermiticity defect and the
+    Gram-Schmidt passes still run at every step; a NaN or infinite image
+    is refused as not Hermitian.  Since `v0` lies in the space, theta never
+    exceeds its Rayleigh quotient.  Returns (theta, x) with x of unit norm
+    and the usual phase convention.
     """
     u = np.asarray(v0, dtype=complex).reshape(-1)
     n = u.size
@@ -248,7 +260,7 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
             above[-1] -= beta
         defect2 += 4.0 * h[-1].imag ** 2 + 2.0 * np.vdot(above, above).real
         norm2 += np.vdot(h, h).real + beta ** 2
-        if np.sqrt(defect2) > tols.hermitian * max(1.0, np.sqrt(norm2)):
+        if not np.sqrt(defect2) <= tols.hermitian * max(1.0, np.sqrt(norm2)):
             raise ValueError(f"matrix is not Hermitian: defect {np.sqrt(defect2):.3e}")
         w = w - h @ vs[:k]  # not in place: w may be matvec's own array
         w -= (vs[:k] @ w.conj()).conj() @ vs[:k]
@@ -256,10 +268,12 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
         if k > 1:
             t[k - 2, k - 1] = t[k - 1, k - 2] = beta
         beta = np.linalg.norm(w)
-        lam, y = hermitian_eig(t[:k, :k], tols)
-        theta, y0 = float(lam[0]), y[:, 0]
-        if beta * abs(y0[-1]) <= tols.convergence * max(1.0, abs(theta)) or k == n:
-            break
+        if k % _RITZ_STRIDE == 0 or k == n \
+                or beta <= tols.convergence * max(1.0, np.sqrt(norm2)):
+            lam, y = hermitian_eig(t[:k, :k], tols)
+            theta, y0 = float(lam[0]), y[:, 0]
+            if beta * abs(y0[-1]) <= tols.convergence * max(1.0, abs(theta)) or k == n:
+                break
         u = w / beta
     x = y0 @ vs[:k]
     x, _ = _phase_normalize_columns((x / np.linalg.norm(x)).reshape(-1, 1))

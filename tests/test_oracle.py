@@ -126,6 +126,12 @@ def test_oracle_eigensolves_stay_small(monkeypatch):
     assert sizes and max(sizes) < 256
 
 
+def test_oracle_refuses_a_nan_hamiltonian():
+    # a NaN coupling makes a NaN image, refused as not Hermitian
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ground_state_dense(build_ising(8, float("nan")))
+
+
 def test_oracle_cap_still_refuses():
     with pytest.raises(DimensionCapError):
         ground_state_dense(build_ising(DEFAULT_TOLS.dense_site_cap + 1, 1.0))

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tnsolve import tensor
+from tnsolve.config import DEFAULT_TOLS
 from tnsolve.tensor import (
     DenseState,
     _phase_normalize_columns,
@@ -394,6 +396,65 @@ def test_krylov_min_stops_at_invariant_space():
     assert len(calls) <= 5
     assert theta == pytest.approx(-4.0, abs=1e-12)
     assert np.linalg.norm(d * x - theta * x) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_krylov_min_stops_at_invariant_space_at_every_residue(m):
+    # m distinct eigenvalues: beta collapses at step m, which falls on every
+    # residue modulo the stride of the tridiagonal solves, and the collapse
+    # itself forces a solve there
+    rng = np.random.default_rng(37 + m)
+    d = np.resize(np.linspace(-2.0, 3.0, m), 60)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return d * v
+
+    theta, x = krylov_min(matvec, crandn(rng, 60))
+    assert len(calls) <= m
+    assert theta == pytest.approx(-2.0, abs=1e-12)
+    assert np.linalg.norm(d * x - theta * x) <= 1e-10
+
+
+def test_krylov_min_solves_t_every_third_step(monkeypatch):
+    # 40 evenly spaced eigenvalues keep the recurrence going for tens of
+    # steps; the tridiagonal T is solved only every third one, plus the
+    # step at which the recurrence stops
+    d = np.resize(np.linspace(-1.0, 1.0, 40), 400)
+    v0 = np.random.default_rng(38).standard_normal(400)
+    calls, solves = [], []
+    solve = tensor.hermitian_eig
+
+    def recording(m, tols=DEFAULT_TOLS):
+        solves.append(np.shape(m)[0])
+        return solve(m, tols)
+
+    def matvec(v):
+        calls.append(1)
+        return d * v
+
+    monkeypatch.setattr(tensor, "hermitian_eig", recording)
+    theta, _ = krylov_min(matvec, v0)
+    assert len(solves) <= len(calls) // 3 + 2
+    assert theta == pytest.approx(-1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("at", [1, 2])
+def test_krylov_min_refuses_non_finite_image(at):
+    # a NaN image is refused as not Hermitian at the step that makes it,
+    # before any further matvec and whether or not T is solved there
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return np.full_like(v, np.nan) if len(calls) == at else np.arange(8.0) * v
+
+    with pytest.raises(ValueError, match="not Hermitian"):
+        krylov_min(matvec, np.ones(8))
+    assert len(calls) == at
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_krylov_min_holds_one_basis_buffer():
