@@ -224,10 +224,10 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     <= tols.convergence * max(1, |theta|) or the basis spans the whole
     vector space.  So it stops at most 2 matvecs after the step at which
     the residual first met that bound.  The Hermiticity defect and the
-    Gram-Schmidt passes still run at every step; a NaN or infinite image
-    is refused as not Hermitian.  Since `v0` lies in the space, theta never
-    exceeds its Rayleigh quotient.  Returns (theta, x) with x of unit norm
-    and the usual phase convention.
+    Gram-Schmidt passes still run at every step, and an image that makes
+    the defect NaN is refused as not Hermitian at once.  Since `v0` lies in
+    the space, theta never exceeds its Rayleigh quotient.  Returns
+    (theta, x) with x of unit norm and the usual phase convention.
     """
     u = np.asarray(v0, dtype=complex).reshape(-1)
     n = u.size
