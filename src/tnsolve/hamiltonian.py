@@ -26,10 +26,11 @@ from . import flops
 from .config import DEFAULT_TOLS
 from .tensor import DenseState, DimensionCapError, kron_first_fastest
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# I, X and Z are real and Y is complex; a custom operator is always complex
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+IDENTITY_2 = np.eye(2)
 
 _NAMED = {
     "I": IDENTITY_2,
@@ -54,6 +55,7 @@ class SiteOperator:
 
     @classmethod
     def custom(cls, matrix: np.ndarray) -> "SiteOperator":
+        """A custom 2x2 operator, stored complex whatever its entries."""
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError("custom site operator must be 2x2")
@@ -284,11 +286,14 @@ def _check_boundary(boundary: str) -> None:
 # dense materialization and matrix-free action
 
 def materialize_dense(h: SpinHamiltonian, cap: int = DEFAULT_TOLS.dense_site_cap) -> np.ndarray:
-    """Explicit 2^p x 2^p matrix sum of all Kronecker terms."""
+    """Explicit 2^p x 2^p matrix sum of all Kronecker terms, real when every
+    coefficient and factor is."""
     if h.p > cap:
         raise DimensionCapError(f"p={h.p} exceeds dense cap {cap}")
     dim = 2**h.p
-    out = np.zeros((dim, dim), dtype=complex)
+    dtype = np.result_type(np.float64, *(t.coefficient for t in h.terms),
+                           *{f.matrix.dtype for t in h.terms for f in t.factors})
+    out = np.zeros((dim, dim), dtype=dtype)
     for t in h.terms:
         out += t.coefficient * kron_first_fastest([f.matrix for f in t.factors])
     return out
@@ -382,7 +387,9 @@ class BlockTable:
     as (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts
     to ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
     first site is its fastest bit (:func:`kron_first_fastest`, ``order="F"``).
-    Its one use in the solvers is as the input of :func:`mpo`.
+    Its one use in the solvers is as the input of :func:`mpo`.  ``dtype``
+    is the result type of the coefficients and block operators: real unless
+    some operator is complex (a Pauli Y or a custom operator).
     """
 
     def __init__(self, h: SpinHamiltonian, groups):
@@ -403,6 +410,7 @@ class BlockTable:
             ops.append(kron_first_fastest(mats.transpose(1, 0, 2, 3)))
         self.ops = tuple(ops)
         self.alpha = np.array([t.coefficient for t in h.terms])
+        self.dtype = np.result_type(np.float64, self.alpha, *self.ops)
 
 
 
@@ -421,7 +429,7 @@ class BlockedHamiltonian(BlockTable):
     def apply_block(self, k: int, i: int, vec: np.ndarray) -> np.ndarray:
         """Group i of term k applied to a length-n_i vector or to an
         (n_i, m) stack of columns, charged as a dense product."""
-        vec = np.asarray(vec, dtype=complex)
+        vec = np.asarray(vec)
         stack = vec.reshape(self.ops[i].shape[1], -1)
         return flops.matmul(self.block_matrix(k, i), stack).reshape(vec.shape)
 
@@ -445,7 +453,8 @@ def mpo(table: BlockTable) -> list:
     (straddling terms); the outer cuts hold only "start" and only "done".
     A term enters its channel with its coefficient at its first group and
     leaves at its last; a term inside one group, or with empty support
-    (taken as inside the first), is a start -> done entry.
+    (taken as inside the first), is a start -> done entry.  Every site has
+    the table's dtype, so the MPO of a real Hamiltonian is real.
     """
     support = table.idx != 0
     q = support.shape[1]
@@ -459,7 +468,7 @@ def mpo(table: BlockTable) -> list:
     width[0] = width[q] = 1
     sites = []
     for i, ops in enumerate(table.ops):
-        w = np.zeros((width[i], width[i + 1]) + ops.shape[1:], dtype=complex)
+        w = np.zeros((width[i], width[i + 1]) + ops.shape[1:], dtype=table.dtype)
         if i < q - 1:
             w[0, 0] = ops[0]
         if i > 0:

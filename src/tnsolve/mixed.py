@@ -137,13 +137,14 @@ def _contract_network(pieces, open_labels=()):
     """
     order = tuple(open_labels)
     open_labels = frozenset(order)
-    work, scalar = [], 1.0 + 0.0j
+    work, scalar = [], 1.0
 
     def push(labels, t):
-        # a fully contracted piece joins the scalar at once
+        # a fully contracted piece joins the scalar at once, real while
+        # every piece is
         nonlocal scalar
         if t.ndim == 0:
-            scalar *= complex(t)
+            scalar *= t.item()
         else:
             work.append((tuple(labels), t))
 
@@ -276,7 +277,7 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
             _chain_pieces(y.blocking.groups, y.sites, "y", periodic)]
     scalar, _ = _contract_network(
         _chain_pieces(x.blocking.groups, x.sites, "x", periodic) + bras)
-    return scalar
+    return complex(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +345,10 @@ class _MixedCrossTerms:
         open_sites = tuple(("s", s) for s in self.groups[i])
         bras = [(labels, t.conj()) for j, (labels, t) in
                 enumerate(_product_pieces(self.groups, x_cols)) if j != i]
-        total = np.zeros(2 ** len(self.groups[i]), dtype=complex)
+        total = 0.0
         for pieces in kets:
             scalar, tens = _contract_network(pieces + bras, open_labels=open_sites)
-            total += scalar * tens.reshape(-1, order="F")
+            total = total + scalar * tens.reshape(-1, order="F")
         return total
 
     def vectors(self, x_cols, i) -> tuple:

@@ -1,15 +1,19 @@
 """Matrix product states (tensor trains) over blocked site groups.
 
-Site j of a chain with blocking widths (t_1, ..., t_q) holds a complex array
-of shape (D_j, 2^{t_j}, D_{j+1}); entry [m, i, m'] is the (m, m') element of
-the matrix selected by the physical index i.  Within a block the first site
+Site j of a chain with blocking widths (t_1, ..., t_q) holds an array of
+shape (D_j, 2^{t_j}, D_{j+1}), all sites of one dtype: real when every input
+is real, complex otherwise (the package dtype rule, see :mod:`tensor`).
+Entry [m, i, m'] is the (m, m') element of the matrix selected by the
+physical index i.  Within a block the first site
 is the fastest bit of the physical index, matching the package layout.
 Open chains have D_1 = D_{q+1} = 1; periodic chains close with a trace, so
 D_{q+1} = D_1.
 
 A Hamiltonian enters every chain contraction as its matrix product operator
 (:func:`hamiltonian.mpo`); the ALS environments have shape (w, W, D, D), w
-the operator bond and W the wrap legs of a periodic chain.
+the operator bond and W the wrap legs of a periodic chain.  ALS on a real
+Hamiltonian starts from a real chain, so its sites, environments and local
+Krylov bases stay real.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .records import run_sweeps
 from .tensor import (
     DenseState,
     DimensionCapError,
+    _gaussian,
+    _inexact,
     _real_part,
     generalized_eig_min,
     krylov_min,
@@ -54,7 +60,7 @@ class MpsState:
             raise ValueError(f"bad boundary {self.boundary!r}")
         if len(self.sites) != self.blocking.q:
             raise ValueError("one site tensor per block required")
-        self.sites = [np.asarray(s, dtype=complex) for s in self.sites]
+        self.sites = _inexact(self.sites)
         for j, (s, w) in enumerate(zip(self.sites, self.blocking.widths)):
             if s.ndim != 3 or s.shape[1] != 2**w:
                 raise ValueError(f"site {j} must have shape (D, {2**w}, D')")
@@ -92,10 +98,12 @@ class GaugeStatus:
 # construction
 
 def random_mps(p: int, d_bond: int, boundary: str = "open",
-               blocking: Blocking | None = None, seed: int = 0) -> MpsState:
-    """Reproducible complex-Gaussian state.  Open-boundary bonds are clamped
-    to min(D, 2^{left bits}, 2^{right bits}) so no bond exceeds what the cut
-    can carry."""
+               blocking: Blocking | None = None, seed: int = 0,
+               dtype=complex) -> MpsState:
+    """Reproducible Gaussian state of `dtype` (:func:`tensor._gaussian`,
+    scaled by 1/sqrt(2)): complex by default, real when ALS starts it for a
+    real Hamiltonian.  Open-boundary bonds are clamped to min(D, 2^{left
+    bits}, 2^{right bits}) so no bond exceeds what the cut can carry."""
     blocking = blocking or Blocking.single_sites(p)
     if blocking.p != p:
         raise ValueError("blocking does not cover p sites")
@@ -108,8 +116,7 @@ def random_mps(p: int, d_bond: int, boundary: str = "open",
     sites = []
     for j, w in enumerate(blocking.widths):
         shape = (bonds[j], 2**w, bonds[j + 1])
-        sites.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                     / np.sqrt(2.0))
+        sites.append(_gaussian(rng, shape, dtype) / np.sqrt(2.0))
     return MpsState(boundary, blocking, sites)
 
 
@@ -120,7 +127,7 @@ def from_unit_vector(index: int, p: int) -> MpsState:
         raise ValueError("basis index out of range")
     sites = []
     for r in range(p):
-        a = np.zeros((1, 2, 1), dtype=complex)
+        a = np.zeros((1, 2, 1))
         a[0, (index >> r) & 1, 0] = 1.0
         sites.append(a)
     return MpsState("open", Blocking.single_sites(p), sites)
@@ -156,7 +163,7 @@ def add(x: MpsState, y: MpsState) -> MpsState:
     sites = []
     for a, b in zip(x.sites, y.sites):
         c = np.zeros((a.shape[0] + b.shape[0], a.shape[1], a.shape[2] + b.shape[2]),
-                     dtype=complex)
+                     dtype=np.result_type(a, b))
         c[: a.shape[0], :, : a.shape[2]] = a
         c[a.shape[0] :, :, a.shape[2] :] = b
         sites.append(c)
@@ -260,8 +267,7 @@ def _zipper_init(dy: int, dx: int) -> np.ndarray:
     """Start tensor over (wrap_y, wrap_x, cur_y, cur_x) for chains whose
     first bonds have sizes dy and dx.  Open chains have size-1 wrap legs, so
     the same sweep covers both boundaries."""
-    e = np.einsum("ac,bd->abcd", np.eye(dy), np.eye(dx))
-    return e.astype(complex)
+    return np.einsum("ac,bd->abcd", np.eye(dy), np.eye(dx))
 
 
 def _env_step_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
@@ -461,6 +467,8 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     site tensor, and the effective matrix is never formed. Periodic chains close the
     environments into the numerator and denominator of a generalized pencil,
     solved on the eigenspace of the denominator above its floor.
+    The random start has the dtype of the Hamiltonian's MPO, so a real H is
+    solved in real arithmetic throughout.
     One sweep is one directional pass; direction alternates, re-gauging by
     QR after every update, and two consecutive sweeps that move the energy
     by less than tols.convergence stop the search.  Returns (trace, state)
@@ -470,8 +478,9 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
         raise ValueError("need d_bond >= 1 and sweeps >= 1")
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
-    state = random_mps(p, d_bond, boundary, blocking, seed)
-    table = regroup(h, state.blocking)
+    blocking = blocking or Blocking.single_sites(p)
+    table = regroup(h, blocking)
+    state = random_mps(p, d_bond, boundary, blocking, seed, table.dtype)
     if boundary == "open":
         state, _ = normalize_right_sweep(state)
     else:

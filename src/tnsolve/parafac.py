@@ -35,7 +35,9 @@ from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
     DenseState,
+    _gaussian,
     _hermitian_part,
+    _inexact,
     _phase_normalize_columns,
     _product_vector,
     _whitening,
@@ -57,7 +59,7 @@ def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
     not whitened at a smaller Gram matrix: :func:`generalized_eig_min`
     solves it whole, singular or not."""
     def border(mat, vec, corner):
-        out = np.empty((dim + 1, dim + 1), dtype=complex)
+        out = np.empty((dim + 1, dim + 1), dtype=np.result_type(mat, vec, corner))
         out[:dim, :dim], out[:dim, dim], out[dim, :dim], out[dim, dim] = \
             mat, vec, vec.conj(), corner
         return out
@@ -72,14 +74,14 @@ class BlockedCp:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=complex) for f in self.factors]
+        self.factors = _inexact(self.factors)
         self.groups = _partition(self.groups, lengths=[f.shape[0] for f in self.factors])
         if len({f.shape[1] for f in self.factors}) != 1:
             raise ValueError("all modes must hold the same number of addends")
         if self.weights is None:
-            self.weights = np.ones(self.rank, dtype=complex)
+            self.weights = np.ones(self.rank)
         else:
-            self.weights = np.asarray(self.weights, dtype=complex).reshape(-1)
+            self.weights = _inexact([self.weights])[0].reshape(-1)
             if self.weights.size != self.rank:
                 raise ValueError("one weight per addend required")
 
@@ -103,21 +105,24 @@ class BlockedCp:
             norms = np.linalg.norm(f, axis=0)
             safe = np.where(norms > 0.0, norms, 1.0)
             out.factors[i] = f / safe
-            out.weights = out.weights * norms.astype(complex)
+            out.weights = out.weights * norms
         return out
 
 
 @dataclass
 class MixedTerm:
     """weight * (x_1 (x) ... (x) x_q), x_i on the sites of groups[i] (in
-    factor bit order), the groups any partition of the sites."""
+    factor bit order), the groups any partition of the sites.  The factors
+    share one dtype, real when all of them are; the weight is a real or
+    complex scalar (real for the addends of the greedy solvers on a real
+    Hamiltonian)."""
 
     groups: tuple
     factors: list
-    weight: complex = 1.0
+    weight: float | complex = 1.0
 
     def __post_init__(self):
-        self.factors = [np.asarray(f, dtype=complex).reshape(-1) for f in self.factors]
+        self.factors = [f.reshape(-1) for f in _inexact(self.factors)]
         self.groups = _partition(self.groups, lengths=[f.size for f in self.factors])
 
     @property
@@ -125,11 +130,15 @@ class MixedTerm:
         return sum(map(len, self.groups))
 
 
-def random_cp(blocking: Blocking, rank: int, seed: int = 0) -> BlockedCp:
+def random_cp(blocking: Blocking, rank: int, seed: int = 0,
+              dtype=complex) -> BlockedCp:
+    """Reproducible state of unit-norm Gaussian columns of `dtype`
+    (:func:`tensor._gaussian`): complex by default, real when the
+    simultaneous solver starts it for a real Hamiltonian."""
     rng = np.random.default_rng(seed)
     factors = []
     for w in blocking.widths:
-        f = rng.standard_normal((2**w, rank)) + 1j * rng.standard_normal((2**w, rank))
+        f = _gaussian(rng, (2**w, rank), dtype)
         factors.append(f / np.linalg.norm(f, axis=0))
     return BlockedCp(blocking.groups, factors)
 
@@ -166,7 +175,7 @@ def expectation_form(ws: list, y: BlockedCp, x: BlockedCp) -> complex:
     X_i) (:func:`_transfer`), from E_0 = 1 at the one "start" channel."""
     if y.groups != x.groups or len(ws) != len(x.groups):
         raise ValueError("expectation requires one common set of site groups")
-    env = np.ones((1, y.rank, x.rank), dtype=complex)
+    env = np.ones((1, y.rank, x.rank))
     for w, fy, fx in zip(ws, y.factors, x.factors):
         t = _transfer(fy, flops.matmul(w, fx))
         flops.add(t.size)
@@ -217,7 +226,8 @@ def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
 
 def _spectral_factors(ws: list, rank: int, seed: int = 0) -> list:
     """The factor matrices of :func:`spectral_init`, one per site of the MPO
-    `ws`; columns beyond a group's dimension are random unit vectors."""
+    `ws`; columns beyond a group's dimension are random unit vectors of the
+    MPO's dtype."""
     rng = np.random.default_rng(seed)
     factors = []
     for w in ws:
@@ -227,7 +237,7 @@ def _spectral_factors(ws: list, rank: int, seed: int = 0) -> list:
         _, vecs = hermitian_eig(w[0, -1])
         cols = list(vecs[:, :rank].T)
         while len(cols) < rank:
-            extra = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            extra = _gaussian(rng, dim, w.dtype)
             cols.append(extra / np.linalg.norm(extra))
         factors.append(np.stack(cols, axis=1))
     return factors
@@ -263,7 +273,7 @@ class _Environments:
     that never change, whose images W_j ket_j are then formed once."""
 
     def __init__(self, ws: list, shape: tuple, fixed_kets: list | None = None):
-        edge = np.ones((1,) + shape, dtype=complex)
+        edge = np.ones((1,) + shape)
         self.ws = ws
         self.left = [edge] + [None] * (len(ws) - 1)
         self.right = [None] * (len(ws) - 1) + [edge]
@@ -372,7 +382,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
         def fresh_cols():
             cols = []
             for n in (2 ** len(sites) for sites in groups):
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                v = _gaussian(rng, n, ws[0].dtype)
                 cols.append(v / np.linalg.norm(v))
             return cols
 
@@ -418,7 +428,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
             x_cols = fresh_cols()
         # freeze the finished addend in normalized form
         norms = [np.linalg.norm(c) for c in x_cols]
-        weight = 0.0j if degenerate else complex(np.prod(norms))
+        weight = 0.0 if degenerate else float(np.prod(norms))
         cols = [c / n if n > 0 else c for c, n in zip(x_cols, norms)]
         frozen.append(MixedTerm(groups, cols, weight))
 
@@ -457,20 +467,24 @@ def _kron_sum(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
-    """Lowest eigenpair of the mode pencil (sum_{a,b} kron(coeff[a, b],
-    W[a, b]), kron(G, I_n)), G = coeff[0, -1] the addends' Gram matrix,
-    whitened at the r x r level: :func:`tensor._whitening` gives S_G (r, k)
-    from G alone, the blocks become S_G^H coeff[a, b] S_G before the
-    Kronecker products, and the lowest eigenvector y of that (k n)^2 matrix
-    (:func:`hermitian_eig`) maps back to x = (S_G (x) I_n) y.  Returns
-    (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention.
-    The Hermiticity check runs before the whitening, which scales rounding
-    by up to 1/lambda_min(G); the whitened matrix is only symmetrized."""
-    _hermitian_part(_kron_sum(coeff, w), tols)
+    """Lowest eigenpair of the mode pencil (A, kron(G, I_n)), A =
+    sum_{a,b} kron(coeff[a, b], W[a, b]) and G = coeff[0, -1] the addends'
+    Gram matrix, whitened at the r x r level: :func:`tensor._whitening`
+    gives S_G (r, k) from G alone, A is formed once, checked Hermitian and
+    symmetrized (:func:`tensor._hermitian_part`), and S_G is contracted into
+    its (r, n, r, n) view, so the lowest eigenvector y of the (k n)^2 matrix
+    (S_G (x) I_n)^H A (S_G (x) I_n) (:func:`hermitian_eig`) maps back to x =
+    (S_G (x) I_n) y.  Returns (lambda, x), x^H kron(G, I_n) x = 1 with the
+    usual phase convention.  The Hermiticity check runs before the
+    whitening, which scales rounding by up to 1/lambda_min(G); the whitened
+    matrix is only symmetrized."""
+    a = _hermitian_part(_kron_sum(coeff, w), tols)
     s = _whitening(coeff[0, -1], tols)
-    reduced = _kron_sum(flops.matmul(flops.matmul(s.conj().T, coeff), s), w)
+    r, k, n = s.shape[0], s.shape[1], w.shape[-1]
+    a = flops.tdot(s.conj(), a.reshape(r, n, r, n), axes=(0, 0))   # (k, n, r', n)
+    reduced = flops.tdot(a, s, axes=(2, 0)).transpose(0, 1, 3, 2).reshape(k * n, k * n)
     lam, y = hermitian_eig(0.5 * (reduced + reduced.conj().T), tols)
-    x = flops.matmul(s, y[:, 0].reshape(s.shape[1], -1)).reshape(-1, 1)
+    x = flops.matmul(s, y[:, 0].reshape(k, -1)).reshape(-1, 1)
     x, _ = _phase_normalize_columns(x)
     return float(lam[0]), x[:, 0]
 
@@ -498,7 +512,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     if init == "spectral":
         x = BlockedCp(blocking.groups, _spectral_factors(ws, rank))
     elif init == "random":
-        x = random_cp(blocking, rank, seed)
+        x = random_cp(blocking, rank, seed, ws[0].dtype)
     else:
         raise ValueError(f"unknown init {init!r}")
 
@@ -509,7 +523,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
         ww = np.outer(x.weights.conj(), x.weights)
         lam, vec = _mode_solve(envs.blocks(x.factors, x.factors, i, ww), ws[i], tols)
         x.factors[i] = vec.reshape(rank, -1).T
-        x.weights = np.ones(rank, dtype=complex)
+        x.weights = np.ones(rank)
         if i == blocking.q - 1:
             x = x.normalize_addends()
         return lam

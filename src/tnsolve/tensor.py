@@ -9,6 +9,14 @@ vector index; :func:`ravel` and :func:`unravel` convert between the two
 views.  Kronecker products of per-site matrices therefore list the *last*
 site first when built with ``np.kron`` (see :func:`kron_first_fastest`).
 
+Dtype doctrine (also package-wide): arrays take their dtype from their
+operands, the ``np.result_type`` of the Hamiltonian's operators (its MPO)
+and of the inputs, at least float64.  So a real Hamiltonian gives real site
+tensors, factors, environments and Krylov bases, and one complex operand
+makes them complex; seeded random starts draw real Gaussians when the
+operator they start is real (:func:`_gaussian`).  There is one code path
+for both.  Only :class:`DenseState` is always complex.
+
 Networks of tensors whose legs carry labels (grid sites, chain bits, bonds)
 are contracted pairwise by ``_contract_labelled``, which sums over every
 label the two tensors share and charges the step to the operation counter.
@@ -95,6 +103,21 @@ def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _inexact(arrays) -> list:
+    """`arrays` as arrays of one dtype: their result type, at least float64."""
+    arrays = [np.asarray(a) for a in arrays]
+    dtype = np.result_type(np.float64, *arrays)
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _gaussian(rng, shape, dtype) -> np.ndarray:
+    """A seeded Gaussian draw of `dtype`: one standard normal draw when it
+    is real, real and imaginary parts from two when it is complex."""
+    if np.issubdtype(dtype, np.complexfloating):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
+
+
 def _product_vector(groups, cols) -> np.ndarray:
     """The product of `cols` over site groups as a vector: column i on the
     sites of groups[i], its first site the fastest bit."""
@@ -131,15 +154,19 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
     """Rotate each column of `u` so its first nonzero entry is real positive.
 
     If `v` is given its rows absorb the conjugate phase, keeping u @ v fixed.
-    Columns without an entry above 1e-300 are left untouched.
+    Columns without an entry above 1e-300 are left untouched.  A real `u`
+    only has signs to flip: z / |z| is exactly +-1 for a real z.
     """
     nonzero = np.abs(u) > 1e-300
     z = u[nonzero.argmax(axis=0), np.arange(u.shape[1])]
-    z = np.where(nonzero.any(axis=0), z, 1.0)
-    # Rounding matches a per-column loop: hypot is what abs() of a complex
-    # scalar computes (np.abs of an array rounds differently), and a column
-    # without a nonzero entry is scaled by exactly 1.
-    phase = z / np.hypot(z.real, z.imag)
+    if not np.iscomplexobj(u):
+        phase = np.where((z < 0.0) & nonzero.any(axis=0), -1.0, 1.0)
+    else:
+        z = np.where(nonzero.any(axis=0), z, 1.0)
+        # Rounding matches a per-column loop: hypot is what abs() of a
+        # complex scalar computes (np.abs of an array rounds differently),
+        # and a column without a nonzero entry is scaled by exactly 1.
+        phase = z / np.hypot(z.real, z.imag)
     u *= np.conj(phase)
     if v is not None:
         v *= phase[:, None]
@@ -170,11 +197,12 @@ def _hermitian_part(m: np.ndarray, tols: Tolerances) -> np.ndarray:
     complex."""
     m = np.asarray(m)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    mh = m.conj().T
     scale = max(1.0, np.linalg.norm(m))
-    defect = np.linalg.norm(m - m.conj().T)
+    defect = np.linalg.norm(m - mh)
     if not defect <= tols.hermitian * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
@@ -226,10 +254,14 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     the residual first met that bound.  The Hermiticity defect and the
     Gram-Schmidt passes still run at every step, and an image that makes
     the defect NaN is refused as not Hermitian at once.  Since `v0` lies in
-    the space, theta never exceeds its Rayleigh quotient.  Returns
-    (theta, x) with x of unit norm and the usual phase convention.
+    the space, theta never exceeds its Rayleigh quotient.  The basis takes
+    its dtype from `v0` and the images: it is real while they are, and the
+    first complex image widens it to complex, so no imaginary part is ever
+    dropped and no matvec is spent on finding the dtype.  Returns
+    (theta, x) with x of unit norm, the basis dtype and the usual phase
+    convention.
     """
-    u = np.asarray(v0, dtype=complex).reshape(-1)
+    u = np.asarray(v0).reshape(-1)
     n = u.size
     nrm = np.linalg.norm(u)
     if not nrm > 0.0:
@@ -240,8 +272,8 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     # a statement, which is what makes refcheck=False safe), and T in a small
     # buffer that doubles with it; rows keep every product a contiguous
     # matrix-vector product, and V^H w is formed as conj(V @ conj(w)) so the
-    # basis is never copied
-    vs = np.zeros((0, n), dtype=complex)
+    # basis is never copied (conj of a real array is the array itself)
+    vs = np.zeros((0, n), dtype=np.result_type(u, np.float64))
     t = np.zeros((0, 0))
     beta = defect2 = norm2 = 0.0
     k = 0
@@ -251,14 +283,18 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
             vs.resize((cap, n), refcheck=False)
             t = _padded(t, (cap, cap))
         vs[k] = u
-        w = np.asarray(matvec(u), dtype=complex).reshape(-1)
+        w = np.asarray(matvec(u)).reshape(-1)
+        if np.iscomplexobj(w) and not np.iscomplexobj(vs):
+            vs = vs.astype(complex)  # widen once, keeping the imaginary part
         k += 1
         h = (vs[:k] @ w.conj()).conj()
-        # column k of V^H A V - (V^H A V)^H above its diagonal
+        # column k of V^H A V - (V^H A V)^H: its diagonal entry h_k -
+        # conj(h_k), which is NaN for a NaN image even when it is real, and
+        # the entries above the diagonal
         above = h[:-1].copy()
         if k > 1:
             above[-1] -= beta
-        defect2 += 4.0 * h[-1].imag ** 2 + 2.0 * np.vdot(above, above).real
+        defect2 += abs(h[-1] - h[-1].conj()) ** 2 + 2.0 * np.vdot(above, above).real
         norm2 += np.vdot(h, h).real + beta ** 2
         if not np.sqrt(defect2) <= tols.hermitian * max(1.0, np.sqrt(norm2)):
             raise ValueError(f"matrix is not Hermitian: defect {np.sqrt(defect2):.3e}")

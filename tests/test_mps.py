@@ -464,8 +464,8 @@ def test_als_keeps_its_bonds_at_zero_singular_values():
 
 
 @pytest.mark.parametrize("boundary,p,d_bond,entries,energy", [
-    ("open", 8, 4, 40, -9.837949818606878),
-    ("periodic", 6, 2, 60, -7.726522065342363),
+    ("open", 8, 4, 48, -9.837949818606878),
+    ("periodic", 6, 2, 60, -7.7265237221761724),
 ], ids=["open", "periodic"])
 def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
     # default sweeps and seed; entries, markers and final energy are pinned
@@ -473,6 +473,69 @@ def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
     assert len(trace) == entries
     assert sum(1 for t in trace if t.note) == 0
     assert trace[-1].energy == pytest.approx(energy, abs=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_real_hamiltonian_keeps_chain_als_real(monkeypatch, boundary):
+    # a real H has a real MPO, so the start, the environments, the local
+    # Lanczos bases (every basis vector goes through the matvec), the local
+    # solutions and the final site tensors are all float64
+    seen = []
+    step, krylov, pencil = mps._env_step_right, mps.krylov_min, mps.generalized_eig_min
+
+    def recording_step(*args):
+        out = step(*args)
+        seen.append(("environment", out.dtype))
+        return out
+
+    def recording_krylov(matvec, v0, tols):
+        def spy(v):
+            seen.append(("basis", v.dtype))
+            return matvec(v)
+        theta, x = krylov(spy, v0, tols)
+        seen.append(("solution", x.dtype))
+        return theta, x
+
+    def recording_pencil(*args):
+        lam, x = pencil(*args)
+        seen.append(("solution", x.dtype))
+        return lam, x
+
+    monkeypatch.setattr(mps, "_env_step_right", recording_step)
+    monkeypatch.setattr(mps, "krylov_min", recording_krylov)
+    monkeypatch.setattr(mps, "generalized_eig_min", recording_pencil)
+    h = build_ising(6, 0.8, boundary)
+    assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(float)}
+    _, state = als_ground_state(h, 6, 2, boundary, sweeps=3)
+    assert {s.dtype for s in state.sites} == {np.dtype(float)}
+    kinds = {"environment", "solution"} | ({"basis"} if boundary == "open" else set())
+    assert {k for k, _ in seen} == kinds
+    assert {d for _, d in seen} == {np.dtype(float)}
+
+
+def complex_field_chain(p):
+    """Open Ising couplings plus a field along a custom Hermitian operator
+    with an imaginary off-diagonal: a Hamiltonian that is not real."""
+    c = SiteOperator.custom([[0.3, 0.5 - 0.4j], [0.5 + 0.4j, -0.3]])
+    field = [KroneckerTerm(0.9, tuple(c if j == k else OP_I for j in range(p)))
+             for k in range(p)]
+    return SpinHamiltonian(p, build_ising(p, 0.0).terms + tuple(field))
+
+
+def test_complex_operator_keeps_chain_als_complex():
+    # D = 8 carries every bond of a 6-site chain, so ALS reaches the ground
+    # energy; the imaginary part of H must survive the MPO and the solver
+    h = complex_field_chain(6)
+    want = np.linalg.eigvalsh(materialize_dense(h))[0]
+    assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(complex)}
+    trace, state = als_ground_state(h, 6, 8, "open", sweeps=12)
+    assert {s.dtype for s in state.sites} == {np.dtype(complex)}
+    assert trace[-1].energy == pytest.approx(want, abs=1e-10)
+    assert mps_energy(h, state) == pytest.approx(want, abs=1e-10)
+    e0, x0 = ground_state_dense(h)
+    assert e0 == pytest.approx(want, abs=1e-10)
+    # the ground state is complex beyond a global phase
+    assert np.linalg.norm(x0.vector.imag) > 1e-2
 
 
 def test_env_steps_charge_their_contractions():

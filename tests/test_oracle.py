@@ -101,6 +101,25 @@ def test_oracle_vector_phase_normalized():
     assert first.imag == 0.0 and first.real > 0.0
 
 
+@pytest.mark.parametrize("name", ["ising-open-10", "xy-open-10", "2d-open-2x5"])
+def test_oracle_basis_is_real_for_real_weights(monkeypatch, name):
+    # every builder's pauli_form weights are real (the XY chain's YY terms
+    # too), so the whole Lanczos basis, each vector of which goes through
+    # the matvec, is float64; the returned state is complex
+    seen = []
+    krylov = oracle.krylov_min
+
+    def recording(matvec, v0, tols):
+        return krylov(lambda v: seen.append(v.dtype) or matvec(v), v0, tols)
+
+    monkeypatch.setattr(oracle, "krylov_min", recording)
+    h = ORACLE_MODELS[name]()
+    e0, x0 = ground_state_dense(h)
+    assert set(seen) == {np.dtype(float)}
+    assert x0.vector.dtype == np.dtype(complex)
+    assert e0 == pytest.approx(np.linalg.eigvalsh(materialize_dense(h))[0], abs=1e-10)
+
+
 def test_oracle_never_materializes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle formed the dense matrix")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops, parafac
+from tnsolve import flops, mixed, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
@@ -533,6 +533,56 @@ def test_mode_solve_matches_dense_pencil_on_rank_deficient_grams(case):
         check_mode_solve_matches_dense_pencil(coeff, ws[i])
 
 
+def test_mode_solve_forms_its_numerator_once(monkeypatch):
+    # the numerator is formed, checked and symmetrized once; the Gram
+    # whitening is contracted into it, not into a second Kronecker sum
+    built = []
+    kron_sum = parafac._kron_sum
+    monkeypatch.setattr(parafac, "_kron_sum",
+                        lambda *args: built.append(1) or kron_sum(*args))
+    rng = np.random.default_rng(85)
+    coeff = hermitian_blocks(rng, 2, 3, 3, 3)
+    v = crandn(rng, 3, 2)
+    coeff[0, -1] = v @ v.conj().T
+    check_mode_solve_matches_dense_pencil(coeff, hermitian_blocks(rng, 2, 3, 4, 4))
+    assert built == [1]
+
+
+def test_real_hamiltonian_keeps_cp_solvers_real(monkeypatch):
+    # a real H has a real MPO: random and spectral starts (the latter with
+    # random columns beyond a group's dimension), environment blocks, the
+    # solutions of every local problem, greedy columns and frozen addends
+    # are all float64
+    seen = []
+
+    def spy(owner, name, pick):
+        fn = getattr(owner, name)
+
+        def recording(*args):
+            out = fn(*args)
+            seen.append((name, pick(out).dtype))
+            return out
+        monkeypatch.setattr(owner, name, recording)
+
+    spy(parafac._Environments, "blocks", lambda out: out)
+    spy(parafac, "bordered_problem", lambda out: np.asarray(out[0]))
+    spy(parafac, "_mode_solve", lambda out: out[1])
+    spy(parafac, "generalized_eig_min", lambda out: out[1])
+    h, b = build_ising(6, 1.0), Blocking((2, 4))
+    states = [simultaneous_als(h, b, 5, sweeps=3, init=init)[1]
+              for init in ("random", "spectral")]
+    states.append(greedy_als(h, b, 3, inner_iters=3)[1])
+    for x in states:
+        assert {f.dtype for f in x.factors} | {x.weights.dtype} == {np.dtype(float)}
+    _, mixed_sum = mixed.ground_state_mixed_greedy(h, [(2, 4), (3, 3)], 2, sweeps=3)
+    for term in mixed_sum.terms:
+        assert {f.dtype for f in term.factors} == {np.dtype(float)}
+        assert isinstance(term.weight, float)
+    assert {name for name, _ in seen} == {"blocks", "bordered_problem", "_mode_solve",
+                                          "generalized_eig_min"}
+    assert {d for _, d in seen} == {np.dtype(float)}
+
+
 def test_simultaneous_sweep_costs_order_q(monkeypatch):
     # single sites, p = 10, rank 4: at most 2q block transfers a sweep, no
     # generalized solve, and no local matrix beyond rank * 2^(max width)
@@ -555,7 +605,7 @@ def test_simultaneous_sweep_costs_order_q(monkeypatch):
 
 @pytest.mark.parametrize("mode,rank,entries,energy", [
     ("simultaneous", 2, 10, -9.83623444731134),
-    ("greedy", 3, 54, -9.835372623723513),
+    ("greedy", 3, 44, -9.835372622840563),
 ], ids=["simultaneous", "greedy"])
 def test_cp_trace_pinned(mode, rank, entries, energy):
     # default sweeps, seed and start; entries, markers and final energy are pinned

@@ -149,6 +149,32 @@ def test_phase_normalize_matches_column_loop():
         assert got_v.tobytes() == expect_v.tobytes()
 
 
+def test_phase_normalize_real_input_flips_signs_bitwise():
+    # a real u only has signs to flip, since z / |z| is exactly +-1 for a
+    # real z: the result is the column loop's bit for bit, and stays real
+    def column_loop(u, v):
+        for k in range(u.shape[1]):
+            nz = np.flatnonzero(np.abs(u[:, k]) > 1e-300)
+            if nz.size:
+                z = u[nz[0], k]
+                u[:, k] = u[:, k] * (z / abs(z))
+                v[k, :] = v[k, :] * (z / abs(z))
+        return u, v
+
+    rng = np.random.default_rng(18)
+    for rows, cols in [(1, 1), (1, 3), (6, 4), (40, 40)]:
+        u = rng.standard_normal((rows, cols))
+        u[: rows // 2, 0] = 0.0   # first nonzero entry further down
+        u[:, -1] = 0.0            # an all-zero column stays as it is
+        u[0, -1] = -1e-310        # below the threshold: not a sign to flip
+        v = rng.standard_normal((cols, 3))
+        expect_u, expect_v = column_loop(u.copy(), v.copy())
+        got_u, got_v = _phase_normalize_columns(u.copy(), v.copy())
+        assert got_u.dtype == np.float64 and got_v.dtype == np.float64
+        assert got_u.tobytes() == expect_u.tobytes()
+        assert got_v.tobytes() == expect_v.tobytes()
+
+
 def test_svd_nonfinite_rejected():
     with pytest.raises(ValueError):
         svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -455,6 +481,44 @@ def test_krylov_min_refuses_non_finite_image(at):
     assert len(calls) == at
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_krylov_min_widens_a_real_start_for_a_complex_operator():
+    # the first image is complex: the basis widens, and the complex
+    # eigenpair comes back
+    rng = np.random.default_rng(37)
+    m = crandn(rng, 12, 12)
+    a = m + m.conj().T
+    want = np.linalg.eigvalsh(a)[0]
+    theta, x = krylov_min(lambda v: a @ v, rng.standard_normal(12))
+    assert x.dtype == np.dtype(complex)
+    assert theta == pytest.approx(want, abs=1e-10)
+    assert np.linalg.norm(a @ x - theta * x) <= 1e-8
+    assert np.linalg.norm(x.imag) > 1e-2
+
+
+def test_krylov_min_widens_at_a_later_complex_image():
+    # a chain whose first hop is real and whose later hops carry phases:
+    # A e_0 = e_1 is real, and the second image is the first complex one
+    n = 10
+    a = np.zeros((n, n), dtype=complex)
+    hops = np.exp(1j * np.linspace(0.0, 2.0, n - 1))
+    hops[0] = 1.0
+    a[np.arange(n - 1), np.arange(1, n)] = hops
+    a = a + a.conj().T + np.diag(np.linspace(-1.0, 1.0, n))
+    images = []
+
+    def matvec(v):
+        out = a @ v
+        images.append(bool(np.any(out.imag)))
+        return out if images[-1] else out.real
+
+    v0 = np.zeros(n)
+    v0[0] = 1.0
+    theta, x = krylov_min(matvec, v0)
+    assert images[:2] == [False, True]
+    assert theta == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-10)
+    assert np.linalg.norm(a @ x - theta * x) <= 1e-8
 
 
 def test_krylov_min_holds_one_basis_buffer():
