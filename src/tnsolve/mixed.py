@@ -345,11 +345,9 @@ class _MixedCrossTerms:
         open_sites = tuple(("s", s) for s in self.groups[i])
         bras = [(labels, t.conj()) for j, (labels, t) in
                 enumerate(_product_pieces(self.groups, x_cols)) if j != i]
-        total = 0.0
-        for pieces in kets:
-            scalar, tens = _contract_network(pieces + bras, open_labels=open_sites)
-            total = total + scalar * tens.reshape(-1, order="F")
-        return total
+        contracted = (_contract_network(pieces + bras, open_labels=open_sites)
+                      for pieces in kets)
+        return sum(scalar * tens.reshape(-1, order="F") for scalar, tens in contracted)
 
     def vectors(self, x_cols, i) -> tuple:
         """(u_i, v_i): the working group left open against the frozen

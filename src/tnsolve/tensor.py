@@ -158,11 +158,12 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
     only has signs to flip: z / |z| is exactly +-1 for a real z.
     """
     nonzero = np.abs(u) > 1e-300
+    found = nonzero.any(axis=0)
     z = u[nonzero.argmax(axis=0), np.arange(u.shape[1])]
     if not np.iscomplexobj(u):
-        phase = np.where((z < 0.0) & nonzero.any(axis=0), -1.0, 1.0)
+        phase = np.where(found & (z < 0.0), -1.0, 1.0)
     else:
-        z = np.where(nonzero.any(axis=0), z, 1.0)
+        z = np.where(found, z, 1.0)
         # Rounding matches a per-column loop: hypot is what abs() of a
         # complex scalar computes (np.abs of an array rounds differently),
         # and a column without a nonzero entry is scaled by exactly 1.
@@ -273,7 +274,7 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     # buffer that doubles with it; rows keep every product a contiguous
     # matrix-vector product, and V^H w is formed as conj(V @ conj(w)) so the
     # basis is never copied (conj of a real array is the array itself)
-    vs = np.zeros((0, n), dtype=np.result_type(u, np.float64))
+    vs = np.zeros((0, n), dtype=u.dtype)
     t = np.zeros((0, 0))
     beta = defect2 = norm2 = 0.0
     k = 0
