@@ -9,9 +9,10 @@ third step, at most 2 matvecs past convergence.  So the 2^p x 2^p
 matrix is never formed, and the solver holds one basis of 2^p-vectors and
 no images of it.  The start is real, so the basis is real whenever the
 Pauli-string weights are (for every model builder, the XY chain's YY
-strings included); the returned state is complex either way.  The ground state is still capped at desk scale (p <= 14)
-and exists to anchor every structured-format result; ``materialize_dense``
-plus a full eigensolve stays as the tests' cross-check at small p.
+strings included); the returned state is complex either way.  The ground
+state is still capped at desk scale (p <= 14) and exists to anchor every
+structured-format result; ``materialize_dense`` plus a full eigensolve
+stays as the tests' cross-check at small p.
 """
 
 from __future__ import annotations

@@ -467,24 +467,20 @@ def _kron_sum(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
-    """Lowest eigenpair of the mode pencil (A, kron(G, I_n)), A =
-    sum_{a,b} kron(coeff[a, b], W[a, b]) and G = coeff[0, -1] the addends'
-    Gram matrix, whitened at the r x r level: :func:`tensor._whitening`
-    gives S_G (r, k) from G alone, A is formed once, checked Hermitian and
-    symmetrized (:func:`tensor._hermitian_part`), and S_G is contracted into
-    its (r, n, r, n) view, so the lowest eigenvector y of the (k n)^2 matrix
-    (S_G (x) I_n)^H A (S_G (x) I_n) (:func:`hermitian_eig`) maps back to x =
-    (S_G (x) I_n) y.  Returns (lambda, x), x^H kron(G, I_n) x = 1 with the
-    usual phase convention.  The Hermiticity check runs before the
-    whitening, which scales rounding by up to 1/lambda_min(G); the whitened
-    matrix is only symmetrized."""
-    a = _hermitian_part(_kron_sum(coeff, w), tols)
+    """Lowest eigenpair of the mode pencil (sum_{a,b} kron(coeff[a, b],
+    W[a, b]), kron(G, I_n)), G = coeff[0, -1] the addends' Gram matrix,
+    whitened at the r x r level: :func:`tensor._whitening` gives S_G (r, k)
+    from G alone, the blocks become S_G^H coeff[a, b] S_G before the
+    Kronecker products, and the lowest eigenvector y of that (k n)^2 matrix
+    (:func:`hermitian_eig`) maps back to x = (S_G (x) I_n) y.  Returns
+    (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention.
+    The Hermiticity check runs before the whitening, which scales rounding
+    by up to 1/lambda_min(G); the whitened matrix is only symmetrized."""
+    _hermitian_part(_kron_sum(coeff, w), tols)
     s = _whitening(coeff[0, -1], tols)
-    r, k, n = s.shape[0], s.shape[1], w.shape[-1]
-    a = flops.tdot(s.conj(), a.reshape(r, n, r, n), axes=(0, 0))   # (k, n, r', n)
-    reduced = flops.tdot(a, s, axes=(2, 0)).transpose(0, 1, 3, 2).reshape(k * n, k * n)
+    reduced = _kron_sum(flops.matmul(flops.matmul(s.conj().T, coeff), s), w)
     lam, y = hermitian_eig(0.5 * (reduced + reduced.conj().T), tols)
-    x = flops.matmul(s, y[:, 0].reshape(k, -1)).reshape(-1, 1)
+    x = flops.matmul(s, y[:, 0].reshape(s.shape[1], -1)).reshape(-1, 1)
     x, _ = _phase_normalize_columns(x)
     return float(lam[0]), x[:, 0]
 

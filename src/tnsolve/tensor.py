@@ -155,19 +155,15 @@ def _phase_normalize_columns(u: np.ndarray, v: np.ndarray | None = None):
 
     If `v` is given its rows absorb the conjugate phase, keeping u @ v fixed.
     Columns without an entry above 1e-300 are left untouched.  A real `u`
-    only has signs to flip: z / |z| is exactly +-1 for a real z.
+    stays real: z / |z| is exactly +-1 for a real z.
     """
     nonzero = np.abs(u) > 1e-300
-    found = nonzero.any(axis=0)
     z = u[nonzero.argmax(axis=0), np.arange(u.shape[1])]
-    if not np.iscomplexobj(u):
-        phase = np.where(found & (z < 0.0), -1.0, 1.0)
-    else:
-        z = np.where(found, z, 1.0)
-        # Rounding matches a per-column loop: hypot is what abs() of a
-        # complex scalar computes (np.abs of an array rounds differently),
-        # and a column without a nonzero entry is scaled by exactly 1.
-        phase = z / np.hypot(z.real, z.imag)
+    z = np.where(nonzero.any(axis=0), z, 1.0)
+    # Rounding matches a per-column loop: hypot is what abs() of a complex
+    # scalar computes (np.abs of an array rounds differently), and a column
+    # without a nonzero entry is scaled by exactly 1.
+    phase = z / np.hypot(z.real, z.imag)
     u *= np.conj(phase)
     if v is not None:
         v *= phase[:, None]

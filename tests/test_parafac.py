@@ -533,21 +533,6 @@ def test_mode_solve_matches_dense_pencil_on_rank_deficient_grams(case):
         check_mode_solve_matches_dense_pencil(coeff, ws[i])
 
 
-def test_mode_solve_forms_its_numerator_once(monkeypatch):
-    # the numerator is formed, checked and symmetrized once; the Gram
-    # whitening is contracted into it, not into a second Kronecker sum
-    built = []
-    kron_sum = parafac._kron_sum
-    monkeypatch.setattr(parafac, "_kron_sum",
-                        lambda *args: built.append(1) or kron_sum(*args))
-    rng = np.random.default_rng(85)
-    coeff = hermitian_blocks(rng, 2, 3, 3, 3)
-    v = crandn(rng, 3, 2)
-    coeff[0, -1] = v @ v.conj().T
-    check_mode_solve_matches_dense_pencil(coeff, hermitian_blocks(rng, 2, 3, 4, 4))
-    assert built == [1]
-
-
 def test_real_hamiltonian_keeps_cp_solvers_real(monkeypatch):
     # a real H has a real MPO: random and spectral starts (the latter with
     # random columns beyond a group's dimension), environment blocks, the
