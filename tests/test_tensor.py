@@ -137,42 +137,23 @@ def test_phase_normalize_matches_column_loop():
             v[k, :] = v[k, :] * phase
         return u, v
 
-    rng = np.random.default_rng(17)
-    for rows, cols in [(1, 1), (1, 3), (6, 4), (40, 40)]:
-        u = crandn(rng, rows, cols)
-        u[: rows // 2, 0] = 0.0   # first nonzero entry further down
-        u[:, -1] = 0.0            # an all-zero column stays as it is
-        v = crandn(rng, cols, 3)
-        expect_u, expect_v = column_loop(u.copy(), v.copy())
-        got_u, got_v = _phase_normalize_columns(u.copy(), v.copy())
-        assert got_u.tobytes() == expect_u.tobytes()
-        assert got_v.tobytes() == expect_v.tobytes()
+    # complex draws, then real ones: a real u stays real, its phases +-1
+    def rrandn(rng, *shape):
+        return rng.standard_normal(shape)
 
-
-def test_phase_normalize_real_input_flips_signs_bitwise():
-    # a real u only has signs to flip, since z / |z| is exactly +-1 for a
-    # real z: the result is the column loop's bit for bit, and stays real
-    def column_loop(u, v):
-        for k in range(u.shape[1]):
-            nz = np.flatnonzero(np.abs(u[:, k]) > 1e-300)
-            if nz.size:
-                z = u[nz[0], k]
-                u[:, k] = u[:, k] * (z / abs(z))
-                v[k, :] = v[k, :] * (z / abs(z))
-        return u, v
-
-    rng = np.random.default_rng(18)
-    for rows, cols in [(1, 1), (1, 3), (6, 4), (40, 40)]:
-        u = rng.standard_normal((rows, cols))
-        u[: rows // 2, 0] = 0.0   # first nonzero entry further down
-        u[:, -1] = 0.0            # an all-zero column stays as it is
-        u[0, -1] = -1e-310        # below the threshold: not a sign to flip
-        v = rng.standard_normal((cols, 3))
-        expect_u, expect_v = column_loop(u.copy(), v.copy())
-        got_u, got_v = _phase_normalize_columns(u.copy(), v.copy())
-        assert got_u.dtype == np.float64 and got_v.dtype == np.float64
-        assert got_u.tobytes() == expect_u.tobytes()
-        assert got_v.tobytes() == expect_v.tobytes()
+    for seed, draw in [(17, crandn), (18, rrandn)]:
+        rng = np.random.default_rng(seed)
+        for rows, cols in [(1, 1), (1, 3), (6, 4), (40, 40)]:
+            u = draw(rng, rows, cols)
+            u[: rows // 2, 0] = 0.0   # first nonzero entry further down
+            u[:, -1] = 0.0            # an all-zero column stays as it is
+            u[0, -1] = -1e-310        # below the threshold: no phase taken
+            v = draw(rng, cols, 3)
+            expect_u, expect_v = column_loop(u.copy(), v.copy())
+            got_u, got_v = _phase_normalize_columns(u.copy(), v.copy())
+            assert got_u.dtype == u.dtype and got_v.dtype == v.dtype
+            assert got_u.tobytes() == expect_u.tobytes()
+            assert got_v.tobytes() == expect_v.tobytes()
 
 
 def test_svd_nonfinite_rejected():
