@@ -120,7 +120,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown tolerance field {key!r}")
             # through the text, as from a file, so 12.5 is refused for an int
             base[key] = _coerce("tolerances", key, str(value), types[key])
-        return Tolerances(**base)
+        try:
+            return Tolerances(**base)
+        except ValueError as err:
+            raise ConfigError(f"[tolerances] {err}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -254,11 +257,14 @@ def _model_hash(h: SpinHamiltonian, tols: Tolerances = DEFAULT_TOLS) -> str:
 
 
 def _read_cache(path: str) -> dict:
+    """The cache file's entries; a missing or unreadable file, or JSON that
+    is not an object, reads as an empty cache."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cache = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return {}
+    return cache if isinstance(cache, dict) else {}
 
 
 def cached_oracle_energy(h: SpinHamiltonian, out_dir: str,

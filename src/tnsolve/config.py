@@ -4,7 +4,8 @@ Every module pulls its thresholds from one instance so golden values and
 acceptance runs cannot drift apart through locally tweaked epsilons.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,12 @@ class Tolerances:
     convergence: float = 1e-10
     #: dense materialization cap: refuse p above this
     dense_site_cap: int = 14
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name}: must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOLS = Tolerances()

@@ -249,6 +249,8 @@ def build_ising_2d(rows: int, cols: int, lam: float,
     """Ising model on a rows x cols lattice (row-major numbering): ZZ on the
     nearest-neighbor pairs of :func:`_lattice_bonds`, lam * X on every site."""
     _check_boundary(boundary)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"lattice needs rows and cols >= 1, got {rows} x {cols}")
     p = rows * cols
     if p < 2:
         raise ValueError("lattice must contain at least 2 sites")

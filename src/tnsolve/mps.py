@@ -397,7 +397,7 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
     An open chain is kept in mixed-canonical gauge, so the update is a
     Hermitian eigenproblem: :func:`_heff_apply` applies the operator
     matrix-free and :func:`krylov_min` (a Lanczos recurrence with full
-    reorthogonalization whose real tridiagonal projected matrix is solved
+    reorthogonalization whose tridiagonal projected matrix goes to ``eigh``
     every third step) finds its lowest eigenpair from a Krylov space started
     at the current center tensor, so no update raises the energy.  A periodic gauge is not orthonormal: the
     norm environments are L in the automaton's "start" state and R in its

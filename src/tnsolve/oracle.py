@@ -4,8 +4,8 @@
 Both work matrix-free on the Pauli-string form of the Hamiltonian
 (:func:`hamiltonian.pauli_form`); the ground state comes from
 :func:`tensor.krylov_min`, a Lanczos recurrence with full
-reorthogonalization whose real tridiagonal projected matrix is solved every
-third step, at most 2 matvecs past convergence.  So the 2^p x 2^p
+reorthogonalization whose real tridiagonal projected matrix goes to ``eigh``
+every third step, at most 2 matvecs past convergence.  So the 2^p x 2^p
 matrix is never formed, and the solver holds one basis of 2^p-vectors and
 no images of it.  The start is real, so the basis is real whenever the
 Pauli-string weights are (for every model builder, the XY chain's YY

@@ -472,14 +472,15 @@ def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
     whitened at the r x r level: :func:`tensor._whitening` gives S_G (r, k)
     from G alone, the blocks become S_G^H coeff[a, b] S_G before the
     Kronecker products, and the lowest eigenvector y of that (k n)^2 matrix
-    (:func:`hermitian_eig`) maps back to x = (S_G (x) I_n) y.  Returns
+    (``np.linalg.eigh``) maps back to x = (S_G (x) I_n) y.  Returns
     (lambda, x), x^H kron(G, I_n) x = 1 with the usual phase convention.
-    The Hermiticity check runs before the whitening, which scales rounding
-    by up to 1/lambda_min(G); the whitened matrix is only symmetrized."""
+    The Hermiticity check runs once, before the whitening, which scales
+    rounding by up to 1/lambda_min(G); the whitened matrix is only
+    symmetrized, and goes to ``eigh`` unchecked."""
     _hermitian_part(_kron_sum(coeff, w), tols)
     s = _whitening(coeff[0, -1], tols)
     reduced = _kron_sum(flops.matmul(flops.matmul(s.conj().T, coeff), s), w)
-    lam, y = hermitian_eig(0.5 * (reduced + reduced.conj().T), tols)
+    lam, y = np.linalg.eigh(0.5 * (reduced + reduced.conj().T))
     x = flops.matmul(s, y[:, 0].reshape(s.shape[1], -1)).reshape(-1, 1)
     x, _ = _phase_normalize_columns(x)
     return float(lam[0]), x[:, 0]

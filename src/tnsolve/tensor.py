@@ -215,13 +215,6 @@ def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     return w, v
 
 
-def _padded(a: np.ndarray, shape) -> np.ndarray:
-    """Copy of `a` in the leading corner of a zero array of `shape`."""
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(slice(0, s) for s in a.shape)] = a
-    return out
-
-
 # steps between krylov_min's solves of its projected T: a longer stride saves
 # eigh calls but can run more matvecs past convergence
 _RITZ_STRIDE = 3
@@ -240,11 +233,12 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     `tols.hermitian` relative to max(1, ||V^H A V||): its defect accumulates
     from Im alpha_k, h_{k-1} - beta_{k-1} and the h_j, j < k - 1, which all
     vanish for a Hermitian operator.  So an operator that is not Hermitian
-    is refused.  The real symmetric tridiagonal T of the alphas and betas
-    goes through :func:`hermitian_eig`, but only at every third step
-    (k % _RITZ_STRIDE == 0), at k = n, and whenever beta_k <=
-    tols.convergence * max(1, ||T||_F), which holds at an invariant space.
-    The lowest Ritz pair (theta, y) of a solve has the residual
+    is refused; that is the only check T gets.  T, real symmetric
+    tridiagonal and kept as its two diagonals, goes straight to
+    ``np.linalg.eigh`` at every third step (k % _RITZ_STRIDE == 0), at
+    k = n, and whenever beta_k <= tols.convergence * max(1, ||T||_F), which
+    holds at an invariant space.  Only the lowest Ritz pair (theta, y) of a
+    solve is read; it has the residual
     ||A x - theta x|| = beta_k |y_k|, and the recurrence stops once that is
     <= tols.convergence * max(1, |theta|) or the basis spans the whole
     vector space.  So it stops at most 2 matvecs after the step at which
@@ -266,19 +260,17 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     u = u / nrm
     # the basis by rows, in one buffer that doubles in place when full (a
     # reallocation, so the basis is never held twice; no view of it outlives
-    # a statement, which is what makes refcheck=False safe), and T in a small
-    # buffer that doubles with it; rows keep every product a contiguous
-    # matrix-vector product, and V^H w is formed as conj(V @ conj(w)) so the
-    # basis is never copied (conj of a real array is the array itself)
+    # a statement, which is what makes refcheck=False safe); rows keep every
+    # product a contiguous matrix-vector product, and V^H w is formed as
+    # conj(V @ conj(w)) so the basis is never copied (conj of a real array is
+    # the array itself).  T is kept as its two diagonals.
     vs = np.zeros((0, n), dtype=u.dtype)
-    t = np.zeros((0, 0))
+    alphas, betas = [], []
     beta = defect2 = norm2 = 0.0
     k = 0
     while True:
         if k == vs.shape[0]:
-            cap = min(n, max(8, 2 * k))
-            vs.resize((cap, n), refcheck=False)
-            t = _padded(t, (cap, cap))
+            vs.resize((min(n, max(8, 2 * k)), n), refcheck=False)
         vs[k] = u
         w = np.asarray(matvec(u)).reshape(-1)
         if np.iscomplexobj(w) and not np.iscomplexobj(vs):
@@ -297,13 +289,12 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
             raise ValueError(f"matrix is not Hermitian: defect {np.sqrt(defect2):.3e}")
         w = w - h @ vs[:k]  # not in place: w may be matvec's own array
         w -= (vs[:k] @ w.conj()).conj() @ vs[:k]
-        t[k - 1, k - 1] = h[-1].real
-        if k > 1:
-            t[k - 2, k - 1] = t[k - 1, k - 2] = beta
+        alphas.append(h[-1].real)
         beta = np.linalg.norm(w)
+        betas.append(beta)
         if k % _RITZ_STRIDE == 0 or k == n \
                 or beta <= tols.convergence * max(1.0, np.sqrt(norm2)):
-            lam, y = hermitian_eig(t[:k, :k], tols)
+            lam, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
             theta, y0 = float(lam[0]), y[:, 0]
             if beta * abs(y0[-1]) <= tols.convergence * max(1.0, abs(theta)) or k == n:
                 break

@@ -172,6 +172,26 @@ def test_tolerance_set_in_code_non_numeric_exit_code(tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("pd_floor_scale", "nan"),
+    ("convergence", "-1"),
+    ("hermitian", "inf"),
+    ("zero_singular", "-1e-14"),
+    ("dense_site_cap", "-1"),
+])
+def test_config_tolerance_out_of_range_exits_2_before_the_oracle(tmp_path, capsys,
+                                                                  key, value):
+    # a negative convergence bound would let no solve converge, and a NaN
+    # floor would refuse every denominator
+    path, out = tmp_path / "cfg.ini", tmp_path / "x"
+    path.write_text(f"[tolerances]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[tolerances\] {key}: "):
+        config_from_file(str(path)).tols()
+    assert main(["exact", "--config", str(path), "-p", "6", "--out", str(out)]) == 2
+    assert f"[tolerances] {key}" in capsys.readouterr().err
+    assert not (out / "oracle_cache.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -477,6 +497,16 @@ def test_oracle_cache_reused(tmp_path):
     assert read(cache_path) == stamp
 
 
+@pytest.mark.parametrize("text", ["[]", "3.5", "null"])
+def test_oracle_cache_that_is_not_an_object_is_rewritten(tmp_path, text):
+    # valid JSON that is not an object reads as an empty cache, like a file
+    # that does not decode
+    (tmp_path / "oracle_cache.json").write_text(text)
+    assert main(["exact", "-p", "6", "--out", str(tmp_path)]) == 0
+    cache = json.loads(read(tmp_path / "oracle_cache.json"))
+    assert isinstance(cache, dict) and len(cache) == 1
+
+
 def test_oracle_cache_keys_convergence_tolerance(tmp_path):
     # the Krylov stop follows tols.convergence, so an energy cached by a
     # loose run must not be served to a default-tolerance lookup
@@ -602,6 +632,15 @@ def test_parameter_errors_exit_2_before_any_work(tmp_path, args):
     assert main([*args, "--out", str(out)]) == 2
     # refused before the oracle ran and before any result was written
     assert not (out / "summary.json").exists()
+    assert not (out / "oracle_cache.json").exists()
+
+
+@pytest.mark.parametrize("rows,cols", [("-2", "-3"), ("-1", "-2"), ("0", "4")])
+def test_ising_2d_with_a_side_below_one_exits_2(tmp_path, rows, cols):
+    # (-2) x (-3) would be a 6-site model with no ZZ bond
+    out = tmp_path / "x"
+    assert main(["exact", "--model", "ising-2d", "--rows", rows, "--cols", cols,
+                 "--out", str(out)]) == 2
     assert not (out / "oracle_cache.json").exists()
 
 

@@ -183,6 +183,12 @@ def test_ising_2d_term_count():
     assert h.num_terms == 12 + 9
 
 
+@pytest.mark.parametrize("rows,cols", [(-2, -3), (-1, -2), (0, 4), (3, 0)])
+def test_ising_2d_refuses_a_side_below_one(rows, cols):
+    with pytest.raises(ValueError, match="rows and cols >= 1"):
+        build_ising_2d(rows, cols, 1.0)
+
+
 def test_builder_preconditions():
     with pytest.raises(ValueError):
         build_ising(1, 0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops, mps, tensor
+from tnsolve import flops, mps
 from tnsolve.config import Tolerances
 from tnsolve.hamiltonian import (
     Blocking,
@@ -651,8 +651,8 @@ def test_open_als_local_solves_stay_small(monkeypatch):
 
     monkeypatch.setattr(mps, "krylov_min", spy(mps.krylov_min, local_dims,
                                                lambda a: np.size(a[1])))
-    monkeypatch.setattr(tensor, "hermitian_eig", spy(tensor.hermitian_eig, eig_dims,
-                                                     lambda a: np.shape(a[0])[0]))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, eig_dims,
+                                               lambda a: np.shape(a[0])[0]))
     monkeypatch.setattr(mps, "generalized_eig_min", spy(mps.generalized_eig_min, eig_dims,
                                                         lambda a: np.shape(a[0])[0]))
     h = build_ising(10, 1.0, "open")

@@ -573,10 +573,10 @@ def test_simultaneous_sweep_costs_order_q(monkeypatch):
     # generalized solve, and no local matrix beyond rank * 2^(max width)
     b, rank = Blocking.single_sites(10), 4
     transfers, eig_dims, generalized = [], [], []
-    transfer, eig = parafac._transfer, parafac.hermitian_eig
+    transfer, eig = parafac._transfer, np.linalg.eigh
     monkeypatch.setattr(parafac, "_transfer",
                         lambda *args: transfers.append(1) or transfer(*args))
-    monkeypatch.setattr(parafac, "hermitian_eig",
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda m, *args: eig_dims.append(len(m)) or eig(m, *args))
     monkeypatch.setattr(parafac, "generalized_eig_min",
                         lambda *args: generalized.append(1) or generalized_eig_min(*args))
