@@ -273,14 +273,15 @@ def cached_oracle_energy(h: SpinHamiltonian, out_dir: str,
     the model and the oracle's stopping tolerance.  Returns None above the
     dense cap.  Hits read without locking; a miss merges its entry into the
     file under an exclusive lock on a sidecar file, so concurrent writers
-    keep each other's entries."""
+    keep each other's entries.  An entry that is not a finite real number
+    (NaN, a string, null, a bool, ...) is a miss that the new entry replaces."""
     if h.p > tols.dense_site_cap:
         return None
     path = os.path.join(out_dir, "oracle_cache.json")
     key = _model_hash(h, tols)
-    cache = _read_cache(path)
-    if key in cache:
-        return float(cache[key])
+    entry = _read_cache(path).get(key)
+    if type(entry) in (int, float) and abs(entry) <= sys.float_info.max:
+        return float(entry)
     e0, _ = ground_state_dense(h, tols)
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes

@@ -15,10 +15,12 @@ The solvers read the Hamiltonian only as its MPO over the modes' site
 groups, and every local problem, greedy or simultaneous, comes from
 environments cached against it (:class:`_Environments`), so a sweep costs
 O(q) block contractions.  A greedy stage is such a tuple of site groups,
-and the addend it adds is a MixedTerm with one factor per group.  One loop,
-:func:`_greedy_core`, runs every list of stages and picks the first start
-and each stage's cross terms itself; :func:`greedy_als` and
-`mixed.ground_state_mixed_greedy` only build the list and wrap the addends.
+and the addend it adds is a MixedTerm with one factor per group; frozen
+addends on the same groups ride in the stage's one environment as trailing
+ket columns.  One loop, :func:`_greedy_core`, runs every list of stages
+and picks the first start and each stage's cross terms itself;
+:func:`greedy_als` and `mixed.ground_state_mixed_greedy` only build the
+list and wrap the addends.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
     """Greedy-stage pencil (numerator, denominator) over (x_i, 1): the self
     block h_i and gamma (the working columns' rank-one mode problem in
     :func:`_greedy_core`), the cross vectors u_i and v_i against the frozen
-    addends (from MPO environments or piece networks, `vectors` of the
-    cross-term classes), and the frozen addends' own scalars.  The
-    numerator is Hermitian and the denominator Hermitian positive
-    semidefinite.  The border keeps the denominator from being a Kronecker
+    addends (:func:`_aligned_vectors` or `mixed._MixedCrossTerms`), and the
+    frozen addends' own scalars.  The numerator is Hermitian and the
+    denominator Hermitian positive semidefinite.  The border keeps the denominator from being a Kronecker
     product, so unlike the simultaneous pencil (:func:`_mode_solve`) it is
     not whitened at a smaller Gram matrix: :func:`generalized_eig_min`
     solves it whole, singular or not."""
@@ -269,8 +270,8 @@ class _Environments:
     as :func:`run_sweeps` visits them: mode 0 rebuilds every right
     environment from the current stacks, and mode i > 0 grows left[i] over
     block i - 1, the one just solved: 2(q - 1) transfers a sweep.  Each
-    transfer applies W_j to its ket stack, unless `fixed_kets` gave stacks
-    that never change, whose images W_j ket_j are then formed once."""
+    transfer applies W_j to its ket stack; `fixed_kets`, stacks that never
+    change, trail it as columns whose images W_j are formed once."""
 
     def __init__(self, ws: list, shape: tuple, fixed_kets: list | None = None):
         edge = np.ones((1,) + shape)
@@ -281,10 +282,11 @@ class _Environments:
                        [flops.matmul(w, k) for w, k in zip(ws, fixed_kets)])
 
     def image(self, kets: list, j: int) -> np.ndarray:
-        """W_j kets[j], shape (w_j, w_{j+1}, n, m')."""
-        if self.images is not None:
-            return self.images[j]
-        return flops.matmul(self.ws[j], kets[j])
+        """W_j [kets[j] | fixed_kets[j]], shape (w_j, w_{j+1}, n, m')."""
+        out = flops.matmul(self.ws[j], kets[j])
+        if self.images is None:
+            return out
+        return np.concatenate((out, self.images[j]), axis=-1)
 
     def blocks(self, bras: list, kets: list, i: int, scale) -> np.ndarray:
         """scale * left[i][a] * right[i][b] for every channel pair (a, b) of
@@ -315,37 +317,13 @@ def _stack_addends(terms) -> BlockedCp:
                      np.array([t.weight for t in terms]))
 
 
-class _AlignedCrossTerms:
-    """Cross contractions of the working addend against frozen addends that
-    share its site groups.  The bordered problem adds x_i^H u_i + u_i^H x_i to
-    the numerator and x_i^H v_i + v_i^H x_i to the denominator; the frozen
-    sum y fills the corners with `beta` = <y, H y> and `rho` = <y, y>.  Here
-
-        u_i = sum_l w_l sum_{a,b} L_i[a, l] R_i[b, l] W_i[a, b] y_i^(l)
-        v_i = sum_l w_l L_i[0, l] R_i[-1, l] y_i^(l),
-
-    with W = ws the MPO of H on the shared groups and L_i, R_i the mixed
-    environments of the working columns x_j against the frozen stacks Y_j
-    (:class:`_Environments`, transfers x_j^H W_j[a, b] Y_j).  The frozen
-    stacks do not change within a stage, so their images W_j Y_j are formed
-    once.  One environment serves both vectors: the denominator reads its
-    identity channels.
-    :meth:`vectors` must visit the modes of a sweep in order, as the greedy
-    loop does."""
-
-    def __init__(self, ws: list, frozen: list):
-        self.frozen = _stack_addends(frozen)
-        self.envs = _Environments(ws, (1, self.frozen.rank), self.frozen.factors)
-        self.beta = float(expectation_form(ws, self.frozen, self.frozen).real)
-        self.rho = float(inner(self.frozen, self.frozen).real)
-
-    def vectors(self, x_cols, i) -> tuple:
-        """(u_i, v_i) of mode i for the working columns x_cols."""
-        y = self.frozen
-        coeff = self.envs.blocks([x[:, None] for x in x_cols], y.factors, i,
-                                 y.weights)[:, :, 0]   # (w_i, w_{i+1}, R)
-        u_i = flops.tdot(self.envs.images[i], coeff, axes=((0, 1, 3), (0, 1, 2)))
-        return u_i, flops.matmul(y.factors[i], coeff[0, -1])
+def _aligned_vectors(image: np.ndarray, y_i: np.ndarray, coeff: np.ndarray) -> tuple:
+    """Cross vectors u_i = sum_{a,b} (W_i Y_i)[a, b] C[a, b, 0, 1:] and
+    v_i = Y_i C[start, done, 0, 1:] of an aligned greedy stage at mode i, from
+    the blocks C (w_i, w_{i+1}, 1, 1 + R) of its environment, whose ket
+    columns 1..R are the frozen factors y_i = Y_i, and their image W_i Y_i."""
+    c = coeff[:, :, 0, 1:]
+    return flops.tdot(image, c, axes=((0, 1, 3), (0, 1, 2))), flops.matmul(y_i, c[0, -1])
 
 
 def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
@@ -354,17 +332,18 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     site group of stages[d] (a tuple of tuples), against the frozen earlier
     ones.  Stage 1 starts from the block-local ground states with
     init='spectral' (:func:`_spectral_factors`), every other stage from a
-    random draw.  The self block is the rank-one mode problem of the working
-    columns over environments cached against the stage's MPO
-    (:class:`_Environments`): h_i = sum_{a,b} C[a, b] W_i[a, b] and gamma =
-    C[start, done], so a pure rank-one stage is solved as a simultaneous
-    mode is (:func:`_mode_solve`).  Cross terms come from the stacked
-    factors (:class:`_AlignedCrossTerms`) when every frozen addend shares
-    the stage's groups, else from `mixed._MixedCrossTerms`; either gives
-    (u_i, v_i) by `vectors(x_cols, i)`, the modes visited in order.  An
-    unknown init and fewer than one sweep are refused, and the MPOs of all
-    distinct stages built and checked, before the first solve.  Returns
-    (trace, frozen), each frozen addend a MixedTerm on its stage's groups."""
+    random draw.  Each stage keeps one environment over its MPO
+    (:class:`_Environments`), bra the working columns x_j and ket stack
+    [x_j | Y_j] at scale [1, w_1, ..., w_R], Y_j the frozen factors if they
+    share the stage's groups, else x_j alone.  Column 0 of its blocks C is
+    the rank-one mode problem of the working columns, h_i = sum_{a,b}
+    C[a, b, 0, 0] W_i[a, b] and gamma = C[start, done, 0, 0], so a pure
+    rank-one stage is solved as a simultaneous mode is (:func:`_mode_solve`);
+    columns 1..R give the cross vectors (:func:`_aligned_vectors`), else
+    `mixed._MixedCrossTerms` does.  An unknown init and fewer than one sweep
+    are refused, and the MPOs of all distinct stages built and checked,
+    before the first solve.  Returns (trace, frozen), each frozen addend a
+    MixedTerm on its stage's groups."""
     if sweeps < 1:
         raise ValueError("need at least one sweep per stage")
     if init not in ("random", "spectral"):
@@ -388,25 +367,30 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
 
         x_cols = ([f[:, 0] for f in _spectral_factors(ws, 1)]
                   if stage == 0 and init == "spectral" else fresh_cols())
+        cross, scale = None, 1.0
         if not frozen:
-            cross = None
-        elif all(y.groups == groups for y in frozen):
-            cross = _AlignedCrossTerms(ws, frozen)
+            envs = _Environments(ws, (1, 1))
+        elif all(t.groups == groups for t in frozen):
+            y = _stack_addends(frozen)
+            envs = _Environments(ws, (1, 1 + y.rank), y.factors)
+            scale = np.concatenate(([1.0], y.weights))
+            beta, rho = float(expectation_form(ws, y, y).real), float(inner(y, y).real)
         else:
             cross = _MixedCrossTerms(groups, mpos, frozen, tols)
-        envs = _Environments(ws, (1, 1))
+            envs, beta, rho = _Environments(ws, (1, 1)), cross.beta, cross.rho
 
         def update(it, i):
             cols = [x[:, None] for x in x_cols]
-            coeff = envs.blocks(cols, cols, i, 1.0)
-            if cross is None:
+            coeff = envs.blocks(cols, cols, i, scale)
+            if not frozen:
                 lam, x_cols[i] = _mode_solve(coeff, ws[i], tols)
                 return lam
             dim = x_cols[i].shape[0]
-            u_i, v_i = cross.vectors(x_cols, i)
+            u_i, v_i = (_aligned_vectors(envs.images[i], y.factors[i], coeff)
+                        if cross is None else cross.vectors(x_cols, i))
             lam, vec = generalized_eig_min(*bordered_problem(
-                _kron_sum(coeff, ws[i]), u_i, cross.beta, float(coeff[0, -1, 0, 0].real),
-                v_i, cross.rho), tols)
+                _kron_sum(coeff[..., :1], ws[i]), u_i, beta,
+                float(coeff[0, -1, 0, 0].real), v_i, rho), tols)
             pin = vec[dim]
             if abs(pin) < 1e-12 * np.linalg.norm(vec):
                 return None  # the pinned coordinate vanished: restart the stage

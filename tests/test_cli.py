@@ -507,6 +507,32 @@ def test_oracle_cache_that_is_not_an_object_is_rewritten(tmp_path, text):
     assert isinstance(cache, dict) and len(cache) == 1
 
 
+@pytest.mark.parametrize("raw", ['"nan"', "NaN", "Infinity", "-Infinity", "null", "[-7.0]",
+                                 '"abc"', '"-7.0"', "true", "1" + "0" * 400],
+                         ids=["nan-string", "nan", "inf", "-inf", "null", "list",
+                              "string", "number-string", "bool", "int-beyond-float"])
+def test_oracle_cache_entry_that_is_not_a_finite_number_is_recomputed(tmp_path, raw):
+    # a damaged entry is a miss: the oracle runs again and its energy
+    # replaces the entry, which the next lookup then reads
+    out, h = str(tmp_path), build_ising(6, 1.0, "open")
+    e0 = cached_oracle_energy(h, out)
+    path = tmp_path / "oracle_cache.json"
+    (key,) = json.loads(read(path))
+    path.write_text(f'{{"{key}": {raw}, "other": 1.5}}')
+    assert cached_oracle_energy(h, out) == e0
+    assert json.loads(read(path)) == {key: e0, "other": 1.5}
+    assert cached_oracle_energy(h, out) == e0
+
+
+def test_oracle_cache_reads_an_integer_entry(tmp_path):
+    out, h = str(tmp_path), build_ising(6, 1.0, "open")
+    cached_oracle_energy(h, out)
+    path = tmp_path / "oracle_cache.json"
+    (key,) = json.loads(read(path))
+    path.write_text(f'{{"{key}": -7}}')
+    assert cached_oracle_energy(h, out) == -7.0
+
+
 def test_oracle_cache_keys_convergence_tolerance(tmp_path):
     # the Krylov stop follows tols.convergence, so an energy cached by a
     # loose run must not be served to a default-tolerance lookup

@@ -573,20 +573,19 @@ def test_mixed_greedy_refuses_zero_sweeps_before_any_update(monkeypatch):
 
 
 def test_cp_greedy_never_builds_mixed_cross_terms(monkeypatch):
-    # the aligned cross terms are the fast path of every CP greedy stage; a
-    # schedule of two blockings on the same chain shows the spy sees both kinds
+    # every CP greedy stage shares the frozen addends' groups, so its cross
+    # terms come from the stage environment; a schedule of two blockings on
+    # the same chain builds piece networks for its two (2, 4) stages only
     built = []
-    for module, name in ((parafac, "_AlignedCrossTerms"), (mixed, "_MixedCrossTerms")):
-        cls = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, cls=cls: built.append(cls.__name__) or cls(*args))
+    cls = mixed._MixedCrossTerms
+    monkeypatch.setattr(mixed, "_MixedCrossTerms",
+                        lambda *args: built.append(args[0]) or cls(*args))
     h = build_ising(6, 1.0)
     for init in ("random", "spectral"):
         greedy_als(h, Blocking((3, 3)), 3, inner_iters=5, init=init)
-    assert built == ["_AlignedCrossTerms"] * 4
-    built.clear()
+    assert built == []
     ground_state_mixed_greedy(h, [(3, 3), (2, 4)], 2, sweeps=5)
-    assert built == ["_AlignedCrossTerms", "_MixedCrossTerms", "_MixedCrossTerms"]
+    assert built == [Blocking((2, 4)).groups] * 2
 
 
 def test_mixed_greedy_returns_addends_on_their_stage_groups():

@@ -22,11 +22,12 @@ from tnsolve.oracle import ground_state_dense, rayleigh
 from tnsolve.parafac import (
     BlockedCp,
     MixedTerm,
-    _AlignedCrossTerms,
     _Environments,
+    _aligned_vectors,
     _greedy_core,
     _kron_sum,
     _mode_solve,
+    _stack_addends,
     as_diagonal_mps,
     apply_hamiltonian,
     expectation_form,
@@ -411,22 +412,37 @@ def close(got, want):
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
 def test_aligned_numerator_vector_matches_term_loop(model):
+    # an aligned stage's one environment has ket stack [x_j | Y_j] and scale
+    # [1, w_1, ..., w_R]: column 0 of its blocks is the self block of the
+    # (1, 1) environment, and columns 1..R give
+    # u_i = sum_k alpha_k sum_l w_l (prod_{j != i} x_j^H H_j^(k) y_j^(l)) H_i^(k) y_i^(l)
+    # v_i = sum_l w_l (prod_{j != i} x_j^H y_j^(l)) y_i^(l)
     h, b = LOCAL_MODELS[model](), Blocking((2, 3, 5))
     ops = term_blocks(h, b)
     rng = np.random.default_rng(51)
     frozen = [MixedTerm(b.groups, [crandn(rng, 2**w) for w in b.widths],
                         complex(crandn(rng, 1)[0])) for _ in range(3)]
-    table = regroup(h, b)
-    cross = _AlignedCrossTerms(mpo(table), frozen)
+    ws, y = mpo(regroup(h, b)), _stack_addends(frozen)
+    envs = _Environments(ws, (1, 1 + y.rank), y.factors)
+    self_envs = _Environments(ws, (1, 1))
     x_cols = [crandn(rng, 2**w) for w in b.widths]
+    cols = [x[:, None] for x in x_cols]
     for i in range(b.q):
-        ref = np.zeros(2 ** b.widths[i], dtype=complex)
-        for k, t in enumerate(h.terms):
-            for y in frozen:
-                scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ y.factors[j])
-                                 for j in range(b.q) if j != i])
-                ref += t.coefficient * y.weight * scale * (ops[k][i] @ y.factors[i])
-        assert close(cross.vectors(x_cols, i)[0], ref), i
+        others = [j for j in range(b.q) if j != i]
+        u_ref = np.zeros(2 ** b.widths[i], dtype=complex)
+        v_ref = np.zeros(2 ** b.widths[i], dtype=complex)
+        for t in frozen:
+            v_ref += t.weight * np.prod([np.vdot(x_cols[j], t.factors[j])
+                                         for j in others]) * t.factors[i]
+            for k, term in enumerate(h.terms):
+                scale = np.prod([np.vdot(x_cols[j], ops[k][j] @ t.factors[j])
+                                 for j in others])
+                u_ref += term.coefficient * t.weight * scale * (ops[k][i] @ t.factors[i])
+        coeff = envs.blocks(cols, cols, i, np.concatenate(([1.0], y.weights)))
+        u_i, v_i = _aligned_vectors(envs.images[i], y.factors[i], coeff)
+        assert close(coeff[..., :1], self_envs.blocks(cols, cols, i, 1.0)), i
+        assert close(u_i, u_ref), i
+        assert close(v_i, v_ref), i
 
 
 @pytest.mark.parametrize("model", LOCAL_MODELS)
@@ -678,6 +694,27 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
     energies = [t.energy for t in trace if np.isfinite(t.energy)]
     assert trace[-1].energy == pytest.approx(rayleigh(h, DenseState(6, y)), abs=1e-10)
     assert min(energies) >= e0
+
+
+def test_greedy_update_makes_one_environment_call(monkeypatch):
+    # the self block and the aligned cross terms come from one environment:
+    # one blocks call per mode solve of stage 1 and per bordered solve after
+    calls = {"blocks": 0, "_mode_solve": 0, "bordered_problem": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(parafac._Environments, "blocks")
+    count(parafac, "_mode_solve")
+    count(parafac, "bordered_problem")
+    greedy_als(build_ising(8, 1.0, "open"), Blocking((2, 3, 3)), 3, inner_iters=5)
+    assert calls["_mode_solve"] > 0 and calls["bordered_problem"] > 0
+    assert calls["blocks"] == calls["_mode_solve"] + calls["bordered_problem"]
 
 
 def test_greedy_refuses_zero_sweeps():
