@@ -455,8 +455,16 @@ def mpo(table: BlockTable) -> list:
     (straddling terms); the outer cuts hold only "start" and only "done".
     A term enters its channel with its coefficient at its first group and
     leaves at its last; a term inside one group, or with empty support
-    (taken as inside the first), is a start -> done entry.  Every site has
-    the table's dtype, so the MPO of a real Hamiltonian is real.
+    (taken as inside the first), is a start -> done entry.
+
+    A block is purely imaginary when its real part is zero and its
+    imaginary part is not (Y, or Y (x) X inside one group).  A term with an
+    even number of them, such as a YY bond split over two groups, carries
+    them times -i, +i, -i, ... in turn, in group order: each becomes real,
+    and the phases multiply to 1 along the term's path.  The sites are
+    built in the table's dtype and returned as float64 when all of them are
+    then real, so the MPO of a real Hamiltonian, the XY chain's included,
+    is real; a term with an odd number of such blocks keeps it complex.
     """
     support = table.idx != 0
     q = support.shape[1]
@@ -468,6 +476,11 @@ def mpo(table: BlockTable) -> list:
     chan = np.cumsum(straddle, axis=0)  # channel index of each straddling term
     width = 2 + straddle.sum(axis=0)
     width[0] = width[q] = 1
+    imag = np.stack([(~ops.real.any(axis=(1, 2)) & ops.imag.any(axis=(1, 2)))[table.idx[:, i]]
+                     for i, ops in enumerate(table.ops)], axis=1)
+    turn = imag & (imag.sum(axis=1) % 2 == 0)[:, None]
+    phase = np.ones(imag.shape, table.dtype)  # per (term, group); empty for a real table
+    phase[turn] = np.where(np.cumsum(imag, axis=1) % 2 == 1, -1j, 1j)[turn]
     sites = []
     for i, ops in enumerate(table.ops):
         w = np.zeros((width[i], width[i + 1]) + ops.shape[1:], dtype=table.dtype)
@@ -479,12 +492,16 @@ def mpo(table: BlockTable) -> list:
         local = (first == i) & (last == i)
         w[0, -1] = np.tensordot(table.alpha[local], ops[table.idx[local, i]], axes=1)
         enter = (first == i) & (last > i)
-        w[0, chan[enter, i + 1]] = table.alpha[enter, None, None] * ops[table.idx[enter, i]]
+        w[0, chan[enter, i + 1]] = (table.alpha[enter] * phase[enter, i])[:, None, None] \
+            * ops[table.idx[enter, i]]
         through = (first < i) & (last > i)
-        w[chan[through, i], chan[through, i + 1]] = ops[table.idx[through, i]]
+        w[chan[through, i], chan[through, i + 1]] = phase[through, i, None, None] \
+            * ops[table.idx[through, i]]
         leave = (first < i) & (last == i)
-        w[chan[leave, i], -1] = ops[table.idx[leave, i]]
+        w[chan[leave, i], -1] = phase[leave, i, None, None] * ops[table.idx[leave, i]]
         sites.append(w)
+    if table.dtype.kind == "c" and not any(w.imag.any() for w in sites):
+        sites = [np.ascontiguousarray(w.real) for w in sites]
     return sites
 
 
@@ -495,5 +512,7 @@ def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     ket's physical index; the result has shape (w_{i+1}, n_out, ...).
     Swapping the first two axes of W applies the site from the right.  Every
     contraction with an MPO site goes through here and is charged to the
-    flop counter."""
+    flop counter, except the open-chain local operator
+    (:func:`mps._local_operator`), which reshapes its site into one matrix
+    per update and charges the same count per matvec."""
     return flops.tdot(w, t, axes=((0, 3), (0, 1)))

@@ -12,8 +12,11 @@ D_{q+1} = D_1.
 A Hamiltonian enters every chain contraction as its matrix product operator
 (:func:`hamiltonian.mpo`); the ALS environments have shape (w, W, D, D), w
 the operator bond and W the wrap legs of a periodic chain.  ALS on a real
-Hamiltonian starts from a real chain, so its sites, environments and local
-Krylov bases stay real.
+MPO starts from a real chain, so its sites, environments and local Krylov
+bases stay real; that covers every real Hamiltonian, the XY chain's
+included (its Y factors enter the MPO as iY and -iY).  An open-chain local
+solve applies its effective operator as three fixed-shape matmuls per
+matvec, on vectors laid out (d, Dl, Dr).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import (
     Blocking,
-    BlockTable,
     SpinHamiltonian,
     mpo,
     mpo_apply,
@@ -359,16 +361,30 @@ def mps_energy(h: SpinHamiltonian, x: MpsState,
 # ---------------------------------------------------------------------------
 # ALS ground-state search
 
-def _heff_apply(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """sum_{a,b} L_a x H_c[a, b] x R_b acting on a site tensor x of shape
-    (Dl, d, Dr), from the (w_c, Dl, Dl) left environments, the center's MPO
-    site H_c = w of shape (w_c, w_{c+1}, d, d) and the (w_{c+1}, Dr, Dr)
-    right environments, in three contractions."""
-    y = np.moveaxis(flops.tdot(lenv, x, axes=(2, 0)), 2, 1)  # (a, j, Dl, Dr)
-    y = mpo_apply(w, y)                                      # (b, i, Dl, Dr)
-    y = flops.tdot(y, renv, axes=((0, 3), (0, 2)))           # (i, Dl, Dr)
-    return y.transpose(1, 0, 2)
+def _local_operator(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray):
+    """The matvec of sum_{a,b} L_a x H_c[a, b] x R_b on site tensors held
+    as (d, Dl, Dr), physical index slowest, from the (w_c, Dl, Dl) left
+    environments, the center's MPO site H_c = w of shape (w_c, w_{c+1}, d,
+    d) and the (w_{c+1}, Dr, Dr) right environments.  The operands are
+    reshaped once, so each product is three fixed-shape matmuls: L_a
+    against every x_j (batched), H_c as one (w_{c+1} d, w_c d) matrix on
+    the (a, j) rows, and each R_b^T (batched), summed over b.  Each call is
+    charged w_c Dl^2 d Dr + w_c w_{c+1} d^2 Dl Dr + w_{c+1} d Dl Dr^2
+    operations."""
+    wl, wr, d, _ = w.shape
+    dl, dr = lenv.shape[-1], renv.shape[-1]
+    lmat = lenv[:, None]                                          # (a, 1, Dl, Dl)
+    wmat = w.transpose(1, 2, 0, 3).reshape(wr * d, wl * d)        # (b i, a j)
+    rmat = np.ascontiguousarray(renv.swapaxes(1, 2))[:, None]     # (b, 1, Dr, Dr)
+    cost = wl * dl * dl * d * dr + wl * wr * d * d * dl * dr + wr * d * dl * dr * dr
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        flops.add(cost)
+        y = np.matmul(lmat, v.reshape(d, dl, dr))                 # (a, j, Dl, Dr)
+        y = wmat @ y.reshape(wl * d, dl * dr)                     # (b i, Dl Dr)
+        return np.matmul(y.reshape(wr, d, dl, dr), rmat).sum(axis=0)
+
+    return matvec
 
 
 def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
@@ -384,24 +400,27 @@ def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
     return mat.transpose(1, 0, 4, 2, 3, 5).reshape(dl * d * dr, dl * d * dr)
 
 
-def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
+def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     """ALS update of a chain of either boundary, for :func:`run_sweeps`.
 
-    The Hamiltonian enters as its MPO (:func:`mpo`, sites H_j with operator
-    bonds w_j).  One cached (left, right) environment pair per cut, of shape
+    The Hamiltonian enters as its MPO `ws` (:func:`mpo`, sites H_j with
+    operator bonds w_j).  One cached (left, right) environment pair per cut, of shape
     (w, W, D, D) whose axis W carries the wrap legs (W = 1 for open chains),
     gives the effective operator of the center site as
     sum_{a,b} L_a x H_c[a, b] x R_b, with L_a R_b closed over W.  Both chain
     ends start from the :func:`_zipper_init` identity.
 
     An open chain is kept in mixed-canonical gauge, so the update is a
-    Hermitian eigenproblem: :func:`_heff_apply` applies the operator
-    matrix-free and :func:`krylov_min` (a Lanczos recurrence with full
+    Hermitian eigenproblem.  :func:`_local_operator` builds the operator
+    once per update as a matvec of fixed-shape matmuls on vectors laid out
+    (d, Dl, Dr), and :func:`krylov_min` (a Lanczos recurrence with full
     reorthogonalization whose tridiagonal projected matrix goes to ``eigh``
-    every third step) finds its lowest eigenpair from a Krylov space started
-    at the current center tensor, so no update raises the energy.  A periodic gauge is not orthonormal: the
-    norm environments are L in the automaton's "start" state and R in its
-    "done" state, and the numerator and denominator pencils go to
+    every third step) finds its lowest eigenpair from a Krylov space
+    started at the current center tensor, so no update raises the energy.
+    The center tensor is transposed to that layout once on the way in, and
+    the solution once on the way out.  A periodic gauge is not orthonormal:
+    the norm environments are L in the automaton's "start" state and R in
+    its "done" state, and the numerator and denominator pencils go to
     :func:`generalized_eig_min`, which drops the denominator directions
     below its floor.
 
@@ -412,7 +431,6 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
     energy.
     """
     q = state.q
-    ws = mpo(table)
     periodic = state.boundary == "periodic"
     dw = state.sites[0].shape[0]
 
@@ -439,13 +457,11 @@ def _chain_local(table: BlockTable, state: MpsState, tols: Tolerances):
             eye = np.eye(site.shape[1])[None, None]
             den = _pencil(lenv[c][:1], eye, renv[c][-1:])
             energy, vec = generalized_eig_min(num, den, tols)
+            state.sites[c] = vec.reshape(site.shape)
         else:
-            def matvec(v):
-                return _heff_apply(lenv[c][:, 0], ws[c], renv[c][:, 0],
-                                   v.reshape(site.shape))
-
-            energy, vec = krylov_min(matvec, site, tols)
-        state.sites[c] = vec.reshape(site.shape)
+            matvec = _local_operator(lenv[c][:, 0], ws[c], renv[c][:, 0])
+            energy, vec = krylov_min(matvec, _merge_rows(site), tols)
+            state.sites[c] = _split_rows(vec, *site.shape[:2])
         return energy
 
     return update
@@ -463,12 +479,14 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     gauge, so every update is a standard Hermitian eigenproblem, solved
     matrix-free by a Lanczos recurrence with full reorthogonalization whose
     real tridiagonal projected matrix is solved every third step (so a
-    converged pair costs at most 2 extra matvecs). It starts at the current
-    site tensor, and the effective matrix is never formed. Periodic chains close the
-    environments into the numerator and denominator of a generalized pencil,
-    solved on the eigenspace of the denominator above its floor.
-    The random start has the dtype of the Hamiltonian's MPO, so a real H is
-    solved in real arithmetic throughout.
+    converged pair costs at most 2 extra matvecs).  It starts at the
+    current site tensor, and the effective matrix is never formed: each
+    update reshapes its environments and MPO site once, and every matvec is
+    three fixed-shape matmuls.  Periodic chains close the environments into
+    the numerator and denominator of a generalized pencil, solved on the
+    eigenspace of the denominator above its floor.  The random start takes
+    its dtype from the Hamiltonian's MPO, so a real MPO (the Ising and XY
+    chains and lattices) is solved in real arithmetic throughout.
     One sweep is one directional pass; direction alternates, re-gauging by
     QR after every update, and two consecutive sweeps that move the energy
     by less than tols.convergence stop the search.  Returns (trace, state)
@@ -479,14 +497,14 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     blocking = blocking or Blocking.single_sites(p)
-    table = regroup(h, blocking)
-    state = random_mps(p, d_bond, boundary, blocking, seed, table.dtype)
+    ws = mpo(regroup(h, blocking))
+    state = random_mps(p, d_bond, boundary, blocking, seed, ws[0].dtype)
     if boundary == "open":
         state, _ = normalize_right_sweep(state)
     else:
         state, _ = normalize_left_sweep(state)
     trace = []
-    run_sweeps(_chain_local(table, state, tols),
+    run_sweeps(_chain_local(ws, state, tols),
                (range(state.q), range(state.q - 1, -1, -1)), sweeps, tols, trace,
                patience=2)
     return trace, state

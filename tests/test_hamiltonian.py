@@ -575,3 +575,33 @@ def test_mpo_bond_of_chains(model, bond):
     sites = mpo(regroup(MPO_MODELS[model](), Blocking.single_sites(6)))
     assert [w.shape[:2] for w in sites] == \
         [(1, bond)] + [(bond, bond)] * 4 + [(bond, 1)]
+
+
+@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_xy_mpo_is_real(boundary, blocking):
+    # a YY bond split over two groups enters its channel as -iY and leaves
+    # as iY, one inside a group is the real Y (x) Y, so every site is real
+    h = build_heisenberg_xy(6, 0.8, -0.3, 0.6, boundary)
+    sites = mpo(regroup(h, Blocking.from_string(blocking)))
+    assert {w.dtype for w in sites} == {np.dtype(float)}
+    ref = materialize_dense(h)
+    assert ref.dtype == complex
+    assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("factors,real", [
+    # Y (x) X on the first group and Y on the second: two imaginary blocks
+    ([OP_Y, OP_X, OP_Y], True),
+    # three imaginary blocks on single sites; one (Y (x) Y real) on 2,1,3
+    ([OP_Y, OP_Y, OP_Y], False),
+], ids=["even", "odd"])
+def test_mpo_phases_only_even_imaginary_terms(factors, real, blocking):
+    p = 6
+    h = SpinHamiltonian(p, build_heisenberg_xy(p, 1.0, 0.5, 0.7).terms
+                        + (KroneckerTerm(0.4, factors + [OP_I] * (p - 3)),))
+    sites = mpo(regroup(h, Blocking.from_string(blocking)))
+    assert {w.dtype for w in sites} == {np.dtype(float if real else complex)}
+    ref = materialize_dense(h)
+    assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)

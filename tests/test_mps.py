@@ -11,6 +11,7 @@ from tnsolve.hamiltonian import (
     OP_I,
     SiteOperator,
     SpinHamiltonian,
+    build_heisenberg_xy,
     build_ising,
     materialize_dense,
     mpo,
@@ -20,7 +21,7 @@ from tnsolve.mps import (
     MpsState,
     _env_step_left,
     _env_step_right,
-    _heff_apply,
+    _local_operator,
     add,
     als_ground_state,
     apply_hamiltonian,
@@ -41,6 +42,10 @@ from tnsolve.peps import inner_peps, random_peps
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def randn(rng, *shape):
+    return rng.standard_normal(shape)
 
 
 def bond_dims(x):
@@ -504,13 +509,15 @@ def test_real_hamiltonian_keeps_chain_als_real(monkeypatch, boundary):
     monkeypatch.setattr(mps, "_env_step_right", recording_step)
     monkeypatch.setattr(mps, "krylov_min", recording_krylov)
     monkeypatch.setattr(mps, "generalized_eig_min", recording_pencil)
-    h = build_ising(6, 0.8, boundary)
-    assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(float)}
-    _, state = als_ground_state(h, 6, 2, boundary, sweeps=3)
-    assert {s.dtype for s in state.sites} == {np.dtype(float)}
-    kinds = {"environment", "solution"} | ({"basis"} if boundary == "open" else set())
-    assert {k for k, _ in seen} == kinds
-    assert {d for _, d in seen} == {np.dtype(float)}
+    # the XY chain's Y factors enter its MPO as the real iY and -iY
+    for h in (build_ising(6, 0.8, boundary), build_heisenberg_xy(6, 1.0, 0.5, 0.7, boundary)):
+        seen.clear()
+        assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(float)}
+        _, state = als_ground_state(h, 6, 2, boundary, sweeps=3)
+        assert {s.dtype for s in state.sites} == {np.dtype(float)}
+        kinds = {"environment", "solution"} | ({"basis"} if boundary == "open" else set())
+        assert {k for k, _ in seen} == kinds
+        assert {d for _, d in seen} == {np.dtype(float)}
 
 
 def complex_field_chain(p):
@@ -627,15 +634,25 @@ def test_periodic_pencil_from_cached_environments(monkeypatch):
 
 
 def test_heff_apply_matches_kron_assembly():
-    wl, wr, dl, d, dr = 3, 2, 3, 4, 2
+    # the fixed-shape operator on (d, Dl, Dr) vectors against the Kronecker
+    # sum on (Dl, d, Dr) ones: real and complex operands, bonds of size 1 at
+    # either end, and a blocked d = 4 site
     rng = np.random.default_rng(41)
-    lenv, w, renv = crandn(rng, wl, dl, dl), crandn(rng, wl, wr, d, d), crandn(rng, wr, dr, dr)
-    x = crandn(rng, dl, d, dr)
-    heff = sum(np.kron(lenv[a], np.kron(w[a, b], renv[b]))
-               for a in range(wl) for b in range(wr))
-    got = _heff_apply(lenv, w, renv, x)
-    assert got.shape == x.shape
-    assert np.allclose(got.reshape(-1), heff @ x.reshape(-1))
+    cases = [(3, 2, 3, 4, 2, crandn), (3, 3, 5, 2, 4, randn),
+             (1, 3, 1, 2, 4, crandn), (3, 1, 4, 2, 1, randn), (4, 3, 2, 4, 3, randn)]
+    for wl, wr, dl, d, dr, draw in cases:
+        lenv, w, renv = draw(rng, wl, dl, dl), draw(rng, wl, wr, d, d), draw(rng, wr, dr, dr)
+        x = draw(rng, dl, d, dr)
+        heff = sum(np.kron(lenv[a], np.kron(w[a, b], renv[b]))
+                   for a in range(wl) for b in range(wr))
+        matvec = _local_operator(lenv, w, renv)
+        with flops.tally() as fc:
+            got = matvec(x.transpose(1, 0, 2).reshape(-1))
+        assert got.shape == (d, dl, dr) and got.dtype == x.dtype
+        assert np.allclose(got.transpose(1, 0, 2).reshape(-1), heff @ x.reshape(-1))
+        # the same three contractions, and counts, as the tensordot form
+        assert fc.total == wl * dl * dl * d * dr + wl * wr * d * d * dl * dr \
+            + wr * d * dl * dr * dr
 
 
 def test_open_als_local_solves_stay_small(monkeypatch):
