@@ -476,11 +476,6 @@ def mpo(table: BlockTable) -> list:
     chan = np.cumsum(straddle, axis=0)  # channel index of each straddling term
     width = 2 + straddle.sum(axis=0)
     width[0] = width[q] = 1
-    imag = np.stack([(~ops.real.any(axis=(1, 2)) & ops.imag.any(axis=(1, 2)))[table.idx[:, i]]
-                     for i, ops in enumerate(table.ops)], axis=1)
-    turn = imag & (imag.sum(axis=1) % 2 == 0)[:, None]
-    phase = np.ones(imag.shape, table.dtype)  # per (term, group); empty for a real table
-    phase[turn] = np.where(np.cumsum(imag, axis=1) % 2 == 1, -1j, 1j)[turn]
     sites = []
     for i, ops in enumerate(table.ops):
         w = np.zeros((width[i], width[i + 1]) + ops.shape[1:], dtype=table.dtype)
@@ -492,17 +487,28 @@ def mpo(table: BlockTable) -> list:
         local = (first == i) & (last == i)
         w[0, -1] = np.tensordot(table.alpha[local], ops[table.idx[local, i]], axes=1)
         enter = (first == i) & (last > i)
-        w[0, chan[enter, i + 1]] = (table.alpha[enter] * phase[enter, i])[:, None, None] \
-            * ops[table.idx[enter, i]]
+        w[0, chan[enter, i + 1]] = table.alpha[enter, None, None] * ops[table.idx[enter, i]]
         through = (first < i) & (last > i)
-        w[chan[through, i], chan[through, i + 1]] = phase[through, i, None, None] \
-            * ops[table.idx[through, i]]
+        w[chan[through, i], chan[through, i + 1]] = ops[table.idx[through, i]]
         leave = (first < i) & (last == i)
-        w[chan[leave, i], -1] = phase[leave, i, None, None] * ops[table.idx[leave, i]]
+        w[chan[leave, i], -1] = ops[table.idx[leave, i]]
         sites.append(w)
-    if table.dtype.kind == "c" and not any(w.imag.any() for w in sites):
-        sites = [np.ascontiguousarray(w.real) for w in sites]
-    return sites
+    if table.dtype.kind != "c":
+        return sites
+    imag = np.stack([(~ops.real.any(axis=(1, 2)) & ops.imag.any(axis=(1, 2)))[table.idx[:, i]]
+                     for i, ops in enumerate(table.ops)], axis=1)
+    turn = imag & (imag.sum(axis=1) % 2 == 0)[:, None]
+    phase = np.where(np.cumsum(imag, axis=1) % 2 == 1, -1j, 1j)
+    for i, w in enumerate(sites):
+        # a turned term spans two groups or more, so its block here is
+        # an enter, through or leave entry, never the start -> done one
+        k = np.flatnonzero(turn[:, i])
+        rows = np.where(first[k] == i, 0, chan[k, i])
+        cols = np.where(last[k] == i, -1, chan[k, i + 1])
+        w[rows, cols] *= phase[k, i, None, None]
+    if any(w.imag.any() for w in sites):
+        return sites
+    return [np.ascontiguousarray(w.real) for w in sites]
 
 
 def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:

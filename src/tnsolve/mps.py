@@ -404,9 +404,9 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     """ALS update of a chain of either boundary, for :func:`run_sweeps`.
 
     The Hamiltonian enters as its MPO `ws` (:func:`mpo`, sites H_j with
-    operator bonds w_j).  One cached (left, right) environment pair per cut, of shape
-    (w, W, D, D) whose axis W carries the wrap legs (W = 1 for open chains),
-    gives the effective operator of the center site as
+    operator bonds w_j).  One cached (left, right) environment pair per cut,
+    of shape (w, W, D, D) whose axis W carries the wrap legs (W = 1 for open
+    chains), gives the effective operator of the center site as
     sum_{a,b} L_a x H_c[a, b] x R_b, with L_a R_b closed over W.  Both chain
     ends start from the :func:`_zipper_init` identity.
 
