@@ -530,10 +530,22 @@ def custom_chain(p):
     ])
 
 
+def xy_with_term(factors):
+    """The open XY chain plus one term on the first sites: Y X Y has two
+    purely imaginary blocks on single sites and on 2,1,3, Y Y Y has three
+    on single sites and one on 2,1,3 (where Y (x) Y is a real block)."""
+    p = 6
+    return SpinHamiltonian(p, build_heisenberg_xy(p, 1.0, 0.5, 0.7).terms
+                           + (KroneckerTerm(0.4, factors + [OP_I] * (p - 3)),))
+
+
 MPO_MODELS = {
     "ising-open": lambda: build_ising(6, 0.7, "open"),
     "ising-periodic": lambda: build_ising(6, 1.3, "periodic"),
     "xy-open": lambda: build_heisenberg_xy(6, 0.8, -0.3, 0.6, "open"),
+    "xy-periodic": lambda: build_heisenberg_xy(6, 0.8, -0.3, 0.6, "periodic"),
+    "xy-yxy": lambda: xy_with_term([OP_Y, OP_X, OP_Y]),
+    "xy-yyy": lambda: xy_with_term([OP_Y, OP_Y, OP_Y]),
     "2d-open": lambda: build_ising_2d(2, 3, 0.9, "open"),
     "2d-periodic": lambda: build_ising_2d(2, 3, 0.5, "periodic"),
     "custom": lambda: custom_chain(6),
@@ -559,6 +571,10 @@ def test_mpo_matches_dense(model, blocking):
     ref = materialize_dense(h).reshape((2,) * 2 * h.p, order="F")
     ref = ref.transpose(order + [h.p + s for s in order]).reshape(2**h.p, -1, order="F")
     assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # float64 exactly when H is real: the XY chain's Y blocks, and those of
+    # the Y X Y term, enter as iY and -iY; a term with an odd number of
+    # imaginary blocks (Y Y Y) keeps the MPO complex
+    assert {w.dtype for w in sites} == {np.dtype(complex if ref.imag.any() else float)}
     # bond w at every cut: 2 + the terms whose support straddles it, 1 outside
     group_of = {s: i for i, g in enumerate(groups) for s in g}
     spans = [(min(gs), max(gs)) for gs in
@@ -576,32 +592,3 @@ def test_mpo_bond_of_chains(model, bond):
     assert [w.shape[:2] for w in sites] == \
         [(1, bond)] + [(bond, bond)] * 4 + [(bond, 1)]
 
-
-@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
-@pytest.mark.parametrize("boundary", ["open", "periodic"])
-def test_xy_mpo_is_real(boundary, blocking):
-    # a YY bond split over two groups enters its channel as -iY and leaves
-    # as iY, one inside a group is the real Y (x) Y, so every site is real
-    h = build_heisenberg_xy(6, 0.8, -0.3, 0.6, boundary)
-    sites = mpo(regroup(h, Blocking.from_string(blocking)))
-    assert {w.dtype for w in sites} == {np.dtype(float)}
-    ref = materialize_dense(h)
-    assert ref.dtype == complex
-    assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("blocking", ["1,1,1,1,1,1", "2,1,3"])
-@pytest.mark.parametrize("factors,real", [
-    # Y (x) X on the first group and Y on the second: two imaginary blocks
-    ([OP_Y, OP_X, OP_Y], True),
-    # three imaginary blocks on single sites; one (Y (x) Y real) on 2,1,3
-    ([OP_Y, OP_Y, OP_Y], False),
-], ids=["even", "odd"])
-def test_mpo_phases_only_even_imaginary_terms(factors, real, blocking):
-    p = 6
-    h = SpinHamiltonian(p, build_heisenberg_xy(p, 1.0, 0.5, 0.7).terms
-                        + (KroneckerTerm(0.4, factors + [OP_I] * (p - 3)),))
-    sites = mpo(regroup(h, Blocking.from_string(blocking)))
-    assert {w.dtype for w in sites} == {np.dtype(float if real else complex)}
-    ref = materialize_dense(h)
-    assert np.linalg.norm(mpo_dense(sites) - ref) <= 1e-12 * np.linalg.norm(ref)
