@@ -43,29 +43,8 @@ from .tensor import (
     _phase_normalize_columns,
     _product_vector,
     _whitening,
-    generalized_eig_min,
     hermitian_eig,
 )
-
-
-def bordered_problem(h_i: np.ndarray, u_i: np.ndarray, beta: float,
-                     gamma: float, v_i: np.ndarray, rho: float) -> tuple:
-    """Greedy-stage pencil (numerator, denominator) over (x_i, 1): the self
-    block h_i and gamma (the working columns' rank-one mode problem in
-    :func:`_greedy_core`), the cross vectors u_i and v_i against the frozen
-    addends (:func:`_aligned_vectors` or `mixed._MixedCrossTerms`), and the
-    frozen addends' own scalars.  The numerator is Hermitian and the
-    denominator Hermitian positive semidefinite.  The border keeps the denominator from being a Kronecker
-    product, so unlike the simultaneous pencil (:func:`_mode_solve`) it is
-    not whitened at a smaller Gram matrix: :func:`generalized_eig_min`
-    solves it whole, singular or not."""
-    def border(mat, vec, corner):
-        out = np.empty((dim + 1, dim + 1), dtype=np.result_type(mat, vec, corner))
-        out[:dim, :dim], out[:dim, dim], out[dim, :dim], out[dim, dim] = \
-            mat, vec, vec.conj(), corner
-        return out
-    dim = h_i.shape[0]
-    return border(h_i, u_i, beta), border(gamma * np.eye(dim), v_i, rho)
 
 
 @dataclass
@@ -321,9 +300,53 @@ def _aligned_vectors(image: np.ndarray, y_i: np.ndarray, coeff: np.ndarray) -> t
     """Cross vectors u_i = sum_{a,b} (W_i Y_i)[a, b] C[a, b, 0, 1:] and
     v_i = Y_i C[start, done, 0, 1:] of an aligned greedy stage at mode i, from
     the blocks C (w_i, w_{i+1}, 1, 1 + R) of its environment, whose ket
-    columns 1..R are the frozen factors y_i = Y_i, and their image W_i Y_i."""
+    columns 1..R are the frozen factors y_i = Y_i, and their image W_i Y_i:
+    u_i is one matmul of the image laid out (n, w_i w_{i+1} R) with C's
+    columns 1..R flattened."""
     c = coeff[:, :, 0, 1:]
-    return flops.tdot(image, c, axes=((0, 1, 3), (0, 1, 2))), flops.matmul(y_i, c[0, -1])
+    u_i = flops.matmul(image.transpose(2, 0, 1, 3).reshape(image.shape[2], -1), c.reshape(-1))
+    return u_i, flops.matmul(y_i, c[0, -1])
+
+
+def _bordered_solve(h_i: np.ndarray, u_i: np.ndarray, beta: float, gamma: float,
+                    v_i: np.ndarray, rho: float, tols: Tolerances) -> tuple:
+    """Lowest eigenpair (lambda, x) of a greedy stage's pencil over (x_i, 1),
+    numerator A = [[h_i, u_i], [u_i^H, beta]] and denominator
+    B = [[gamma I, v_i], [v_i^H, rho]]: the self block h_i and gamma (the
+    working columns' rank-one mode problem in :func:`_greedy_core`), the
+    cross vectors u_i and v_i against the frozen addends
+    (:func:`_aligned_vectors` or `mixed._MixedCrossTerms`), and the frozen
+    addends' own scalars.  A is refused unless Hermitian within
+    tols.hermitian.  B is never formed: it is gamma I plus one border, so
+    S = [[I/sqrt(gamma), -v_i/(gamma sqrt(s))], [0, 1/sqrt(s)]], with s =
+    rho - ||v_i||^2/gamma its Schur complement, gives S^H B S = I; S^H A S
+    costs O(n^2), one ``eigh`` of it gives y, and x = S y.  B's eigenvalues
+    are gamma and those of [[gamma, ||v_i||], [||v_i||, rho]]; when the
+    lowest is at or below the floor tols.pd_floor_scale * tr(B) / (n + 1),
+    as :func:`tensor.generalized_eig_min` would drop it, the frozen sum
+    already spans the working addend, and the pinned direction is dropped
+    instead (S keeps only its first n columns), so x[n] = 0.  x has no
+    phase convention: the caller divides by x[n]."""
+    n = h_i.shape[0]
+    a = np.empty((n + 1, n + 1), dtype=np.result_type(h_i, u_i, v_i))
+    a[:n, :n], a[:n, n], a[n, :n], a[n, n] = h_i, u_i, u_i.conj(), beta
+    a = _hermitian_part(a, tols)
+    vv = float(np.vdot(v_i, v_i).real)
+    floor = tols.pd_floor_scale * (n * gamma + rho) / (n + 1)
+    low = 0.5 * (gamma + rho) - np.hypot(0.5 * (gamma - rho), np.sqrt(vv))
+    keep = bool(low > max(floor, 0.0))
+    # a <- S^H a S, S = [[g I, w], [0, c]], by columns then rows; c = 0 and
+    # w = 0 leave the pinned row and column zero, and they are cut off
+    g, c = 1.0 / np.sqrt(gamma), (1.0 / np.sqrt(rho - vv / gamma) if keep else 0.0)
+    w = (-c / gamma) * v_i
+    a[:, n] = a[:, :n] @ w + c * a[:, n]
+    a[:, :n] *= g
+    a[n] = w.conj() @ a[:n] + c * a[n]
+    a[:n] *= g
+    lam, vecs = np.linalg.eigh(a[:n + keep, :n + keep])
+    y = np.zeros(n + 1, dtype=vecs.dtype)
+    y[:n + keep] = vecs[:, 0]
+    return float(lam[0]), np.append(g * y[:n] + y[n] * w, c * y[n])
 
 
 def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
@@ -388,9 +411,8 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
             dim = x_cols[i].shape[0]
             u_i, v_i = (_aligned_vectors(envs.images[i], y.factors[i], coeff)
                         if cross is None else cross.vectors(x_cols, i))
-            lam, vec = generalized_eig_min(*bordered_problem(
-                _kron_sum(coeff[..., :1], ws[i]), u_i, beta,
-                float(coeff[0, -1, 0, 0].real), v_i, rho), tols)
+            lam, vec = _bordered_solve(_kron_sum(coeff[..., :1], ws[i]), u_i, beta,
+                                       float(coeff[0, -1, 0, 0].real), v_i, rho, tols)
             pin = vec[dim]
             if abs(pin) < 1e-12 * np.linalg.norm(vec):
                 return None  # the pinned coordinate vanished: restart the stage
@@ -445,9 +467,10 @@ def _kron_sum(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_{a,b} kron(coeff[a, b], W[a, b]) from (w_i, w_{i+1}, k, k')
     coefficient blocks and an MPO site W of shape (w_i, w_{i+1}, n, n): the
     (k n, k' n) matrix over addend-major stacks of block vectors."""
-    k, k2, n = coeff.shape[2], coeff.shape[3], w.shape[-1]
-    mat = flops.tdot(coeff, w, axes=((0, 1), (0, 1)))  # (k, k', n, n)
-    return mat.transpose(0, 2, 1, 3).reshape(k * n, k2 * n)
+    w_i, w_j, k, k2 = coeff.shape
+    n = w.shape[-1]
+    mat = flops.matmul(coeff.reshape(w_i * w_j, k * k2).T, w.reshape(w_i * w_j, n * n))
+    return mat.reshape(k, k2, n, n).transpose(0, 2, 1, 3).reshape(k * n, k2 * n)
 
 
 def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:

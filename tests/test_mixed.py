@@ -558,10 +558,11 @@ def test_mixed_greedy_trace_nonincreasing():
 def test_mixed_greedy_trace_pinned():
     # default sweeps and seed; entries, markers and final energy are pinned
     h = build_ising(8, 1.0, "open")
-    trace, _ = ground_state_mixed_greedy(h, [(4, 4), (2, 2, 4)], 1)
+    trace, state = ground_state_mixed_greedy(h, [(4, 4), (2, 2, 4)], 1)
     assert len(trace) == 51
     assert sum(1 for t in trace if t.note) == 0
-    assert trace[-1].energy == pytest.approx(-9.80032610768915, abs=1e-12)
+    assert trace[-1].energy == pytest.approx(-9.800326107681581, abs=1e-12)
+    assert trace[-1].energy == pytest.approx(rayleigh(h, sum_to_dense(state)), abs=1e-10)
 
 
 def test_mixed_greedy_refuses_zero_sweeps_before_any_update(monkeypatch):

@@ -24,6 +24,7 @@ from tnsolve.parafac import (
     MixedTerm,
     _Environments,
     _aligned_vectors,
+    _bordered_solve,
     _greedy_core,
     _kron_sum,
     _mode_solve,
@@ -43,6 +44,10 @@ from tnsolve.tensor import DenseState, generalized_eig_min, kron_first_fastest
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def randn(rng, dtype, *shape):
+    return crandn(rng, *shape) if dtype is complex else rng.standard_normal(shape)
 
 
 def _cp_energy(h, x):
@@ -566,9 +571,8 @@ def test_real_hamiltonian_keeps_cp_solvers_real(monkeypatch):
         monkeypatch.setattr(owner, name, recording)
 
     spy(parafac._Environments, "blocks", lambda out: out)
-    spy(parafac, "bordered_problem", lambda out: np.asarray(out[0]))
+    spy(parafac, "_bordered_solve", lambda out: out[1])
     spy(parafac, "_mode_solve", lambda out: out[1])
-    spy(parafac, "generalized_eig_min", lambda out: out[1])
     h, b = build_ising(6, 1.0), Blocking((2, 4))
     states = [simultaneous_als(h, b, 5, sweeps=3, init=init)[1]
               for init in ("random", "spectral")]
@@ -579,28 +583,27 @@ def test_real_hamiltonian_keeps_cp_solvers_real(monkeypatch):
     for term in mixed_sum.terms:
         assert {f.dtype for f in term.factors} == {np.dtype(float)}
         assert isinstance(term.weight, float)
-    assert {name for name, _ in seen} == {"blocks", "bordered_problem", "_mode_solve",
-                                          "generalized_eig_min"}
+    assert {name for name, _ in seen} == {"blocks", "_bordered_solve", "_mode_solve"}
     assert {d for _, d in seen} == {np.dtype(float)}
 
 
 def test_simultaneous_sweep_costs_order_q(monkeypatch):
     # single sites, p = 10, rank 4: at most 2q block transfers a sweep, no
-    # generalized solve, and no local matrix beyond rank * 2^(max width)
+    # bordered solve, and no local matrix beyond rank * 2^(max width)
     b, rank = Blocking.single_sites(10), 4
-    transfers, eig_dims, generalized = [], [], []
-    transfer, eig = parafac._transfer, np.linalg.eigh
+    transfers, eig_dims, bordered = [], [], []
+    transfer, eig, solve = parafac._transfer, np.linalg.eigh, parafac._bordered_solve
     monkeypatch.setattr(parafac, "_transfer",
                         lambda *args: transfers.append(1) or transfer(*args))
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda m, *args: eig_dims.append(len(m)) or eig(m, *args))
-    monkeypatch.setattr(parafac, "generalized_eig_min",
-                        lambda *args: generalized.append(1) or generalized_eig_min(*args))
+    monkeypatch.setattr(parafac, "_bordered_solve",
+                        lambda *args: bordered.append(1) or solve(*args))
     trace, _ = simultaneous_als(build_ising(10, 1.0, "open"), b, rank, sweeps=4)
     sweeps = trace[-1].sweep + 1
     assert len(trace) == b.q * sweeps
     assert 0 < len(transfers) <= 2 * b.q * sweeps
-    assert generalized == []
+    assert bordered == []
     assert max(eig_dims) <= rank * 2 ** max(b.widths)
 
 
@@ -617,24 +620,104 @@ def test_cp_trace_pinned(mode, rank, entries, energy):
     assert trace[-1].energy == pytest.approx(energy, abs=1e-12)
 
 
-def test_effective_problem_hermitian_and_psd():
-    from tnsolve.parafac import bordered_problem
-    from tnsolve.tensor import generalized_eig_min
+def dense_bordered(h_i, u_i, beta, gamma, v_i, rho):
+    """The greedy pencil (numerator, denominator) over (x_i, 1), formed."""
+    n = h_i.shape[0]
+    a = np.block([[h_i, u_i[:, None]], [u_i.conj()[None], np.array([[beta]])]])
+    b = np.block([[gamma * np.eye(n), v_i[:, None]], [v_i.conj()[None], np.array([[rho]])]])
+    return a, b
 
+
+def test_effective_problem_hermitian_and_psd():
     rng = np.random.default_rng(40)
     h_i = crandn(rng, 8, 8)
     h_i = h_i + h_i.conj().T
     u_i, v_i = crandn(rng, 8), crandn(rng, 8)
-    a, b = bordered_problem(h_i, u_i, beta=2.5, gamma=1.5, v_i=0.1 * v_i, rho=3.0)
+    args = (h_i, u_i, 2.5, 1.5, 0.1 * v_i, 3.0)
+    a, b = dense_bordered(*args)
     assert max(np.linalg.norm(a - a.conj().T), np.linalg.norm(b - b.conj().T)) <= 1e-12
     bw = np.linalg.eigvalsh(b)
     assert bw[0] >= -1e-12
-    lam, vec = generalized_eig_min(a, b)
+    lam, vec = _bordered_solve(*args, DEFAULT_TOLS)
     resid = a @ vec - lam * (b @ vec)
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(a)
-    # the same solve handles a singular denominator
+    lam_ref, vec_ref = generalized_eig_min(a, b)
+    assert lam == pytest.approx(lam_ref, rel=1e-12)
+    assert np.vdot(vec, b @ vec).real == pytest.approx(1.0, abs=1e-12)
+    # the dense solver handles a singular denominator
     lam, vec = generalized_eig_min(np.diag([2.0, 1.0]), np.diag([1.0, 0.0]))
     assert lam == pytest.approx(2.0)
+
+
+def bordered_case(rng, dtype, n, case):
+    """(h_i, u_i, beta, gamma, v_i, rho) of a greedy pencil: a denominator
+    well away from its floor, one with lambda_min / lambda_max about 1e-5,
+    or one whose Schur complement rho - ||v||^2 / gamma sits below the floor."""
+    h_i = randn(rng, dtype, n, n)
+    h_i = h_i + h_i.conj().T
+    u_i, v_i = randn(rng, dtype, n), randn(rng, dtype, n)
+    v_i /= np.linalg.norm(v_i)
+    gamma, beta = 1.3, 0.7
+    rho = {"well": 1.0, "ill": 1.0 / gamma + 4e-5, "floor": 1.0 / gamma * (1 + 1e-15)}[case]
+    v_i *= 0.5 if case == "well" else 1.0
+    return h_i, u_i, beta, gamma, v_i, rho
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", ["well", "ill", "floor"])
+def test_bordered_solve_matches_dense_pencil(case, dtype, n):
+    # the closed-form whitening of the bordered denominator against
+    # generalized_eig_min on the formed pencil
+    rng = np.random.default_rng(90 + n)
+    args = bordered_case(rng, dtype, n, case)
+    a, b = dense_bordered(*args)
+    bw = np.linalg.eigvalsh(b)
+    lam, x = _bordered_solve(*args, DEFAULT_TOLS)
+    assert x.dtype == np.dtype(dtype)
+    if case == "floor":
+        # the pinned direction is dropped: x = (y / sqrt(gamma), 0) for the
+        # lowest eigenvector y of h_i / gamma
+        assert bw[0] <= DEFAULT_TOLS.pd_floor_scale * np.trace(b).real / (n + 1)
+        assert x[n] == 0
+        assert lam == pytest.approx(np.linalg.eigvalsh(args[0])[0] / args[3], rel=1e-12)
+        return
+    assert 5e-6 <= bw[0] / bw[-1] <= 2e-5 if case == "ill" else bw[0] / bw[-1] > 1e-2
+    lam_ref, x_ref = generalized_eig_min(a, b)
+    assert lam == pytest.approx(lam_ref, rel=1e-10)
+    ratio, ratio_ref = x[:n] / x[n], x_ref[:n] / x_ref[n]
+    assert np.linalg.norm(ratio - ratio_ref) <= 1e-8 * np.linalg.norm(ratio_ref)
+
+
+def test_bordered_solve_refuses_non_hermitian_numerator():
+    rng = np.random.default_rng(95)
+    h_i, *rest = bordered_case(rng, complex, 4, "well")
+    h_i[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        _bordered_solve(h_i, *rest, DEFAULT_TOLS)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kron_sum_and_aligned_vectors_match_einsum(dtype):
+    # one matmul each, at the counted cost of the tensordot forms: output
+    # size times contracted size
+    rng = np.random.default_rng(96)
+    w_i, w_j, n, k, k2, r = 2, 3, 4, 3, 2, 5
+    w, coeff = randn(rng, dtype, w_i, w_j, n, n), randn(rng, dtype, w_i, w_j, k, k2)
+    want = np.einsum("abkl,abij->kilj", coeff, w).reshape(k * n, k2 * n)
+    with flops.tally() as counter:
+        got = _kron_sum(coeff, w)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert counter.total == want.size * w_i * w_j
+    y_i, coeff = randn(rng, dtype, n, r), randn(rng, dtype, w_i, w_j, 1, 1 + r)
+    image = np.matmul(w, y_i)
+    u_want = np.einsum("abnr,abr->n", image, coeff[:, :, 0, 1:])
+    v_want = y_i @ coeff[0, -1, 0, 1:]
+    with flops.tally() as counter:
+        u_i, v_i = _aligned_vectors(image, y_i, coeff)
+    assert np.linalg.norm(u_i - u_want) <= 1e-14 * np.linalg.norm(u_want)
+    assert np.linalg.norm(v_i - v_want) <= 1e-14 * np.linalg.norm(v_want)
+    assert counter.total == n * (w_i * w_j * r) + n * r
 
 
 def test_simultaneous_rejects_bad_args():
@@ -699,7 +782,7 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
 def test_greedy_update_makes_one_environment_call(monkeypatch):
     # the self block and the aligned cross terms come from one environment:
     # one blocks call per mode solve of stage 1 and per bordered solve after
-    calls = {"blocks": 0, "_mode_solve": 0, "bordered_problem": 0}
+    calls = {"blocks": 0, "_mode_solve": 0, "_bordered_solve": 0}
 
     def count(owner, name):
         fn = getattr(owner, name)
@@ -711,10 +794,10 @@ def test_greedy_update_makes_one_environment_call(monkeypatch):
 
     count(parafac._Environments, "blocks")
     count(parafac, "_mode_solve")
-    count(parafac, "bordered_problem")
+    count(parafac, "_bordered_solve")
     greedy_als(build_ising(8, 1.0, "open"), Blocking((2, 3, 3)), 3, inner_iters=5)
-    assert calls["_mode_solve"] > 0 and calls["bordered_problem"] > 0
-    assert calls["blocks"] == calls["_mode_solve"] + calls["bordered_problem"]
+    assert calls["_mode_solve"] > 0 and calls["_bordered_solve"] > 0
+    assert calls["blocks"] == calls["_mode_solve"] + calls["_bordered_solve"]
 
 
 def test_greedy_refuses_zero_sweeps():
