@@ -21,6 +21,13 @@ ket columns.  One loop, :func:`_greedy_core`, runs every list of stages
 and picks the first start and each stage's cross terms itself;
 :func:`greedy_als` and `mixed.ground_state_mixed_greedy` only build the
 list and wrap the addends.
+
+Local solves cost what their small matrices cost: a simultaneous mode is
+whitened at its r x r Gram matrix (:func:`_mode_solve`), and a greedy
+update's bordered denominator, a scaled identity plus one border, in
+closed form through its Schur complement (:func:`_bordered_solve`); each
+then takes one ``eigh``, and the Kronecker sums that build them are one
+matmul each (:func:`_kron_sum`).
 """
 
 from __future__ import annotations
@@ -304,8 +311,8 @@ def _aligned_vectors(image: np.ndarray, y_i: np.ndarray, coeff: np.ndarray) -> t
     u_i is one matmul of the image laid out (n, w_i w_{i+1} R) with C's
     columns 1..R flattened."""
     c = coeff[:, :, 0, 1:]
-    u_i = flops.matmul(image.transpose(2, 0, 1, 3).reshape(image.shape[2], -1), c.reshape(-1))
-    return u_i, flops.matmul(y_i, c[0, -1])
+    laid_out = image.transpose(2, 0, 1, 3).reshape(image.shape[2], -1)
+    return flops.matmul(laid_out, c.reshape(-1)), flops.matmul(y_i, c[0, -1])
 
 
 def _bordered_solve(h_i: np.ndarray, u_i: np.ndarray, beta: float, gamma: float,
@@ -332,21 +339,22 @@ def _bordered_solve(h_i: np.ndarray, u_i: np.ndarray, beta: float, gamma: float,
     a[:n, :n], a[:n, n], a[n, :n], a[n, n] = h_i, u_i, u_i.conj(), beta
     a = _hermitian_part(a, tols)
     vv = float(np.vdot(v_i, v_i).real)
-    floor = tols.pd_floor_scale * (n * gamma + rho) / (n + 1)
-    low = 0.5 * (gamma + rho) - np.hypot(0.5 * (gamma - rho), np.sqrt(vv))
-    keep = bool(low > max(floor, 0.0))
+    s = rho - vv / gamma
+    # the lowest eigenvalue as det / highest, positive exactly when s is
+    low = gamma * s / (0.5 * (gamma + rho) + np.hypot(0.5 * (gamma - rho), np.sqrt(vv)))
+    keep = bool(low > max(tols.pd_floor_scale * (n * gamma + rho) / (n + 1), 0.0))
     # a <- S^H a S, S = [[g I, w], [0, c]], by columns then rows; c = 0 and
     # w = 0 leave the pinned row and column zero, and they are cut off
-    g, c = 1.0 / np.sqrt(gamma), (1.0 / np.sqrt(rho - vv / gamma) if keep else 0.0)
+    g, c = 1.0 / np.sqrt(gamma), (1.0 / np.sqrt(s) if keep else 0.0)
     w = (-c / gamma) * v_i
     a[:, n] = a[:, :n] @ w + c * a[:, n]
     a[:, :n] *= g
     a[n] = w.conj() @ a[:n] + c * a[n]
     a[:n] *= g
     lam, vecs = np.linalg.eigh(a[:n + keep, :n + keep])
-    y = np.zeros(n + 1, dtype=vecs.dtype)
-    y[:n + keep] = vecs[:, 0]
-    return float(lam[0]), np.append(g * y[:n] + y[n] * w, c * y[n])
+    y = vecs[:, 0]
+    pin = y[n] if keep else 0.0
+    return float(lam[0]), np.append(g * y[:n] + pin * w, c * pin)
 
 
 def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
@@ -363,10 +371,11 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     C[a, b, 0, 0] W_i[a, b] and gamma = C[start, done, 0, 0], so a pure
     rank-one stage is solved as a simultaneous mode is (:func:`_mode_solve`);
     columns 1..R give the cross vectors (:func:`_aligned_vectors`), else
-    `mixed._MixedCrossTerms` does.  An unknown init and fewer than one sweep
-    are refused, and the MPOs of all distinct stages built and checked,
-    before the first solve.  Returns (trace, frozen), each frozen addend a
-    MixedTerm on its stage's groups."""
+    `mixed._MixedCrossTerms` does, and :func:`_bordered_solve` solves the
+    update; one whose pinned coordinate vanishes restarts the stage.  An
+    unknown init and fewer than one sweep are refused, and the MPOs of all
+    distinct stages built and checked, before the first solve.  Returns
+    (trace, frozen), each frozen addend a MixedTerm on its stage's groups."""
     if sweeps < 1:
         raise ValueError("need at least one sweep per stage")
     if init not in ("random", "spectral"):
@@ -408,15 +417,14 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
             if not frozen:
                 lam, x_cols[i] = _mode_solve(coeff, ws[i], tols)
                 return lam
-            dim = x_cols[i].shape[0]
             u_i, v_i = (_aligned_vectors(envs.images[i], y.factors[i], coeff)
                         if cross is None else cross.vectors(x_cols, i))
             lam, vec = _bordered_solve(_kron_sum(coeff[..., :1], ws[i]), u_i, beta,
                                        float(coeff[0, -1, 0, 0].real), v_i, rho, tols)
-            pin = vec[dim]
+            pin = vec[-1]
             if abs(pin) < 1e-12 * np.linalg.norm(vec):
                 return None  # the pinned coordinate vanished: restart the stage
-            x_cols[i] = vec[:dim] / pin
+            x_cols[i] = vec[:-1] / pin
             return lam
 
         restarts, degenerate = 0, False
@@ -447,11 +455,11 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
     """Grow the rank one addend at a time on the groups of `blocking`
     (:func:`_greedy_core`): a pure rank-one stage first, solved as a
     simultaneous mode at rank one, then each new addend from the bordered
-    problem with all earlier addends frozen.  :func:`generalized_eig_min`
-    drops the denominator directions below its floor, which appear when the
-    frozen sum already spans the working addend; a solution that then
-    leaves the pinned coordinate at 0 restarts the stage.  Returns (trace,
-    BlockedCp).  No stage depends on d_final: a rank-r run is the rank-R
+    problem with all earlier addends frozen.  :func:`_bordered_solve` drops
+    the pinned direction when the denominator's lowest eigenvalue falls to
+    its floor, which happens when the frozen sum already spans the working
+    addend; the pinned coordinate is then 0 and the stage restarts.
+    Returns (trace, BlockedCp).  No stage depends on d_final: a rank-r run is the rank-R
     run cut after stage r, entry for entry and addend for addend."""
     if d_final < 1:
         raise ValueError("need d_final >= 1")
@@ -466,7 +474,9 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
 def _kron_sum(coeff: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_{a,b} kron(coeff[a, b], W[a, b]) from (w_i, w_{i+1}, k, k')
     coefficient blocks and an MPO site W of shape (w_i, w_{i+1}, n, n): the
-    (k n, k' n) matrix over addend-major stacks of block vectors."""
+    (k n, k' n) matrix over addend-major stacks of block vectors.  One
+    fixed-shape matmul, coeff laid out (w_i w_{i+1}, k k') and transposed
+    against W laid out (w_i w_{i+1}, n^2), charged k k' n^2 w_i w_{i+1}."""
     w_i, w_j, k, k2 = coeff.shape
     n = w.shape[-1]
     mat = flops.matmul(coeff.reshape(w_i * w_j, k * k2).T, w.reshape(w_i * w_j, n * n))

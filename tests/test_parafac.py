@@ -656,11 +656,10 @@ def bordered_case(rng, dtype, n, case):
     h_i = randn(rng, dtype, n, n)
     h_i = h_i + h_i.conj().T
     u_i, v_i = randn(rng, dtype, n), randn(rng, dtype, n)
-    v_i /= np.linalg.norm(v_i)
     gamma, beta = 1.3, 0.7
-    rho = {"well": 1.0, "ill": 1.0 / gamma + 4e-5, "floor": 1.0 / gamma * (1 + 1e-15)}[case]
-    v_i *= 0.5 if case == "well" else 1.0
-    return h_i, u_i, beta, gamma, v_i, rho
+    norm_v, rho = {"well": (0.5, 1.0), "ill": (1.0, 1.0 / gamma + 4e-5),
+                   "floor": (1.0, (1.0 + 1e-15) / gamma)}[case]
+    return h_i, u_i, beta, gamma, v_i * (norm_v / np.linalg.norm(v_i)), rho
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 32])
