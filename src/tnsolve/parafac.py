@@ -25,9 +25,9 @@ list and wrap the addends.
 Local solves cost what their small matrices cost: a simultaneous mode is
 whitened at its r x r Gram matrix (:func:`_mode_solve`), and a greedy
 update's bordered denominator, a scaled identity plus one border, in
-closed form through its Schur complement (:func:`_bordered_solve`); each
-then takes one ``eigh``, and the Kronecker sums that build them are one
-matmul each (:func:`_kron_sum`).
+closed form through its Schur complement (:func:`_bordered_solve`), so no
+denominator is eigendecomposed at full size; the Kronecker sums that
+build the numerators are one matmul each (:func:`_kron_sum`).
 """
 
 from __future__ import annotations
