@@ -518,7 +518,7 @@ def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     ket's physical index; the result has shape (w_{i+1}, n_out, ...).
     Swapping the first two axes of W applies the site from the right.  Every
     contraction with an MPO site goes through here and is charged to the
-    flop counter, except the open-chain local operator
+    flop counter, except the chain ALS local operator
     (:func:`mps._local_operator`), which reshapes its site into one matrix
     per update and charges the same count per matvec."""
     return flops.tdot(w, t, axes=((0, 3), (0, 1)))

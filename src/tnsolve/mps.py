@@ -10,13 +10,15 @@ Open chains have D_1 = D_{q+1} = 1; periodic chains close with a trace, so
 D_{q+1} = D_1.
 
 A Hamiltonian enters every chain contraction as its matrix product operator
-(:func:`hamiltonian.mpo`); the ALS environments have shape (w, W, D, D), w
-the operator bond and W the wrap legs of a periodic chain.  ALS on a real
-MPO starts from a real chain, so its sites, environments and local Krylov
-bases stay real; that covers every real Hamiltonian, the XY chain's
-included (its Y factors enter the MPO as iY and -iY).  An open-chain local
-solve applies its effective operator as three fixed-shape matmuls per
-matvec, on vectors laid out (d, Dl, Dr).
+(:func:`hamiltonian.mpo`).  ALS runs an open chain whatever the boundary
+of H: a periodic Hamiltonian's wrap bond is one more channel of its MPO, so
+the ALS environments have shape (w, D, D), w the operator bond, and the
+wrap legs of a periodic chain appear only in :func:`_zipper`.  ALS on a
+real MPO starts from a real chain, so its sites, environments and local
+Krylov bases stay real; that covers every real Hamiltonian, the XY chain's
+included (its Y factors enter the MPO as iY and -iY).  A local solve
+applies its effective operator as three fixed-shape matmuls per matvec, on
+vectors laid out (d, Dl, Dr).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .tensor import (
     _gaussian,
     _inexact,
     _real_part,
-    generalized_eig_min,
     krylov_min,
     ravel,
     svd,
@@ -265,21 +266,14 @@ def gauge_residual_right(site: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # contractions
 
-def _zipper_init(dy: int, dx: int) -> np.ndarray:
-    """Start tensor over (wrap_y, wrap_x, cur_y, cur_x) for chains whose
-    first bonds have sizes dy and dx.  Open chains have size-1 wrap legs, so
-    the same sweep covers both boundaries."""
-    return np.einsum("ac,bd->abcd", np.eye(dy), np.eye(dx))
-
-
 def _env_step_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
                     w: np.ndarray | None = None) -> np.ndarray:
     """Grow a (bra, ket) environment (w_j, ..., Dl, Dl) by one site from
     the left: L'[b, ..., y', x'] = sum L[a, ..., y, x] conj(bra[y, i, y'])
     H_j[a, b, i, j] ket[x, j, x'] with H_j = w the site's MPO tensor
     (w_j, w_{j+1}, d, d), or the identity when w is None.  Axes between the
-    first and the last two are batch axes: the chain environments carry the
-    wrap legs there as (w, W, Dl, Dl)."""
+    first and the last two are batch axes: :func:`_zipper` carries the wrap
+    legs there as (w, W, Dl, Dl); the ALS environments have none."""
     f = np.moveaxis(flops.tdot(env, ket, axes=(-1, 0)), -2, 1)  # (a, j, ..., y, x')
     if w is not None:
         f = mpo_apply(w, f)                                     # (b, i, ..., y, x')
@@ -299,10 +293,13 @@ def _env_step_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray,
 def _zipper(bras: list, kets: list, ws: list | None = None) -> complex:
     """sum_i conj(bra_i) (H ket)_i over two site lists, H the MPO with sites
     ws (the identity when ws is None): one environment, with the wrap legs
-    as its batch axis, grows site by site by :func:`_env_step_right` and is
-    closed by tracing the wrap legs against the last bonds."""
+    as its batch axis, starts as the identity from the wrap legs (wrap_y,
+    wrap_x) to the first bonds, grows site by site by
+    :func:`_env_step_right` and is closed by tracing the wrap legs against
+    the last bonds.  Open chains have size-1 wrap legs, so the same sweep
+    covers both boundaries."""
     dy, dx = bras[0].shape[0], kets[0].shape[0]
-    e = _zipper_init(dy, dx).reshape(1, dy * dx, dy, dx)
+    e = np.eye(dy * dx).reshape(1, dy * dx, dy, dx)
     for bra, ket, w in zip(bras, kets, ws or [None] * len(kets)):
         e = _env_step_right(e, bra, ket, w)
     flops.add(dy * dx)
@@ -387,30 +384,17 @@ def _local_operator(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray):
     return matvec
 
 
-def _pencil(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray) -> np.ndarray:
-    """Dense matrix of sum_{a,b} L_a x H_c[a, b] x R_b on site tensors
-    (Dl, d, Dr), from (w_c, W, Dl, Dl) left and (w_{c+1}, W, Dr, Dr) right
-    environments closed over their wrap legs W, and the MPO site H_c = w of
-    shape (w_c, w_{c+1}, d, d): the left environments, times the identity on the
-    physical leg, go through the MPO site and then meet the right ones."""
-    dl, dr, d = lenv.shape[-1], renv.shape[-1], w.shape[-1]
-    t = lenv[:, None, ..., None] * np.eye(d)[:, None, None, None, :]
-    t = mpo_apply(w, t)                                # (b, i, W, y, x, j)
-    mat = flops.tdot(t, renv, axes=((0, 2), (0, 1)))   # (i, y, x, j, y', x')
-    return mat.transpose(1, 0, 4, 2, 3, 5).reshape(dl * d * dr, dl * d * dr)
-
-
 def _chain_local(ws: list, state: MpsState, tols: Tolerances):
-    """ALS update of a chain of either boundary, for :func:`run_sweeps`.
+    """ALS update of an open chain, for :func:`run_sweeps`.
 
     The Hamiltonian enters as its MPO `ws` (:func:`mpo`, sites H_j with
-    operator bonds w_j).  One cached (left, right) environment pair per cut,
-    of shape (w, W, D, D) whose axis W carries the wrap legs (W = 1 for open
-    chains), gives the effective operator of the center site as
-    sum_{a,b} L_a x H_c[a, b] x R_b, with L_a R_b closed over W.  Both chain
-    ends start from the :func:`_zipper_init` identity.
+    operator bonds w_j), of either boundary: a periodic H's wrap bond is
+    one more MPO channel.  One cached (left, right) environment pair per
+    cut, of shape (w, D, D) and grown from a (1, 1, 1) edge at both chain
+    ends, gives the effective operator of the center site as
+    sum_{a,b} L_a x H_c[a, b] x R_b.
 
-    An open chain is kept in mixed-canonical gauge, so the update is a
+    The chain is kept in mixed-canonical gauge, so the update is a
     Hermitian eigenproblem.  :func:`_local_operator` builds the operator
     once per update as a matvec of fixed-shape matmuls on vectors laid out
     (d, Dl, Dr), and :func:`krylov_min` (a Lanczos recurrence with full
@@ -418,11 +402,7 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     every third step) finds its lowest eigenpair from a Krylov space
     started at the current center tensor, so no update raises the energy.
     The center tensor is transposed to that layout once on the way in, and
-    the solution once on the way out.  A periodic gauge is not orthonormal:
-    the norm environments are L in the automaton's "start" state and R in
-    its "done" state, and the numerator and denominator pencils go to
-    :func:`generalized_eig_min`, which drops the denominator directions
-    below its floor.
+    the solution once on the way out.
 
     update(sweep, c) moves the center to c: it re-gauges the site left
     behind by one QR step (:func:`_move_center`), which keeps its bonds, and
@@ -431,14 +411,12 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     energy.
     """
     q = state.q
-    periodic = state.boundary == "periodic"
-    dw = state.sites[0].shape[0]
 
     def grown(env, c, step):
         step_fn = _env_step_right if step > 0 else _env_step_left
         return step_fn(env, state.sites[c], state.sites[c], ws[c])
 
-    edge = _zipper_init(dw, dw).reshape(1, dw * dw, dw, dw)
+    edge = np.ones((1, 1, 1))
     lenv = [edge] + [None] * (q - 1)
     renv = [None] * (q - 1) + [edge]
     for j in range(q - 1, 0, -1):  # right environments for center 0
@@ -452,16 +430,9 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
             envs = lenv if step > 0 else renv
             envs[c] = grown(envs[behind], behind, step)
         site = state.sites[c]
-        if periodic:
-            num = _pencil(lenv[c], ws[c], renv[c])
-            eye = np.eye(site.shape[1])[None, None]
-            den = _pencil(lenv[c][:1], eye, renv[c][-1:])
-            energy, vec = generalized_eig_min(num, den, tols)
-            state.sites[c] = vec.reshape(site.shape)
-        else:
-            matvec = _local_operator(lenv[c][:, 0], ws[c], renv[c][:, 0])
-            energy, vec = krylov_min(matvec, _merge_rows(site), tols)
-            state.sites[c] = _split_rows(vec, *site.shape[:2])
+        matvec = _local_operator(lenv[c], ws[c], renv[c])
+        energy, vec = krylov_min(matvec, _merge_rows(site), tols)
+        state.sites[c] = _split_rows(vec, *site.shape[:2])
         return energy
 
     return update
@@ -473,36 +444,34 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Alternating single-site minimization of the Rayleigh quotient.
 
-    Both boundaries keep one cached environment per cut against the
-    Hamiltonian's MPO, carrying the wrap legs of a periodic chain, and grow
-    it by one site after every update.  Open chains stay in mixed-canonical
-    gauge, so every update is a standard Hermitian eigenproblem, solved
-    matrix-free by a Lanczos recurrence with full reorthogonalization whose
-    real tridiagonal projected matrix is solved every third step (so a
-    converged pair costs at most 2 extra matvecs).  It starts at the
-    current site tensor, and the effective matrix is never formed: each
-    update reshapes its environments and MPO site once, and every matvec is
-    three fixed-shape matmuls.  Periodic chains close the environments into
-    the numerator and denominator of a generalized pencil, solved on the
-    eigenspace of the denominator above its floor.  The random start takes
-    its dtype from the Hamiltonian's MPO, so a real MPO (the Ising and XY
-    chains and lattices) is solved in real arithmetic throughout.
-    One sweep is one directional pass; direction alternates, re-gauging by
-    QR after every update, and two consecutive sweeps that move the energy
-    by less than tols.convergence stop the search.  Returns (trace, state)
-    with a nonincreasing energy trace.
+    The search runs an open chain for either boundary of H, whose wrap
+    bond is one more channel of its MPO; `boundary` names the Hamiltonian's
+    boundary for callers and must be "open" or "periodic".  One cached
+    environment per cut against the MPO grows by one site after every
+    update.  The chain stays in mixed-canonical gauge, so every update is a
+    standard Hermitian eigenproblem, solved matrix-free by a Lanczos
+    recurrence with full reorthogonalization whose real tridiagonal
+    projected matrix is solved every third step (so a converged pair costs
+    at most 2 extra matvecs).  It starts at the current site tensor, and the
+    effective matrix is never formed: each update reshapes its environments
+    and MPO site once, and every matvec is three fixed-shape matmuls.  The
+    random start takes its dtype from the Hamiltonian's MPO, so a real MPO
+    (the Ising and XY chains and lattices) is solved in real arithmetic
+    throughout.  One sweep is one directional pass; direction alternates,
+    re-gauging by QR after every update, and two consecutive sweeps that
+    move the energy by less than tols.convergence stop the search.  Returns
+    (trace, state) with a nonincreasing energy trace and an open state.
     """
+    if boundary not in ("open", "periodic"):
+        raise ValueError(f"bad boundary {boundary!r}")
     if d_bond < 1 or sweeps < 1:
         raise ValueError("need d_bond >= 1 and sweeps >= 1")
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     blocking = blocking or Blocking.single_sites(p)
     ws = mpo(regroup(h, blocking))
-    state = random_mps(p, d_bond, boundary, blocking, seed, ws[0].dtype)
-    if boundary == "open":
-        state, _ = normalize_right_sweep(state)
-    else:
-        state, _ = normalize_left_sweep(state)
+    state = random_mps(p, d_bond, "open", blocking, seed, ws[0].dtype)
+    state, _ = normalize_right_sweep(state)
     trace = []
     run_sweeps(_chain_local(ws, state, tols),
                (range(state.q), range(state.q - 1, -1, -1)), sweeps, tols, trace,

@@ -328,7 +328,9 @@ def generalized_eig_min(a: np.ndarray, b: np.ndarray,
     drops its eigenvalues at or below the floor, and the lowest eigenpair
     (lambda, y) of S^H a S gives x = S y.  So one path serves a regular b
     and a singular one.  Raises ValueError when a or b is not Hermitian or
-    no eigenvalue of b lies above the floor.
+    no eigenvalue of b lies above the floor.  No solver in the package calls
+    it: it is kept as the dense reference that the CP mode and bordered
+    solves are tested against.
     """
     a = _hermitian_part(a, tols)
     s = _whitening(b, tols)

@@ -265,6 +265,16 @@ def test_mps_run_with_validation(tmp_path):
     assert len(lines) > 2
 
 
+def test_periodic_mps_run_reaches_the_oracle(tmp_path):
+    # a periodic model runs on the open chain, its wrap bond one more MPO
+    # channel
+    out = str(tmp_path / "mps")
+    rc = main(["mps-als", "--model", "ising", "-p", "12", "-D", "32",
+               "--boundary", "periodic", "--out", out])
+    assert rc == 0
+    assert read_summary(os.path.join(out, "summary.json"))["abs_error"] <= 1e-8
+
+
 @pytest.mark.parametrize("args", [
     ["mps-als", "-p", "6", "--rank", "4", "--sweeps", "4"],
     ["parafac-als", "-p", "6", "--blocking", "3,3", "--rank", "2",
