@@ -12,7 +12,6 @@ from .hamiltonian import (
     build_ising,
     build_ising_2d,
     materialize_dense,
-    regroup,
 )
 from .oracle import ground_state_dense, rayleigh
 from .tensor import DenseState
@@ -28,7 +27,6 @@ __all__ = [
     "build_ising",
     "build_ising_2d",
     "materialize_dense",
-    "regroup",
     "ground_state_dense",
     "rayleigh",
     "DenseState",

@@ -1,17 +1,18 @@
 """Spin Hamiltonians as weighted sums of Kronecker terms of 2x2 operators.
 
 Terms are stored fully expanded to length p (identities explicit), which
-keeps regrouping and blocked contractions uniform.  2D lattices are numbered
+keeps block tables and blocked contractions uniform.  2D lattices are numbered
 row-major: site (r, c) of a rows x cols lattice is chain position r*cols + c.
 
-A :class:`BlockTable` compiles the terms against any partition of the sites
-into groups (the blocks of a :class:`Blocking`, the factors of a mixed term,
-or one stage of a greedy solver, which is a tuple of site groups): per group
-a stack of the distinct block operators, identity first, and an integer
-incidence saying which entry each term uses there.  :func:`mpo` compiles a
-table into the matrix product operator, the one form of H that the chain,
-CP and mixed solvers contract; apart from that the table serves only the
-CP `apply_hamiltonian` and the per-term views of :class:`BlockedHamiltonian`.
+A :class:`BlockedHamiltonian` compiles the terms against any partition of
+the sites into groups (the blocks of a :class:`Blocking`, the factors of a
+mixed term, or one stage of a greedy solver, which is a tuple of site
+groups): per group a stack of the distinct block operators, identity first,
+and an integer incidence saying which entry each term uses there.
+:func:`mpo` builds that table from H and the groups and compiles it into
+the matrix product operator, the one form of H that the chain, CP and mixed
+solvers contract; apart from that the table serves only the CP
+`apply_hamiltonian` and its own per-term views.
 """
 
 from __future__ import annotations
@@ -379,19 +380,22 @@ def apply(h: SpinHamiltonian, x: DenseState) -> DenseState:
 
 
 # ---------------------------------------------------------------------------
-# block-operator tables and regrouping to a blocking
+# block-operator tables over a partition of the sites
 
-class BlockTable:
+class BlockedHamiltonian:
     """The terms of a Hamiltonian restricted to a partition of its sites
-    into groups.
+    into groups, with per-term views: whether H_i^(k), group i of term k,
+    is the identity, its matrix, and its action.
 
     ``ops[i]`` stacks the distinct restrictions of the terms to ``groups[i]``
     as (U_i, n_i, n_i) matrices, the identity as entry 0; term k restricts
     to ``ops[i][idx[k, i]]`` and carries coefficient ``alpha[k]``.  A group's
     first site is its fastest bit (:func:`kron_first_fastest`, ``order="F"``).
-    Its one use in the solvers is as the input of :func:`mpo`.  ``dtype``
-    is the result type of the coefficients and block operators: real unless
-    some operator is complex (a Pauli Y or a custom operator).
+    The solvers read the table through :func:`mpo`, which builds it, and
+    the CP `apply_hamiltonian`; the benchmark tracer wraps the per-term
+    views.  ``dtype`` is the result type of the coefficients and block
+    operators: real unless some operator is complex (a Pauli Y or a custom
+    operator).
     """
 
     def __init__(self, h: SpinHamiltonian, groups):
@@ -414,13 +418,6 @@ class BlockTable:
         self.alpha = np.array([t.coefficient for t in h.terms])
         self.dtype = np.result_type(np.float64, self.alpha, *self.ops)
 
-
-
-class BlockedHamiltonian(BlockTable):
-    """Per-term views of a block table: whether H_i^(k), group i of term k,
-    is the identity, its matrix, and its action.  The solvers read the
-    table's MPO instead; the benchmark tracer wraps these views."""
-
     def is_identity_block(self, k: int, i: int) -> bool:
         return bool(self.idx[k, i] == 0)
 
@@ -436,18 +433,15 @@ class BlockedHamiltonian(BlockTable):
         return flops.matmul(self.block_matrix(k, i), stack).reshape(vec.shape)
 
 
-def regroup(h: SpinHamiltonian, blocking: Blocking) -> BlockTable:
-    """The block table of `h` over the blocks of `blocking`."""
-    return BlockTable(h, blocking.groups)
-
-
 # ---------------------------------------------------------------------------
 # matrix product operators
 
-def mpo(table: BlockTable) -> list:
-    """The Hamiltonian as a matrix product operator over the table's groups:
-    sites W_i of shape (w_i, w_{i+1}, n_i, n_i), H the sum over automaton
-    paths of the Kronecker products of the entries W_i[a_i, a_{i+1}].
+def mpo(h: SpinHamiltonian, groups) -> list:
+    """`h` as a matrix product operator over `groups`, any partition of its
+    sites (refused otherwise), compiled from the :class:`BlockedHamiltonian`
+    of `h` over them: sites W_i of shape (w_i, w_{i+1}, n_i, n_i),
+    H the sum over automaton paths of the Kronecker products of the entries
+    W_i[a_i, a_{i+1}].
 
     At an interior cut the open-string automaton is in "start" (identity so
     far, index 0), in the channel of a term whose support straddles the
@@ -466,6 +460,7 @@ def mpo(table: BlockTable) -> list:
     then real, so the MPO of a real Hamiltonian, the XY chain's included,
     is real; a term with an odd number of such blocks keeps it complex.
     """
+    table = BlockedHamiltonian(h, groups)
     support = table.idx != 0
     q = support.shape[1]
     first = np.argmax(support, axis=1)

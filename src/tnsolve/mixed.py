@@ -34,7 +34,7 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, mpo
+from .hamiltonian import Blocking, SpinHamiltonian, mpo
 from .mps import MpsState, _apply_mpo
 from .parafac import MixedTerm, _greedy_core
 from .tensor import DenseState, _contract_labelled, _product_vector, _real_part
@@ -285,7 +285,7 @@ def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
 
 def _group_mpos(h: SpinHamiltonian, group_tuples) -> dict:
     """The MPO of `h` over each distinct tuple of site groups, compiled once."""
-    return {g: mpo(BlockTable(h, g)) for g in dict.fromkeys(group_tuples)}
+    return {g: mpo(h, g) for g in dict.fromkeys(group_tuples)}
 
 
 def _term_chains(ws: list, term: MixedTerm, tag) -> tuple:

@@ -34,7 +34,6 @@ from .hamiltonian import (
     SpinHamiltonian,
     mpo,
     mpo_apply,
-    regroup,
 )
 from .records import run_sweeps
 from .tensor import (
@@ -320,7 +319,7 @@ def expectation(h: SpinHamiltonian, x: MpsState,
     """<x, H x> by one zipper with the Hamiltonian's MPO woven onto the
     physical bonds; never forms H x as a state.  Refuses an imaginary
     residue above tols.rayleigh_imag (relative)."""
-    total = _zipper(x.sites, x.sites, mpo(regroup(h, x.blocking)))
+    total = _zipper(x.sites, x.sites, mpo(h, x.blocking.groups))
     return _real_part(total, tols)
 
 
@@ -339,13 +338,6 @@ def _apply_mpo(ws: list, sites: list) -> list:
         t = t.reshape(wl, wr, n_out, dl, dr).transpose(0, 3, 2, 1, 4)
         out.append(t.reshape(wl * dl, n_out, wr * dr))
     return out
-
-
-def apply_hamiltonian(h: SpinHamiltonian, x: MpsState) -> MpsState:
-    """H x as a single chain (:func:`_apply_mpo`), so bond j grows from D_j
-    to w_j D_j."""
-    return MpsState(x.boundary, x.blocking,
-                    _apply_mpo(mpo(regroup(h, x.blocking)), x.sites))
 
 
 def mps_energy(h: SpinHamiltonian, x: MpsState,
@@ -469,7 +461,7 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     blocking = blocking or Blocking.single_sites(p)
-    ws = mpo(regroup(h, blocking))
+    ws = mpo(h, blocking.groups)
     state = random_mps(p, d_bond, "open", blocking, seed, ws[0].dtype)
     state, _ = normalize_right_sweep(state)
     trace = []

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, BlockTable, SpinHamiltonian, _partition, mpo, regroup
+from .hamiltonian import Blocking, BlockedHamiltonian, SpinHamiltonian, _partition, mpo
 from .mps import MpsState
 from .records import TraceEntry, run_sweeps
 from .tensor import (
@@ -174,7 +174,7 @@ def expectation_form(ws: list, y: BlockedCp, x: BlockedCp) -> complex:
 def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
     """H x as a blocked CP state of rank M * D, addend k*D + l holding term
     k applied to addend l; coefficients are absorbed into the first mode."""
-    table = BlockTable(h, x.groups)
+    table = BlockedHamiltonian(h, x.groups)
     factors = []
     for i, (ops, f) in enumerate(zip(table.ops, x.factors)):
         applied = flops.matmul(ops, f)[table.idx[:, i]]
@@ -203,19 +203,19 @@ def as_diagonal_mps(x: BlockedCp) -> MpsState:
 # ---------------------------------------------------------------------------
 # spectral initialization
 
-def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int,
-                  seed: int = 0) -> BlockedCp:
+def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int) -> BlockedCp:
     """Mode-i factors from the lowest eigenvectors of the block-local part of
     the Hamiltonian: a term contributes to a block only if its whole support
     lies inside that block, and it enters with its coefficient."""
-    return BlockedCp(blocking.groups, _spectral_factors(mpo(regroup(h, blocking)), rank, seed))
+    return BlockedCp(blocking.groups, _spectral_factors(mpo(h, blocking.groups), rank))
 
 
-def _spectral_factors(ws: list, rank: int, seed: int = 0) -> list:
+def _spectral_factors(ws: list, rank: int) -> list:
     """The factor matrices of :func:`spectral_init`, one per site of the MPO
     `ws`; columns beyond a group's dimension are random unit vectors of the
-    MPO's dtype."""
-    rng = np.random.default_rng(seed)
+    MPO's dtype, drawn from a fixed generator, so the start is the same on
+    every call."""
+    rng = np.random.default_rng(0)
     factors = []
     for w in ws:
         dim = w.shape[-1]
@@ -522,7 +522,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     pencil at that r x r Gram, never forming kron(G, I)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
-    ws = mpo(regroup(h, blocking))
+    ws = mpo(h, blocking.groups)
     if init == "spectral":
         x = BlockedCp(blocking.groups, _spectral_factors(ws, rank))
     elif init == "random":

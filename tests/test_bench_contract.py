@@ -3,7 +3,8 @@ package.  The tracer wraps every entry of its METHODS table and the
 selftest asserts a few imported names; deleting one of them breaks every
 traced benchmark run, so it is caught here.  The tracer also reads the
 spans of a few `cli` functions by name; renaming one of those would
-silently zero the metric built from it."""
+silently zero the metric built from it.  The workloads' calls into the
+package must also still bind to their callees' signatures."""
 
 import ast
 import importlib
@@ -90,3 +91,41 @@ def test_workload_names_exist_in_the_package():
                 assert hasattr(obj, part), ".".join(path)
                 obj = getattr(obj, part)
     assert {"mps.mps_energy", "peps.inner_peps", "peps.PepsState"} <= used
+
+
+def test_workload_calls_bind_to_their_callees():
+    # a name that survives with a dropped or renamed parameter (the chain
+    # solver's positional p and boundary, reproduce_figure's workers=) would
+    # pass the name check above and still break every benchmark run
+    tree = ast.parse((TNBENCH / "workloads.py").read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tnsolve"):
+            for alias in node.names:
+                if node.module == "tnsolve":
+                    obj = importlib.import_module(f"tnsolve.{alias.name}")
+                else:
+                    obj = getattr(importlib.import_module(node.module), alias.name)
+                names[alias.asname or alias.name] = obj
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        path = _dotted(node.func)
+        if not path or path[0] not in names:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        callee = names[path[0]]
+        for part in path[1:]:
+            callee = getattr(callee, part)
+        args = [None] * len(node.args)
+        kwargs = {k.arg: None for k in node.keywords}
+        try:
+            inspect.signature(callee).bind(*args, **kwargs)
+        except TypeError as err:
+            raise AssertionError(f"line {node.lineno}: {'.'.join(path)}: {err}") from None
+        bound.append(".".join(path))
+    assert {"mps.als_ground_state", "cli.reproduce_figure",
+            "mixed.ground_state_mixed_greedy", "checks.run_all"} <= set(bound)

@@ -1,11 +1,10 @@
-"""Model builders, dense materialization, matrix-free apply, regrouping."""
+"""Model builders, dense materialization, matrix-free apply, block tables, MPOs."""
 
 import numpy as np
 import pytest
 
 from tnsolve.hamiltonian import (
     BlockedHamiltonian,
-    BlockTable,
     Blocking,
     KroneckerTerm,
     OP_I,
@@ -21,7 +20,6 @@ from tnsolve.hamiltonian import (
     materialize_dense,
     mpo,
     pauli_form,
-    regroup,
 )
 from tnsolve.mixed import MixedTerm
 from tnsolve.tensor import DenseState, DimensionCapError, kron_first_fastest
@@ -330,7 +328,7 @@ def test_apply_size_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# blocking / regroup
+# blockings and the block table of a blocking
 
 def test_blocking_validation():
     b = Blocking((2, 3))
@@ -365,25 +363,25 @@ def test_blocking_from_groups_needs_chain_order():
             Blocking.from_groups(groups)
 
 
-def test_regroup_single_block_is_full_term():
+def test_blocked_hamiltonian_single_block_is_full_term():
     h = build_ising(4, 1.0, "open")
-    g = regroup(h, Blocking((4,)))
+    g = BlockedHamiltonian(h, Blocking((4,)).groups)
     m = materialize_dense(h)
     total = sum(g.alpha[k] * g.ops[0][g.idx[k, 0]] for k in range(len(g.alpha)))
     assert np.allclose(total, m, atol=1e-14)
 
 
-def test_regroup_single_sites_are_factors():
+def test_blocked_hamiltonian_single_sites_are_factors():
     h = build_ising(3, 0.5, "open")
-    g = regroup(h, Blocking((1, 1, 1)))
+    g = BlockedHamiltonian(h, Blocking((1, 1, 1)).groups)
     for k, term in enumerate(h.terms):
         for i, f in enumerate(term.factors):
             assert np.allclose(g.ops[i][g.idx[k, i]], f.matrix)
 
 
-def test_regroup_reassembles_dense():
+def test_blocked_hamiltonian_reassembles_dense():
     h = build_ising(4, 1.0, "open")
-    g = regroup(h, Blocking((2, 2)))
+    g = BlockedHamiltonian(h, Blocking((2, 2)).groups)
     total = np.zeros((16, 16), dtype=complex)
     for k in range(len(g.alpha)):
         total += g.alpha[k] * kron_first_fastest(
@@ -392,12 +390,12 @@ def test_regroup_reassembles_dense():
     assert np.linalg.norm(total - materialize_dense(h)) <= 1e-14 * np.linalg.norm(total)
 
 
-def test_regroup_partition_invariant_all_blockings():
+def test_blocked_hamiltonian_partition_invariant_all_blockings():
     p = 8
     h = build_ising(p, 0.9, "open")
     dense = materialize_dense(h)
     for widths in compositions(p):
-        g = regroup(h, Blocking(widths))
+        g = BlockedHamiltonian(h, Blocking(widths).groups)
         total = np.zeros_like(dense)
         for k in range(len(g.alpha)):
             total += g.alpha[k] * kron_first_fastest(
@@ -406,18 +404,20 @@ def test_regroup_partition_invariant_all_blockings():
         assert np.linalg.norm(total - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
 
 
-def test_regroup_blocking_must_cover():
+def test_blocked_hamiltonian_blocking_must_cover():
     h = build_ising(4, 0.0)
     with pytest.raises(ValueError):
-        regroup(h, Blocking((2, 3)))
+        BlockedHamiltonian(h, Blocking((2, 3)).groups)
 
 
 @pytest.mark.parametrize("groups", [
     [(0, 1), (1, 2, 3)], [(0, 1), (3,)], [(0, 1), (2, 3, 4)],
 ], ids=["overlap", "missing-site", "outside"])
 def test_block_table_groups_must_partition_the_sites(groups):
-    with pytest.raises(ValueError, match="partition"):
-        BlockTable(build_ising(4, 1.0), groups)
+    # mpo builds its table from the raw groups, so it refuses them too
+    for build in (BlockedHamiltonian, mpo):
+        with pytest.raises(ValueError, match="partition"):
+            build(build_ising(4, 1.0), groups)
 
 
 def test_apply_block_matches_matrix():
@@ -483,7 +483,7 @@ TABLE_GROUPS = {
 def test_block_table_restricts_every_term(model, groups):
     h = TABLE_MODELS[model]()
     sites_list = TABLE_GROUPS[groups]()
-    table = BlockTable(h, sites_list)
+    table = BlockedHamiltonian(h, sites_list)
     assert table.idx.shape == (h.num_terms, len(sites_list))
     assert np.array_equal(table.alpha, [t.coefficient for t in h.terms])
     for i, sites in enumerate(sites_list):
@@ -499,7 +499,7 @@ def test_block_table_keeps_distinct_custom_operators():
     h = SpinHamiltonian(2, [KroneckerTerm(1.0, (sp, OP_I)),
                             KroneckerTerm(1.0, (sm, OP_I)),
                             KroneckerTerm(2.0, (sp, OP_I))])
-    table = BlockTable(h, [(0,), (1,)])
+    table = BlockedHamiltonian(h, [(0,), (1,)])
     assert list(table.idx[:, 0]) == [1, 2, 1]
     assert list(table.idx[:, 1]) == [0, 0, 0]
     assert np.array_equal(table.ops[0][1], SIGMA_PLUS)
@@ -563,7 +563,7 @@ MPO_MODELS = {
 def test_mpo_matches_dense(model, blocking):
     h = MPO_MODELS[model]()
     groups = Blocking.from_string(blocking).groups if isinstance(blocking, str) else blocking
-    sites = mpo(BlockTable(h, groups))
+    sites = mpo(h, groups)
     assert [w.shape[2] for w in sites] == [2 ** len(g) for g in groups]
     # the dense matrix in the partition's bit order: the sites of the
     # groups in turn, the first of each group its fastest bit
@@ -588,7 +588,7 @@ def test_mpo_matches_dense(model, blocking):
 @pytest.mark.parametrize("model,bond", [("ising-open", 3), ("xy-open", 4),
                                         ("ising-periodic", 4)])
 def test_mpo_bond_of_chains(model, bond):
-    sites = mpo(regroup(MPO_MODELS[model](), Blocking.single_sites(6)))
+    sites = mpo(MPO_MODELS[model](), Blocking.single_sites(6).groups)
     assert [w.shape[:2] for w in sites] == \
         [(1, bond)] + [(bond, bond)] * 4 + [(bond, 1)]
 

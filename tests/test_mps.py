@@ -15,7 +15,6 @@ from tnsolve.hamiltonian import (
     build_ising,
     materialize_dense,
     mpo,
-    regroup,
 )
 from tnsolve.mps import (
     MpsState,
@@ -24,7 +23,6 @@ from tnsolve.mps import (
     _local_operator,
     add,
     als_ground_state,
-    apply_hamiltonian,
     expectation,
     from_unit_vector,
     gauge_residual_left,
@@ -273,10 +271,16 @@ def test_inner_shape_mismatch():
 # ---------------------------------------------------------------------------
 # Hamiltonian action and expectation
 
+def mpo_image(h, x):
+    """H x as one chain: the MPO-chain product that the mixed cross terms
+    and the grid contraction use, so bond j grows from D_j to w_j D_j."""
+    return MpsState(x.boundary, x.blocking, mps._apply_mpo(mpo(h, x.blocking.groups), x.sites))
+
+
 def test_apply_identity_hamiltonian_dense_equal():
     h = SpinHamiltonian(4, [KroneckerTerm(1.0, (OP_I,) * 4)])
     x = random_mps(4, 2, "open", seed=25)
-    y = apply_hamiltonian(h, x)
+    y = mpo_image(h, x)
     assert np.allclose(to_dense(y).vector, to_dense(x).vector, atol=1e-13)
 
 
@@ -284,7 +288,7 @@ def test_apply_identity_hamiltonian_dense_equal():
 def test_apply_hamiltonian_matches_dense(boundary):
     h = build_ising(4, 1.0, boundary)
     x = random_mps(4, 2, boundary, seed=26)
-    y = apply_hamiltonian(h, x)
+    y = mpo_image(h, x)
     expect = materialize_dense(h) @ to_dense(x).vector
     assert np.linalg.norm(to_dense(y).vector - expect) <= 1e-12 * np.linalg.norm(expect)
 
@@ -292,9 +296,9 @@ def test_apply_hamiltonian_matches_dense(boundary):
 def test_apply_hamiltonian_bond_growth():
     h = build_ising(4, 1.0, "open")
     x = random_mps(4, 2, "open", seed=27)
-    y = apply_hamiltonian(h, x)
+    y = mpo_image(h, x)
     bx = bond_dims(x)
-    widths = [w.shape[0] for w in mpo(regroup(h, x.blocking))] + [1]
+    widths = [w.shape[0] for w in mpo(h, x.blocking.groups)] + [1]
     assert widths == [1, 3, 3, 3, 1]
     for j in range(5):
         assert bond_dims(y)[j] == widths[j] * bx[j]
@@ -366,7 +370,7 @@ def test_dense_equivalence_suite(boundary, p, d_bond):
     assert np.linalg.norm(to_dense(g).vector - dx) <= 1e-12 * scale
     g, _ = normalize_right_sweep(x)
     assert np.linalg.norm(to_dense(g).vector - dx) <= 1e-12 * scale
-    hx = apply_hamiltonian(h, x)
+    hx = mpo_image(h, x)
     ref = materialize_dense(h) @ dx
     assert np.linalg.norm(to_dense(hx).vector - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -508,7 +512,7 @@ def test_real_hamiltonian_keeps_chain_als_real(monkeypatch, boundary):
     # the XY chain's Y factors enter its MPO as the real iY and -iY
     for h in (build_ising(6, 0.8, boundary), build_heisenberg_xy(6, 1.0, 0.5, 0.7, boundary)):
         seen.clear()
-        assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(float)}
+        assert {w.dtype for w in mpo(h, Blocking.single_sites(6).groups)} == {np.dtype(float)}
         _, state = als_ground_state(h, 6, 2, boundary, sweeps=3)
         assert {s.dtype for s in state.sites} == {np.dtype(float)}
         assert {k for k, _ in seen} == {"environment", "basis", "solution"}
@@ -529,7 +533,7 @@ def test_complex_operator_keeps_chain_als_complex():
     # energy; the imaginary part of H must survive the MPO and the solver
     h = complex_field_chain(6)
     want = np.linalg.eigvalsh(materialize_dense(h))[0]
-    assert {w.dtype for w in mpo(regroup(h, Blocking.single_sites(6)))} == {np.dtype(complex)}
+    assert {w.dtype for w in mpo(h, Blocking.single_sites(6).groups)} == {np.dtype(complex)}
     trace, state = als_ground_state(h, 6, 8, "open", sweeps=12)
     assert {s.dtype for s in state.sites} == {np.dtype(complex)}
     assert trace[-1].energy == pytest.approx(want, abs=1e-10)

@@ -7,7 +7,7 @@ from tnsolve import flops, mixed, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
-    BlockTable,
+    BlockedHamiltonian,
     KroneckerTerm,
     OP_I,
     SpinHamiltonian,
@@ -15,7 +15,6 @@ from tnsolve.hamiltonian import (
     build_ising,
     materialize_dense,
     mpo,
-    regroup,
 )
 from tnsolve.mps import to_dense as mps_to_dense
 from tnsolve.oracle import ground_state_dense, rayleigh
@@ -52,7 +51,7 @@ def randn(rng, dtype, *shape):
 
 def _cp_energy(h, x):
     """Rayleigh quotient of a CP state from its contractions."""
-    num = expectation_form(mpo(BlockTable(h, x.groups)), x, x)
+    num = expectation_form(mpo(h, x.groups), x, x)
     return float(num.real / inner(x, x).real)
 
 
@@ -151,7 +150,7 @@ def test_expectation_identity_hamiltonian_reduces_to_inner():
     b = Blocking((2, 2))
     x = random_cp(b, 2, seed=6)
     y = random_cp(b, 2, seed=7)
-    g = mpo(regroup(h, b))
+    g = mpo(h, b.groups)
     assert expectation_form(g, y, x) == pytest.approx(inner(y, x), abs=1e-13)
 
 
@@ -161,7 +160,7 @@ def test_expectation_matches_dense():
     b = Blocking((3, 3))
     x = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
     y = BlockedCp(b.groups, [crandn(rng, 8, 2), crandn(rng, 8, 2)], crandn(rng, 2))
-    g = mpo(regroup(h, b))
+    g = mpo(h, b.groups)
     expect = np.vdot(to_dense(y).vector, materialize_dense(h) @ to_dense(x).vector)
     assert expectation_form(g, y, x) == pytest.approx(expect, abs=1e-11 * max(1.0, abs(expect)))
 
@@ -170,7 +169,7 @@ def test_expectation_self_real():
     h = build_ising(6, 0.8, "open")
     b = Blocking((2, 2, 2))
     x = random_cp(b, 3, seed=9)
-    g = mpo(regroup(h, b))
+    g = mpo(h, b.groups)
     assert expectation_form(g, x, x).imag == pytest.approx(0.0, abs=1e-11)
 
 
@@ -178,7 +177,7 @@ def test_expectation_cost_bound():
     p, q, rank = 10, 2, 3
     h = build_ising(p, 1.0, "open")
     b = Blocking((5, 5))
-    g = mpo(regroup(h, b))
+    g = mpo(h, b.groups)
     x = random_cp(b, rank, seed=10)
     with flops.tally() as fc:
         expectation_form(g, x, x)
@@ -224,7 +223,7 @@ def test_spectral_init_rank_one_block_ground_states():
     for h, b in [(build_ising(6, 1.0, "open"), Blocking((3, 3))),
                  (build_heisenberg_xy(10, 1.0, 0.6, 0.3, "open"), Blocking((2, 3, 5)))]:
         x = spectral_init(h, b, 1)
-        g = regroup(h, b)
+        g = BlockedHamiltonian(h, b.groups)
         for i, sites in enumerate(b.groups):
             n = 2 ** len(sites)
             local = np.zeros((n, n), dtype=complex)
@@ -427,7 +426,7 @@ def test_aligned_numerator_vector_matches_term_loop(model):
     rng = np.random.default_rng(51)
     frozen = [MixedTerm(b.groups, [crandn(rng, 2**w) for w in b.widths],
                         complex(crandn(rng, 1)[0])) for _ in range(3)]
-    ws, y = mpo(regroup(h, b)), _stack_addends(frozen)
+    ws, y = mpo(h, b.groups), _stack_addends(frozen)
     envs = _Environments(ws, (1, 1 + y.rank), y.factors)
     self_envs = _Environments(ws, (1, 1))
     x_cols = [crandn(rng, 2**w) for w in b.widths]
@@ -461,7 +460,7 @@ def test_stage_matrix_matches_term_loop(model):
     rng = np.random.default_rng(50)
     x_cols = [crandn(rng, 2**w) for w in b.widths]
     factors = [x[:, None] for x in x_cols]
-    ws = mpo(regroup(h, b))
+    ws = mpo(h, b.groups)
     envs = _Environments(ws, (1, 1))
     for i in range(b.q):
         coeff = envs.blocks(factors, factors, i, 1.0)
@@ -482,7 +481,7 @@ def test_mode_problem_matches_term_loop(model):
     x = random_cp(b, 3, seed=52)
     x.weights = np.array([0.7 + 0.2j, -1.1, 0.4j])
     ww = np.outer(x.weights.conj(), x.weights)
-    ws = mpo(regroup(h, b))
+    ws = mpo(h, b.groups)
     envs = _Environments(ws, (3, 3))
     for i in range(b.q):
         others = [j for j in range(b.q) if j != i]
@@ -546,7 +545,7 @@ def test_mode_solve_matches_dense_pencil_on_rank_deficient_grams(case):
         x = random_cp(b, 2, seed=84)
     x.weights = crandn(rng, x.rank)
     ww = np.outer(x.weights.conj(), x.weights)
-    ws = mpo(regroup(h, b))
+    ws = mpo(h, b.groups)
     envs = _Environments(ws, (x.rank, x.rank))
     for i in range(b.q):
         coeff = envs.blocks(x.factors, x.factors, i, ww)
@@ -758,7 +757,7 @@ def test_blocked_cp_on_scattered_groups_matches_dense():
     expect = np.vdot(dy, dx)
     assert inner(y, x) == pytest.approx(expect, abs=1e-12 * abs(expect))
     expect = np.vdot(dy, materialize_dense(h) @ dx)
-    assert expectation_form(mpo(BlockTable(h, SCATTERED)), y, x) == pytest.approx(
+    assert expectation_form(mpo(h, SCATTERED), y, x) == pytest.approx(
         expect, abs=1e-12 * abs(expect))
     with pytest.raises(ValueError, match="chain order"):
         as_diagonal_mps(x)
