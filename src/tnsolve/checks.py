@@ -9,10 +9,7 @@ import numpy as np
 
 from . import flops, mixed, mps, parafac, peps
 from .hamiltonian import Blocking
-
-
-def _crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from .tensor import _gaussian
 
 
 def _result(name, errs, cost_measured, cost_bound):
@@ -98,9 +95,9 @@ def _random_mixed_term(rng, p, periodic=False):
     q = int(rng.integers(2, 4))
     widths = _random_widths(rng, p, min(q, p))
     offset = int(rng.integers(0, p)) if periodic else 0
-    factors = [_crandn(rng, 2**w) for w in widths]
+    factors = [_gaussian(rng, 2**w, complex) for w in widths]
     return mixed.MixedTerm(Blocking(widths).shifted(offset), factors,
-                           complex(_crandn(rng, 1)[0]))
+                           complex(_gaussian(rng, 1, complex)[0]))
 
 
 def _check_mixed_terms(name, instances, seed, kernel, periodic, step_power):
@@ -145,8 +142,8 @@ def check_pattern_2d(instances: int = 200, seed: int = 5) -> list:
         n_pairs = sb_rows * sb_cols // 2
         x, y = (mixed.MixedTerm(
             mixed.pattern_groups(sb_rows, sb_cols, r_sites, int(pattern)),
-            [_crandn(rng, 4**r_sites) for _ in range(n_pairs)],
-            complex(_crandn(rng, 1)[0])) for pattern in (pa, pb))
+            [_gaussian(rng, 4**r_sites, complex) for _ in range(n_pairs)],
+            complex(_gaussian(rng, 1, complex)[0])) for pattern in (pa, pb))
         return x, y, mixed.inner_terms, 2 ** (3 * r_sites)
     return [_family("pattern-2d-inner", np.random.default_rng(seed), instances, draw,
                     mixed.term_to_dense, lambda fc, x: fc.max_step)]
@@ -166,11 +163,14 @@ def check_peps_inner(instances: int = 200, seed: int = 6) -> list:
                     draw, peps.to_dense)]
 
 
-def peps_cost_slope(dims=(1, 2, 3), lattice=(4, 4), seed: int = 7) -> dict:
+def peps_cost_slope(seed: int = 7) -> dict:
+    """Slope of log counted operations against log bond dimension for the
+    boundary contraction of two seeded 4 x 4 grids at D = 1, 2, 3."""
+    dims = (1, 2, 3)
     counts = []
     for d in dims:
-        x = peps.random_peps(*lattice, d, seed=seed + d)
-        y = peps.random_peps(*lattice, d, seed=seed + 100 + d)
+        x = peps.random_peps(4, 4, d, seed=seed + d)
+        y = peps.random_peps(4, 4, d, seed=seed + 100 + d)
         with flops.tally() as fc:
             peps.inner_peps(x, y, d_cut=d)
         counts.append(fc.total)

@@ -43,7 +43,6 @@ from .tensor import (
     _inexact,
     _real_part,
     krylov_min,
-    ravel,
     svd,
 )
 # Not called here any more; tnbench/selftest.py checks that its tracer
@@ -149,7 +148,7 @@ def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
         tens = acc[0, ..., 0]
     else:
         tens = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
-    return DenseState(x.p, ravel(tens))
+    return DenseState(x.p, tens.reshape(-1, order="F"))
 
 
 # ---------------------------------------------------------------------------

@@ -203,25 +203,20 @@ def as_diagonal_mps(x: BlockedCp) -> MpsState:
 # ---------------------------------------------------------------------------
 # spectral initialization
 
-def spectral_init(h: SpinHamiltonian, blocking: Blocking, rank: int) -> BlockedCp:
+def _spectral_factors(ws: list, rank: int, tols: Tolerances = DEFAULT_TOLS) -> list:
     """Mode-i factors from the lowest eigenvectors of the block-local part of
-    the Hamiltonian: a term contributes to a block only if its whole support
-    lies inside that block, and it enters with its coefficient."""
-    return BlockedCp(blocking.groups, _spectral_factors(mpo(h, blocking.groups), rank))
-
-
-def _spectral_factors(ws: list, rank: int) -> list:
-    """The factor matrices of :func:`spectral_init`, one per site of the MPO
-    `ws`; columns beyond a group's dimension are random unit vectors of the
-    MPO's dtype, drawn from a fixed generator, so the start is the same on
-    every call."""
+    the Hamiltonian, one factor matrix per site of its MPO `ws`: a term
+    contributes to a block only if its whole support lies inside that block,
+    and it enters with its coefficient.  Columns beyond a group's dimension
+    are random unit vectors of the MPO's dtype, drawn from a fixed
+    generator, so the start is the same on every call."""
     rng = np.random.default_rng(0)
     factors = []
     for w in ws:
         dim = w.shape[-1]
         # the start -> done entry holds the terms inside this group (a term
         # with empty support only shifts the first group's by the identity)
-        _, vecs = hermitian_eig(w[0, -1])
+        _, vecs = hermitian_eig(w[0, -1], tols)
         cols = list(vecs[:, :rank].T)
         while len(cols) < rank:
             extra = _gaussian(rng, dim, w.dtype)
@@ -397,7 +392,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
                 cols.append(v / np.linalg.norm(v))
             return cols
 
-        x_cols = ([f[:, 0] for f in _spectral_factors(ws, 1)]
+        x_cols = ([f[:, 0] for f in _spectral_factors(ws, 1, tols)]
                   if stage == 0 and init == "spectral" else fresh_cols())
         cross, scale = None, 1.0
         if not frozen:
@@ -524,7 +519,7 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
         raise ValueError("need rank >= 1 and sweeps >= 1")
     ws = mpo(h, blocking.groups)
     if init == "spectral":
-        x = BlockedCp(blocking.groups, _spectral_factors(ws, rank))
+        x = BlockedCp(blocking.groups, _spectral_factors(ws, rank, tols))
     elif init == "random":
         x = random_cp(blocking, rank, seed, ws[0].dtype)
     else:

@@ -26,7 +26,7 @@ import numpy as np
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
 from .mps import MpsState, _apply_mpo, _truncate_bonds
-from .tensor import DenseState, DimensionCapError, _contract_labelled
+from .tensor import DenseState, DimensionCapError, _contract_labelled, _gaussian
 
 
 @dataclass
@@ -78,8 +78,7 @@ def random_peps(rows: int, cols: int, d_bond: int, seed: int = 0) -> PepsState:
                 1 if c == 0 else d_bond,
                 1 if c == cols - 1 else d_bond,
             )
-            row.append((rng.standard_normal(shape)
-                        + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+            row.append(_gaussian(rng, shape, complex) / np.sqrt(2.0))
         sites.append(row)
     return PepsState(rows, cols, sites)
 

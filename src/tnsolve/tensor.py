@@ -5,8 +5,8 @@ Layout doctrine (used by every module in this package): a tensor with shape
 ``(n_1, ..., n_p)`` is linearized with the *first index fastest*, i.e.
 ``lin(i_1, ..., i_p) = i_1 + n_1*i_2 + n_1*n_2*i_3 + ...``.  For a state of
 ``p`` binary sites this means site 1 is the least significant bit of the
-vector index; :func:`ravel` and :func:`unravel` convert between the two
-views.  Kronecker products of per-site matrices therefore list the *last*
+vector index, and ``reshape(-1, order="F")`` turns the tensor into its
+vector.  Kronecker products of per-site matrices therefore list the *last*
 site first when built with ``np.kron`` (see :func:`kron_first_fastest`).
 
 Dtype doctrine (also package-wide): arrays take their dtype from their
@@ -41,16 +41,6 @@ class DimensionCapError(ValueError):
 # ---------------------------------------------------------------------------
 # layout
 
-def ravel(t: np.ndarray) -> np.ndarray:
-    """Vector view of a tensor in the package linearization order."""
-    return t.reshape(-1, order="F")
-
-
-def unravel(v: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Tensor view of a vector in the package linearization order."""
-    return np.asarray(v).reshape(tuple(shape), order="F")
-
-
 def kron_first_fastest(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of per-mode matrices acting on first-index-fastest
     vectors: mode 1 is the least significant index of the result.  Stacks of
@@ -65,43 +55,22 @@ def kron_first_fastest(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class DenseState:
-    """Full coefficient vector of a p-site state (2**p complex amplitudes)."""
+    """Full coefficient vector of a p-site state: `vector` holds its 2**p
+    complex entries in the package layout (site 1 the fastest bit)."""
 
     p: int
-    amplitudes: np.ndarray
+    vector: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.amplitudes.size != 2**self.p:
+        self.vector = np.asarray(self.vector, dtype=complex).reshape(-1)
+        if self.vector.size != 2**self.p:
             raise ValueError(
-                f"expected 2**{self.p} amplitudes, got {self.amplitudes.size}"
+                f"expected 2**{self.p} entries, got {self.vector.size}"
             )
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.amplitudes
-
-    def tensor(self) -> np.ndarray:
-        """View with one binary mode per site (site 1 fastest)."""
-        return unravel(self.amplitudes, (2,) * self.p)
 
 
 # ---------------------------------------------------------------------------
 # tensor operations
-
-def outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Rank-one tensor with entries prod_j factors[j][i_j]."""
-    if len(factors) == 0:
-        raise ValueError("outer_product needs at least one factor")
-    arrs = [np.asarray(f) for f in factors]
-    for f in arrs:
-        if f.ndim != 1 or f.size == 0:
-            raise ValueError("factors must be nonempty vectors")
-    out = arrs[0]
-    for f in arrs[1:]:
-        out = np.multiply.outer(out, f)
-    return out
-
 
 def _inexact(arrays) -> list:
     """`arrays` as arrays of one dtype: their result type, at least float64."""

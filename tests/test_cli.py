@@ -12,6 +12,7 @@ import pytest
 from tnsolve import cli
 from tnsolve.cli import (
     CSV_HEADER,
+    FIGURE_GRIDS,
     ConfigError,
     ExperimentConfig,
     _atomic_write,
@@ -563,13 +564,13 @@ def test_oracle_cache_keys_convergence_tolerance(tmp_path):
 def test_reproduce_manifest(tmp_path):
     out = str(tmp_path / "rep")
     manifest = reproduce_figure("p10", "both", out, sweeps=6,
-                                ranks=[1, 2], blockings=["5,5"], seed=0)
-    assert len(manifest["cells"]) == 4  # 1 blocking x 2 ranks x 2 modes
+                                ranks=[1, 2], seed=0)
+    assert len(manifest["cells"]) == 16  # 4 blockings x 2 ranks x 2 modes
     e0, _ = ground_state_dense(build_ising(10, 1.0, "open"))
     for cell in manifest["cells"]:
         assert cell["final_energy"] >= e0 - 1e-10
         assert os.path.exists(os.path.join(out, cell["file"]))
-    assert len(manifest["comparisons"]) == 2
+    assert len(manifest["comparisons"]) == 8
     for comp in manifest["comparisons"]:
         assert set(comp) >= {"greedy_error", "simultaneous_error",
                              "simultaneous_not_worse"}
@@ -626,15 +627,10 @@ def test_reproduce_rank_or_sweeps_below_one_exit_code(tmp_path, args):
 
 
 def test_reproduce_repeated_rank_is_refused(tmp_path):
-    # a repeated rank (or blocking) would run its cells twice and write the
-    # same CSVs twice
+    # a repeated rank would run its cells twice and write the same CSVs twice
     out = tmp_path / "rep"
     with pytest.raises(ConfigError, match="ranks must not repeat"):
-        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[2, 2],
-                         blockings=["5,5"])
-    with pytest.raises(ConfigError, match="blockings must not repeat"):
-        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[1],
-                         blockings=["5,5", "5,5"])
+        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[2, 2])
     assert main(["reproduce", "--figure", "p10", "--ranks", "1,2,1",
                  "--out", str(out)]) == 2
     assert not out.exists()
@@ -699,14 +695,6 @@ def test_negative_seed_exits_2_before_the_oracle(tmp_path, args):
     assert not (out / "oracle_cache.json").exists()
 
 
-def test_reproduce_refuses_a_blocking_that_does_not_cover_the_chain(tmp_path):
-    out = tmp_path / "rep"
-    with pytest.raises(ConfigError, match="covers 6 of 10 sites"):
-        reproduce_figure("p10", "both", str(out), sweeps=2, ranks=[1],
-                         blockings=["5,5", "3,3"])
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", [
     ["reproduce", "--figure", "p10", "--ranks", "1", "--sweeps", "1"],
     ["exact", "-p", "4"],
@@ -734,12 +722,12 @@ def test_reproduce_workers_below_one_exit_code(tmp_path, workers):
 def test_reproduce_greedy_cells_are_cut_from_one_run(tmp_path):
     # one greedy run per blocking at rank 3: each rank's CSV must equal a
     # run of its own, and the process pool must write the same bytes
-    blockings, ranks = ["5,5", "2,2,3,3"], [1, 2, 3]
+    blockings, ranks = FIGURE_GRIDS["p10"]["blockings"], [1, 2, 3]
     outs = {}
     for workers in (1, 2):
         outs[workers] = str(tmp_path / f"w{workers}")
         reproduce_figure("p10", "both", outs[workers], sweeps=6, ranks=ranks,
-                         blockings=blockings, seed=0, workers=workers)
+                         seed=0, workers=workers)
     h = build_ising(10, 1.0, "open")
     e0, _ = ground_state_dense(h)
     for b in blockings:
@@ -751,7 +739,7 @@ def test_reproduce_greedy_cells_are_cut_from_one_run(tmp_path):
             assert read(os.path.join(outs[1], name)).decode() == want, name
     names = sorted(os.listdir(outs[1]))
     assert sorted(os.listdir(outs[2])) == names
-    assert len([n for n in names if n.endswith(".csv")]) == 12
+    assert len([n for n in names if n.endswith(".csv")]) == 24
     for name in names:
         assert read(os.path.join(outs[2], name)) == read(os.path.join(outs[1], name)), name
 

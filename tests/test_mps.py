@@ -93,11 +93,11 @@ def test_dense_equals_ancilla_sum_expansion():
     total = np.zeros(16, dtype=complex)
     from itertools import product
 
-    from tnsolve.tensor import outer_product, ravel
+    from tnsolve.tensor import _product_vector
     for ms in product(*[range(dd) for dd in d[:-1]]):
         ms = ms + (ms[0],)
         vecs = [x.sites[j][ms[j], :, ms[j + 1]] for j in range(4)]
-        total += ravel(outer_product(vecs))
+        total += _product_vector(Blocking.single_sites(4).groups, vecs)
     assert np.allclose(total, to_dense(x).vector, atol=1e-12)
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tnsolve import flops, mixed, parafac
-from tnsolve.config import DEFAULT_TOLS
+from tnsolve import flops, mixed, parafac, tensor
+from tnsolve.config import DEFAULT_TOLS, Tolerances
 from tnsolve.hamiltonian import (
     Blocking,
     BlockedHamiltonian,
@@ -27,6 +27,7 @@ from tnsolve.parafac import (
     _greedy_core,
     _kron_sum,
     _mode_solve,
+    _spectral_factors,
     _stack_addends,
     as_diagonal_mps,
     apply_hamiltonian,
@@ -35,7 +36,6 @@ from tnsolve.parafac import (
     inner,
     random_cp,
     simultaneous_als,
-    spectral_init,
     to_dense,
 )
 from tnsolve.tensor import DenseState, generalized_eig_min, kron_first_fastest
@@ -222,7 +222,7 @@ def test_spectral_init_rank_one_block_ground_states():
     # site beside the channels of the terms that cross its edges
     for h, b in [(build_ising(6, 1.0, "open"), Blocking((3, 3))),
                  (build_heisenberg_xy(10, 1.0, 0.6, 0.3, "open"), Blocking((2, 3, 5)))]:
-        x = spectral_init(h, b, 1)
+        x = BlockedCp(b.groups, _spectral_factors(mpo(h, b.groups), 1))
         g = BlockedHamiltonian(h, b.groups)
         for i, sites in enumerate(b.groups):
             n = 2 ** len(sites)
@@ -238,7 +238,8 @@ def test_spectral_init_rank_one_block_ground_states():
 
 def test_spectral_init_full_rank():
     h = build_ising(10, 1.0, "open")
-    x = spectral_init(h, Blocking((5, 5)), 4)
+    b = Blocking((5, 5))
+    x = BlockedCp(b.groups, _spectral_factors(mpo(h, b.groups), 4))
     for f in x.factors:
         assert np.linalg.matrix_rank(f) == 4
 
@@ -246,14 +247,34 @@ def test_spectral_init_full_rank():
 def test_spectral_init_beats_random_median():
     h = build_ising(10, 1.0, "open")
     b = Blocking((5, 5))
-    e_spec = _cp_energy(h, spectral_init(h, b, 2))
+    e_spec = _cp_energy(h, BlockedCp(b.groups, _spectral_factors(mpo(h, b.groups), 2)))
     rand_energies = [_cp_energy(h, random_cp(b, 2, seed=s)) for s in range(20)]
     assert e_spec <= np.median(rand_energies)
 
 
+def test_spectral_start_reads_the_run_tolerances(monkeypatch):
+    # a [tolerances] hermitian value must reach the block-local eigensolves
+    # of both solvers' spectral starts, not only their local solves
+    seen = []
+
+    def spy(m, tols=DEFAULT_TOLS):
+        seen.append(tols)
+        return tensor.hermitian_eig(m, tols)
+
+    monkeypatch.setattr(parafac, "hermitian_eig", spy)
+    h, b = build_ising(6, 1.0, "open"), Blocking((3, 3))
+    tols = Tolerances(hermitian=1e-9)
+    for solve in (simultaneous_als, greedy_als):
+        seen.clear()
+        solve(h, b, 2, 2, 0, init="spectral", tols=tols)
+        assert len(seen) == b.q
+        assert all(t is tols for t in seen)
+
+
 def test_spectral_init_pads_beyond_capacity():
     h = build_ising(4, 1.0, "open")
-    x = spectral_init(h, Blocking((1, 1, 1, 1)), 3)
+    b = Blocking((1, 1, 1, 1))
+    x = BlockedCp(b.groups, _spectral_factors(mpo(h, b.groups), 3))
     for f in x.factors:
         assert f.shape == (2, 3)
         assert np.all(np.isfinite(f))

@@ -7,6 +7,7 @@ import pytest
 
 from tnsolve import flops, mps
 from tnsolve.config import DEFAULT_TOLS
+from tnsolve.hamiltonian import Blocking
 from tnsolve.mps import (
     _apply_mpo,
     inner as mps_inner,
@@ -21,7 +22,7 @@ from tnsolve.peps import (
     random_peps,
     to_dense,
 )
-from tnsolve.tensor import DimensionCapError, outer_product, ravel
+from tnsolve.tensor import DimensionCapError, _product_vector
 
 
 def dense_conj_dot(x, y):
@@ -42,7 +43,7 @@ def test_product_grid_dense():
     grid = random_peps(2, 3, 1, seed=1)
     factors = [grid.sites[r][c][:, 0, 0, 0, 0]
                for r in range(2) for c in range(3)]
-    expect = ravel(outer_product(factors))
+    expect = _product_vector(Blocking.single_sites(6).groups, factors)
     assert np.allclose(to_dense(grid).vector, expect, atol=1e-13)
 
 

@@ -8,14 +8,12 @@ import pytest
 from tnsolve.tensor import (
     DenseState,
     _phase_normalize_columns,
+    _product_vector,
     generalized_eig_min,
     hermitian_eig,
     kron_first_fastest,
     krylov_min,
-    outer_product,
-    ravel,
     svd,
-    unravel,
 )
 
 
@@ -27,12 +25,19 @@ def crandn(rng, *shape):
 # layout
 
 def test_first_index_fastest():
-    t = np.arange(8).reshape(2, 2, 2, order="F")
-    v = ravel(t)
-    # stride of the first index is 1, of the last 4
-    assert v[1] == t[1, 0, 0]
-    assert v[4] == t[0, 0, 1]
-    assert np.array_equal(unravel(v, (2, 2, 2)), t)
+    # site 1 is the least significant bit: entry i_1 + 2 i_2 + 4 i_3
+    rng = np.random.default_rng(11)
+    f = [crandn(rng, 2) for _ in range(3)]
+    sites = ((0,), (1,), (2,))
+    v = _product_vector(sites, f)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                assert v[i + 2 * j + 4 * k] == pytest.approx(f[0][i] * f[1][j] * f[2][k])
+    # so the stride of the first site is 1, of the last 4
+    e0, e1 = np.eye(2)
+    assert np.flatnonzero(_product_vector(sites, [e1, e0, e0])).tolist() == [1]
+    assert np.flatnonzero(_product_vector(sites, [e0, e0, e1])).tolist() == [4]
 
 
 def test_kron_first_fastest_matches_layout():
@@ -40,8 +45,8 @@ def test_kron_first_fastest_matches_layout():
     a, b = crandn(rng, 2, 2), crandn(rng, 2, 2)
     va, vb = crandn(rng, 2), crandn(rng, 2)
     big = kron_first_fastest([a, b])
-    prod = big @ ravel(outer_product([va, vb]))
-    expect = ravel(outer_product([a @ va, b @ vb]))
+    prod = big @ _product_vector(((0,), (1,)), [va, vb])
+    expect = _product_vector(((0,), (1,)), [a @ va, b @ vb])
     assert np.allclose(prod, expect, atol=1e-13)
 
 
@@ -49,40 +54,10 @@ def test_dense_state_roundtrip():
     rng = np.random.default_rng(3)
     v = crandn(rng, 32)
     st = DenseState(5, v)
-    assert np.array_equal(ravel(st.tensor()), st.vector)
-    assert np.array_equal(DenseState(5, ravel(st.tensor())).vector, v)
+    assert np.array_equal(st.vector, v)
+    assert np.array_equal(DenseState(5, st.vector).vector, v)
     with pytest.raises(ValueError):
         DenseState(4, v)
-
-
-# ---------------------------------------------------------------------------
-# outer product
-
-def test_outer_product_unit_vectors():
-    t = outer_product([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    expect = np.zeros((2, 2))
-    expect[0, 1] = 1.0
-    assert np.array_equal(t, expect)
-
-
-def test_outer_product_sign_pattern():
-    t = outer_product([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
-    assert np.array_equal(t, np.array([[1.0, -1.0], [1.0, -1.0]]))
-
-
-def test_outer_product_triple_loop_oracle():
-    rng = np.random.default_rng(11)
-    f = [crandn(rng, 2) for _ in range(3)]
-    t = outer_product(f)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                assert t[i, j, k] == pytest.approx(f[0][i] * f[1][j] * f[2][k])
-
-
-def test_outer_product_empty_rejected():
-    with pytest.raises(ValueError):
-        outer_product([])
 
 
 # ---------------------------------------------------------------------------
