@@ -179,7 +179,9 @@ class Blocking:
 def _partition(groups, p: int | None = None, lengths=None) -> tuple:
     """`groups` as a tuple of tuples, refused unless they are nonempty and
     partition range(p) (p defaults to their total size) and, if factor
-    `lengths` are given, unless group i has a factor of length 2^|g_i|."""
+    `lengths` are given, unless group i has a factor of length 2^|g_i|.  A
+    :class:`Blocking` stands for its groups."""
+    groups = groups.groups if isinstance(groups, Blocking) else groups
     groups = tuple(tuple(g) for g in groups)
     sites = sorted(s for g in groups for s in g)
     p = len(sites) if p is None else p

@@ -242,7 +242,7 @@ def inner_sum(x: MixedTermSum, y: MixedTermSum) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# block chains with different blockings
+# block chains on different site groups
 
 def _chain_pieces(groups, sites, tag, periodic=False) -> list:
     """Labelled bit-level pieces of a chain over site groups: site j carries
@@ -267,16 +267,15 @@ def _chain_pieces(groups, sites, tag, periodic=False) -> list:
 
 
 def inner_block_mps_mixed(x: MpsState, y: MpsState) -> complex:
-    """<y, x> for block chains whose blockings may differ: one network over
+    """<y, x> for block chains whose site groups may differ: one network over
     the bit-level pieces of both chains, so the sites of differently cut
     blocks meet as shared labels."""
     if x.p != y.p or x.boundary != y.boundary:
         raise ValueError("chains must share length and boundary")
     periodic = x.boundary == "periodic"
     bras = [(labels, t.conj()) for labels, t in
-            _chain_pieces(y.blocking.groups, y.sites, "y", periodic)]
-    scalar, _ = _contract_network(
-        _chain_pieces(x.blocking.groups, x.sites, "x", periodic) + bras)
+            _chain_pieces(y.groups, y.sites, "y", periodic)]
+    scalar, _ = _contract_network(_chain_pieces(x.groups, x.sites, "x", periodic) + bras)
     return complex(scalar)
 
 

@@ -1,11 +1,11 @@
 """Matrix product states (tensor trains) over blocked site groups.
 
-Site j of a chain with blocking widths (t_1, ..., t_q) holds an array of
-shape (D_j, 2^{t_j}, D_{j+1}), all sites of one dtype: real when every input
-is real, complex otherwise (the package dtype rule, see :mod:`tensor`).
-Entry [m, i, m'] is the (m, m') element of the matrix selected by the
-physical index i.  Within a block the first site
-is the fastest bit of the physical index, matching the package layout.
+Site j of a chain over site groups (g_1, ..., g_q), any partition of the
+sites in any order, holds groups[j] = g_j as an array of shape (D_j,
+2^{|g_j|}, D_{j+1}), all sites of one dtype: real when every input is real,
+complex otherwise (the package dtype rule, see :mod:`tensor`).  Entry
+[m, i, m'] is the (m, m') element of the matrix selected by the physical
+index i, whose fastest bit is the first site of g_j, as in the package layout.
 Open chains have D_1 = D_{q+1} = 1; periodic chains close with a trace, so
 D_{q+1} = D_1.
 
@@ -23,6 +23,7 @@ vectors laid out (d, Dl, Dr).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .hamiltonian import (
     Blocking,
     SpinHamiltonian,
+    _partition,
     mpo,
     mpo_apply,
 )
@@ -40,6 +42,7 @@ from .tensor import (
     DenseState,
     DimensionCapError,
     _gaussian,
+    _group_order_vector,
     _inexact,
     _real_part,
     krylov_min,
@@ -53,18 +56,16 @@ from .tensor import hermitian_eig  # noqa: F401
 @dataclass
 class MpsState:
     boundary: str
-    blocking: Blocking
+    groups: tuple
     sites: list
 
     def __post_init__(self):
         if self.boundary not in ("open", "periodic"):
             raise ValueError(f"bad boundary {self.boundary!r}")
-        if len(self.sites) != self.blocking.q:
-            raise ValueError("one site tensor per block required")
         self.sites = _inexact(self.sites)
-        for j, (s, w) in enumerate(zip(self.sites, self.blocking.widths)):
-            if s.ndim != 3 or s.shape[1] != 2**w:
-                raise ValueError(f"site {j} must have shape (D, {2**w}, D')")
+        if any(s.ndim != 3 for s in self.sites):
+            raise ValueError("every site must have shape (D, d, D')")
+        self.groups = _partition(self.groups, lengths=[s.shape[1] for s in self.sites])
         for j in range(len(self.sites) - 1):
             if self.sites[j].shape[2] != self.sites[j + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {j} and {j + 1}")
@@ -77,14 +78,14 @@ class MpsState:
 
     @property
     def p(self) -> int:
-        return self.blocking.p
+        return sum(map(len, self.groups))
 
     @property
     def q(self) -> int:
-        return self.blocking.q
+        return len(self.groups)
 
     def copy(self) -> "MpsState":
-        return MpsState(self.boundary, self.blocking,
+        return MpsState(self.boundary, self.groups,
                         [s.copy() for s in self.sites])
 
 
@@ -99,26 +100,24 @@ class GaugeStatus:
 # construction
 
 def random_mps(p: int, d_bond: int, boundary: str = "open",
-               blocking: Blocking | None = None, seed: int = 0,
-               dtype=complex) -> MpsState:
+               blocking=None, seed: int = 0, dtype=complex) -> MpsState:
     """Reproducible Gaussian state of `dtype` (:func:`tensor._gaussian`,
     scaled by 1/sqrt(2)): complex by default, real when ALS starts it for a
     real Hamiltonian.  Open-boundary bonds are clamped to min(D, 2^{left
-    bits}, 2^{right bits}) so no bond exceeds what the cut can carry."""
-    blocking = blocking or Blocking.single_sites(p)
-    if blocking.p != p:
-        raise ValueError("blocking does not cover p sites")
+    bits}, 2^{right bits}) so no bond exceeds what the cut can carry, the
+    bits left of a cut counted over the site groups `blocking` (any order)."""
+    groups = _partition(blocking or tuple((s,) for s in range(p)), p)
     rng = np.random.default_rng(seed)
-    cuts = blocking.cuts
     if boundary == "open":
+        cuts = itertools.accumulate(map(len, groups), initial=0)
         bonds = [min(d_bond, 2**s, 2 ** (p - s)) for s in cuts]
     else:
-        bonds = [d_bond] * (blocking.q + 1)
+        bonds = [d_bond] * (len(groups) + 1)
     sites = []
-    for j, w in enumerate(blocking.widths):
-        shape = (bonds[j], 2**w, bonds[j + 1])
+    for j, g in enumerate(groups):
+        shape = (bonds[j], 2 ** len(g), bonds[j + 1])
         sites.append(_gaussian(rng, shape, dtype) / np.sqrt(2.0))
-    return MpsState(boundary, blocking, sites)
+    return MpsState(boundary, groups, sites)
 
 
 def from_unit_vector(index: int, p: int) -> MpsState:
@@ -138,7 +137,8 @@ def from_unit_vector(index: int, p: int) -> MpsState:
 # evaluation
 
 def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
-    """Full coefficient vector in the package layout."""
+    """Full coefficient vector in the package layout, contracted in group
+    order and moved to site order (:func:`tensor._group_order_vector`)."""
     if x.p > cap:
         raise DimensionCapError(f"p={x.p} exceeds dense cap {cap}")
     acc = x.sites[0]
@@ -148,7 +148,7 @@ def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
         tens = acc[0, ..., 0]
     else:
         tens = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
-    return DenseState(x.p, tens.reshape(-1, order="F"))
+    return DenseState(x.p, _group_order_vector(x.groups, tens))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,8 @@ def add(x: MpsState, y: MpsState) -> MpsState:
     chain then sums its first site over the left bond and its last site over
     the right bond, which concatenates the boundary vectors (and gives a + b
     for a single block).  Bond dimensions add."""
-    if x.p != y.p or x.boundary != y.boundary or x.blocking != y.blocking:
-        raise ValueError("summands must share length, boundary and blocking")
+    if x.p != y.p or x.boundary != y.boundary or x.groups != y.groups:
+        raise ValueError("summands must share length, boundary and site groups")
     sites = []
     for a, b in zip(x.sites, y.sites):
         c = np.zeros((a.shape[0] + b.shape[0], a.shape[1], a.shape[2] + b.shape[2]),
@@ -171,7 +171,7 @@ def add(x: MpsState, y: MpsState) -> MpsState:
     if x.boundary == "open":
         sites[0] = sites[0].sum(axis=0, keepdims=True)
         sites[-1] = sites[-1].sum(axis=2, keepdims=True)
-    return MpsState(x.boundary, x.blocking, sites)
+    return MpsState(x.boundary, x.groups, sites)
 
 
 def _merge_rows(site: np.ndarray) -> np.ndarray:
@@ -308,7 +308,7 @@ def inner(x: MpsState, y: MpsState) -> complex:
     """<y, x> = sum_i conj(y_i) x_i, contracted site by site without ever
     materializing the dense vectors.  Operation count stays below 4 D^3 p
     for open chains and 4 D^5 p + D^2 for periodic ones."""
-    if x.p != y.p or x.blocking != y.blocking or x.boundary != y.boundary:
+    if x.p != y.p or x.groups != y.groups or x.boundary != y.boundary:
         raise ValueError("inner product requires matching chains")
     return _zipper(y.sites, x.sites)
 
@@ -318,7 +318,7 @@ def expectation(h: SpinHamiltonian, x: MpsState,
     """<x, H x> by one zipper with the Hamiltonian's MPO woven onto the
     physical bonds; never forms H x as a state.  Refuses an imaginary
     residue above tols.rayleigh_imag (relative)."""
-    total = _zipper(x.sites, x.sites, mpo(h, x.blocking.groups))
+    total = _zipper(x.sites, x.sites, mpo(h, x.groups))
     return _real_part(total, tols)
 
 
@@ -431,8 +431,7 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
 
 def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
                      boundary: str = "open", sweeps: int = 10, seed: int = 0,
-                     blocking: Blocking | None = None,
-                     tols: Tolerances = DEFAULT_TOLS) -> tuple:
+                     blocking=None, tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Alternating single-site minimization of the Rayleigh quotient.
 
     The search runs an open chain for either boundary of H, whose wrap
@@ -451,7 +450,8 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     throughout.  One sweep is one directional pass; direction alternates,
     re-gauging by QR after every update, and two consecutive sweeps that
     move the energy by less than tols.convergence stop the search.  Returns
-    (trace, state) with a nonincreasing energy trace and an open state.
+    (trace, state) with a nonincreasing energy trace and an open state.  The
+    chain and the MPO run on the site groups `blocking`, in any order.
     """
     if boundary not in ("open", "periodic"):
         raise ValueError(f"bad boundary {boundary!r}")
@@ -460,7 +460,7 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     if h.p != p:
         raise ValueError("Hamiltonian size does not match p")
     blocking = blocking or Blocking.single_sites(p)
-    ws = mpo(h, blocking.groups)
+    ws = mpo(h, blocking)
     state = random_mps(p, d_bond, "open", blocking, seed, ws[0].dtype)
     state, _ = normalize_right_sweep(state)
     trace = []

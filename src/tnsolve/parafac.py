@@ -5,7 +5,6 @@ stores one factor matrix per mode, shape (2^{|g_i|}, D), g_i's first site
 its fastest bit; addend l is the tensor product of the columns
 factors[i][:, l], scaled by weights[l].  Contractions reduce to per-mode
 Gram matrices, so an inner product costs q block dots per addend pair.
-Only :func:`as_diagonal_mps` needs the groups to be blocks in chain order.
 
 A :class:`MixedTerm` is one product term over its own site groups: the
 one product-term type, whether its groups are a blocking's blocks, a cyclic
@@ -117,17 +116,17 @@ class MixedTerm:
         return sum(map(len, self.groups))
 
 
-def random_cp(blocking: Blocking, rank: int, seed: int = 0,
+def random_cp(blocking: Blocking | tuple, rank: int, seed: int = 0,
               dtype=complex) -> BlockedCp:
     """Reproducible state of unit-norm Gaussian columns of `dtype`
     (:func:`tensor._gaussian`): complex by default, real when the
     simultaneous solver starts it for a real Hamiltonian."""
     rng = np.random.default_rng(seed)
     factors = []
-    for w in blocking.widths:
-        f = _gaussian(rng, (2**w, rank), dtype)
+    for g in _partition(blocking):
+        f = _gaussian(rng, (2 ** len(g), rank), dtype)
         factors.append(f / np.linalg.norm(f, axis=0))
-    return BlockedCp(blocking.groups, factors)
+    return BlockedCp(blocking, factors)
 
 
 def to_dense(x: BlockedCp) -> DenseState:
@@ -185,19 +184,19 @@ def apply_hamiltonian(h: SpinHamiltonian, x: BlockedCp) -> BlockedCp:
 
 
 def as_diagonal_mps(x: BlockedCp) -> MpsState:
-    """Equivalent open chain with diagonal matrices: addend l occupies the
-    l-th diagonal entry of every bond; weights fold into the first site.
-    Refuses groups that are not blocks in chain order."""
-    blocking, eye = Blocking.from_groups(x.groups), np.eye(x.rank)
+    """Equivalent open chain with diagonal matrices, on the same site groups:
+    addend l occupies the l-th diagonal entry of every bond; weights fold
+    into the first site."""
+    eye = np.eye(x.rank)
     sites = []
     for i, f in enumerate(x.factors):
         a = f[None] * eye[:, None]  # a[l, :, m] = delta_lm f[:, m]
         if i == 0:
             a = (a * x.weights[:, None, None]).sum(axis=0, keepdims=True)
-        if i == blocking.q - 1:
+        if i == len(x.groups) - 1:
             a = a.sum(axis=2, keepdims=True)
         sites.append(a)
-    return MpsState("open", blocking, sites)
+    return MpsState("open", x.groups, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
     return trace, frozen
 
 
-def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
+def greedy_als(h: SpinHamiltonian, blocking: Blocking | tuple, d_final: int,
                inner_iters: int = 30, seed: int = 0,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
     """Grow the rank one addend at a time on the groups of `blocking`
@@ -458,7 +457,7 @@ def greedy_als(h: SpinHamiltonian, blocking: Blocking, d_final: int,
     run cut after stage r, entry for entry and addend for addend."""
     if d_final < 1:
         raise ValueError("need d_final >= 1")
-    trace, frozen = _greedy_core(h, [blocking.groups] * d_final, inner_iters,
+    trace, frozen = _greedy_core(h, [_partition(blocking, h.p)] * d_final, inner_iters,
                                  seed, tols, init)
     return trace, _stack_addends(frozen)
 
@@ -498,7 +497,7 @@ def _mode_solve(coeff: np.ndarray, w: np.ndarray, tols: Tolerances) -> tuple:
     return float(lam[0]), x[:, 0]
 
 
-def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
+def simultaneous_als(h: SpinHamiltonian, blocking: Blocking | tuple, rank: int,
                      sweeps: int = 50, seed: int = 0, init: str = "random",
                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Per mode, replace the whole slab of addend vectors by the minimizer of
@@ -517,9 +516,9 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
     pencil at that r x r Gram, never forming kron(G, I)."""
     if rank < 1 or sweeps < 1:
         raise ValueError("need rank >= 1 and sweeps >= 1")
-    ws = mpo(h, blocking.groups)
+    ws = mpo(h, blocking)
     if init == "spectral":
-        x = BlockedCp(blocking.groups, _spectral_factors(ws, rank, tols))
+        x = BlockedCp(blocking, _spectral_factors(ws, rank, tols))
     elif init == "random":
         x = random_cp(blocking, rank, seed, ws[0].dtype)
     else:
@@ -533,10 +532,10 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking, rank: int,
         lam, vec = _mode_solve(envs.blocks(x.factors, x.factors, i, ww), ws[i], tols)
         x.factors[i] = vec.reshape(rank, -1).T
         x.weights = np.ones(rank)
-        if i == blocking.q - 1:
+        if i == len(ws) - 1:
             x = x.normalize_addends()
         return lam
 
     trace = []
-    run_sweeps(update, [range(blocking.q)], sweeps, tols, trace)
+    run_sweeps(update, [range(len(ws))], sweeps, tols, trace)
     return trace, x

@@ -85,7 +85,7 @@ def random_peps(rows: int, cols: int, d_bond: int, seed: int = 0) -> PepsState:
 
 def from_mps_row(x: MpsState) -> PepsState:
     """Open chain viewed as a 1 x p lattice."""
-    if x.boundary != "open" or x.blocking.widths != (1,) * x.p:
+    if x.boundary != "open" or x.groups != tuple((s,) for s in range(x.p)):
         raise ValueError("only single-site open chains embed as a lattice row")
     sites = [[s.transpose(1, 0, 2)[:, None, None, :, :] for s in x.sites]]
     return PepsState(1, x.p, sites)

@@ -87,12 +87,17 @@ def _gaussian(rng, shape, dtype) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
+def _group_order_vector(groups, tens: np.ndarray) -> np.ndarray:
+    """`tens`, its axis i on the sites of groups[i], as a vector in site order."""
+    sites = [s for g in groups for s in g]
+    axes = sorted(range(len(sites)), key=sites.__getitem__)  # argsort
+    return tens.reshape((2,) * len(sites), order="F").transpose(axes).reshape(-1, order="F")
+
+
 def _product_vector(groups, cols) -> np.ndarray:
     """The product of `cols` over site groups as a vector: column i on the
     sites of groups[i], its first site the fastest bit."""
-    sites = [s for g in groups for s in g]
-    tens = functools.reduce(np.multiply.outer, cols).reshape((2,) * len(sites), order="F")
-    return tens.transpose(np.argsort(sites)).reshape(-1, order="F")
+    return _group_order_vector(groups, functools.reduce(np.multiply.outer, cols))
 
 
 def _contract_labelled(a: np.ndarray, labels_a, b: np.ndarray, labels_b):

@@ -12,6 +12,8 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
+
 TNBENCH = pathlib.Path(__file__).resolve().parents[1] / "tnbench"
 TRACER = TNBENCH / "tracer.py"
 
@@ -129,3 +131,25 @@ def test_workload_calls_bind_to_their_callees():
         bound.append(".".join(path))
     assert {"mps.als_ground_state", "cli.reproduce_figure",
             "mixed.ground_state_mixed_greedy", "checks.run_all"} <= set(bound)
+
+
+def test_workload_chain_built_from_a_blocking_equals_one_built_from_groups():
+    # the workloads' _random_chain passes Blocking.single_sites(p) as a
+    # chain's site groups; the state it builds must equal the one built from
+    # the groups tuple, bit for bit
+    from tnsolve import hamiltonian, mps
+
+    p, rng = 6, np.random.default_rng(5)
+    blocking = hamiltonian.Blocking.single_sites(p)
+    bonds = [1, 2, 3, 3, 3, 2, 1]
+    sites = [rng.standard_normal((bonds[j], 2, bonds[j + 1]))
+             + 1j * rng.standard_normal((bonds[j], 2, bonds[j + 1])) for j in range(p)]
+    h = hamiltonian.build_ising(p, 1.0, "open")
+    x = mps.MpsState("open", blocking, sites)
+    y = mps.MpsState("open", blocking.groups, sites)
+    assert x.groups == blocking.groups and isinstance(x.groups, tuple)
+    assert np.array_equal(mps.to_dense(x).vector, mps.to_dense(y).vector)
+    z = mps.random_mps(p, 2, "open", seed=6)
+    assert mps.inner(x, x) == mps.inner(y, y)
+    assert mps.inner(x, z) == mps.inner(y, z)
+    assert mps.expectation(h, x) == mps.expectation(h, y)

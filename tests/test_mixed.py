@@ -29,7 +29,7 @@ from tnsolve.mixed import (
     sum_to_dense,
     term_to_dense,
 )
-from tnsolve.mps import from_unit_vector, inner as mps_inner, random_mps, to_dense
+from tnsolve.mps import MpsState, from_unit_vector, inner as mps_inner, random_mps, to_dense
 from tnsolve.oracle import rayleigh
 from tnsolve.parafac import _greedy_core, greedy_als
 from tnsolve.tensor import DenseState
@@ -289,11 +289,14 @@ def test_block_mps_mixed_vs_dense():
 
 
 def test_block_mps_mixed_more_blockings():
-    for wx, wy, dx, dy, seed in [((1, 2, 3), (4, 2), 2, 3, 19),
-                                 ((2, 2, 2, 2), (3, 5), 3, 2, 20),
-                                 ((8,), (1,) * 8, 1, 2, 21)]:
-        x = random_mps(sum(wx), dx, "open", blocking=Blocking(wx), seed=seed)
-        y = random_mps(sum(wy), dy, "open", blocking=Blocking(wy), seed=seed + 50)
+    # the last case walks a 2 x 6 lattice along its ladder against row-major
+    ladder = tuple((r * 6 + c,) for c in range(6) for r in range(2))
+    for p, gx, gy, dx, dy, seed in [(6, Blocking((1, 2, 3)), Blocking((4, 2)), 2, 3, 19),
+                                    (8, Blocking((2, 2, 2, 2)), Blocking((3, 5)), 3, 2, 20),
+                                    (8, Blocking((8,)), Blocking((1,) * 8), 1, 2, 21),
+                                    (12, ladder, Blocking((1,) * 12), 3, 2, 24)]:
+        x = random_mps(p, dx, "open", blocking=gx, seed=seed)
+        y = random_mps(p, dy, "open", blocking=gy, seed=seed + 50)
         expect = np.vdot(to_dense(y).vector, to_dense(x).vector)
         assert inner_block_mps_mixed(x, y) == pytest.approx(
             expect, abs=1e-12 * max(1.0, abs(expect))
@@ -609,6 +612,8 @@ def test_product_terms_refuse_groups_that_do_not_partition(groups):
         MixedTerm(groups, factors)
     with pytest.raises(ValueError, match="partition"):
         parafac.BlockedCp(groups, [f[:, None] for f in factors])
+    with pytest.raises(ValueError, match="partition"):
+        MpsState("open", groups, [f.reshape(1, -1, 1) for f in factors])
 
 
 def test_sum_of_chain_order_and_wrapping_terms_matches_dense():

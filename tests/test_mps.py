@@ -13,6 +13,7 @@ from tnsolve.hamiltonian import (
     SpinHamiltonian,
     build_heisenberg_xy,
     build_ising,
+    build_ising_2d,
     materialize_dense,
     mpo,
 )
@@ -274,7 +275,7 @@ def test_inner_shape_mismatch():
 def mpo_image(h, x):
     """H x as one chain: the MPO-chain product that the mixed cross terms
     and the grid contraction use, so bond j grows from D_j to w_j D_j."""
-    return MpsState(x.boundary, x.blocking, mps._apply_mpo(mpo(h, x.blocking.groups), x.sites))
+    return MpsState(x.boundary, x.groups, mps._apply_mpo(mpo(h, x.groups), x.sites))
 
 
 def test_apply_identity_hamiltonian_dense_equal():
@@ -298,7 +299,7 @@ def test_apply_hamiltonian_bond_growth():
     x = random_mps(4, 2, "open", seed=27)
     y = mpo_image(h, x)
     bx = bond_dims(x)
-    widths = [w.shape[0] for w in mpo(h, x.blocking.groups)] + [1]
+    widths = [w.shape[0] for w in mpo(h, x.groups)] + [1]
     assert widths == [1, 3, 3, 3, 1]
     for j in range(5):
         assert bond_dims(y)[j] == widths[j] * bx[j]
@@ -429,6 +430,31 @@ def test_als_blocked_periodic_reaches_oracle(blocking, d_bond, seed):
     assert min(energies) >= e0 - 1e-9
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
     assert abs(energies[-1] - e0) <= 1e-8
+
+
+# the 2 x 6 lattice walked along its ladder: column by column, row 0 first
+LADDER = tuple((r * 6 + c,) for c in range(6) for r in range(2))
+
+
+def test_ladder_order_chain_dense_matches_mpo_energy():
+    # to_dense moves the bits from chain order to site order; the matrix-free
+    # oracle reads that vector, while mps_energy contracts the MPO over the
+    # permuted groups, an independent path
+    h = build_ising_2d(2, 6, 3.0)
+    x = random_mps(12, 4, "open", LADDER, seed=32)
+    assert x.groups == LADDER
+    assert rayleigh(h, to_dense(x)) == pytest.approx(mps_energy(h, x), abs=1e-12)
+
+
+def test_ladder_order_chain_reaches_oracle():
+    # in row-major order the same lattice stops near 2e-2 above E0 at D = 8
+    h = build_ising_2d(2, 6, 3.0)
+    e0, _ = ground_state_dense(h)
+    trace, state = als_ground_state(h, 12, 8, "open", 20, 0, LADDER)
+    assert state.groups == LADDER
+    assert min(t.energy for t in trace) >= e0 - 1e-9
+    assert trace[-1].energy - e0 <= 1e-6
+    assert trace[-1].energy == pytest.approx(rayleigh(h, to_dense(state)), abs=1e-9)
 
 
 def spy_svd(monkeypatch):

@@ -13,6 +13,7 @@ from tnsolve.hamiltonian import (
     SpinHamiltonian,
     build_heisenberg_xy,
     build_ising,
+    build_ising_2d,
     materialize_dense,
     mpo,
 )
@@ -780,8 +781,8 @@ def test_blocked_cp_on_scattered_groups_matches_dense():
     expect = np.vdot(dy, materialize_dense(h) @ dx)
     assert expectation_form(mpo(h, SCATTERED), y, x) == pytest.approx(
         expect, abs=1e-12 * abs(expect))
-    with pytest.raises(ValueError, match="chain order"):
-        as_diagonal_mps(x)
+    chain = mps_to_dense(as_diagonal_mps(x)).vector
+    assert np.linalg.norm(chain - dx) <= 1e-13 * np.linalg.norm(dx)
 
 
 def test_greedy_core_runs_aligned_stages_on_scattered_groups():
@@ -796,6 +797,25 @@ def test_greedy_core_runs_aligned_stages_on_scattered_groups():
     energies = [t.energy for t in trace if np.isfinite(t.energy)]
     assert trace[-1].energy == pytest.approx(rayleigh(h, DenseState(6, y)), abs=1e-10)
     assert min(energies) >= e0
+
+
+# the two halves of the 2 x 6 lattice, each walked along the ladder: a
+# partition that no Blocking gives
+LADDER_HALVES = tuple(tuple(r * 6 + c for c in cols for r in range(2))
+                      for cols in (range(3), range(3, 6)))
+
+
+def test_cp_solvers_run_on_ladder_halves():
+    h = build_ising_2d(2, 6, 3.0)
+    e0, _ = ground_state_dense(h)
+    trace, x = greedy_als(h, LADDER_HALVES, 4, 50, init="spectral")
+    assert x.groups == LADDER_HALVES
+    assert e0 - 1e-9 <= trace[-1].energy <= e0 + 2e-4
+    assert trace[-1].energy == pytest.approx(_cp_energy(h, x), abs=1e-9)
+    trace, x = simultaneous_als(h, LADDER_HALVES, 4, 50, 0, "random")
+    assert x.groups == LADDER_HALVES
+    assert e0 - 1e-9 <= trace[-1].energy <= e0 + 1e-4
+    assert trace[-1].energy == pytest.approx(_cp_energy(h, x), abs=1e-9)
 
 
 def test_greedy_update_makes_one_environment_call(monkeypatch):
