@@ -34,7 +34,7 @@ import numpy as np
 
 from . import flops
 from .config import DEFAULT_TOLS, Tolerances
-from .hamiltonian import Blocking, SpinHamiltonian, mpo
+from .hamiltonian import Blocking, SpinHamiltonian, _partition, mpo
 from .mps import MpsState, _apply_mpo
 from .parafac import MixedTerm, _greedy_core
 from .tensor import DenseState, _contract_labelled, _product_vector, _real_part
@@ -70,7 +70,7 @@ def pattern_groups(sb_rows: int, sb_cols: int, r_sites: int, pattern: int) -> tu
     return tuple(groups)
 
 
-@dataclass
+@dataclass(eq=False)
 class MixedTermSum:
     """Sum of tensor-product terms; every term has its own site groups."""
 
@@ -359,14 +359,18 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
                               sweeps: int = 30, seed: int = 0,
                               tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """Greedy addend-by-addend minimization (`parafac._greedy_core`) where
-    the n-th run of d_per_blocking stages takes the blocks of schedule[n] as
-    its site groups.  A blocking that does not cover the chain is refused
-    before the first solve.  Returns (trace, MixedTermSum), the sum's terms
-    the frozen addends on their stages' groups."""
+    the n-th run of d_per_blocking stages takes schedule[n] as its site
+    groups: a :class:`Blocking`, a tuple of block widths, or site groups in
+    any order (read by :func:`hamiltonian._partition`).  A blocking that
+    does not cover the chain is refused before the first solve.  Returns
+    (trace, MixedTermSum), the sum's terms the frozen addends on their
+    stages' groups."""
     if d_per_blocking < 1:
         raise ValueError("need a positive addend count per scheduled blocking")
-    stages = [(b if isinstance(b, Blocking) else Blocking(tuple(b))).groups
-              for b in schedule for _ in range(d_per_blocking)]
+    # an entry of scalars is a tuple of block widths
+    entries = [b if isinstance(b, Blocking) or any(map(np.ndim, b)) else Blocking(b)
+               for b in schedule]
+    stages = [_partition(b, h.p) for b in entries for _ in range(d_per_blocking)]
     trace, frozen = _greedy_core(h, stages, sweeps, seed, tols)
     return trace, MixedTermSum(h.p, frozen)
 

@@ -53,7 +53,7 @@ from .tensor import (
 from .tensor import hermitian_eig  # noqa: F401
 
 
-@dataclass
+@dataclass(eq=False)
 class MpsState:
     boundary: str
     groups: tuple
@@ -375,6 +375,11 @@ def _local_operator(lenv: np.ndarray, w: np.ndarray, renv: np.ndarray):
     return matvec
 
 
+# the factor and the start bound of the local residual bound (_chain_local)
+_LOCAL_BOUND_FACTOR = 0.1
+_LOCAL_BOUND_START = 1e-3
+
+
 def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     """ALS update of an open chain, for :func:`run_sweeps`.
 
@@ -395,13 +400,23 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
     The center tensor is transposed to that layout once on the way in, and
     the solution once on the way out.
 
+    A local solve is only as exact as the sweep needs: it stops once its
+    residual is at most bound * max(1, |theta|), with bound =
+    max(tols.convergence, 0.1 |dE| / max(1, |E|)), dE the change between
+    the last two sweep-end energies and E the later one.  Sweeps 0 and 1
+    have no such change yet and use bound = max(tols.convergence, 1e-3).
+    So the early sweeps, whose environments are still far from converged,
+    take loose solves, and a sweep whose energy barely moved is solved to
+    tols.convergence.
+
     update(sweep, c) moves the center to c: it re-gauges the site left
     behind by one QR step (:func:`_move_center`), which keeps its bonds, and
     grows the environments over it (even sweeps go right, odd ones left),
     then replaces site c by the lowest local eigenvector and returns its
-    energy.
+    energy, which is the sweep-end energy once c ends a sweep.
     """
     q = state.q
+    ends = {}  # sweep -> the energy of its latest update
 
     def grown(env, c, step):
         step_fn = _env_step_right if step > 0 else _env_step_left
@@ -420,10 +435,17 @@ def _chain_local(ws: list, state: MpsState, tols: Tolerances):
             _move_center(state.sites, behind, c)
             envs = lenv if step > 0 else renv
             envs[c] = grown(envs[behind], behind, step)
+        if sweep < 2:
+            bound = _LOCAL_BOUND_START
+        else:
+            last, before = ends[sweep - 1], ends[sweep - 2]
+            bound = _LOCAL_BOUND_FACTOR * abs(last - before) / max(1.0, abs(last))
         site = state.sites[c]
         matvec = _local_operator(lenv[c], ws[c], renv[c])
-        energy, vec = krylov_min(matvec, _merge_rows(site), tols)
+        energy, vec = krylov_min(matvec, _merge_rows(site), tols,
+                                 bound=max(tols.convergence, bound))
         state.sites[c] = _split_rows(vec, *site.shape[:2])
+        ends[sweep] = energy
         return energy
 
     return update
@@ -442,14 +464,18 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     standard Hermitian eigenproblem, solved matrix-free by a Lanczos
     recurrence with full reorthogonalization whose real tridiagonal
     projected matrix is solved every third step (so a converged pair costs
-    at most 2 extra matvecs).  It starts at the current site tensor, and the
-    effective matrix is never formed: each update reshapes its environments
-    and MPO site once, and every matvec is three fixed-shape matmuls.  The
-    random start takes its dtype from the Hamiltonian's MPO, so a real MPO
-    (the Ising and XY chains and lattices) is solved in real arithmetic
-    throughout.  One sweep is one directional pass; direction alternates,
-    re-gauging by QR after every update, and two consecutive sweeps that
-    move the energy by less than tols.convergence stop the search.  Returns
+    at most 2 extra matvecs).  Each solve stops at a residual bound that
+    follows the sweep's progress: max(tols.convergence, 0.1 |dE| / max(1,
+    |E|)), dE the change between the last two sweep-end energies, and 1e-3
+    in sweeps 0 and 1 (see :func:`_chain_local`).  It starts at the current
+    site tensor, and the effective matrix is never formed: each update
+    reshapes its environments and MPO site once, and every matvec is three
+    fixed-shape matmuls.  The random start takes its dtype from the
+    Hamiltonian's MPO, so a real MPO (the Ising and XY chains and lattices)
+    is solved in real arithmetic throughout.  One sweep is one directional
+    pass; direction alternates, re-gauging by QR after every update, and two
+    consecutive sweeps that move the energy by less than tols.convergence
+    stop the search, and so end at local solves to tols.convergence.  Returns
     (trace, state) with a nonincreasing energy trace and an open state.  The
     chain and the MPO run on the site groups `blocking`, in any order.
     """

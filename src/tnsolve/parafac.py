@@ -53,7 +53,7 @@ from .tensor import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockedCp:
     groups: tuple
     factors: list
@@ -95,7 +95,7 @@ class BlockedCp:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class MixedTerm:
     """weight * (x_1 (x) ... (x) x_q), x_i on the sites of groups[i] (in
     factor bit order), the groups any partition of the sites.  The factors

@@ -29,7 +29,7 @@ from .mps import MpsState, _apply_mpo, _truncate_bonds
 from .tensor import DenseState, DimensionCapError, _contract_labelled, _gaussian
 
 
-@dataclass
+@dataclass(eq=False)
 class PepsState:
     rows: int
     cols: int

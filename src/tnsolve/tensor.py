@@ -53,7 +53,7 @@ def kron_first_fastest(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseState:
     """Full coefficient vector of a p-site state: `vector` holds its 2**p
     complex entries in the package layout (site 1 the fastest bit)."""
@@ -194,7 +194,8 @@ def hermitian_eig(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
 _RITZ_STRIDE = 3
 
 
-def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
+               bound: float | None = None):
     """Lowest eigenpair of a Hermitian operator given only as `matvec`.
 
     Lanczos recurrence with full reorthogonalization; real tridiagonal
@@ -210,15 +211,17 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     is refused; that is the only check T gets.  T, real symmetric
     tridiagonal and kept as its two diagonals, goes straight to
     ``np.linalg.eigh`` at every third step (k % _RITZ_STRIDE == 0), at
-    k = n, and whenever beta_k <= tols.convergence * max(1, ||T||_F), which
-    holds at an invariant space.  Only the lowest Ritz pair (theta, y) of a
-    solve is read; it has the residual
+    k = n, and whenever beta_k <= bound * max(1, ||T||_F), which holds at
+    an invariant space.  `bound` defaults to tols.convergence; a caller
+    that needs the pair only roughly (an early ALS sweep, see
+    :func:`mps._chain_local`) passes a larger one.  Only the lowest Ritz
+    pair (theta, y) of a solve is read; it has the residual
     ||A x - theta x|| = beta_k |y_k|, and the recurrence stops once that is
-    <= tols.convergence * max(1, |theta|) or the basis spans the whole
-    vector space.  So it stops at most 2 matvecs after the step at which
-    the residual first met that bound.  The Hermiticity defect and the
-    Gram-Schmidt passes still run at every step, and an image that makes
-    the defect NaN is refused as not Hermitian at once.  Since `v0` lies in
+    <= bound * max(1, |theta|) or the basis spans the whole vector space.
+    So it stops at most 2 matvecs after the step at which the residual
+    first met that bound.  The Hermiticity defect and the Gram-Schmidt
+    passes still run at every step, and an image that makes the defect NaN
+    is refused as not Hermitian at once.  Since `v0` lies in
     the space, theta never exceeds its Rayleigh quotient.  The basis takes
     its dtype from `v0` and the images: it is real while they are, and the
     first complex image widens it to complex, so no imaginary part is ever
@@ -226,6 +229,7 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     (theta, x) with x of unit norm, the basis dtype and the usual phase
     convention.
     """
+    bound = tols.convergence if bound is None else bound
     u = np.asarray(v0).reshape(-1)
     n = u.size
     nrm = np.linalg.norm(u)
@@ -267,10 +271,10 @@ def krylov_min(matvec, v0: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
         beta = np.linalg.norm(w)
         betas.append(beta)
         if k % _RITZ_STRIDE == 0 or k == n \
-                or beta <= tols.convergence * max(1.0, np.sqrt(norm2)):
+                or beta <= bound * max(1.0, np.sqrt(norm2)):
             lam, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
             theta, y0 = float(lam[0]), y[:, 0]
-            if beta * abs(y0[-1]) <= tols.convergence * max(1.0, abs(theta)) or k == n:
+            if beta * abs(y0[-1]) <= bound * max(1.0, abs(theta)) or k == n:
                 break
         u = w / beta
     x = y0 @ vs[:k]

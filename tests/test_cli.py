@@ -30,6 +30,7 @@ from tnsolve.hamiltonian import (
     PAULI_Z,
     SiteOperator,
     SpinHamiltonian,
+    build_heisenberg_xy,
     build_ising,
     materialize_dense,
 )
@@ -818,3 +819,15 @@ def test_oracle_cache_concurrent_misses_keep_every_entry(tmp_path, monkeypatch):
     assert len(cache) == len(models)
     for h in models:
         assert cache[cli._model_hash(h)] == energies[h.model_key()]
+
+
+def test_model_hash_pinned():
+    # oracle cache keys carry the model and the oracle's own stopping
+    # tolerance only; the chain sweeps' local bounds do not enter them
+    h = build_ising(8, 1.0, "open")
+    assert cli._model_hash(h) == \
+        "259c3f9dcfc9e50b5bd7c281684e2c7ad46846ba4aeeaabe5e49b9a1f58aed81"
+    assert cli._model_hash(h, Tolerances(convergence=1e-12)) == \
+        "4232d2e24bc9c90f2716f9e738126000dc65972a7b556286f1f5e2eb12a88cf6"
+    assert cli._model_hash(build_heisenberg_xy(8, 1.0, 0.5, 0.7, "periodic")) == \
+        "05ef54b18b5eee1b2250bf35200982a601fe9fe06ca7c569fdeb98a754a7ebcc"

@@ -1,5 +1,6 @@
 """Mixed-blocking terms: 1D open/periodic kernels, block chains, 2D patterns."""
 
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -31,7 +32,8 @@ from tnsolve.mixed import (
 )
 from tnsolve.mps import MpsState, from_unit_vector, inner as mps_inner, random_mps, to_dense
 from tnsolve.oracle import rayleigh
-from tnsolve.parafac import _greedy_core, greedy_als
+from tnsolve.parafac import _greedy_core, greedy_als, random_cp
+from tnsolve.peps import random_peps
 from tnsolve.tensor import DenseState
 
 
@@ -523,6 +525,17 @@ def test_mixed_greedy_refuses_a_short_blocking_before_any_update(monkeypatch):
     assert calls == []
 
 
+def test_mixed_greedy_reads_site_groups_like_greedy_als():
+    # a schedule entry may be site groups in any order, as greedy_als takes
+    h = build_ising(4, 1.0)
+    groups = ((0, 2), (1, 3))
+    t1, cp = greedy_als(h, groups, 1, inner_iters=5)
+    t2, state = ground_state_mixed_greedy(h, [groups], 1, 5)
+    assert t2 == t1
+    assert [t.groups for t in state.terms] == [groups]
+    assert np.allclose(sum_to_dense(state).vector, parafac.to_dense(cp).vector, atol=1e-13)
+
+
 def test_mixed_greedy_identical_schedule_matches_parafac():
     h = build_ising(8, 1.0, "open")
     b = Blocking((4, 4))
@@ -655,3 +668,21 @@ def test_greedy_stages_on_pattern_groups():
     assert trace[-1].energy == pytest.approx(rayleigh(h, dense), abs=1e-10)
     energies = [t.energy for t in trace if np.isfinite(t.energy)]
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_mps(4, 2),
+    lambda: random_cp(Blocking((2, 2)), 2),
+    lambda: MixedTerm(((0, 2), (1, 3)), [np.ones(4), np.ones(4)]),
+    lambda: MixedTermSum(4, [MixedTerm(((0, 1), (2, 3)), [np.ones(4), np.ones(4)])]),
+    lambda: random_peps(2, 2, 2),
+    lambda: DenseState(2, np.ones(4)),
+], ids=["MpsState", "BlockedCp", "MixedTerm", "MixedTermSum", "PepsState", "DenseState"])
+def test_states_compare_by_identity(make):
+    # states hold arrays, so == is identity: a copy is a different state,
+    # not an ambiguous array comparison
+    x = make()
+    assert x == x
+    assert (x == copy.deepcopy(x)) is False
+    if hasattr(x, "copy"):
+        assert (x == x.copy()) is False

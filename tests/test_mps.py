@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tnsolve import flops, mps
-from tnsolve.config import Tolerances
+from tnsolve.config import DEFAULT_TOLS, Tolerances
 from tnsolve.hamiltonian import (
     Blocking,
     KroneckerTerm,
@@ -502,7 +502,7 @@ def test_als_keeps_its_bonds_at_zero_singular_values():
 
 @pytest.mark.parametrize("boundary,p,d_bond,entries,energy", [
     ("open", 8, 4, 48, -9.837949818606878),
-    ("periodic", 6, 2, 60, -7.5945993648365),
+    ("periodic", 6, 2, 60, -7.594599361547537),
 ], ids=["open", "periodic"])
 def test_als_trace_pinned(boundary, p, d_bond, entries, energy):
     # default sweeps and seed; entries, markers and final energy are pinned
@@ -525,11 +525,11 @@ def test_real_hamiltonian_keeps_chain_als_real(monkeypatch, boundary):
         seen.append(("environment", out.dtype))
         return out
 
-    def recording_krylov(matvec, v0, tols):
+    def recording_krylov(matvec, v0, tols, **kwargs):
         def spy(v):
             seen.append(("basis", v.dtype))
             return matvec(v)
-        theta, x = krylov(spy, v0, tols)
+        theta, x = krylov(spy, v0, tols, **kwargs)
         seen.append(("solution", x.dtype))
         return theta, x
 
@@ -543,6 +543,62 @@ def test_real_hamiltonian_keeps_chain_als_real(monkeypatch, boundary):
         assert {s.dtype for s in state.sites} == {np.dtype(float)}
         assert {k for k, _ in seen} == {"environment", "basis", "solution"}
         assert {d for _, d in seen} == {np.dtype(float)}
+
+
+def recorded_bounds(monkeypatch, *args, **kwargs):
+    """(trace, bounds): an ALS run and the residual bound its local solve
+    of each trace entry got."""
+    bounds, krylov = [], mps.krylov_min
+
+    def recording_krylov(matvec, v0, tols, bound=None):
+        bounds.append(bound)
+        return krylov(matvec, v0, tols, bound=bound)
+
+    monkeypatch.setattr(mps, "krylov_min", recording_krylov)
+    trace, _ = als_ground_state(*args, **kwargs)
+    assert len(bounds) == len(trace)
+    return trace, bounds
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_local_bound_follows_the_sweep(monkeypatch, boundary):
+    # sweeps 0 and 1 solve to 1e-3; later sweeps to a tenth of the relative
+    # change between the last two sweep ends, never below tols.convergence
+    h = build_ising(8, 1.0, boundary)
+    trace, bounds = recorded_bounds(monkeypatch, h, 8, 4, boundary, sweeps=12, seed=1)
+    ends = {t.sweep: t.energy for t in trace}
+    assert max(ends) >= 3
+    for t, bound in zip(trace, bounds):
+        if t.sweep < 2:
+            assert bound == 1e-3
+        else:
+            last, before = ends[t.sweep - 1], ends[t.sweep - 2]
+            assert bound == max(DEFAULT_TOLS.convergence,
+                                0.1 * abs(last - before) / max(1.0, abs(last)))
+    assert min(bounds) >= DEFAULT_TOLS.convergence
+    # the sweeps that stop the run moved the energy by less than
+    # tols.convergence, so the last one solved to that bound
+    assert bounds[-1] == DEFAULT_TOLS.convergence
+
+
+def test_local_bound_never_below_the_convergence_tolerance(monkeypatch):
+    tols = Tolerances(convergence=1e-2)
+    h = build_ising(8, 1.0, "open")
+    trace, bounds = recorded_bounds(monkeypatch, h, 8, 4, "open", sweeps=6, seed=0,
+                                    tols=tols)
+    assert [b for t, b in zip(trace, bounds) if t.sweep < 2] == [1e-2] * 16
+    assert min(bounds) >= 1e-2
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_als_traces_nonincreasing_under_loose_local_solves(boundary):
+    # every local solve starts at the current site, so even a loose one
+    # never raises the energy
+    for h in (build_ising(8, 1.0, boundary), build_heisenberg_xy(8, 1.0, 0.5, 0.7, boundary)):
+        for seed in range(3):
+            trace, _ = als_ground_state(h, 8, 4, boundary, sweeps=8, seed=seed)
+            energies = [t.energy for t in trace]
+            assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
 def complex_field_chain(p):

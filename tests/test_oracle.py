@@ -173,3 +173,25 @@ def test_oracle_refuses_non_hermitian():
                             KroneckerTerm(0.5, (OP_X, OP_X, OP_X))])
     with pytest.raises(ValueError, match="not Hermitian"):
         ground_state_dense(h)
+
+
+@pytest.mark.parametrize("h,energy", [
+    (build_ising(8, 1.0, "open"), "-0x1.3ad07f8dcf2b9p+3"),
+    (build_ising(6, 1.0, "periodic"), "-0x1.ee8dd4748bf12p+2"),
+    (build_heisenberg_xy(8, 1.0, 0.5, 0.7, "open"), "-0x1.ea46d6c502f79p+2"),
+    (build_ising_2d(2, 4, 3.0), "-0x1.8e27ffdcf527bp+4"),
+], ids=["ising-open-8", "ising-periodic-6", "xy-open-8", "2d-2x4"])
+def test_oracle_energies_pinned_bitwise(monkeypatch, h, energy):
+    # the oracle's Krylov solve stops at tols.convergence, not at a looser
+    # bound of the chain sweeps, so its energies are pinned to the last bit
+    bounds = []
+    krylov = oracle.krylov_min
+
+    def recording(matvec, v0, tols, **kwargs):
+        bounds.append(kwargs.get("bound"))
+        return krylov(matvec, v0, tols, **kwargs)
+
+    monkeypatch.setattr(oracle, "krylov_min", recording)
+    e0, _ = ground_state_dense(h)
+    assert bounds == [None]
+    assert e0.hex() == energy
