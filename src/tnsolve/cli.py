@@ -9,8 +9,9 @@ unless --timing is given, since wall time is not reproducible; with it, a
 trace row's elapsed_s is the time from the run's start to its update.
 
 The final energy is the last finite trace energy.  Every solver run also
-recomputes it by its state's own format's contractions, at any p
-(`recheck_energy`, `recheck_diff`); --validate also compares it with the
+recomputes it without going dense, at any p (`recheck_energy`,
+`recheck_diff`): a chain by its environments, a CP or mixed sum by the mixed
+networks of its product terms.  --validate also compares it with the
 Rayleigh quotient of the state made dense, under tolerances.dense_site_cap
 (above that cap it records `validate_skipped` instead), and fails on either
 gap above VALIDATE_BOUND or not finite.  --init takes random|spectral.
@@ -47,6 +48,7 @@ from .hamiltonian import (
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
+    _partition,
 )
 from .oracle import ground_state_dense, rayleigh
 from .records import TraceEntry
@@ -196,23 +198,20 @@ def config_from_file(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _parse_blocking(text: str, p: int) -> Blocking:
-    """The blocking of comma-separated widths `text`, refused unless the
-    widths sum to p."""
+def _parse_blocking(text: str, p: int) -> tuple:
+    """The site groups of the blocking of comma-separated widths `text`,
+    refused unless the widths sum to p."""
     try:
-        blocking = Blocking.from_string(text)
+        return _partition(Blocking.from_string(text), p)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if blocking.p != p:
-        raise ConfigError(f"blocking {text!r} covers {blocking.p} of {p} sites")
-    return blocking
 
 
 def _solver_blocks(m: MethodSpec, p: int):
-    """The parsed blocking of an mps-als (None if unset) or parafac-als run,
-    or the list of scheduled blockings of a mixed-als run; refuses a rank
-    or sweep count below 1, and a parafac-als init or mode it does not know,
-    as well."""
+    """The site groups of the blocking of an mps-als (None if unset) or
+    parafac-als run, or the list of them over a mixed-als schedule; refuses
+    a rank or sweep count below 1, and a parafac-als init or mode it does
+    not know, as well."""
     if m.rank < 1 or m.sweeps < 1:
         raise ConfigError(f"need rank and sweeps >= 1, got {m.rank} and {m.sweeps}")
     if m.name == "parafac-als":
@@ -340,7 +339,7 @@ _DENSE_FORMS = {
 }
 
 #: The largest gap --validate accepts between the final energy and the
-#: state's energy recomputed, densely or by its own format's contractions
+#: state's energy recomputed, densely or by the recheck
 VALIDATE_BOUND = 1e-8
 
 
@@ -369,7 +368,7 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def _cp_als(h: SpinHamiltonian, blocking: Blocking, rank: int, sweeps: int,
+def _cp_als(h: SpinHamiltonian, blocking: tuple, rank: int, sweeps: int,
             seed: int, init: str, mode: str,
             tols: Tolerances = DEFAULT_TOLS) -> tuple:
     """(trace, state) of greedy or simultaneous blocked-CP ALS."""

@@ -60,14 +60,10 @@ def tally():
 
 
 def tdot(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    """np.tensordot that charges output_size * contracted_size operations."""
-    if isinstance(axes, int):
-        ax_a = tuple(range(a.ndim - axes, a.ndim))
-        ax_b = tuple(range(axes))
-    else:
-        ax_a, ax_b = axes
-        if isinstance(ax_a, int):
-            ax_a, ax_b = (ax_a,), (ax_b,)
+    """np.tensordot (axes a pair) that charges output_size * contracted_size operations."""
+    ax_a, ax_b = axes
+    if isinstance(ax_a, int):
+        ax_a, ax_b = (ax_a,), (ax_b,)
     contracted = 1
     for ax in ax_a:
         contracted *= a.shape[ax]

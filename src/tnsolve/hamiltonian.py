@@ -177,12 +177,19 @@ class Blocking:
 
 
 def _partition(groups, p: int | None = None, lengths=None) -> tuple:
-    """`groups` as a tuple of tuples, refused unless they are nonempty and
-    partition range(p) (p defaults to their total size) and, if factor
-    `lengths` are given, unless group i has a factor of length 2^|g_i|.  A
-    :class:`Blocking` stands for its groups."""
-    groups = groups.groups if isinstance(groups, Blocking) else groups
-    groups = tuple(tuple(g) for g in groups)
+    """The site groups of a :class:`Blocking`, of a tuple of block widths or
+    of site groups in any order, as a tuple of tuples; a ValueError unless
+    they are nonempty and partition range(p) (p defaults to their total
+    size) and, if factor `lengths` are given, unless group i has a factor
+    of length 2^|g_i|."""
+    try:
+        if isinstance(groups, Blocking):
+            groups = groups.groups
+        elif len(groups) and isinstance(groups[0], (int, np.integer)):
+            groups = Blocking(groups).groups
+        groups = tuple(tuple(g) for g in groups)
+    except TypeError:
+        raise ValueError(f"{groups!r} are neither block widths nor site groups") from None
     sites = sorted(s for g in groups for s in g)
     p = len(sites) if p is None else p
     if not groups or not all(groups) or sites != list(range(p)):
@@ -513,9 +520,10 @@ def mpo_apply(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     (w_i, w_{i+1}, n_out, n_in) and a tensor t of shape (w_i, n_in, ...)
     whose first axis meets the left operator bond and whose second is a
     ket's physical index; the result has shape (w_{i+1}, n_out, ...).
-    Swapping the first two axes of W applies the site from the right.  Every
-    contraction with an MPO site goes through here and is charged to the
-    flop counter, except the chain ALS local operator
+    Swapping the first two axes of W applies the site from the right.  The
+    chain contractions with an MPO site go through here and are charged to
+    the flop counter, except the chain ALS local operator
     (:func:`mps._local_operator`), which reshapes its site into one matrix
-    per update and charges the same count per matvec."""
+    per update and charges the same count per matvec; the CP kernels
+    (`parafac._Environments`, `expectation_form`) use ``flops.matmul``."""
     return flops.tdot(w, t, axes=((0, 3), (0, 1)))

@@ -109,8 +109,8 @@ def term_to_dense(term) -> DenseState:
 
 
 def sum_to_dense(x: MixedTermSum) -> DenseState:
-    vectors = (term_to_dense(t).vector for t in x.terms)
-    return DenseState(x.p, sum(vectors, np.zeros(2**x.p, dtype=complex)))
+    vectors = (t.weight * _product_vector(t.groups, t.factors) for t in x.terms)
+    return DenseState(x.p, sum(vectors, np.zeros(2**x.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +361,13 @@ def ground_state_mixed_greedy(h: SpinHamiltonian, schedule, d_per_blocking,
     """Greedy addend-by-addend minimization (`parafac._greedy_core`) where
     the n-th run of d_per_blocking stages takes schedule[n] as its site
     groups: a :class:`Blocking`, a tuple of block widths, or site groups in
-    any order (read by :func:`hamiltonian._partition`).  A blocking that
-    does not cover the chain is refused before the first solve.  Returns
-    (trace, MixedTermSum), the sum's terms the frozen addends on their
-    stages' groups."""
-    if d_per_blocking < 1:
-        raise ValueError("need a positive addend count per scheduled blocking")
-    # an entry of scalars is a tuple of block widths
-    entries = [b if isinstance(b, Blocking) or any(map(np.ndim, b)) else Blocking(b)
-               for b in schedule]
-    stages = [_partition(b, h.p) for b in entries for _ in range(d_per_blocking)]
+    any order (read by :func:`hamiltonian._partition`).  An empty schedule
+    and a blocking that does not cover the chain are refused before any
+    MPO is built.  Returns (trace, MixedTermSum), the sum's terms the frozen
+    addends on their stages' groups."""
+    if d_per_blocking < 1 or not schedule:
+        raise ValueError("need a schedule and a positive addend count per blocking")
+    stages = [_partition(b, h.p) for b in schedule for _ in range(d_per_blocking)]
     trace, frozen = _greedy_core(h, stages, sweeps, seed, tols)
     return trace, MixedTermSum(h.p, frozen)
 

@@ -105,7 +105,8 @@ def random_mps(p: int, d_bond: int, boundary: str = "open",
     scaled by 1/sqrt(2)): complex by default, real when ALS starts it for a
     real Hamiltonian.  Open-boundary bonds are clamped to min(D, 2^{left
     bits}, 2^{right bits}) so no bond exceeds what the cut can carry, the
-    bits left of a cut counted over the site groups `blocking` (any order)."""
+    bits left of a cut counted over the site groups of `blocking` (a
+    Blocking, block widths or site groups in any order)."""
     groups = _partition(blocking or tuple((s,) for s in range(p)), p)
     rng = np.random.default_rng(seed)
     if boundary == "open":
@@ -144,10 +145,8 @@ def to_dense(x: MpsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
     acc = x.sites[0]
     for site in x.sites[1:]:
         acc = np.tensordot(acc, site, axes=(acc.ndim - 1, 0))
-    if x.boundary == "open":
-        tens = acc[0, ..., 0]
-    else:
-        tens = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
+    # an open chain's outer bonds have size 1, so one trace closes both kinds
+    tens = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
     return DenseState(x.p, _group_order_vector(x.groups, tens))
 
 
@@ -477,7 +476,8 @@ def als_ground_state(h: SpinHamiltonian, p: int, d_bond: int,
     consecutive sweeps that move the energy by less than tols.convergence
     stop the search, and so end at local solves to tols.convergence.  Returns
     (trace, state) with a nonincreasing energy trace and an open state.  The
-    chain and the MPO run on the site groups `blocking`, in any order.
+    chain and the MPO run on the site groups of `blocking`: a Blocking,
+    block widths or site groups in any order.
     """
     if boundary not in ("open", "periodic"):
         raise ValueError(f"bad boundary {boundary!r}")

@@ -119,8 +119,9 @@ class MixedTerm:
 def random_cp(blocking: Blocking | tuple, rank: int, seed: int = 0,
               dtype=complex) -> BlockedCp:
     """Reproducible state of unit-norm Gaussian columns of `dtype`
-    (:func:`tensor._gaussian`): complex by default, real when the
-    simultaneous solver starts it for a real Hamiltonian."""
+    (:func:`tensor._gaussian`) on `blocking` (a Blocking, block widths or
+    site groups): complex by default, real when the simultaneous solver
+    starts it for a real Hamiltonian."""
     rng = np.random.default_rng(seed)
     factors = []
     for g in _partition(blocking):
@@ -130,10 +131,9 @@ def random_cp(blocking: Blocking | tuple, rank: int, seed: int = 0,
 
 
 def to_dense(x: BlockedCp) -> DenseState:
-    total = np.zeros(2**x.p, dtype=complex)
-    for l in range(x.rank):
-        total += x.weights[l] * _product_vector(x.groups, [f[:, l] for f in x.factors])
-    return DenseState(x.p, total)
+    vectors = (x.weights[l] * _product_vector(x.groups, [f[:, l] for f in x.factors])
+               for l in range(x.rank))
+    return DenseState(x.p, sum(vectors, np.zeros(2**x.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,8 @@ def _greedy_core(h: SpinHamiltonian, stages: list, sweeps: int, seed: int,
 def greedy_als(h: SpinHamiltonian, blocking: Blocking | tuple, d_final: int,
                inner_iters: int = 30, seed: int = 0,
                tols: Tolerances = DEFAULT_TOLS, init: str = "random") -> tuple:
-    """Grow the rank one addend at a time on the groups of `blocking`
+    """Grow the rank one addend at a time on the site groups of `blocking`,
+    a :class:`Blocking`, block widths or site groups in any order
     (:func:`_greedy_core`): a pure rank-one stage first, solved as a
     simultaneous mode at rank one, then each new addend from the bordered
     problem with all earlier addends frozen.  :func:`_bordered_solve` drops
@@ -503,7 +504,8 @@ def simultaneous_als(h: SpinHamiltonian, blocking: Blocking | tuple, rank: int,
     """Per mode, replace the whole slab of addend vectors by the minimizer of
     the rank*2^{t_i} generalized eigenproblem; addends are renormalized at
     the end of every sweep, and a sweep that moves the energy by less than
-    tols.convergence stops the search.  Returns (trace, BlockedCp).
+    tols.convergence stops the search.  Returns (trace, BlockedCp) on
+    `blocking`'s groups (a Blocking, block widths or site groups).
 
     The Hamiltonian enters as its MPO, built once, and the local problems
     come from cached environments indexed by (addend l, addend l', channel

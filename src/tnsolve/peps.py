@@ -91,42 +91,20 @@ def from_mps_row(x: MpsState) -> PepsState:
     return PepsState(1, x.p, sites)
 
 
-def _site_piece(x: PepsState, r: int, c: int):
-    """(legs, tensor) with boundary bonds squeezed away; leg labels are
-    ('p', r, c) for the physical index, ('v', r, c) for the bond to row
-    r + 1 and ('h', r, c) for the bond to column c + 1."""
-    t = x.sites[r][c]
-    legs = [("p", r, c)]
-    idx = [slice(None)]
-    for label, size in [(("v", r - 1, c), t.shape[1]),
-                        (("v", r, c), t.shape[2]),
-                        (("h", r, c - 1), t.shape[3]),
-                        (("h", r, c), t.shape[4])]:
-        boundary = size == 1 and (
-            label[0] == "v" and (label[1] < 0 or label[1] >= x.rows - 1)
-            or label[0] == "h" and (label[2] < 0 or label[2] >= x.cols - 1)
-        )
-        if boundary:
-            idx.append(0)
-        else:
-            idx.append(slice(None))
-            legs.append(label)
-    return legs, t[tuple(idx)]
-
-
 def to_dense(x: PepsState, cap: int = DEFAULT_TOLS.dense_site_cap) -> DenseState:
-    """Brute-force contraction, consuming sites in row-major order."""
+    """Brute-force contraction, consuming sites in row-major order.  Each
+    site labels all four bonds; an edge bond's label is held by its one
+    site, so it stays open at size 1 and trails the physical axes."""
     if x.p > cap:
         raise DimensionCapError(f"{x.rows}x{x.cols} lattice exceeds dense cap {cap}")
     acc = np.ones((), dtype=complex)
     acc_legs = ()
     for r in range(x.rows):
         for c in range(x.cols):
-            legs, t = _site_piece(x, r, c)
-            acc, acc_legs = _contract_labelled(acc, acc_legs, t, legs)
-    phys_order = [("p", r, c) for r in range(x.rows) for c in range(x.cols)]
-    perm = [acc_legs.index(l) for l in phys_order]
-    tens = np.transpose(acc, perm)
+            legs = (("p", r, c), ("v", r - 1, c), ("v", r, c), ("h", r, c - 1), ("h", r, c))
+            acc, acc_legs = _contract_labelled(acc, acc_legs, x.sites[r][c], legs)
+    order = sorted(acc_legs, key=lambda l: (l[0] != "p", l))
+    tens = np.transpose(acc, [acc_legs.index(l) for l in order])
     return DenseState(x.p, tens.reshape(-1, order="F"))
 
 

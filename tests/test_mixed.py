@@ -10,10 +10,12 @@ from tnsolve import flops, mixed, parafac
 from tnsolve.config import DEFAULT_TOLS
 from tnsolve.hamiltonian import (
     Blocking,
+    _partition,
     build_heisenberg_xy,
     build_ising,
     build_ising_2d,
     materialize_dense,
+    mpo,
 )
 from tnsolve.mixed import (
     MixedTerm,
@@ -30,9 +32,16 @@ from tnsolve.mixed import (
     sum_to_dense,
     term_to_dense,
 )
-from tnsolve.mps import MpsState, from_unit_vector, inner as mps_inner, random_mps, to_dense
+from tnsolve.mps import (
+    MpsState,
+    als_ground_state,
+    from_unit_vector,
+    inner as mps_inner,
+    random_mps,
+    to_dense,
+)
 from tnsolve.oracle import rayleigh
-from tnsolve.parafac import _greedy_core, greedy_als, random_cp
+from tnsolve.parafac import _greedy_core, greedy_als, random_cp, simultaneous_als
 from tnsolve.peps import random_peps
 from tnsolve.tensor import DenseState
 
@@ -534,6 +543,55 @@ def test_mixed_greedy_reads_site_groups_like_greedy_als():
     assert t2 == t1
     assert [t.groups for t in state.terms] == [groups]
     assert np.allclose(sum_to_dense(state).vector, parafac.to_dense(cp).vector, atol=1e-13)
+
+
+def _solved(result) -> list:
+    """A solver's trace energies and its state's groups and arrays."""
+    trace, x = result
+    arrays = x.sites if isinstance(x, MpsState) else [*x.factors, x.weights]
+    return [[t.energy for t in trace], x.groups, *arrays]
+
+
+_H4 = build_ising(4, 0.7)
+WIDTH_READERS = {
+    "random_mps": lambda b: random_mps(4, 2, blocking=b, seed=3).sites,
+    "random_cp": lambda b: random_cp(b, 2, seed=3).factors,
+    "mpo": lambda b: mpo(_H4, b),
+    "MixedTerm": lambda b: [MixedTerm(b, [np.ones(4), np.arange(4.0)]).groups],
+    "greedy_als": lambda b: _solved(greedy_als(_H4, b, 2, 5)),
+    "simultaneous_als": lambda b: _solved(simultaneous_als(_H4, b, 2, 5)),
+    "als_ground_state": lambda b: _solved(als_ground_state(_H4, 4, 2, "open", 3, 0, b)),
+}
+
+
+@pytest.mark.parametrize("reader", list(WIDTH_READERS))
+def test_block_widths_read_as_their_blocking(reader):
+    # every entry point reads a partition through _partition, widths included
+    got, want = (WIDTH_READERS[reader](b) for b in ((2, 2), Blocking((2, 2))))
+    assert len(got) == len(want)
+    for u, v in zip(map(np.asarray, got), map(np.asarray, want)):
+        assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+
+
+@pytest.mark.parametrize("read", [
+    lambda groups: _partition(groups, 4),
+    lambda groups: greedy_als(build_ising(4, 1.0), groups, 1, 3),
+    lambda groups: ground_state_mixed_greedy(build_ising(4, 1.0), [groups], 1, 3),
+], ids=["_partition", "greedy_als", "ground_state_mixed_greedy"])
+@pytest.mark.parametrize("groups", [((0, 1), 2), (2, (2, 3))], ids=["group-then-width",
+                                                                  "width-then-group"])
+def test_mixed_widths_and_groups_are_a_value_error(read, groups):
+    with pytest.raises(ValueError, match="neither"):
+        read(groups)
+
+
+def test_mixed_greedy_refuses_an_empty_schedule_before_any_mpo(monkeypatch):
+    # an empty schedule would return an empty sum, whose recheck is 0.0 / 0.0
+    built = []
+    monkeypatch.setattr(mixed, "mpo", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="schedule"):
+        ground_state_mixed_greedy(build_ising(4, 1.0), [], 1)
+    assert built == []
 
 
 def test_mixed_greedy_identical_schedule_matches_parafac():
